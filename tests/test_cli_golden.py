@@ -1,0 +1,134 @@
+"""Golden gate for the instance subcommands of the command line driver.
+
+Each case runs one subcommand on one instance through `deltahull.cli.main`
+and compares three things with `tests/data/cli_golden.json`: the exit code,
+the sha256 of the canonical report with `timings` removed, and stderr.
+Record the file again with
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+
+only when a report is meant to change; the stored file is the reference the
+driver's reports are held to.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from deltahull.cli import main
+from deltahull.model import make_polyhedron
+from deltahull.serialize import canonical_dumps, dump_instance
+
+from conftest import build_fuzz_corpus, cube, octahedron, square, square_pyramid
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+FUZZ = 10
+
+SUBCOMMANDS = {
+    "vertices": ["vertices"],
+    "verify": ["verify"],
+    "verify-count": ["verify", "--count"],
+    "stats": ["stats"],
+    "diameter": ["diameter"],
+    "count": ["count"],
+}
+
+LABELS = [
+    "square",
+    "cube3",
+    "square-pyramid",
+    "octahedron",
+    *[f"fuzz{i}" for i in range(FUZZ)],
+    "quadrant",
+    "padded",
+    "padded-strip",
+    "dual-n2k2",
+]
+
+CASES = [(label, sub) for label in LABELS for sub in SUBCOMMANDS]
+
+
+def write_instances(directory: Path) -> dict[str, list[str]]:
+    """Instance files for every label: its path plus any extra flags."""
+    padded = make_polyhedron(
+        [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 0, 0, 9]
+    )
+    systems = {
+        "square": square(),
+        "cube3": cube(3),
+        "square-pyramid": square_pyramid(),
+        "octahedron": octahedron(),
+        **{f"fuzz{i}": p for i, p in enumerate(build_fuzz_corpus(FUZZ))},
+        "quadrant": make_polyhedron([[-1, 0], [0, -1]], [0, 0]),
+        "padded": padded,
+    }
+    inputs = {}
+    for label, p in systems.items():
+        path = directory / f"{label}.json"
+        path.write_text(dump_instance(p) + "\n", encoding="utf-8")
+        inputs[label] = [str(path)]
+    inputs["padded-strip"] = inputs["padded"] + ["--strip-redundant"]
+    prefix = str(directory / "dual-n2k2")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", prefix, "--n", "2", "--k", "2"]) == 0
+    inputs["dual-n2k2"] = [prefix + ".instance.json"]
+    return inputs
+
+
+def run_case(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digest = None
+    if out.getvalue():
+        report = json.loads(out.getvalue())
+        report.pop("timings", None)
+        digest = hashlib.sha256(canonical_dumps(report).encode()).hexdigest()
+    return {"exit": code, "report_sha256": digest, "stderr": err.getvalue()}
+
+
+def case_id(label: str, sub: str) -> str:
+    return f"{label} {sub}"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_instances(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(case_id(label, sub) for label, sub in CASES)
+
+
+@pytest.mark.parametrize("label,sub", CASES, ids=[case_id(*c) for c in CASES])
+def test_cli_matches_golden(inputs, golden, label, sub):
+    got = run_case(SUBCOMMANDS[sub] + inputs[label])
+    assert got == golden[case_id(label, sub)]
+
+
+def record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = write_instances(Path(tmp))
+        cases = {
+            case_id(label, sub): run_case(SUBCOMMANDS[sub] + inputs[label])
+            for label, sub in CASES
+        }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps({"cases": cases}, indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+
+
+if __name__ == "__main__":
+    record()
