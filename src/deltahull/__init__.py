@@ -44,7 +44,6 @@ from .hull import (
     triangulate_normal_cone,
 )
 from .model import (
-    Basis,
     HPolyhedron,
     VertexRecord,
     basis_vertex,
@@ -65,7 +64,8 @@ from .serialize import (
     load_instance_csv,
     load_instance_json,
     load_instance_path,
-    load_polyhedron,
+    parse_json,
+    parse_point,
     parse_rational,
     rational_str,
 )

@@ -2,23 +2,24 @@
 
 Subcommands: vertices, verify, generate, count, stats, diameter. Reports go
 to stdout as canonical JSON (or to --json PATH); diagnostics go to stderr.
-Exit codes: 0 ok, 2 infeasible, 3 not pointed, 4 parse/usage, 5 bound
-violated, 6 unbounded, 7 budget exceeded.
+Exit codes: 0 ok, 2 infeasible, 3 not pointed, 4 parse/usage or a given
+feasible point outside the polyhedron, 5 bound violated, 6 unbounded,
+7 budget exceeded.
 """
 
 import argparse
-import json
-import os
 import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cached_property
 
 from . import counting, graphs, hull, model, serialize, stats, subdivision
 from .errors import (
     BoundViolated,
     BudgetExceeded,
     Infeasible,
+    InfeasiblePoint,
     NotPointed,
     ParseError,
     Unbounded,
@@ -33,10 +34,6 @@ EXIT_UNBOUNDED = 6
 EXIT_BUDGET = 7
 
 
-def default_budget() -> int:
-    return int(os.environ.get("DELTAHULL_BUDGET", "100000"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltahull",
@@ -47,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=None,
-                        help="combinatorial scan budget (default: "
-                        "DELTAHULL_BUDGET or 100000)")
+                        help="cap on every combinatorial scan (default: "
+                        "DELTAHULL_BUDGET or 100000 subsets, 10^7 cells)")
     common.add_argument("--json", metavar="PATH", default=None,
                         help="write the report to PATH instead of stdout")
     common.add_argument("--seed", type=int, default=None,
@@ -63,27 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
                           help="remove redundant rows before analysis "
                           "(default: warn only)")
 
-    p = sub.add_parser("vertices", parents=[instance],
-                       help="enumerate vertices and the fan triangulation")
-    p.set_defaults(func=cmd_vertices)
-
-    p = sub.add_parser("verify", parents=[instance],
-                       help="run every bound check end to end")
-    p.add_argument("--count", action="store_true",
-                   help="also count integer points when bounded")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("stats", parents=[instance],
-                       help="subdeterminant statistics and volume bounds")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("diameter", parents=[instance],
-                       help="exact vertex-edge graph diameter")
-    p.set_defaults(func=cmd_diameter)
-
-    p = sub.add_parser("count", parents=[instance],
-                       help="count integer points by exact box scan")
-    p.set_defaults(func=cmd_count)
+    for name, project, text in (
+        ("vertices", cmd_vertices, "enumerate vertices and the fan triangulation"),
+        ("verify", cmd_verify, "run every bound check end to end"),
+        ("stats", cmd_stats, "subdeterminant statistics and volume bounds"),
+        ("diameter", cmd_diameter, "exact vertex-edge graph diameter"),
+        ("count", cmd_count, "count integer points by exact box scan"),
+    ):
+        p = sub.add_parser(name, parents=[instance], help=text)
+        p.set_defaults(func=run_instance, project=project)
+    sub.choices["verify"].add_argument("--count", action="store_true",
+                                       help="also count integer points when bounded")
 
     p = sub.add_parser("generate", parents=[common],
                        help="emit a subdivision-family fan and dual instance")
@@ -110,49 +97,114 @@ def _warn(message: str) -> None:
     print(f"deltahull: {message}", file=sys.stderr)
 
 
-def _load_instance(args) -> tuple[model.HPolyhedron, list | None, list[int]]:
-    doc = serialize.load_instance_path(args.path)
-    p = doc.polyhedron
-    feasible = doc.feasible_point
-    if args.feasible_point:
-        with open(args.feasible_point, "r", encoding="utf-8") as fh:
-            feasible = [serialize.parse_rational(x) for x in json.load(fh)]
-    redundant = model.redundancy_scan(p)
-    if redundant and args.strip_redundant:
-        _warn(f"stripped redundant rows {redundant}")
-        p = model.drop_rows(p, redundant)
-        redundant = []
-    elif redundant:
-        _warn(f"redundant rows present: {redundant}")
-    return p, feasible, redundant
+class Analysis:
+    """The analysis of one instance; each phase runs once, on first use.
+
+    `loaded` parses the instance and runs the redundancy scan, `result`
+    enumerates the vertices, `fan_stats` takes the subdeterminant statistics
+    of the normal-fan triangulation, and `graph` builds the vertex-edge graph.
+    `--budget` caps every scan; without it the subset and minor scans use
+    stats.DEFAULT_BUDGET and the cell scan counting.DEFAULT_CELL_BUDGET.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        given = args.budget is not None
+        self.scan_budget = args.budget if given else stats.DEFAULT_BUDGET
+        self.cell_budget = args.budget if given else counting.DEFAULT_CELL_BUDGET
+
+    @cached_property
+    def loaded(self) -> tuple[model.HPolyhedron, list | None, list[int]]:
+        """The system, its feasible point if one was given, its redundant rows."""
+        doc = serialize.load_instance_path(self.args.path)
+        p, feasible = doc.polyhedron, doc.feasible_point
+        if self.args.feasible_point:
+            with open(self.args.feasible_point, "r", encoding="utf-8") as fh:
+                feasible = serialize.parse_point(serialize.parse_json(fh.read()), p.n)
+        redundant = model.redundancy_scan(p)
+        if redundant and self.args.strip_redundant:
+            _warn(f"stripped redundant rows {redundant}")
+            p = model.drop_rows(p, redundant)
+            redundant = []
+        elif redundant:
+            _warn(f"redundant rows present: {redundant}")
+        return p, feasible, redundant
+
+    @property
+    def p(self) -> model.HPolyhedron:
+        return self.loaded[0]
+
+    @cached_property
+    def result(self) -> hull.EnumerationResult:
+        p, feasible, _ = self.loaded
+        return hull.run_enumeration(p, feasible)
+
+    @cached_property
+    def fan_stats(self) -> stats.FanStats:
+        cones = self.result.triangulation.cones
+        return stats.triangulation_stats(self.p.rows(), cones, self.scan_budget)
+
+    @cached_property
+    def graph(self) -> graphs.SkeletonGraph:
+        return graphs.build_polytope_graph(self.p, self.result)
+
+    def instance_block(self) -> dict:
+        p, _, redundant = self.loaded
+        return {
+            "name": p.name,
+            "m": p.m,
+            "n": p.n,
+            "A": [list(row) for row in p.a],
+            "b": list(p.b),
+            "redundant_rows": redundant,
+        }
+
+    def work_block(self) -> dict:
+        c = self.result.counters
+        return {
+            "bases_visited": c.bases_visited,
+            "ratio_mults": c.ratio_mults,
+            "max_basis_mults": c.max_basis_mults,
+            "per_basis_mult_cap": 2 * self.p.n * self.p.n * self.p.m,
+        }
+
+    def fan_bounds(self) -> dict:
+        """The vertex-count, fan-volume and cone-count checks."""
+        vertex_rep = stats.check_vertex_bound(self.p, self.result, self.fan_stats)
+        volume_rep, count_rep = stats.check_fan_bound(self.p.rows(), self.fan_stats)
+        return {
+            "vertex-count": asdict(vertex_rep),
+            "fan-volume": asdict(volume_rep),
+            "cone-count": asdict(count_rep),
+        }
+
+    def counts_block(self) -> dict:
+        """The box-scan count; its cost figures need the subset scan in budget."""
+        count = counting.count_integer_points_bruteforce(
+            self.p, self.result, self.cell_budget
+        )
+        try:
+            cost = asdict(counting.estimate_counting_cost(self.fan_stats))
+        except BudgetExceeded:
+            cost = None
+        return {
+            "integer_points": count.count,
+            "box": [list(b) for b in count.box],
+            "cells_scanned": count.cells_scanned,
+            "cost": cost,
+        }
 
 
-def _instance_block(p: model.HPolyhedron, redundant: list[int]) -> dict:
-    return {
-        "name": p.name,
-        "m": p.m,
-        "n": p.n,
-        "A": [list(row) for row in p.a],
-        "b": list(p.b),
-        "redundant_rows": redundant,
-    }
-
-
-def _vertices_block(result: hull.EnumerationResult) -> list[dict]:
-    return [
+def _points_block(result: hull.EnumerationResult) -> dict:
+    vertices = [
         {"point": list(v.point), "tight": list(v.tight), "simple": v.simple}
         for v in result.vertices
     ]
+    return {"vertices": vertices, "rays": [list(d) for _, d in result.rays]}
 
 
-def _work_block(p: model.HPolyhedron, result: hull.EnumerationResult) -> dict:
-    c = result.counters
-    return {
-        "bases_visited": c.bases_visited,
-        "ratio_mults": c.ratio_mults,
-        "max_basis_mults": c.max_basis_mults,
-        "per_basis_mult_cap": 2 * p.n * p.n * p.m,
-    }
+def _adjacency(graph: graphs.SkeletonGraph) -> dict:
+    return {str(u): vs for u, vs in graph.adjacency.items()}
 
 
 def _stats_block(fan_stats: stats.FanStats) -> dict:
@@ -167,185 +219,104 @@ def _stats_block(fan_stats: stats.FanStats) -> dict:
     }
 
 
-def cmd_vertices(args) -> int:
-    p, feasible, redundant = _load_instance(args)
-    t0 = time.perf_counter()
-    result = hull.run_enumeration(p, feasible)
-    report = {
-        "instance": _instance_block(p, redundant),
-        "vertices": _vertices_block(result),
-        "rays": [list(d) for _, d in result.rays],
+def cmd_vertices(a: Analysis) -> dict:
+    return {
+        "instance": a.instance_block(),
+        **_points_block(a.result),
         "triangulation": {
             "cones_by_vertex": [
                 [list(c) for c in group]
-                for group in result.triangulation.cones_by_vertex
+                for group in a.result.triangulation.cones_by_vertex
             ]
         },
-        "work": _work_block(p, result),
-        "timings": {"enumeration_s": round(time.perf_counter() - t0, 6)},
+        "work": a.work_block(),
     }
-    if args.seed is not None:
-        report["seed"] = args.seed
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    p, feasible, redundant = _load_instance(args)
-    budget = args.budget if args.budget is not None else default_budget()
-    t0 = time.perf_counter()
-    result = hull.run_enumeration(p, feasible)
-    cones = result.triangulation.cones
-    fan_stats = stats.triangulation_stats(p.rows(), cones, budget)
-    bounds: dict[str, dict] = {}
+def cmd_verify(a: Analysis) -> dict:
+    p, result, fan_stats = a.p, a.result, a.fan_stats
+    bounds = a.fan_bounds()
+    transformed = stats.totally_unimodular_transform(p.rows(), fan_stats.witness)
     try:
-        bounds["vertex-count"] = asdict(
-            stats.check_vertex_bound(p, result, fan_stats)
-        )
-        volume_rep, count_rep = stats.check_fan_bound(p.rows(), fan_stats)
-        bounds["fan-volume"] = asdict(volume_rep)
-        bounds["cone-count"] = asdict(count_rep)
+        tu_ok = stats.verify_total_unimodularity(transformed, a.scan_budget)
+    except BudgetExceeded as exc:
+        bounds["total-unimodularity"] = {"skipped": True, "reason": str(exc)}
+    else:
+        if not tu_ok:
+            raise BoundViolated("transformed system has a minor above 1")
+        minors = stats.count_minors(p.m, p.n)
+        bounds["total-unimodularity"] = {"passed": True, "minors_checked": minors}
+    cones = result.triangulation.cones
+    wideness = stats.wideness_and_diameter_bound(p, fan_stats, cones)
+    bounds["delta-distance-floor"] = {
+        "passed": True,
+        "sin_sq_min": wideness.sin_sq_min,
+        "floor": wideness.lemma_floor,
+        "delta_distance_float": wideness.delta_distance,
+    }
+    diameter = graphs.graph_diameter(a.graph) if result.bounded else None
+    if result.bounded:
+        bound = wideness.diameter_bound
+        if diameter > bound * (1 + stats.RELATIVE_SLACK):
+            raise BoundViolated(f"diameter {diameter} above bound {bound}")
+        bounds["tau-diameter"] = {"passed": True, "diameter": diameter,
+                                  "bound": bound, "tau": wideness.tau}
+    else:
+        bounds["tau-diameter"] = {"skipped": True, "reason": "unbounded instance"}
+    report = {
+        "instance": a.instance_block(),
+        **_points_block(result),
+        "stats": _stats_block(fan_stats),
+        "graph": {"adjacency": _adjacency(a.graph), "diameter": diameter},
+        "bounds": bounds,
+        "work": a.work_block(),
+    }
+    if a.args.count and result.bounded:
+        report["counts"] = a.counts_block()
+    return report
 
-        transformed = stats.totally_unimodular_transform(
-            p.rows(), fan_stats.witness
-        )
-        try:
-            tu_ok = stats.verify_total_unimodularity(transformed, budget)
-            bounds["total-unimodularity"] = {
-                "passed": tu_ok,
-                "minors_checked": stats.count_minors(p.m, p.n),
-            }
-            if not tu_ok:
-                raise BoundViolated("transformed system has a minor above 1")
-        except BudgetExceeded as exc:
-            bounds["total-unimodularity"] = {"skipped": True, "reason": str(exc)}
 
-        wideness = stats.wideness_and_diameter_bound(p, fan_stats, cones)
-        bounds["delta-distance-floor"] = {
-            "passed": True,
-            "sin_sq_min": wideness.sin_sq_min,
-            "floor": wideness.lemma_floor,
-            "delta_distance_float": wideness.delta_distance,
-        }
+def cmd_stats(a: Analysis) -> dict:
+    return {
+        "instance": a.instance_block(),
+        "stats": _stats_block(a.fan_stats),
+        "bounds": a.fan_bounds(),
+        "work": a.work_block(),
+    }
 
-        graph = graphs.build_polytope_graph(p, result)
-        diameter = graphs.graph_diameter(graph) if result.bounded else None
-        if result.bounded:
-            passed = diameter <= wideness.diameter_bound * (1 + stats.RELATIVE_SLACK)
-            bounds["tau-diameter"] = {
-                "passed": passed,
-                "diameter": diameter,
-                "bound": wideness.diameter_bound,
-                "tau": wideness.tau,
-            }
-            if not passed:
-                raise BoundViolated(
-                    f"diameter {diameter} above bound {wideness.diameter_bound}"
-                )
-        else:
-            bounds["tau-diameter"] = {
-                "skipped": True,
-                "reason": "unbounded instance",
-            }
+
+def cmd_diameter(a: Analysis) -> dict:
+    return {
+        "instance": a.instance_block(),
+        "graph": {
+            "adjacency": _adjacency(a.graph),
+            "diameter": graphs.graph_diameter(a.graph),
+            "nodes": len(a.graph.nodes),
+            "edges": a.graph.edge_count,
+        },
+    }
+
+
+def cmd_count(a: Analysis) -> dict:
+    return {"instance": a.instance_block(), "counts": a.counts_block()}
+
+
+def run_instance(args) -> int:
+    """Project one Analysis into the subcommand's report, time it, emit it.
+
+    A violated bound prints the system as a reproducer instance on stderr.
+    `timings.total_s` runs from the start of parsing to just before emit.
+    """
+    start = time.perf_counter()
+    analysis = Analysis(args)
+    try:
+        report = args.project(analysis)
     except BoundViolated as exc:
         _warn(f"bound violated: {exc}")
         _warn("reproducer instance follows")
-        print(serialize.dump_instance(p), file=sys.stderr)
+        print(serialize.dump_instance(analysis.p), file=sys.stderr)
         return EXIT_BOUND_VIOLATED
-
-    report = {
-        "instance": _instance_block(p, redundant),
-        "vertices": _vertices_block(result),
-        "rays": [list(d) for _, d in result.rays],
-        "stats": _stats_block(fan_stats),
-        "graph": {
-            "adjacency": {str(u): vs for u, vs in graph.adjacency.items()},
-            "diameter": diameter,
-        },
-        "bounds": bounds,
-        "work": _work_block(p, result),
-        "timings": {"total_s": round(time.perf_counter() - t0, 6)},
-    }
-    if args.count and result.bounded:
-        count = counting.count_integer_points_bruteforce(p, result)
-        report["counts"] = {
-            "integer_points": count.count,
-            "box": [list(b) for b in count.box],
-            "cells_scanned": count.cells_scanned,
-            "cost": asdict(counting.estimate_counting_cost(fan_stats)),
-        }
-    if args.seed is not None:
-        report["seed"] = args.seed
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_stats(args) -> int:
-    p, feasible, redundant = _load_instance(args)
-    budget = args.budget if args.budget is not None else default_budget()
-    result = hull.run_enumeration(p, feasible)
-    fan_stats = stats.triangulation_stats(
-        p.rows(), result.triangulation.cones, budget
-    )
-    vertex_rep = stats.check_vertex_bound(p, result, fan_stats)
-    volume_rep, count_rep = stats.check_fan_bound(p.rows(), fan_stats)
-    report = {
-        "instance": _instance_block(p, redundant),
-        "stats": _stats_block(fan_stats),
-        "bounds": {
-            "vertex-count": asdict(vertex_rep),
-            "fan-volume": asdict(volume_rep),
-            "cone-count": asdict(count_rep),
-        },
-        "work": _work_block(p, result),
-    }
-    if args.seed is not None:
-        report["seed"] = args.seed
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_diameter(args) -> int:
-    p, feasible, redundant = _load_instance(args)
-    result = hull.run_enumeration(p, feasible)
-    graph = graphs.build_polytope_graph(p, result)
-    report = {
-        "instance": _instance_block(p, redundant),
-        "graph": {
-            "adjacency": {str(u): vs for u, vs in graph.adjacency.items()},
-            "diameter": graphs.graph_diameter(graph),
-            "nodes": len(graph.nodes),
-            "edges": graph.edge_count,
-        },
-    }
-    if args.seed is not None:
-        report["seed"] = args.seed
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_count(args) -> int:
-    p, feasible, redundant = _load_instance(args)
-    budget = args.budget if args.budget is not None else counting.DEFAULT_CELL_BUDGET
-    result = hull.run_enumeration(p, feasible)
-    count = counting.count_integer_points_bruteforce(p, result, budget)
-    report = {
-        "instance": _instance_block(p, redundant),
-        "counts": {
-            "integer_points": count.count,
-            "box": [list(b) for b in count.box],
-            "cells_scanned": count.cells_scanned,
-        },
-    }
-    try:
-        fan_stats = stats.triangulation_stats(
-            p.rows(), result.triangulation.cones, default_budget()
-        )
-        report["counts"]["cost"] = asdict(
-            counting.estimate_counting_cost(fan_stats)
-        )
-    except BudgetExceeded:
-        report["counts"]["cost"] = None
+    report["timings"] = {"total_s": round(time.perf_counter() - start, 6)}
     if args.seed is not None:
         report["seed"] = args.seed
     _emit(report, args)
@@ -376,26 +347,23 @@ def cmd_generate(args) -> int:
     if args.normalize is not None:
         normalized = subdivision.normalize_rays(fan.rays, args.normalize)
         norm_path = f"{args.prefix}.rays-normalized.json"
+        doc = {"digits": args.normalize, "rays": [list(r) for r in normalized]}
         with open(norm_path, "w", encoding="utf-8") as fh:
-            fh.write(
-                serialize.canonical_dumps(
-                    {"digits": args.normalize,
-                     "rays": [list(r) for r in normalized]}
-                )
-                + "\n"
-            )
+            fh.write(serialize.canonical_dumps(doc) + "\n")
         report["files"]["rays_normalized"] = norm_path
     _emit(report, args)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
         _warn(f"parse error: {exc}")
+        return EXIT_PARSE
+    except InfeasiblePoint as exc:
+        _warn(f"given point outside the polyhedron: {exc}")
         return EXIT_PARSE
     except NotPointed as exc:
         _warn(f"not pointed: {exc}")
@@ -409,9 +377,6 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         _warn(f"budget exceeded: {exc}")
         return EXIT_BUDGET
-    except BoundViolated as exc:
-        _warn(f"bound violated: {exc}")
-        return EXIT_BOUND_VIOLATED
     except OSError as exc:
         _warn(str(exc))
         return EXIT_PARSE

@@ -99,17 +99,6 @@ def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
     return HPolyhedron(tuple(tuple(r) for r in a), tuple(b), name)
 
 
-@dataclass(frozen=True)
-class Basis:
-    """A feasible basis: n independent tight rows plus the cached inverse."""
-
-    rows: tuple[int, ...]
-    inverse: tuple[tuple[Fraction, ...], ...]
-
-    def inverse_mat(self) -> Mat:
-        return [list(r) for r in self.inverse]
-
-
 @dataclass
 class VertexRecord:
     point: tuple[Fraction, ...]
@@ -153,12 +142,6 @@ def tight_set(p: HPolyhedron, x: Vec) -> tuple[int, ...]:
         if s == 0:
             out.append(i)
     return tuple(out)
-
-
-def make_basis(p: HPolyhedron, rows) -> Basis:
-    rows = tuple(sorted(rows))
-    inv = linalg.invert(submatrix(p, rows))
-    return Basis(rows, tuple(tuple(r) for r in inv))
 
 
 def _independent_tight_basis(p: HPolyhedron, tight: tuple[int, ...]) -> tuple[int, ...]:
@@ -342,13 +325,12 @@ def redundancy_scan(p: HPolyhedron) -> list[int]:
     redundant = []
     for i in range(p.m):
         keep = [j for j in range(p.m) if j != i]
-        rows = [p.row(j) for j in keep]
-        if linalg.rank_of(rows) < p.n:
+        if linalg.rank_of([p.row(j) for j in keep]) < p.n:
             continue
-        try:
-            sub = make_polyhedron(rows, [p.b[j] for j in keep], name=f"{p.name}/-{i}")
-        except DuplicateRow:  # pragma: no cover - parent validation forbids
-            continue
+        # A subsystem of a validated system has no zero or duplicate row.
+        sub = HPolyhedron(
+            tuple(p.a[j] for j in keep), tuple(p.b[j] for j in keep), f"{p.name}/-{i}"
+        )
         try:
             x0 = phase_one(sub)
         except Infeasible:  # parent infeasible too; removal changes nothing

@@ -64,11 +64,24 @@ class InstanceDocument:
     name: str
 
 
-def load_instance_json(text: str) -> InstanceDocument:
+def parse_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def parse_point(raw, n: int) -> list[Fraction]:
+    """A point of n-space from a decoded JSON array of n rationals."""
+    if not isinstance(raw, list):
+        raise ParseError(f"a point must be a JSON array, not {type(raw).__name__}")
+    if len(raw) != n:
+        raise ParseError(f"point has {len(raw)} coordinates, expected {n}")
+    return [parse_rational(x) for x in raw]
+
+
+def load_instance_json(text: str) -> InstanceDocument:
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     try:
@@ -83,10 +96,11 @@ def load_instance_json(text: str) -> InstanceDocument:
     a = [[parse_rational(x) for x in row] for row in raw_a]
     b = [parse_rational(x) for x in raw_b]
     name = str(doc.get("name", ""))
+    p = make_polyhedron(a, b, name=name)
     feasible = doc.get("feasible_point")
     if feasible is not None:
-        feasible = [parse_rational(x) for x in feasible]
-    return InstanceDocument(make_polyhedron(a, b, name=name), feasible, name)
+        feasible = parse_point(feasible, p.n)
+    return InstanceDocument(p, feasible, name)
 
 
 def load_instance_csv(text: str) -> InstanceDocument:
@@ -112,11 +126,6 @@ def load_instance_path(path: str) -> InstanceDocument:
     if path.endswith(".csv"):
         return load_instance_csv(text)
     return load_instance_json(text)
-
-
-def load_polyhedron(document: str) -> HPolyhedron:
-    """Instance text (JSON) to a validated constraint system."""
-    return load_instance_json(document).polyhedron
 
 
 def dump_instance(
@@ -148,10 +157,7 @@ def dump_fan(fan: SubdivisionFan) -> str:
 
 
 def load_fan_json(text: str) -> SubdivisionFan:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = parse_json(text)
     try:
         rays = [tuple(parse_rational(x) for x in ray) for ray in doc["rays"]]
         cones = [tuple(int(i) for i in c) for c in doc["cones"]]

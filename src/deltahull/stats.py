@@ -280,7 +280,6 @@ def local_delta_distance(a: Mat, bases: list[Rows]) -> DistanceCertificate:
 
 @dataclass
 class WidenessReport:
-    transform_basis: Rows
     sin_sq_min: Fraction
     delta_distance: float
     tau: float
@@ -309,7 +308,6 @@ def wideness_and_diameter_bound(
     tau = delta / n
     bound = 8 * n / tau * (1 + log(1 / tau))
     return WidenessReport(
-        transform_basis=stats.witness,
         sin_sq_min=cert.sin_sq_min,
         delta_distance=delta,
         tau=tau,

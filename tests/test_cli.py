@@ -229,3 +229,64 @@ def test_degenerate_instance_verifies(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert len(report["vertices"]) == 5
+
+
+def test_verify_count_respects_budget(capsys, square_file):
+    # The unit square's box has 4 cells; --budget caps the cell scan too.
+    code, _, err = run_cli(capsys, ["verify", square_file, "--count", "--budget", "3"])
+    assert code == 7
+    assert "4 cells exceed budget 3" in err
+
+
+def test_every_instance_report_has_total_time(capsys, square_file):
+    for command in ("vertices", "verify", "stats", "diameter", "count"):
+        code, out, _ = run_cli(capsys, [command, square_file])
+        assert code == 0
+        assert json.loads(out)["timings"]["total_s"] >= 0, command
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_bound_violation_prints_reproducer(capsys, monkeypatch, square_file, command):
+    from deltahull import stats
+    from deltahull.serialize import load_instance_json
+
+    monkeypatch.setattr(stats, "RELATIVE_SLACK", -1)
+    code, out, err = run_cli(capsys, [command, square_file])
+    assert code == 5
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("deltahull: bound violated: ")
+    assert lines[1] == "deltahull: reproducer instance follows"
+    assert load_instance_json(lines[2]).polyhedron == square()
+
+
+@pytest.mark.parametrize(
+    "point", ['["0"]', "not json", "5", '["1/2", "x"]'],
+    ids=["short", "not-json", "not-array", "bad-entry"],
+)
+def test_bad_feasible_point_file_is_a_parse_error(capsys, square_file, tmp_path, point):
+    fp = tmp_path / "fp.json"
+    fp.write_text(point, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify", square_file, "--feasible-point", str(fp)])
+    assert code == 4
+    assert out == ""
+    assert "parse error" in err
+
+
+def test_short_feasible_point_in_instance_is_a_parse_error(capsys, tmp_path):
+    doc = {"A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [1, 1, 0, 0],
+           "feasible_point": ["0"]}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["verify", str(path)])
+    assert code == 4
+    assert "point has 1 coordinates, expected 2" in err
+
+
+def test_infeasible_given_point_is_a_parse_error(capsys, square_file, tmp_path):
+    fp = tmp_path / "fp.json"
+    fp.write_text('["5", "5"]', encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify", square_file, "--feasible-point", str(fp)])
+    assert code == 4
+    assert out == ""
+    assert "given point outside the polyhedron" in err
