@@ -7,7 +7,7 @@ import pytest
 from deltahull.cli import main
 from deltahull.serialize import canonical_dumps, dump_instance
 
-from conftest import square, square_pyramid
+from conftest import cube, square, square_pyramid
 
 
 @pytest.fixture
@@ -236,6 +236,27 @@ def test_verify_count_respects_budget(capsys, square_file):
     code, _, err = run_cli(capsys, ["verify", square_file, "--count", "--budget", "3"])
     assert code == 7
     assert "4 cells exceed budget 3" in err
+
+
+@pytest.mark.parametrize(
+    "budget, block",
+    [
+        # C(6,3) = 20 subsets exceed budgets 5 and 10: Delta by branch and bound.
+        (5, {"skipped": True, "reason": "83 minors exceed budget 5"}),
+        (10, {"skipped": True, "reason": "83 minors exceed budget 10"}),
+        # Delta by the exhaustive scan; the 83 minors are one over budget.
+        (82, {"skipped": True, "reason": "83 minors exceed budget 82"}),
+        (83, {"passed": True, "minors_checked": 83}),
+    ],
+)
+def test_verify_tu_block_follows_budget(capsys, tmp_path, budget, block):
+    path = tmp_path / "cube.json"
+    path.write_text(dump_instance(cube(3)) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["verify", str(path), "--budget", str(budget)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["stats"]["delta"] == "1"
+    assert report["bounds"]["total-unimodularity"] == block
 
 
 def test_every_instance_report_has_total_time(capsys, square_file):
