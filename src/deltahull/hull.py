@@ -74,7 +74,6 @@ class WorkCounters:
 class EnumerationResult:
     vertices: list[VertexRecord]
     triangulation: Triangulation
-    pivot_graph: dict[Rows, list[Rows]]
     pivot_edges: list[PivotEdge]
     rays: list[tuple[int, tuple[Fraction, ...]]]
     counters: WorkCounters
@@ -227,7 +226,6 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
     triangulation = Triangulation()
     by_point: dict[tuple[Fraction, ...], int] = {}
     basis_owner: dict[Rows, int] = {}
-    pivot_graph: dict[Rows, set[Rows]] = {}
     pivot_edges: list[PivotEdge] = []
     ray_set: set[tuple[int, tuple[Fraction, ...]]] = set()
     counters = WorkCounters()
@@ -270,14 +268,11 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
             basis_owner[rows] = owner
         x = list(vertices[owner].point)
         for edge in pivot_neighbors(p, rows, inv, x, counters):
+            pivot_edges.append(edge)
             if edge.ray:
                 ray_set.add((owner, _primitive_direction(list(edge.direction))))
-                pivot_edges.append(edge)
                 continue
-            pivot_edges.append(edge)
             target = edge.to_basis
-            pivot_graph.setdefault(rows, set()).add(target)
-            pivot_graph.setdefault(target, set()).add(rows)
             if target in seen:
                 continue
             if edge.step > 0:
@@ -293,11 +288,9 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
                 inv_cache[target] = _child_inverse(p, inv, rows, edge)
             heapq.heappush(heap, target)
 
-    graph = {b: sorted(neigh) for b, neigh in sorted(pivot_graph.items())}
     return EnumerationResult(
         vertices=vertices,
         triangulation=triangulation,
-        pivot_graph=graph,
         pivot_edges=pivot_edges,
         rays=sorted(ray_set),
         counters=counters,

@@ -41,17 +41,9 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return [dot(row, v) for row in m]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = list(zip(*b))
     return [[dot(row, col) for col in cols] for row in a]
-
-
-def transpose(m: Mat) -> Mat:
-    return [list(col) for col in zip(*m)]
 
 
 def _clear_denominators(m: Mat) -> tuple[list[list[int]], Fraction]:

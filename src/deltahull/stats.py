@@ -6,7 +6,6 @@ and fan-volume inequalities, the unimodularizing transform, and the
 basis-distance / wideness numbers behind the diameter certificate.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +17,7 @@ from .linalg import Mat, dot
 
 Rows = tuple[int, ...]
 
-DEFAULT_BUDGET = int(os.environ.get("DELTAHULL_BUDGET", "100000"))
+DEFAULT_BUDGET = 100_000
 
 
 def _abs_det(rows: Mat) -> Fraction:

@@ -248,6 +248,7 @@ def test_verify_count_respects_budget(capsys, square_file):
         (82, {"skipped": True, "reason": "83 minors exceed budget 82"}),
         (83, {"passed": True, "minors_checked": 83}),
     ],
+    ids=["5", "10", "82", "83"],
 )
 def test_verify_tu_block_follows_budget(capsys, tmp_path, budget, block):
     path = tmp_path / "cube.json"

@@ -26,12 +26,22 @@ from conftest import (
 )
 
 
+def pivot_adjacency(result):
+    """Basis -> bases one non-ray pivot away, in either direction."""
+    adjacency = {}
+    for edge in result.pivot_edges:
+        if not edge.ray:
+            adjacency.setdefault(edge.from_basis, set()).add(edge.to_basis)
+            adjacency.setdefault(edge.to_basis, set()).add(edge.from_basis)
+    return adjacency
+
+
 def undirected_edges(result):
-    pairs = set()
-    for basis, nbrs in result.pivot_graph.items():
-        for other in nbrs:
-            pairs.add(tuple(sorted((basis, other))))
-    return pairs
+    return {
+        tuple(sorted((basis, other)))
+        for basis, nbrs in pivot_adjacency(result).items()
+        for other in nbrs
+    }
 
 
 def test_square_enumeration_counts():
@@ -52,7 +62,7 @@ def test_cube_enumeration_counts_and_regularity():
     result = run_enumeration(cube())
     assert len(result.vertices) == 8
     assert len(result.triangulation) == 8
-    degree = {b: len(set(nbrs)) for b, nbrs in result.pivot_graph.items()}
+    degree = {b: len(nbrs) for b, nbrs in pivot_adjacency(result).items()}
     assert set(degree.values()) == {3}
     assert len(undirected_edges(result)) == 12
 

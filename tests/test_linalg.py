@@ -14,17 +14,24 @@ from deltahull.linalg import (
     adjugate_column,
     basis_inverse_update,
     det_exact,
+    dot,
     frac,
     identity,
     invert,
     isqrt_exact,
     mat_mul,
-    mat_vec,
     minor_det,
     rank_of,
     solve_linear,
-    transpose,
 )
+
+
+def mat_vec(m, v):
+    return [dot(row, v) for row in m]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
 def det_by_cofactors(m):

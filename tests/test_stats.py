@@ -217,6 +217,8 @@ def test_totally_unimodular_transform_square_system():
 
 
 def test_totally_unimodular_transform_random_witnesses():
+    # Jacobi: every minor of A * (A_B)^-1 is +-det(A_S)/det(A_B), so the
+    # full minor scan passes exactly on the bases that attain Delta.
     rng = random.Random(4407)
     done = 0
     while done < 15:
@@ -225,8 +227,13 @@ def test_totally_unimodular_transform_random_witnesses():
         delta, witness = delta_max(a)
         if delta == 0:
             continue
-        out = totally_unimodular_transform(a, witness)
-        assert verify_total_unimodularity(out)
+        assert abs(det_exact([a[i] for i in witness])) == delta
+        for rows in combinations(range(len(a)), n):
+            d = abs(det_exact([a[i] for i in rows]))
+            if d == 0:
+                continue
+            out = totally_unimodular_transform(a, rows)
+            assert verify_total_unimodularity(out) == (d == delta), rows
         done += 1
 
 
