@@ -122,6 +122,28 @@ def test_redundant_rows_warn_and_strip(capsys, tmp_path):
     assert len(report["vertices"]) == 4
 
 
+def test_strip_redundant_matches_prestripped_instance(capsys, tmp_path):
+    from deltahull.model import drop_rows, make_polyhedron
+
+    # Row 1 is redundant. Phase one on the stripped system starts the
+    # enumeration at another vertex than a feasible point of the full one
+    # would, and the vertex order follows the start.
+    p = make_polyhedron([[-1, 4], [-4, -3], [0, -3], [-2, 2]], [3, -6, 0, -6])
+    full = tmp_path / "full.json"
+    full.write_text(dump_instance(p) + "\n", encoding="utf-8")
+    stripped = tmp_path / "stripped.json"
+    stripped.write_text(dump_instance(drop_rows(p, [1])) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vertices", str(full), "--strip-redundant"])
+    assert code == 0
+    assert "stripped redundant rows [1]" in err
+    via_strip = json.loads(out)
+    code, out, _ = run_cli(capsys, ["vertices", str(stripped)])
+    assert code == 0
+    direct = json.loads(out)
+    del via_strip["timings"], direct["timings"]
+    assert via_strip == direct
+
+
 def test_exit_code_infeasible(capsys, tmp_path):
     from deltahull.model import make_polyhedron
 
