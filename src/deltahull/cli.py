@@ -100,9 +100,14 @@ def _warn(message: str) -> None:
 class Analysis:
     """The analysis of one instance; each phase runs once, on first use.
 
-    `loaded` parses the instance and runs the redundancy scan, `result`
-    enumerates the vertices, `fan_stats` takes the subdeterminant statistics
-    of the normal-fan triangulation, and `graph` builds the vertex-edge graph.
+    `loaded` parses the instance, takes the given feasible point or else
+    runs phase one, and runs the redundancy scan from that one point, so an
+    empty system exits before any redundancy warning. After --strip-redundant
+    without a given point, phase one runs again on the stripped system, so
+    the report equals that of the stripped system's own file. `result`
+    enumerates the vertices from the point, `fan_stats` takes the
+    subdeterminant statistics of the normal-fan triangulation, and `graph`
+    builds the vertex-edge graph.
     `--budget` caps every scan; without it the subdeterminant scan and the
     minor count behind the total-unimodularity verdict use
     stats.DEFAULT_BUDGET, and the cell scan counting.DEFAULT_CELL_BUDGET.
@@ -115,21 +120,24 @@ class Analysis:
         self.cell_budget = args.budget if given else counting.DEFAULT_CELL_BUDGET
 
     @cached_property
-    def loaded(self) -> tuple[model.HPolyhedron, list | None, list[int]]:
-        """The system, its feasible point if one was given, its redundant rows."""
+    def loaded(self) -> tuple[model.HPolyhedron, list, list[int]]:
+        """The system, a feasible point of it, its redundant rows."""
         doc = serialize.load_instance_path(self.args.path)
-        p, feasible = doc.polyhedron, doc.feasible_point
+        p, given = doc.polyhedron, doc.feasible_point
         if self.args.feasible_point:
             with open(self.args.feasible_point, "r", encoding="utf-8") as fh:
-                feasible = serialize.parse_point(serialize.parse_json(fh.read()), p.n)
-        redundant = model.redundancy_scan(p)
+                given = serialize.parse_point(serialize.parse_json(fh.read()), p.n)
+        x0 = given if given is not None else model.phase_one(p)
+        redundant = model.redundancy_scan(p, x0)
         if redundant and self.args.strip_redundant:
             _warn(f"stripped redundant rows {redundant}")
             p = model.drop_rows(p, redundant)
             redundant = []
+            if given is None:
+                x0 = model.phase_one(p)
         elif redundant:
             _warn(f"redundant rows present: {redundant}")
-        return p, feasible, redundant
+        return p, x0, redundant
 
     @property
     def p(self) -> model.HPolyhedron:
@@ -137,8 +145,8 @@ class Analysis:
 
     @cached_property
     def result(self) -> hull.EnumerationResult:
-        p, feasible, _ = self.loaded
-        return hull.run_enumeration(p, feasible)
+        p, x0, _ = self.loaded
+        return hull.run_enumeration(p, x0)
 
     @cached_property
     def fan_stats(self) -> stats.FanStats:
@@ -147,7 +155,7 @@ class Analysis:
 
     @cached_property
     def graph(self) -> graphs.SkeletonGraph:
-        return graphs.build_polytope_graph(self.p, self.result)
+        return graphs.build_polytope_graph(self.result)
 
     def instance_block(self) -> dict:
         p, _, redundant = self.loaded

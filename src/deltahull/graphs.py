@@ -3,7 +3,7 @@
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import linalg, model
+from . import linalg
 from .errors import DisconnectedGraph
 from .linalg import Mat, dot
 
@@ -42,35 +42,20 @@ class SkeletonGraph:
         return self
 
 
-def build_polytope_graph(p: model.HPolyhedron, result) -> SkeletonGraph:
-    """Vertex-edge graph from positive-step pivots, revalidated exactly.
+def build_polytope_graph(result) -> SkeletonGraph:
+    """Vertex-edge graph of the enumeration, one edge per positive-step pivot.
 
-    A candidate pair must share tight rows of rank n-1 and have a feasible
-    midpoint; both hold for genuine edges, so a rejection here means the
-    enumeration produced an inconsistent pair.
+    Such a pivot keeps the basis less its leaving row tight, a rank n-1 set,
+    and walks a positive length before the entering row blocks: the segment
+    it crosses is an edge of the polyhedron between two distinct vertices.
     """
     g = SkeletonGraph(kind="polytope-graph")
     for v in result.vertices:
         g.adjacency.setdefault(v.index, [])
+    owner = result.basis_owner
     for edge in result.pivot_edges:
-        if edge.ray or edge.step == 0:
-            continue
-        u = result.basis_owner[edge.from_basis]
-        w = result.basis_owner[edge.to_basis]
-        if u == w:
-            continue
-        common = tuple(
-            sorted(set(result.vertices[u].tight) & set(result.vertices[w].tight))
-        )
-        if linalg.rank_of(model.submatrix(p, common)) != p.n - 1:
-            continue
-        mid = [
-            (a + b) / 2
-            for a, b in zip(result.vertices[u].point, result.vertices[w].point)
-        ]
-        if not p.contains(mid):
-            continue
-        g.add_edge(u, w)
+        if not edge.ray and edge.step > 0:
+            g.add_edge(owner[edge.from_basis], owner[edge.to_basis])
     return g.finalize()
 
 

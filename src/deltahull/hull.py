@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from . import linalg, model
-from .errors import BudgetExceeded, NotAVertex, RankDeficient, SingularUpdate
+from .errors import BudgetExceeded, NotAVertex, RankDeficient
 from .linalg import Mat, Vec, dot
 from .model import HPolyhedron, VertexRecord
 
@@ -113,35 +113,22 @@ def pivot_neighbors(
     For each leaving row the edge direction is the negated inverse column;
     the exact ratio test picks every row attaining the minimal step (ties at
     a degenerate vertex each yield an edge). Multiplications spent in the
-    test are charged to `counters` when given.
+    test, n per rate and n per ratio, are charged to `counters` when given.
     """
     n = p.n
     edges = []
     mults = 0
     for pos, leaving in enumerate(rows):
         d = [-inv[r][pos] for r in range(n)]
-        best: Fraction | None = None
-        winners: list[int] = []
-        for i in range(p.m):
-            if i in rows:
-                continue
-            w = dot(p.row(i), d)
-            mults += n
-            if w <= 0:
-                continue
-            t = (p.b[i] - dot(p.row(i), x)) / w
-            mults += n
-            if best is None or t < best:
-                best, winners = t, [i]
-            elif t == best:
-                winners.append(i)
-        if best is None:
+        step, blocking, hits = model.ratio_test(p, rows, x, d)
+        mults += n * (p.m - n + hits)
+        if step is None:
             edges.append(
                 PivotEdge(rows, leaving, None, Fraction(0), tuple(d), ray=True)
             )
         else:
-            for i in winners:
-                edges.append(PivotEdge(rows, leaving, i, best, tuple(d)))
+            for i in blocking:
+                edges.append(PivotEdge(rows, leaving, i, step, tuple(d)))
     if counters is not None:
         counters.charge(mults)
     return edges
@@ -189,25 +176,6 @@ def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
                     added.append(tuple(sorted(f + (idx,))))
         cones.extend(added)
     return sorted(tuple(sorted(c)) for c in cones)
-
-
-def _sorted_inverse(inv_unsorted: Mat, unsorted_rows: list[int]) -> Mat:
-    """Permute inverse columns so they match the sorted row order."""
-    order = sorted(range(len(unsorted_rows)), key=lambda k: unsorted_rows[k])
-    return [[row[k] for k in order] for row in inv_unsorted]
-
-
-def _child_inverse(p: HPolyhedron, inv: Mat, rows: Rows, edge: PivotEdge) -> Mat:
-    """Inverse of the pivoted basis, kept in sorted-row column order."""
-    pos = rows.index(edge.leaving)
-    new_row = p.row(edge.entering)
-    try:
-        upd = linalg.basis_inverse_update(inv, pos, new_row)
-    except SingularUpdate:  # pragma: no cover - valid pivots never trigger
-        return linalg.invert(model.submatrix(p, edge.to_basis))
-    unsorted_rows = list(rows)
-    unsorted_rows[pos] = edge.entering
-    return _sorted_inverse(upd, unsorted_rows)
 
 
 def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
@@ -285,7 +253,9 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
             else:
                 basis_owner.setdefault(target, owner)
             if target not in inv_cache:
-                inv_cache[target] = _child_inverse(p, inv, rows, edge)
+                _, inv_cache[target] = model.pivot(
+                    p, rows, inv, edge.leaving, edge.entering
+                )
             heapq.heappush(heap, target)
 
     return EnumerationResult(

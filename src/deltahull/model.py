@@ -2,8 +2,11 @@
 
 Holds the instance type plus the vertex-level primitives everything else
 builds on: tight sets, basis solves, a deterministic ray-cast walk from a
-feasible point to a vertex, an exact phase-1 simplex (Bland's rule), and the
-redundancy scan.
+feasible point to a vertex, and the one pivot kernel (ratio test plus
+Sherman-Morrison basis swap) shared by the vertex enumeration and the exact
+simplex (Bland's rule). The simplex serves phase one, the strict interior
+point and the redundancy scan, which starts every row's LP from one
+feasible point of the whole system.
 """
 
 from dataclasses import dataclass, field
@@ -198,10 +201,10 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
                 break
         if d is None:
             raise UnboundedLine("no direction found below rank n")  # unreachable
-        step = _max_step(p, x, d)
+        step = ratio_test(p, (), x, d)[0]
         if step is None:
             d = [-t for t in d]
-            step = _max_step(p, x, d)
+            step = ratio_test(p, (), x, d)[0]
             if step is None:
                 raise UnboundedLine("polyhedron contains a line despite rank n")
         x = [xi + step * di for xi, di in zip(x, d)]
@@ -209,59 +212,76 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
     return VertexRecord(tuple(x), tight)
 
 
-def _max_step(p: HPolyhedron, x: Vec, d: Vec):
-    """Largest t with x + t d feasible, or None if unbounded."""
-    best = None
-    for row, rhs in zip(p.a, p.b):
-        w = dot(row, d)
-        if w > 0:
-            t = (rhs - dot(row, x)) / w
-            if best is None or t < best:
-                best = t
-    return best
+def ratio_test(p: HPolyhedron, rows, x: Vec, d: Vec):
+    """Longest feasible step from x along d over the rows outside `rows`.
 
-
-def simplex_max(p: HPolyhedron, objective: Vec, start_rows, start_point=None):
-    """Maximize <objective, x> over p from a starting feasible basis.
-
-    Exact simplex over basis pivots with Bland's anti-cycling rule: relax the
-    smallest-index basic row whose edge improves the objective; the entering
-    row is the smallest index attaining the minimum ratio. Returns
-    ("optimal", x, basis_rows) or ("unbounded", direction, basis_rows).
+    Returns (step, blocking, hits): the minimum ratio, or None when no row
+    has positive rate (an unbounded ray); the rows attaining it, ascending;
+    and the number of rows with positive rate.
     """
-    rows = tuple(sorted(start_rows))
-    inv = linalg.invert(submatrix(p, rows))
-    x = (
-        linalg.to_vector(start_point)
-        if start_point is not None
-        else basis_vertex(p, rows)
+    step = None
+    blocking: list[int] = []
+    hits = 0
+    for i, (row, rhs) in enumerate(zip(p.a, p.b)):
+        if i in rows:
+            continue
+        w = dot(row, d)
+        if w <= 0:
+            continue
+        hits += 1
+        t = (rhs - dot(row, x)) / w
+        if step is None or t < step:
+            step, blocking = t, [i]
+        elif t == step:
+            blocking.append(i)
+    return step, blocking, hits
+
+
+def pivot(
+    p: HPolyhedron, rows: tuple[int, ...], inv: Mat, leaving: int, entering: int
+):
+    """Swap `leaving` for `entering` in a sorted basis with inverse inv.
+
+    Returns the sorted rows and their inverse, columns in row order, by the
+    Sherman-Morrison update. The update pivot is minus the entering row's
+    rate along the edge, so a pivot chosen by ratio_test is never singular.
+    """
+    pos = rows.index(leaving)
+    swapped = list(rows)
+    swapped[pos] = entering
+    updated = linalg.basis_inverse_update(inv, pos, p.a[entering])
+    order = sorted(range(len(swapped)), key=swapped.__getitem__)
+    return (
+        tuple(swapped[k] for k in order),
+        [[r[k] for k in order] for r in updated],
     )
+
+
+def simplex_max(p: HPolyhedron, objective: Vec, x0: Vec):
+    """Maximize <objective, x> over p from the feasible point x0.
+
+    Ray-casts x0 to a vertex and starts from its lexicographically smallest
+    independent tight basis. Exact simplex with Bland's anti-cycling rule:
+    relax the smallest basic row whose edge improves the objective; the
+    entering row is the smallest index attaining the minimum ratio. Returns
+    ("optimal", x) or ("unbounded", direction).
+    """
+    v = find_initial_vertex(p, x0)
+    x = list(v.point)
+    rows = _independent_tight_basis(p, v.tight)
+    inv = linalg.invert(submatrix(p, rows))
     while True:
-        leave_pos = None
-        direction = None
-        for pos in range(p.n):
+        for pos, leaving in enumerate(rows):
             d = [-inv[r][pos] for r in range(p.n)]
             if dot(objective, d) > 0:
-                leave_pos = pos
-                direction = d
                 break
-        if leave_pos is None:
-            return "optimal", x, rows
-        t_best = None
-        enter = None
-        for i in range(p.m):
-            if i in rows:
-                continue
-            w = dot(p.row(i), direction)
-            if w > 0:
-                t = (p.b[i] - dot(p.row(i), x)) / w
-                if t_best is None or t < t_best or (t == t_best and i < enter):
-                    t_best, enter = t, i
-        if enter is None:
-            return "unbounded", direction, rows
-        x = [xi + t_best * di for xi, di in zip(x, direction)]
-        rows = tuple(sorted(set(rows) - {rows[leave_pos]} | {enter}))
-        inv = linalg.invert(submatrix(p, rows))
+        else:
+            return "optimal", x
+        step, blocking, _ = ratio_test(p, rows, x, d)
+        if step is None:
+            return "unbounded", d
+        x = [xi + step * di for xi, di in zip(x, d)]
+        rows, inv = pivot(p, rows, inv, leaving, blocking[0])
 
 
 def _phase_one_system(p: HPolyhedron) -> HPolyhedron:
@@ -283,10 +303,8 @@ def phase_one(p: HPolyhedron) -> Vec:
         return [Fraction(0)] * p.n
     q = _phase_one_system(p)
     start = [Fraction(0)] * p.n + [-worst]
-    v = find_initial_vertex(q, start)
-    basis_rows = _independent_tight_basis(q, v.tight)
     objective = [Fraction(0)] * p.n + [Fraction(-1)]  # maximize -t
-    status, opt, _ = simplex_max(q, objective, basis_rows, list(v.point))
+    status, opt = simplex_max(q, objective, start)
     assert status == "optimal"  # -t <= 0 bounds the objective
     if opt[-1] > 0:
         raise Infeasible(f"phase one optimum t = {opt[-1]} > 0")
@@ -303,25 +321,25 @@ def strict_interior_point(p: HPolyhedron):
     rows.append([Fraction(0)] * p.n + [Fraction(1)])
     rhs = list(p.b) + [Fraction(1)]
     q = HPolyhedron(tuple(tuple(r) for r in rows), tuple(rhs), name="interior")
-    x0 = phase_one(p)
-    start = x0 + [Fraction(0)]
-    v = find_initial_vertex(q, start)
-    basis_rows = _independent_tight_basis(q, v.tight)
+    start = phase_one(p) + [Fraction(0)]
     objective = [Fraction(0)] * p.n + [Fraction(1)]
-    status, opt, _ = simplex_max(q, objective, basis_rows, list(v.point))
+    status, opt = simplex_max(q, objective, start)
     assert status == "optimal"
     if opt[-1] <= 0:
         return None
     return opt[: p.n]
 
 
-def redundancy_scan(p: HPolyhedron) -> list[int]:
+def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
     """Indices of rows whose removal leaves the feasible set unchanged.
 
-    Row i is redundant iff max{A_i x : the other rows} <= b_i. The maximum is
-    computed with the exact simplex; an unbounded maximum or a rank drop in
-    the remaining system certifies irredundancy. Assumes p is feasible.
+    Row i is redundant iff max{A_i x : the other rows} <= b_i. Every maximum
+    is computed with the exact simplex from x0, a point of p and hence of
+    each row-deleted system; the verdict depends only on the optimum, not on
+    the start. An unbounded maximum or a rank drop in the remaining system
+    certifies irredundancy. Raises InfeasiblePoint if x0 lies outside p.
     """
+    tight_set(p, x0)
     redundant = []
     for i in range(p.m):
         keep = [j for j in range(p.m) if j != i]
@@ -331,15 +349,8 @@ def redundancy_scan(p: HPolyhedron) -> list[int]:
         sub = HPolyhedron(
             tuple(p.a[j] for j in keep), tuple(p.b[j] for j in keep), f"{p.name}/-{i}"
         )
-        try:
-            x0 = phase_one(sub)
-        except Infeasible:  # parent infeasible too; removal changes nothing
-            redundant.append(i)
-            continue
-        v = find_initial_vertex(sub, x0)
-        basis_rows = _independent_tight_basis(sub, v.tight)
-        status, opt, _ = simplex_max(sub, p.row(i), basis_rows, list(v.point))
-        if status == "optimal" and dot(p.row(i), opt) <= p.b[i]:
+        status, opt = simplex_max(sub, p.a[i], x0)
+        if status == "optimal" and dot(p.a[i], opt) <= p.b[i]:
             redundant.append(i)
     return redundant
 

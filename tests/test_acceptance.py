@@ -77,7 +77,7 @@ def test_criterion_02_dual_polytope_round_trip(generated_duals):
     for n, k, fan, p, result, _ in generated_duals:
         expected = subdivision.expected_counts(n, k)
         vertex_count = len(result.vertices)
-        g = graphs.build_polytope_graph(p, result)
+        g = graphs.build_polytope_graph(result)
         diameter = graphs.graph_diameter(g)
         if vertex_count != expected["cones"] or diameter != expected["diameter"]:
             mismatches.append(
@@ -212,7 +212,7 @@ def test_criterion_08_tau_diameter_certificate(generated_duals, corpus_analysis)
     for p, result, st in instances:
         cones = result.triangulation.cones
         wideness = stats.wideness_and_diameter_bound(p, st, cones)
-        g = graphs.build_polytope_graph(p, result)
+        g = graphs.build_polytope_graph(result)
         diameter = graphs.graph_diameter(g)
         if diameter > wideness.diameter_bound * (1 + stats.RELATIVE_SLACK):
             violations.append(

@@ -144,17 +144,27 @@ def test_strip_redundant_matches_prestripped_instance(capsys, tmp_path):
     assert via_strip == direct
 
 
-def test_exit_code_infeasible(capsys, tmp_path):
-    from deltahull.model import make_polyhedron
-
-    # Directly write the document: make_polyhedron would accept it (rank 1
-    # in each column pair is fine), infeasibility only shows in phase one.
-    doc = {"A": [[1, 0], [0, 1], [-1, -1]], "b": [0, 0, -1]}
+@pytest.mark.parametrize("flags", [[], ["--strip-redundant"]], ids=["warn", "strip"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"A": [[1, 0], [0, 1], [-1, -1]], "b": [0, 0, -1]},
+        # x <= 0, x >= 1, x >= 2: two of the row-deleted systems are empty
+        # too, so a redundancy scan run before phase one calls rows 1 and 2
+        # redundant.
+        {"A": [[1], [-1], [-1]], "b": [0, -1, -2]},
+        {"A": [[1, 0], [-1, 0], [-1, 0], [0, 1], [0, -1]], "b": [0, -1, -2, 1, 0]},
+    ],
+    ids=["corner", "line", "plane"],
+)
+def test_exit_code_infeasible(capsys, tmp_path, doc, flags):
+    # The document is valid; the system is empty, which only phase one sees.
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run_cli(capsys, ["vertices", str(path)])
+    code, _, err = run_cli(capsys, ["vertices", str(path), *flags])
     assert code == 2
-    assert "infeasible" in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("deltahull: infeasible:")
 
 
 def test_exit_code_not_pointed(capsys, tmp_path):

@@ -38,7 +38,7 @@ def graph_edges(g):
 def test_square_skeleton_is_a_4_cycle():
     p = square()
     result = run_enumeration(p)
-    g = build_polytope_graph(p, result)
+    g = build_polytope_graph(result)
     assert len(g.nodes) == 4
     assert g.edge_count == 4
     assert all(g.degree(v) == 2 for v in g.nodes)
@@ -48,7 +48,7 @@ def test_square_skeleton_is_a_4_cycle():
 def test_cube_skeleton():
     p = cube()
     result = run_enumeration(p)
-    g = build_polytope_graph(p, result)
+    g = build_polytope_graph(result)
     assert len(g.nodes) == 8
     assert g.edge_count == 12
     assert all(g.degree(v) == 3 for v in g.nodes)
@@ -58,7 +58,7 @@ def test_cube_skeleton():
 def test_pyramid_skeleton_degrees():
     p = square_pyramid()
     result = run_enumeration(p)
-    g = build_polytope_graph(p, result)
+    g = build_polytope_graph(result)
     assert sorted(g.degree(v) for v in g.nodes) == [3, 3, 3, 3, 4]
     assert graph_diameter(g) == 2
 
@@ -66,7 +66,7 @@ def test_pyramid_skeleton_degrees():
 def test_octahedron_skeleton():
     p = octahedron()
     result = run_enumeration(p)
-    g = build_polytope_graph(p, result)
+    g = build_polytope_graph(result)
     assert len(g.nodes) == 6
     assert g.edge_count == 12
     assert all(g.degree(v) == 4 for v in g.nodes)
@@ -86,9 +86,9 @@ def test_polytope_graph_agrees_with_rank_characterization():
             result = run_enumeration(p)
         except Exception:
             continue
-        if len(result.vertices) < 2 or result.rays:
+        if len(result.vertices) < 2:
             continue
-        g = build_polytope_graph(p, result)
+        g = build_polytope_graph(result)
         assert graph_edges(g) == rank_test_edges(p, result)
         done += 1
 
@@ -159,6 +159,6 @@ def test_unbounded_polyhedron_graph_still_connected():
     )
     result = run_enumeration(p)
     assert not result.bounded
-    g = build_polytope_graph(p, result)
+    g = build_polytope_graph(result)
     assert len(g.nodes) == len(result.vertices)
     graph_diameter(g)  # must not raise DisconnectedGraph

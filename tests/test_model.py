@@ -14,7 +14,7 @@ from deltahull.errors import (
     NotPointed,
     SingularBasis,
 )
-from deltahull.linalg import rank_of
+from deltahull.linalg import dot, invert, rank_of
 from deltahull.model import (
     basis_vertex,
     drop_rows,
@@ -22,6 +22,8 @@ from deltahull.model import (
     is_feasible_basis,
     make_polyhedron,
     phase_one,
+    pivot,
+    ratio_test,
     redundancy_scan,
     strict_interior_point,
     submatrix,
@@ -161,6 +163,41 @@ def test_find_initial_vertex_lands_on_vertex_for_random_instances():
         assert tight_set(p, list(v.point)) == v.tight
 
 
+def test_pivot_kernel_walks_edges_with_exact_inverses():
+    rng = random.Random(4205)
+    pivots = 0
+    while pivots < 40:
+        n = rng.choice([2, 3])
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n + 3)]
+        rhs = [rng.randint(-4, 4) for _ in range(n + 3)]
+        try:
+            p = make_polyhedron(rows, rhs)
+            v = find_initial_vertex(p, phase_one(p))
+        except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
+            continue
+        basis = next(
+            b for b in combinations(v.tight, n) if rank_of(submatrix(p, b)) == n
+        )
+        inv = invert(submatrix(p, basis))
+        x = list(v.point)
+        for pos, leaving in enumerate(basis):
+            d = [-inv[r][pos] for r in range(n)]
+            step, blocking, hits = ratio_test(p, basis, x, d)
+            rising = [i for i in range(p.m) if i not in basis and dot(p.a[i], d) > 0]
+            assert hits == len(rising)
+            if step is None:
+                assert not rising
+                continue
+            y = [xi + step * di for xi, di in zip(x, d)]
+            assert p.contains(y)
+            assert blocking == sorted(i for i in rising if p.slacks(y)[i] == 0)
+            for entering in blocking:
+                new_rows, new_inv = pivot(p, basis, inv, leaving, entering)
+                assert new_rows == tuple(sorted(set(basis) - {leaving} | {entering}))
+                assert new_inv == invert(submatrix(p, new_rows))
+                pivots += 1
+
+
 def test_phase_one_square_and_shifted_box():
     p = square()
     x = phase_one(p)
@@ -213,21 +250,23 @@ def test_strict_interior_point_square_and_flat_slab():
 
 def test_redundancy_scan_flags_dominated_rows_only():
     p = square()
-    assert redundancy_scan(p) == []
+    assert redundancy_scan(p, phase_one(p)) == []
     padded = make_polyhedron(
         [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 0, 0, 5]
     )
-    assert redundancy_scan(padded) == [4]
+    assert redundancy_scan(padded, phase_one(padded)) == [4]
     trimmed = drop_rows(padded, [4])
     assert trimmed.m == 4
-    assert redundancy_scan(trimmed) == []
+    assert redundancy_scan(trimmed, phase_one(trimmed)) == []
+    with pytest.raises(InfeasiblePoint):
+        redundancy_scan(padded, [Fraction(2), Fraction(0)])
 
 
 def test_redundancy_scan_flags_tangent_rows():
     # x + y <= 2 touches the square only at (1,1); dropping it changes
     # nothing, so it counts as redundant even though it is tight somewhere.
     p = make_polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 0, 0, 2])
-    assert redundancy_scan(p) == [4]
+    assert redundancy_scan(p, phase_one(p)) == [4]
 
 
 def test_redundancy_scan_agrees_with_vertex_description():
@@ -238,11 +277,18 @@ def test_redundancy_scan_agrees_with_vertex_description():
         rhs = [rng.randint(-3, 3) for _ in range(6)]
         try:
             p = make_polyhedron(rows, rhs)
-            phase_one(p)
+            x0 = phase_one(p)
         except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
             continue
         done += 1
-        redundant = redundancy_scan(p)
+        redundant = redundancy_scan(p, x0)
+        # The verdict depends only on each LP's optimum, not on the start.
+        starts = [list(find_initial_vertex(p, x0).point)]
+        interior = strict_interior_point(p)
+        if interior is not None:
+            starts.append(interior)
+        for start in starts:
+            assert redundancy_scan(p, start) == redundant
         slim = drop_rows(p, redundant) if redundant else p
         # Dropping redundant rows must not admit new points: probe along a
         # random grid and compare membership verdicts.

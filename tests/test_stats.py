@@ -300,7 +300,7 @@ def test_wideness_and_diameter_bound_boxes():
         want = 8 * n * n * (1 + math.log(n))
         assert report.diameter_bound == pytest.approx(want)
         assert report.floor_holds()
-        diam = graph_diameter(build_polytope_graph(p, result))
+        diam = graph_diameter(build_polytope_graph(result))
         assert diam <= report.diameter_bound + 1e-9
 
 
