@@ -2,9 +2,9 @@
 
 Subcommands: vertices, verify, generate, count, stats, diameter. Reports go
 to stdout as canonical JSON (or to --json PATH); diagnostics go to stderr.
-Exit codes: 0 ok, 2 infeasible, 3 not pointed, 4 parse/usage or a given
-feasible point outside the polyhedron, 5 bound violated, 6 unbounded,
-7 budget exceeded.
+Exit codes: 0 ok, 2 infeasible, 3 not pointed, 4 parse or usage error
+(argparse's own status 2 is mapped to 4) or a given feasible point outside
+the polyhedron, 5 bound violated, 6 unbounded, 7 budget exceeded.
 """
 
 import argparse
@@ -34,6 +34,13 @@ EXIT_UNBOUNDED = 6
 EXIT_BUDGET = 7
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltahull",
@@ -43,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=positive_int, default=None,
                         help="cap on every combinatorial scan (default: "
                         "100000 subsets and minors, 10^7 cells)")
     common.add_argument("--json", metavar="PATH", default=None,
@@ -125,8 +132,8 @@ class Analysis:
         doc = serialize.load_instance_path(self.args.path)
         p, given = doc.polyhedron, doc.feasible_point
         if self.args.feasible_point:
-            with open(self.args.feasible_point, "r", encoding="utf-8") as fh:
-                given = serialize.parse_point(serialize.parse_json(fh.read()), p.n)
+            text = serialize.read_text(self.args.feasible_point)
+            given = serialize.parse_point(serialize.parse_json(text), p.n)
         x0 = given if given is not None else model.phase_one(p)
         redundant = model.redundancy_scan(p, x0)
         if redundant and self.args.strip_redundant:
@@ -365,7 +372,10 @@ def cmd_generate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed help (0) or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         return args.func(args)
     except ParseError as exc:

@@ -43,12 +43,8 @@ def count_integer_points_bruteforce(
         cells *= max(0, hi - lo + 1)
     if cells > budget:
         raise BudgetExceeded(f"{cells} cells exceed budget {budget}")
-    count = 0
     ranges = [range(lo, hi + 1) for lo, hi in box]
-    for cand in product(*ranges):
-        x = [Fraction(c) for c in cand]
-        if p.contains(x):
-            count += 1
+    count = sum(1 for cand in product(*ranges) if p.contains(cand))
     return CountReport(count=count, box=box, cells_scanned=cells)
 
 

@@ -64,8 +64,11 @@ def build_fan_graph(cones: list[Rows], generators: Mat) -> SkeletonGraph:
 
     generators[i] is the vector of ray i. Two cones are adjacent when they
     share exactly n-1 rays and their remaining rays lie strictly on opposite
-    sides of the shared hyperplane (adjugate sign test).
+    sides of the shared hyperplane (adjugate sign test on the integer rays,
+    one adjugate per cone; positive ray scales keep every sign).
     """
+    ints, _ = linalg.integer_rows(generators)
+    adjugates = [linalg.adjugate([ints[r] for r in cone])[1] for cone in cones]
     g = SkeletonGraph(kind="fan-graph")
     for i in range(len(cones)):
         g.adjacency.setdefault(i, [])
@@ -78,18 +81,17 @@ def build_fan_graph(cones: list[Rows], generators: Mat) -> SkeletonGraph:
         for a in range(len(owners)):
             for b in range(a + 1, len(owners)):
                 ci, cj = owners[a], owners[b]
-                if _opposite_sides(cones[ci], cones[cj], facet, generators):
+                if _opposite_sides(cones[ci], cones[cj], facet, ints, adjugates[ci]):
                     g.add_edge(ci, cj)
     return g.finalize()
 
 
-def _opposite_sides(cone_a: Rows, cone_b: Rows, facet: Rows, gens: Mat) -> bool:
+def _opposite_sides(cone_a: Rows, cone_b: Rows, facet: Rows, gens, adj) -> bool:
     ra = next(r for r in cone_a if r not in facet)
     rb = next(r for r in cone_b if r not in facet)
-    sub = [gens[r] for r in cone_a]
     pos = cone_a.index(ra)
-    u = linalg.adjugate_column(sub, pos)
-    side_a = dot(gens[ra], u)  # equals det(sub), nonzero
+    u = [line[pos] for line in adj]  # normal to the shared facet
+    side_a = dot(gens[ra], u)  # equals det(cone_a), nonzero
     side_b = dot(gens[rb], u)
     return side_a * side_b < 0
 

@@ -87,20 +87,6 @@ class EnumerationResult:
         return {v.point for v in self.vertices}
 
 
-def _primitive_direction(d: Vec) -> tuple[Fraction, ...]:
-    """Scale a nonzero rational vector to primitive integer form."""
-    from math import gcd
-
-    lcm = 1
-    for x in d:
-        lcm = lcm // gcd(lcm, x.denominator) * x.denominator
-    ints = [int(x * lcm) for x in d]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(Fraction(v, g) for v in ints)
-
-
 def pivot_neighbors(
     p: HPolyhedron,
     rows: Rows,
@@ -134,12 +120,6 @@ def pivot_neighbors(
     return edges
 
 
-def _coefficients_in_basis(gens: Mat, v: Vec) -> Vec:
-    """Coordinates of v in the span of independent generators (Gram solve)."""
-    gram = [[dot(g, h) for h in gens] for g in gens]
-    return linalg.solve_linear(gram, [dot(g, v) for g in gens])
-
-
 def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
     """Placing triangulation of the cone spanned by the tight-row normals.
 
@@ -155,9 +135,8 @@ def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
     cones: list[Rows] = [(tight[0],)]
     span_rows: list[int] = [tight[0]]
     for idx in tight[1:]:
-        v = p.row(idx)
-        gens = model.submatrix(p, tuple(span_rows))
-        if linalg.rank_of(gens + [v]) > len(span_rows):
+        v = p.ints[idx]
+        if linalg.rank_of(model.submatrix(p, span_rows + [idx])) > len(span_rows):
             cones = [c + (idx,) for c in cones]
             span_rows.append(idx)
             continue
@@ -168,8 +147,11 @@ def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
                 facet_count[f] = facet_count.get(f, 0) + 1
         added: list[Rows] = []
         for c in cones:
-            gen_rows = model.submatrix(p, c)
-            lam = _coefficients_in_basis(gen_rows, v)
+            # v's coordinates in the cone's generators times det(Gram) > 0,
+            # by an adjugate Gram solve: only their signs are read.
+            gens = model.submatrix(p, c)
+            _, adj = linalg.adjugate([[dot(g, h) for h in gens] for g in gens])
+            lam = [dot(line, [dot(g, v) for g in gens]) for line in adj]
             for k, drop in enumerate(c):
                 f = tuple(j for j in c if j != drop)
                 if facet_count[f] == 1 and lam[k] < 0:
@@ -229,16 +211,15 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
             inv = linalg.invert(model.submatrix(p, rows))
         owner = basis_owner.get(rows)
         if owner is None:
-            x = linalg.solve_linear(
-                model.submatrix(p, rows), [p.b[i] for i in rows]
-            )
+            x = [dot(line, [p.rhs[i] for i in rows]) for line in inv]
             owner = register(tuple(x), model.tight_set(p, x))
             basis_owner[rows] = owner
         x = list(vertices[owner].point)
         for edge in pivot_neighbors(p, rows, inv, x, counters):
             pivot_edges.append(edge)
             if edge.ray:
-                ray_set.add((owner, _primitive_direction(list(edge.direction))))
+                ints, _ = linalg.integer_row(edge.direction)
+                ray_set.add((owner, tuple(map(Fraction, ints))))
                 continue
             target = edge.to_basis
             if target in seen:

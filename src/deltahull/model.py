@@ -1,17 +1,16 @@
 """H-polyhedron model: {x : A x <= b} with exact rational data.
 
-Holds the instance type plus the vertex-level primitives everything else
-builds on: tight sets, basis solves, a deterministic ray-cast walk from a
-feasible point to a vertex, and the one pivot kernel (ratio test plus
-Sherman-Morrison basis swap) shared by the vertex enumeration and the exact
-simplex (Bland's rule). The simplex serves phase one, the strict interior
-point and the redundancy scan, which starts every row's LP from one
-feasible point of the whole system.
+Holds the instance type, which clears each row's denominators once, plus
+the vertex-level primitives everything else builds on: tight sets, basis
+solves, a deterministic ray-cast walk from a feasible point to a vertex, and
+the one pivot kernel (ratio test plus Sherman-Morrison basis swap) shared by
+the vertex enumeration and the exact simplex (Bland's rule). The simplex
+serves phase one, the strict interior point and the redundancy scan, which
+starts every row's LP from one feasible point of the whole system.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .errors import (
@@ -27,29 +26,23 @@ from .errors import (
 from .linalg import Mat, Vec, dot
 
 
-def _normalized_row_key(row: Vec, rhs: Fraction) -> tuple:
-    """Canonical key of (row, rhs) under positive rescaling."""
-    nums = [x.numerator for x in row] + [rhs.numerator]
-    dens = [x.denominator for x in row] + [rhs.denominator]
-    lcm = 1
-    for d in dens:
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [n * (lcm // d) for n, d in zip(nums, dens)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
 @dataclass(frozen=True)
 class HPolyhedron:
-    """Inequality system A x <= b with rank(A) = n (pointed)."""
+    """Inequality system A x <= b with rank(A) = n (pointed).
+
+    `a` and `b` are the rows as given. Row i is also kept as the same
+    half-space ints[i] x <= rhs[i]: ints[i] = scales[i] * a[i] is the
+    primitive integer multiple of a[i] and rhs[i] = scales[i] * b[i] stays
+    rational. The kernel, tight sets and ratio tests read this form, which
+    no positive scaling of (a_i, b_i) changes.
+    """
 
     a: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
-    name: str = ""
+    name: str
+    ints: tuple[tuple[int, ...], ...]
+    scales: tuple[Fraction, ...]
+    rhs: tuple[Fraction, ...]
 
     @property
     def m(self) -> int:
@@ -66,17 +59,31 @@ class HPolyhedron:
         return list(self.a[i])
 
     def contains(self, x: Vec) -> bool:
-        return all(dot(row, x) <= rhs for row, rhs in zip(self.a, self.b))
+        return all(dot(row, x) <= rhs for row, rhs in zip(self.ints, self.rhs))
 
     def slacks(self, x: Vec) -> Vec:
         return [rhs - dot(row, x) for row, rhs in zip(self.a, self.b)]
+
+    def restrict(self, keep, name: str) -> "HPolyhedron":
+        """The subsystem of the rows in `keep`, in their integer form as is."""
+        fields = (self.a, self.b, self.ints, self.scales, self.rhs)
+        a, b, ints, scales, rhs = (tuple(f[i] for i in keep) for f in fields)
+        return HPolyhedron(a, b, name, ints, scales, rhs)
+
+
+def _system(a, b, name: str) -> HPolyhedron:
+    """Freeze rational rows, clearing each row's denominators once."""
+    ints, scales = linalg.integer_rows(a)
+    rhs = tuple(s * beta for s, beta in zip(scales, b))
+    return HPolyhedron(tuple(map(tuple, a)), tuple(b), name, ints, scales, rhs)
 
 
 def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
     """Validate and freeze an inequality system.
 
     Raises DimensionMismatch for ragged input, DuplicateRow when two rows
-    coincide up to positive scaling, and NotPointed when rank(A) < n.
+    coincide up to positive scaling (equal integer forms), and NotPointed
+    when rank(A) < n.
     """
     a = [linalg.to_vector(r) for r in rows]
     b = linalg.to_vector(rhs)
@@ -89,17 +96,18 @@ def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
         raise DimensionMismatch("ragged constraint matrix")
     if len(b) != len(a):
         raise DimensionMismatch(f"{len(a)} rows but {len(b)} right-hand sides")
+    p = _system(a, b, name)
     seen = {}
-    for i, (row, beta) in enumerate(zip(a, b)):
-        if all(x == 0 for x in row):
+    for i, key in enumerate(zip(p.ints, p.rhs)):
+        if not any(key[0]):
             raise DimensionMismatch(f"row {i} is the zero vector")
-        key = _normalized_row_key(row, beta)
         if key in seen:
             raise DuplicateRow(f"rows {seen[key]} and {i} coincide after scaling")
         seen[key] = i
-    if linalg.rank_of(a) < n:
-        raise NotPointed(f"rank(A) = {linalg.rank_of(a)} < n = {n}")
-    return HPolyhedron(tuple(tuple(r) for r in a), tuple(b), name)
+    rank = linalg.rank_of(p.ints)
+    if rank < n:
+        raise NotPointed(f"rank(A) = {rank} < n = {n}")
+    return p
 
 
 @dataclass
@@ -114,15 +122,16 @@ class VertexRecord:
         return len(self.tight) == len(self.point)
 
 
-def submatrix(p: HPolyhedron, rows: tuple[int, ...]) -> Mat:
-    return [p.row(i) for i in rows]
+def submatrix(p: HPolyhedron, rows) -> list[tuple[int, ...]]:
+    """The integer forms of the given rows, the kernel's input."""
+    return [p.ints[i] for i in rows]
 
 
 def basis_vertex(p: HPolyhedron, rows) -> Vec:
     """Solve A_B x = b_B for a candidate vertex; SingularBasis if dependent."""
     rows = tuple(rows)
     try:
-        return linalg.solve_linear(submatrix(p, rows), [p.b[i] for i in rows])
+        return linalg.solve(submatrix(p, rows), [p.rhs[i] for i in rows])
     except SingularMatrix as exc:
         raise SingularBasis(str(exc)) from None
 
@@ -138,46 +147,39 @@ def is_feasible_basis(p: HPolyhedron, rows) -> bool:
 def tight_set(p: HPolyhedron, x: Vec) -> tuple[int, ...]:
     """Indices of rows satisfied with equality; x must be feasible."""
     out = []
-    for i, (row, rhs) in enumerate(zip(p.a, p.b)):
+    for i, (row, rhs) in enumerate(zip(p.ints, p.rhs)):
         s = rhs - dot(row, x)
         if s < 0:
-            raise InfeasiblePoint(f"row {i} violated by {s}")
+            raise InfeasiblePoint(f"row {i} violated by {s / p.scales[i]}")
         if s == 0:
             out.append(i)
     return tuple(out)
 
 
-def _independent_tight_basis(p: HPolyhedron, tight: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically smallest independent n-subset of a rank-n tight set."""
-    chosen: list[int] = []
-    for i in tight:
-        trial = [p.row(j) for j in chosen] + [p.row(i)]
+def _extend_independent(p: HPolyhedron, basis: list[int], rows) -> list[int]:
+    """Append to `basis` each of `rows` independent of the rows before it,
+    with one rank test per row until the basis has n rows."""
+    for i in rows:
+        if len(basis) == p.n:
+            break
+        trial = submatrix(p, basis + [i])
         if linalg.rank_of(trial) == len(trial):
-            chosen.append(i)
-            if len(chosen) == p.n:
-                return tuple(chosen)
-    raise NotPointed("tight rows do not span; point is not a vertex")
+            basis.append(i)
+    return basis
 
 
-def _project_off_rows(p: HPolyhedron, tight: tuple[int, ...], e_index: int) -> Vec:
-    """Component of e_{e_index} orthogonal to the span of the tight rows."""
-    n = p.n
-    e = [Fraction(int(j == e_index)) for j in range(n)]
-    if not tight:
-        return e
-    rows = []
-    for i in tight:
-        cand = rows + [p.row(i)]
-        if linalg.rank_of(cand) == len(cand):
-            rows.append(p.row(i))
-    if not rows:
-        return e
-    gram = [[dot(r, s) for s in rows] for r in rows]
-    lam = linalg.solve_linear(gram, [dot(r, e) for r in rows])
-    proj = e[:]
-    for coeff, r in zip(lam, rows):
-        proj = [x - coeff * y for x, y in zip(proj, r)]
-    return proj
+def _direction_off(p: HPolyhedron, basis: list[int]) -> list[int]:
+    """det(G) > 0 times e_j - R^T G^-1 R e_j, the projection of e_j off the
+    span of the basis rows R (Gram matrix G), for the lowest j where it is
+    nonzero: an integer vector."""
+    rows = submatrix(p, basis)
+    det, adj = linalg.adjugate([[dot(r, s) for s in rows] for r in rows])
+    for j in range(p.n):
+        coeffs = [dot(line, [r[j] for r in rows]) for line in adj]
+        d = [det * (t == j) - dot(coeffs, [r[t] for r in rows]) for t in range(p.n)]
+        if any(d):
+            return d
+    raise UnboundedLine("no direction found below rank n")  # unreachable
 
 
 def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
@@ -186,21 +188,15 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
     Deterministic rule: pick the lowest-index standard basis vector outside
     the span of the current tight rows, project it against them, and move to
     the farthest feasible point along the projected direction (or its
-    negation if the forward ray is unbounded). Each move adds at least one
-    independent tight row, so at most n moves happen.
+    negation if the forward ray is unbounded). The tight rows stay tight
+    along the move, so an independent basis of them grows by the newly
+    tight rows alone; each move adds at least one, so at most n happen.
     """
     x = linalg.to_vector(x0)
     tight = tight_set(p, x)
-    while linalg.rank_of(submatrix(p, tight)) < p.n:
-        d = None
-        for j in range(p.n):
-            tight_rows = submatrix(p, tight)
-            e = [Fraction(int(t == j)) for t in range(p.n)]
-            if linalg.rank_of(tight_rows + [e]) > linalg.rank_of(tight_rows):
-                d = _project_off_rows(p, tight, j)
-                break
-        if d is None:
-            raise UnboundedLine("no direction found below rank n")  # unreachable
+    basis = _extend_independent(p, [], tight)
+    while len(basis) < p.n:
+        d = _direction_off(p, basis)
         step = ratio_test(p, (), x, d)[0]
         if step is None:
             d = [-t for t in d]
@@ -208,7 +204,9 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
             if step is None:
                 raise UnboundedLine("polyhedron contains a line despite rank n")
         x = [xi + step * di for xi, di in zip(x, d)]
-        tight = tight_set(p, x)
+        fresh = tight_set(p, x)
+        basis = _extend_independent(p, basis, sorted(set(fresh) - set(tight)))
+        tight = fresh
     return VertexRecord(tuple(x), tight)
 
 
@@ -222,7 +220,7 @@ def ratio_test(p: HPolyhedron, rows, x: Vec, d: Vec):
     step = None
     blocking: list[int] = []
     hits = 0
-    for i, (row, rhs) in enumerate(zip(p.a, p.b)):
+    for i, (row, rhs) in enumerate(zip(p.ints, p.rhs)):
         if i in rows:
             continue
         w = dot(row, d)
@@ -243,13 +241,14 @@ def pivot(
     """Swap `leaving` for `entering` in a sorted basis with inverse inv.
 
     Returns the sorted rows and their inverse, columns in row order, by the
-    Sherman-Morrison update. The update pivot is minus the entering row's
-    rate along the edge, so a pivot chosen by ratio_test is never singular.
+    Sherman-Morrison update; inv and the result invert the integer rows.
+    The update pivot is minus the entering row's rate along the edge, so a
+    pivot chosen by ratio_test is never singular.
     """
     pos = rows.index(leaving)
     swapped = list(rows)
     swapped[pos] = entering
-    updated = linalg.basis_inverse_update(inv, pos, p.a[entering])
+    updated = linalg.basis_inverse_update(inv, pos, p.ints[entering])
     order = sorted(range(len(swapped)), key=swapped.__getitem__)
     return (
         tuple(swapped[k] for k in order),
@@ -261,14 +260,15 @@ def simplex_max(p: HPolyhedron, objective: Vec, x0: Vec):
     """Maximize <objective, x> over p from the feasible point x0.
 
     Ray-casts x0 to a vertex and starts from its lexicographically smallest
-    independent tight basis. Exact simplex with Bland's anti-cycling rule:
-    relax the smallest basic row whose edge improves the objective; the
-    entering row is the smallest index attaining the minimum ratio. Returns
-    ("optimal", x) or ("unbounded", direction).
+    independent tight basis, its tight set when the vertex is simple. Exact
+    simplex with Bland's anti-cycling rule: relax the smallest basic row
+    whose edge improves the objective; the entering row is the smallest
+    index attaining the minimum ratio. Returns ("optimal", x) or
+    ("unbounded", direction).
     """
     v = find_initial_vertex(p, x0)
     x = list(v.point)
-    rows = _independent_tight_basis(p, v.tight)
+    rows = v.tight if v.simple else tuple(_extend_independent(p, [], v.tight))
     inv = linalg.invert(submatrix(p, rows))
     while True:
         for pos, leaving in enumerate(rows):
@@ -288,8 +288,7 @@ def _phase_one_system(p: HPolyhedron) -> HPolyhedron:
     """Auxiliary system over (x, t): A x - t <= b and -t <= 0."""
     rows = [list(r) + [Fraction(-1)] for r in p.rows()]
     rows.append([Fraction(0)] * p.n + [Fraction(-1)])
-    rhs = list(p.b) + [Fraction(0)]
-    return HPolyhedron(tuple(tuple(r) for r in rows), tuple(rhs), name="phase1")
+    return _system(rows, list(p.b) + [Fraction(0)], "phase1")
 
 
 def phase_one(p: HPolyhedron) -> Vec:
@@ -319,8 +318,7 @@ def strict_interior_point(p: HPolyhedron):
     """
     rows = [list(r) + [Fraction(1)] for r in p.rows()]
     rows.append([Fraction(0)] * p.n + [Fraction(1)])
-    rhs = list(p.b) + [Fraction(1)]
-    q = HPolyhedron(tuple(tuple(r) for r in rows), tuple(rhs), name="interior")
+    q = _system(rows, list(p.b) + [Fraction(1)], "interior")
     start = phase_one(p) + [Fraction(0)]
     objective = [Fraction(0)] * p.n + [Fraction(1)]
     status, opt = simplex_max(q, objective, start)
@@ -343,14 +341,12 @@ def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
     redundant = []
     for i in range(p.m):
         keep = [j for j in range(p.m) if j != i]
-        if linalg.rank_of([p.row(j) for j in keep]) < p.n:
+        if linalg.rank_of(submatrix(p, keep)) < p.n:
             continue
         # A subsystem of a validated system has no zero or duplicate row.
-        sub = HPolyhedron(
-            tuple(p.a[j] for j in keep), tuple(p.b[j] for j in keep), f"{p.name}/-{i}"
-        )
-        status, opt = simplex_max(sub, p.a[i], x0)
-        if status == "optimal" and dot(p.a[i], opt) <= p.b[i]:
+        sub = p.restrict(keep, f"{p.name}/-{i}")
+        status, opt = simplex_max(sub, p.ints[i], x0)
+        if status == "optimal" and dot(p.ints[i], opt) <= p.rhs[i]:
             redundant.append(i)
     return redundant
 

@@ -120,9 +120,17 @@ def load_instance_csv(text: str) -> InstanceDocument:
     return InstanceDocument(make_polyhedron(a, b), None, "")
 
 
+def read_text(path: str) -> str:
+    """A file's text; a file that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from None
+
+
 def load_instance_path(path: str) -> InstanceDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if path.endswith(".csv"):
         return load_instance_csv(text)
     return load_instance_json(text)

@@ -9,7 +9,7 @@ basis-distance / wideness numbers behind the diameter certificate.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gamma, log, pi
+from math import comb, factorial, gamma, log, pi, prod
 
 from . import linalg, model
 from .errors import BoundViolated, BudgetExceeded, SingularBasis, SingularMatrix
@@ -20,8 +20,10 @@ Rows = tuple[int, ...]
 DEFAULT_BUDGET = 100_000
 
 
-def _abs_det(rows: Mat) -> Fraction:
-    return abs(linalg.det_exact(rows))
+def _abs_det(ints, scales, rows: Rows) -> Fraction:
+    """|det| of the rational rows `rows`: integer |det| over their scales."""
+    d = abs(linalg.det_exact([ints[i] for i in rows]))
+    return Fraction(d) / prod(scales[i] for i in rows)
 
 
 def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
@@ -31,23 +33,26 @@ def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
     bound on a norm-descending row order with a Gram-determinant x
     remaining-norms product bound. Ties resolve to the lexicographically
     smallest witness in original row order. Raises BudgetExceeded when the
-    pruned search still exceeds 50x the subset budget.
+    pruned search still exceeds 50x the subset budget. Determinants run on
+    the integer rows and are divided by the product of their scales, so
+    every comparison is one of a's own determinants.
     """
     m, n = len(a), len(a[0])
+    ints, scales = linalg.integer_rows(a)
     if comb(m, n) <= budget:
         best = Fraction(-1)
         witness: Rows = ()
         for rows in combinations(range(m), n):
-            d = _abs_det([a[i] for i in rows])
+            d = _abs_det(ints, scales, rows)
             if d > best:
                 best, witness = d, rows
         return best, witness
-    return _delta_max_branch_bound(a, budget)
+    return _delta_max_branch_bound(ints, scales, budget)
 
 
-def _delta_max_branch_bound(a: Mat, budget: int) -> tuple[Fraction, Rows]:
-    m, n = len(a), len(a[0])
-    norms_sq = [dot(row, row) for row in a]
+def _delta_max_branch_bound(ints, scales, budget: int) -> tuple[Fraction, Rows]:
+    m, n = len(ints), len(ints[0])
+    norms_sq = [Fraction(dot(r, r)) / (s * s) for r, s in zip(ints, scales)]
     order = sorted(range(m), key=lambda i: (-norms_sq[i], i))
     sorted_norms = [norms_sq[i] for i in order]
     # suffix_top[p][j]: product of the j largest norms at positions >= p
@@ -58,8 +63,8 @@ def _delta_max_branch_bound(a: Mat, budget: int) -> tuple[Fraction, Rows]:
                 suffix_top[p][j] = sorted_norms[p] * suffix_top[p + 1][j - 1]
 
     def gram_det(rows: list[int]) -> Fraction:
-        g = [[dot(a[i], a[j]) for j in rows] for i in rows]
-        return linalg.det_exact(g)
+        g = [[dot(ints[i], ints[j]) for j in rows] for i in rows]
+        return Fraction(linalg.det_exact(g)) / prod(scales[i] for i in rows) ** 2
 
     best_sq = Fraction(-1)
     witness: Rows = ()
@@ -125,7 +130,8 @@ def triangulation_stats(
     if not cones:
         raise ValueError("empty cone list")
     n = len(a[0])
-    dets = tuple(_abs_det([a[i] for i in c]) for c in cones)
+    ints, scales = linalg.integer_rows(a)
+    dets = tuple(_abs_det(ints, scales, c) for c in cones)
     if min(dets) == 0:
         raise SingularBasis("triangulation contains a singular cone")
     delta, witness = delta_max(a, budget)
@@ -215,13 +221,16 @@ def check_fan_bound(a: Mat, stats: FanStats) -> tuple[BoundReport, BoundReport]:
 
 
 def totally_unimodular_transform(a: Mat, witness: Rows) -> Mat:
-    """Right-multiply by the inverse of the witness rows: A * (A_B)^-1."""
-    basis = [a[i] for i in witness]
+    """Right-multiply by the inverse of the witness rows: A * (A_B)^-1.
+
+    With S_B A_B the integer witness rows, (A_B)^-1 = (S_B A_B)^-1 S_B.
+    """
+    ints, scales = linalg.integer_rows([a[i] for i in witness])
     try:
-        inv = linalg.invert(basis)
+        inv = linalg.invert(ints)
     except SingularMatrix:
         raise SingularBasis("witness rows are singular") from None
-    return linalg.mat_mul(a, inv)
+    return linalg.mat_mul(a, [[x * s for x, s in zip(row, scales)] for row in inv])
 
 
 def count_minors(m: int, n: int) -> int:
@@ -234,11 +243,13 @@ def verify_total_unimodularity(a: Mat, budget: int = DEFAULT_BUDGET) -> bool:
     total = count_minors(m, n)
     if total > budget:
         raise BudgetExceeded(f"{total} minors exceed budget {budget}")
+    ints, scales = linalg.integer_rows(a)
     for k in range(1, min(m, n) + 1):
         for rows in combinations(range(m), k):
+            limit = prod(scales[i] for i in rows)
             for cols in combinations(range(n), k):
-                sub = [[a[i][j] for j in cols] for i in rows]
-                if abs(linalg.det_exact(sub)) > 1:
+                sub = [[ints[i][j] for j in cols] for i in rows]
+                if abs(linalg.det_exact(sub)) > limit:
                     return False
     return True
 
@@ -261,15 +272,18 @@ def local_delta_distance(a: Mat, bases: list[Rows]) -> DistanceCertificate:
 
     For each basis and row, sin^2 of the angle between the row and the span
     of the remaining rows is det^2 / (|row|^2 * |adjugate column|^2), all
-    exact. The certificate keeps the minimizing square.
+    exact. Angles ignore positive row scales, so the integer rows give the
+    same value from one adjugate per basis. The certificate keeps the
+    minimizing square.
     """
+    ints, _ = linalg.integer_rows(a)
     best: DistanceCertificate | None = None
     for rows in bases:
-        sub = [a[i] for i in rows]
-        det = linalg.det_exact(sub)
+        sub = [ints[i] for i in rows]
+        det, adj = linalg.adjugate(sub)
         for pos, i in enumerate(rows):
-            u = linalg.adjugate_column(sub, pos)
-            sin_sq = det * det / (dot(sub[pos], sub[pos]) * dot(u, u))
+            u = [line[pos] for line in adj]
+            sin_sq = Fraction(det * det, dot(sub[pos], sub[pos]) * dot(u, u))
             if best is None or sin_sq < best.sin_sq_min:
                 best = DistanceCertificate(sin_sq, rows, i)
     if best is None:

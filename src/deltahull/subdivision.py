@@ -10,8 +10,9 @@ simplicial polytope whose facet cones reproduce the fan.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import factorial, sqrt
+from math import factorial, prod, sqrt
 
 from . import linalg, model, stats
 from .errors import EmptyAlphaInterval
@@ -35,8 +36,15 @@ class SubdivisionFan:
         """Rays as matrix rows, the layout delta_max and cone tests expect."""
         return [list(r) for r in self.rays]
 
+    @cached_property
+    def integer_rays(self) -> tuple[linalg.IntRows, tuple[Fraction, ...]]:
+        """The rays' integer forms and scales, cleared once per fan."""
+        return linalg.integer_rows(self.rays)
+
     def cone_det(self, cone: Rows) -> Fraction:
-        return abs(linalg.det_exact([list(self.rays[r]) for r in cone]))
+        ints, scales = self.integer_rays
+        d = abs(linalg.det_exact([ints[r] for r in cone]))
+        return Fraction(d) / prod(scales[r] for r in cone)
 
 
 def base_simplex(n: int) -> list[Point]:
@@ -134,8 +142,10 @@ class LiftedPolytope:
         )
 
 
-def _facet_normal(points: list[Point]) -> Point:
-    return tuple(linalg.solve_linear([list(p) for p in points], [Fraction(1)] * len(points)))
+def _facet_normal(points) -> Point:
+    """The u with <u, q> = 1 at each point q, each given in integer form
+    (s q, s), where the condition reads <u, s q> = s."""
+    return tuple(linalg.solve([ints for ints, _ in points], [s for _, s in points]))
 
 
 def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
@@ -150,9 +160,10 @@ def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
     base = fans[0]
     n = base.n
     scaling: list[Fraction] = [Fraction(1)] * len(base.rays)
+    points = [linalg.integer_row(ray) for ray in base.rays]  # lifted vertices
     facets: dict[Rows, Point] = {}
     for cone in base.cones:
-        facets[cone] = _facet_normal([base.rays[r] for r in cone])
+        facets[cone] = _facet_normal([points[r] for r in cone])
     for depth in range(1, len(fans)):
         prev, fan = fans[depth - 1], fans[depth]
         for ci, parent_cone in enumerate(prev.cones):
@@ -181,13 +192,11 @@ def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
             alpha = (lo + hi) / 2 if hi is not None else 2 * lo
             assert len(scaling) == b
             scaling.append(alpha)
+            points.append(linalg.integer_row([alpha * x for x in v]))
             del facets[parent_cone]
             for r in parent_cone:
                 child = tuple(sorted(set(parent_cone) - {r} | {b}))
-                pts = [
-                    tuple(scaling[q] * x for x in fan.rays[q]) for q in child
-                ]
-                facets[child] = _facet_normal(pts)
+                facets[child] = _facet_normal([points[q] for q in child])
     final = fans[-1]
     assert set(facets) == set(final.cones)
     return LiftedPolytope(final, scaling, facets)
@@ -257,13 +266,9 @@ def tightness_experiment(
     fans = build_subdivision_fans(n, k_max)
     table = []
     for fan in fans:
-        normalized = normalize_rays(fan.rays, digits)
-        gens = [list(r) for r in normalized]
-        dets = [
-            abs(linalg.det_exact([gens[i] for i in cone])) for cone in fan.cones
-        ]
-        delta, _ = stats.delta_max(gens, budget)
-        avg = sum(dets, Fraction(0)) / len(dets)
+        gens = [list(r) for r in normalize_rays(fan.rays, digits)]
+        fan_stats = stats.triangulation_stats(gens, fan.cones, budget)
+        delta, avg = fan_stats.delta, fan_stats.delta_avg
         bound = factorial(n) * float(delta / avg) * stats.unit_ball_volume(n)
         table.append(
             {

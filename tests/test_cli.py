@@ -344,3 +344,46 @@ def test_infeasible_given_point_is_a_parse_error(capsys, square_file, tmp_path):
     assert code == 4
     assert out == ""
     assert "given point outside the polyhedron" in err
+
+
+@pytest.mark.parametrize("target", ["instance", "feasible-point"])
+def test_non_utf8_file_is_a_parse_error(capsys, square_file, tmp_path, target):
+    bad = tmp_path / "bad.json"
+    if target == "instance":
+        bad.write_bytes(b'{"A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": ["\xff"]}')
+        argv = ["vertices", str(bad)]
+    else:
+        bad.write_bytes(b'["\xff", "0"]')
+        argv = ["vertices", square_file, "--feasible-point", str(bad)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("deltahull: parse error: ")
+    assert err.count("\n") == 1
+    assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        ["vertices"],
+        ["vertices", "x.json", "--no-such-flag"],
+        ["vertices", "x.json", "--budget", "abc"],
+        ["vertices", "x.json", "--budget", "0"],
+        ["verify", "x.json", "--budget", "-1"],
+    ],
+    ids=["command", "missing-path", "flag", "budget-abc", "budget-0", "budget-neg"],
+)
+def test_usage_error_exits_4_with_argparse_message(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("usage: deltahull")
+    assert "error: " in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, ["vertices", "--help"])
+    assert code == 0
+    assert out.startswith("usage: deltahull vertices")

@@ -173,9 +173,15 @@ def test_triangulate_normal_cone_collinear_middle_generator():
     )
     cones = triangulate_normal_cone(p, (0, 1, 2))
     assert cones == [(0, 1), (1, 2)]
-    total = abs(det_exact(submatrix(p, (0, 2))))
-    parts = sum(abs(det_exact(submatrix(p, c))) for c in cones)
-    assert parts == total
+
+    def input_det(rows):
+        # submatrix gives the integer rows; divide out their scales.
+        d = abs(det_exact(submatrix(p, rows)))
+        return Fraction(d) / (p.scales[rows[0]] * p.scales[rows[1]])
+
+    total = input_det((0, 2))
+    parts = sum(input_det(c) for c in cones)
+    assert parts == total == 1
 
 
 def test_triangulate_normal_cone_rejects_rank_deficient_sets():

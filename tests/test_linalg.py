@@ -1,4 +1,4 @@
-"""Exact linear algebra: determinants, solves, adjugates, inverse updates.
+"""Exact linear algebra: the integer kernel, solves, inverse updates.
 
 The determinant oracle here is an independent cofactor expansion, so any
 agreement with the fraction-free elimination in the package is meaningful.
@@ -6,23 +6,25 @@ agreement with the fraction-free elimination in the package is meaningful.
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
 from deltahull.errors import SingularMatrix, SingularUpdate
 from deltahull.linalg import (
-    adjugate_column,
+    adjugate,
     basis_inverse_update,
     det_exact,
     dot,
     frac,
     identity,
+    integer_row,
+    integer_rows,
     invert,
     isqrt_exact,
     mat_mul,
-    minor_det,
     rank_of,
-    solve_linear,
+    solve,
 )
 
 
@@ -48,11 +50,13 @@ def det_by_cofactors(m):
 
 
 def random_matrix(rng, rows, cols, span=9, rational=False):
+    """Integer entries, or Fractions when `rational`."""
+
     def entry():
         num = rng.randint(-span, span)
         if rational:
             return Fraction(num, rng.randint(1, 5))
-        return Fraction(num)
+        return num
 
     return [[entry() for _ in range(cols)] for _ in range(rows)]
 
@@ -74,7 +78,24 @@ def test_det_matches_cofactor_oracle_on_random_matrices():
     for trial in range(120):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n, rational=trial % 3 == 0)
-        assert det_exact(m) == det_by_cofactors(m)
+        # A rational matrix goes through its integer rows: det(S m) / det(S).
+        ints, scales = integer_rows(m)
+        assert Fraction(det_exact(ints)) / prod(scales) == det_by_cofactors(m)
+
+
+def test_integer_row_is_the_primitive_positive_multiple():
+    rng = random.Random(4109)
+    for _ in range(200):
+        row = random_matrix(rng, 1, rng.randint(1, 5), rational=True)[0]
+        ints, scale = integer_row(row)
+        assert scale > 0
+        assert list(ints) == [scale * x for x in row]
+        assert all(type(v) is int for v in ints)
+        if any(ints):
+            assert gcd(*ints) == 1
+        factor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        assert integer_row([factor * x for x in row])[0] == ints
+    assert integer_row([Fraction(0), Fraction(0)]) == ((0, 0), 1)
 
 
 def test_det_multiplicative_and_transpose_invariant():
@@ -88,8 +109,7 @@ def test_det_multiplicative_and_transpose_invariant():
 
 
 def test_solve_linear_fixed_example():
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = solve_linear(a, [Fraction(5), Fraction(10)])
+    x = solve([[2, 1], [1, 3]], [Fraction(5), Fraction(10)])
     assert x == [Fraction(1), Fraction(3)]
 
 
@@ -99,9 +119,9 @@ def test_solve_linear_residual_is_zero_on_random_systems():
     while solved < 60:
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n)
-        rhs = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
         try:
-            x = solve_linear(a, rhs)
+            x = solve(a, rhs)
         except SingularMatrix:
             assert det_by_cofactors(a) == 0
             continue
@@ -110,9 +130,8 @@ def test_solve_linear_residual_is_zero_on_random_systems():
 
 
 def test_solve_linear_rejects_singular_matrix():
-    a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     with pytest.raises(SingularMatrix):
-        solve_linear(a, [Fraction(1), Fraction(1)])
+        solve([[1, 2], [2, 4]], [Fraction(1), Fraction(1)])
 
 
 def test_rank_of_examples():
@@ -141,34 +160,51 @@ def test_rank_of_matches_independent_minor_scan():
         assert rank_of(m) == best
 
 
+def adjugate_column(m, i):
+    return [row[i] for row in adjugate(m)[1]]
+
+
 def test_adjugate_column_fixed_example():
-    m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
-    assert adjugate_column(m, 0) == [Fraction(2), Fraction(-1)]
-    assert adjugate_column(m, 1) == [Fraction(-1), Fraction(2)]
+    m = [[2, 1], [1, 2]]
+    assert adjugate(m) == (3, [[2, -1], [-1, 2]])
+    assert adjugate_column(m, 0) == [2, -1]
+    assert adjugate_column(m, 1) == [-1, 2]
 
 
 def test_adjugate_column_satisfies_matrix_identity():
+    # m adj(m) = det(m) I, column by column; a singular m has no inverse to
+    # read the adjugate from and is refused.
     rng = random.Random(4105)
     for _ in range(50):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n)
         det = det_exact(m)
+        if det == 0:
+            with pytest.raises(SingularMatrix):
+                adjugate(m)
+            continue
+        assert adjugate(m)[0] == det
         for i in range(n):
-            u = adjugate_column(m, i)
-            image = mat_vec(m, u)
-            expected = [det if r == i else Fraction(0) for r in range(n)]
+            image = mat_vec(m, adjugate_column(m, i))
+            expected = [det if r == i else 0 for r in range(n)]
             assert image == expected
 
 
 def test_minor_det_agrees_with_cofactor_oracle():
+    # adj(m)[j][i] is the signed minor of m without row i and column j.
     rng = random.Random(4106)
-    for _ in range(30):
+    checked = 0
+    while checked < 30:
         n = rng.randint(2, 4)
         m = random_matrix(rng, n, n)
+        if det_by_cofactors(m) == 0:
+            continue
+        _, adj = adjugate(m)
         i = rng.randrange(n)
         j = rng.randrange(n)
         sub = [row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i]
-        assert minor_det(m, i, j) == det_by_cofactors(sub)
+        assert adj[j][i] == (-1) ** (i + j) * det_by_cofactors(sub)
+        checked += 1
 
 
 def test_invert_round_trip():

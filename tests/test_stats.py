@@ -27,13 +27,31 @@ from deltahull.subdivision import base_simplex
 from conftest import cube, square, square_pyramid
 
 
+def fraction_det(m):
+    """Determinant by Gaussian elimination over Fractions (test oracle)."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
 def exhaustive_delta(a):
-    """Independent all-subsets maximum (test oracle)."""
+    """Independent all-subsets maximum over a's own rows (test oracle)."""
     n = len(a[0])
     best = Fraction(0)
     witness = None
     for rows in combinations(range(len(a)), n):
-        d = abs(det_exact([a[i] for i in rows]))
+        d = abs(fraction_det([a[i] for i in rows]))
         if d > best:
             best, witness = d, rows
     return best, witness
@@ -90,15 +108,22 @@ def test_delta_max_witness_is_lexicographically_smallest():
 
 def test_delta_max_branch_bound_agrees_with_exhaustion():
     rng = random.Random(4403)
+    scale_rng = random.Random(4413)
     for _ in range(25):
         n = rng.choice([2, 3])
         m = rng.randint(n + 2, 9)
         a = random_int_matrix(rng, m, n)
-        full_budget = math.comb(m, n)
-        exhaustive = delta_max(a, budget=full_budget)
-        # A budget one below C(m,n) forces the branch-and-bound path.
-        pruned = delta_max(a, budget=full_budget - 1)
-        assert pruned == exhaustive
+        # The same rows times positive fractions: the integer forms are
+        # unchanged, the determinants to maximize are not.
+        scales = [Fraction(scale_rng.randint(1, 9), scale_rng.randint(1, 9)) for _ in a]
+        rational = [[s * x for x in row] for s, row in zip(scales, a)]
+        for matrix in (a, rational):
+            full_budget = math.comb(m, n)
+            exhaustive = delta_max(matrix, budget=full_budget)
+            # A budget one below C(m,n) forces the branch-and-bound path.
+            pruned = delta_max(matrix, budget=full_budget - 1)
+            assert pruned == exhaustive
+            assert exhaustive == exhaustive_delta(matrix)
 
 
 def test_delta_max_respects_row_scaling():
