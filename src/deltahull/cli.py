@@ -51,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=positive_int, default=None,
-                        help="cap on every combinatorial scan (default: "
-                        "100000 subsets and minors, 10^7 cells)")
+                        help="cap N on every combinatorial scan: 50*N Delta "
+                        "search nodes, N minors, N box cells (default: "
+                        "100000, but 10^7 cells)")
     common.add_argument("--json", metavar="PATH", default=None,
                         help="write the report to PATH instead of stdout")
     common.add_argument("--seed", type=int, default=None,
@@ -115,8 +116,8 @@ class Analysis:
     enumerates the vertices from the point, `fan_stats` takes the
     subdeterminant statistics of the normal-fan triangulation, and `graph`
     builds the vertex-edge graph.
-    `--budget` caps every scan; without it the subdeterminant scan and the
-    minor count behind the total-unimodularity verdict use
+    `--budget` caps every scan; without it the Delta search (50x the budget
+    in nodes) and the minor count behind the total-unimodularity verdict use
     stats.DEFAULT_BUDGET, and the cell scan counting.DEFAULT_CELL_BUDGET.
     """
 
@@ -195,7 +196,7 @@ class Analysis:
         }
 
     def counts_block(self) -> dict:
-        """The box-scan count; its cost figures need the subset scan in budget."""
+        """The box-scan count; its cost figures need the Delta search in budget."""
         count = counting.count_integer_points_bruteforce(
             self.p, self.result, self.cell_budget
         )
@@ -254,8 +255,9 @@ def cmd_verify(a: Analysis) -> dict:
     bounds = a.fan_bounds()
     # By Jacobi's complementary-minor identity every k x k minor of
     # A * (A_B)^-1 is +-det(A_S)/det(A_B) for an n-subset S, so all are at
-    # most 1 iff the witness B attains Delta. The minors include the C(m,n)
-    # subsets, so within budget delta_max scanned them all and B is maximal.
+    # most 1 iff the witness B attains Delta, which it does whenever the exact
+    # Delta search returns. The verdict keeps its minor-count form (passed
+    # within budget, skipped beyond it) so that reports stay unchanged.
     minors = stats.count_minors(p.m, p.n)
     if minors > a.scan_budget:
         reason = f"{minors} minors exceed budget {a.scan_budget}"
@@ -340,8 +342,8 @@ def run_instance(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.n < 2 or args.k < 0:
-        _warn("generate needs --n >= 2 and --k >= 0")
+    if args.n < 2 or args.k < 0 or (args.normalize or 0) < 0:
+        _warn("generate needs --n >= 2, --k >= 0 and --normalize >= 0")
         return EXIT_PARSE
     fans = subdivision.build_subdivision_fans(args.n, args.k)
     lifted = subdivision.lift_polytope(fans)

@@ -329,18 +329,22 @@ def strict_interior_point(p: HPolyhedron):
 
 
 def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
-    """Indices of rows whose removal leaves the feasible set unchanged.
+    """Indices of rows that can be dropped together without changing p.
 
-    Row i is redundant iff max{A_i x : the other rows} <= b_i. Every maximum
-    is computed with the exact simplex from x0, a point of p and hence of
-    each row-deleted system; the verdict depends only on the optimum, not on
-    the start. An unbounded maximum or a rank drop in the remaining system
+    Row i is redundant iff max{A_i x : the other rows not already listed}
+    <= b_i. Testing only against the unlisted rows keeps the list droppable
+    together: with implicit equalities two rows can cut the same face, each
+    redundant only while the other stays. On a full-dimensional p the list
+    is the one a test against all other rows gives. Every maximum is
+    computed with the exact simplex from x0, a point of p and hence of each
+    row-deleted system; the verdict depends only on the optimum, not on the
+    start. An unbounded maximum or a rank drop in the remaining system
     certifies irredundancy. Raises InfeasiblePoint if x0 lies outside p.
     """
     tight_set(p, x0)
     redundant = []
     for i in range(p.m):
-        keep = [j for j in range(p.m) if j != i]
+        keep = [j for j in range(p.m) if j != i and j not in redundant]
         if linalg.rank_of(submatrix(p, keep)) < p.n:
             continue
         # A subsystem of a validated system has no zero or duplicate row.

@@ -29,28 +29,20 @@ def _abs_det(ints, scales, rows: Rows) -> Fraction:
 def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
     """Largest |det| over all n-row submatrices, with its witness rows.
 
-    Scans every subset when C(m,n) fits the budget; otherwise branch and
-    bound on a norm-descending row order with a Gram-determinant x
-    remaining-norms product bound. Ties resolve to the lexicographically
-    smallest witness in original row order. Raises BudgetExceeded when the
-    pruned search still exceeds 50x the subset budget. Determinants run on
-    the integer rows and are divided by the product of their scales, so
-    every comparison is one of a's own determinants.
+    One exact branch and bound at every budget: rows in norm-descending
+    order, and a subtree is dropped only when its Gram-determinant x
+    remaining-norms (Hadamard-Fischer) bound is strictly below the best
+    value found. Ties resolve to the lexicographically smallest witness in
+    original row order; a matrix of rank < n gives (0, (0, ..., n-1)).
+    Raises BudgetExceeded past 50x `budget` search nodes; the tree has at
+    most C(m+1, n) nodes. Determinants run on the integer rows and are
+    divided by the product of their scales, so every comparison is one of
+    a's own determinants.
     """
-    m, n = len(a), len(a[0])
-    ints, scales = linalg.integer_rows(a)
-    if comb(m, n) <= budget:
-        best = Fraction(-1)
-        witness: Rows = ()
-        for rows in combinations(range(m), n):
-            d = _abs_det(ints, scales, rows)
-            if d > best:
-                best, witness = d, rows
-        return best, witness
-    return _delta_max_branch_bound(ints, scales, budget)
+    return _delta_search(*linalg.integer_rows(a), budget)
 
 
-def _delta_max_branch_bound(ints, scales, budget: int) -> tuple[Fraction, Rows]:
+def _delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
     m, n = len(ints), len(ints[0])
     norms_sq = [Fraction(dot(r, r)) / (s * s) for r, s in zip(ints, scales)]
     order = sorted(range(m), key=lambda i: (-norms_sq[i], i))
@@ -66,8 +58,8 @@ def _delta_max_branch_bound(ints, scales, budget: int) -> tuple[Fraction, Rows]:
         g = [[dot(ints[i], ints[j]) for j in rows] for i in rows]
         return Fraction(linalg.det_exact(g)) / prod(scales[i] for i in rows) ** 2
 
-    best_sq = Fraction(-1)
-    witness: Rows = ()
+    best_sq = Fraction(0)
+    witness: Rows = tuple(range(n))
     node_cap = 50 * budget
     nodes = 0
     stack: list[tuple[list[int], int]] = [([], 0)]
@@ -95,8 +87,6 @@ def _delta_max_branch_bound(ints, scales, budget: int) -> tuple[Fraction, Rows]:
                 break
             children.append((chosen + [order[pos]], pos + 1))
         stack.extend(reversed(children))
-    if best_sq <= 0:
-        raise SingularBasis("matrix has rank < n; no nonsingular row subset")
     num = linalg.isqrt_exact(best_sq.numerator)
     den = linalg.isqrt_exact(best_sq.denominator)
     return Fraction(num, den), witness
@@ -134,7 +124,7 @@ def triangulation_stats(
     dets = tuple(_abs_det(ints, scales, c) for c in cones)
     if min(dets) == 0:
         raise SingularBasis("triangulation contains a singular cone")
-    delta, witness = delta_max(a, budget)
+    delta, witness = _delta_search(ints, scales, budget)
     total = sum(dets, Fraction(0))
     return FanStats(
         delta=delta,
@@ -174,15 +164,13 @@ def _check(name: str, lhs_exact, lhs: float, rhs: float, rhs_desc: str) -> Bound
 
 
 def check_vertex_bound(
-    p: model.HPolyhedron, result, stats: FanStats | None = None,
-    budget: int = DEFAULT_BUDGET,
+    p: model.HPolyhedron, result, stats: FanStats
 ) -> BoundReport:
     """Vertex count against n! * (delta / delta_avg) * vol(unit ball).
 
-    `result` is an enumeration result carrying vertices and triangulation.
+    `result` is an enumeration result carrying vertices and triangulation;
+    `stats` are the fan statistics of that triangulation.
     """
-    if stats is None:
-        stats = triangulation_stats(p.rows(), result.triangulation.cones, budget)
     n = p.n
     vertex_count = len(result.vertices)
     rhs = float(factorial(n) * stats.delta / stats.delta_avg) * unit_ball_volume(n)

@@ -144,6 +144,29 @@ def test_strip_redundant_matches_prestripped_instance(capsys, tmp_path):
     assert via_strip == direct
 
 
+def test_strip_redundant_keeps_a_flat_polyhedron(capsys, tmp_path):
+    from deltahull.model import drop_rows, make_polyhedron
+
+    # The segment [0,1] x {0}: rows 2 (x <= 1) and 3 (x + y <= 1) cut the
+    # same endpoint, so either is redundant while the other stays.
+    p = make_polyhedron([[0, 1], [0, -1], [1, 0], [1, 1], [-1, 0]], [0, 0, 1, 1, 0])
+    full = tmp_path / "flat.json"
+    full.write_text(dump_instance(p) + "\n", encoding="utf-8")
+    stripped = tmp_path / "stripped.json"
+    stripped.write_text(dump_instance(drop_rows(p, [2])) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vertices", str(full), "--strip-redundant"])
+    assert code == 0
+    assert "stripped redundant rows [2]" in err
+    via_strip = json.loads(out)
+    code, out, _ = run_cli(capsys, ["vertices", str(stripped)])
+    assert code == 0
+    direct = json.loads(out)
+    del via_strip["timings"], direct["timings"]
+    assert via_strip == direct
+    assert len(direct["vertices"]) == 2
+    assert direct["rays"] == []
+
+
 @pytest.mark.parametrize("flags", [[], ["--strip-redundant"]], ids=["warn", "strip"])
 @pytest.mark.parametrize(
     "doc",
@@ -246,6 +269,12 @@ def test_generate_rejects_bad_parameters(capsys, tmp_path):
     assert code == 4
     code, _, err = run_cli(capsys, ["generate", str(tmp_path / "x"), "--n", "3", "--k", "-1"])
     assert code == 4
+    code, _, err = run_cli(
+        capsys, ["generate", str(tmp_path / "x"), "--n", "2", "--k", "1", "--normalize", "-1"]
+    )
+    assert code == 4
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_seed_is_echoed(capsys, square_file):
@@ -273,10 +302,11 @@ def test_verify_count_respects_budget(capsys, square_file):
 @pytest.mark.parametrize(
     "budget, block",
     [
-        # C(6,3) = 20 subsets exceed budgets 5 and 10: Delta by branch and bound.
+        # One Delta search at every budget; only the minor count moves the
+        # verdict.
         (5, {"skipped": True, "reason": "83 minors exceed budget 5"}),
         (10, {"skipped": True, "reason": "83 minors exceed budget 10"}),
-        # Delta by the exhaustive scan; the 83 minors are one over budget.
+        # The 83 minors are one over budget.
         (82, {"skipped": True, "reason": "83 minors exceed budget 82"}),
         (83, {"passed": True, "minors_checked": 83}),
     ],

@@ -46,10 +46,13 @@ def fraction_det(m):
 
 
 def exhaustive_delta(a):
-    """Independent all-subsets maximum over a's own rows (test oracle)."""
+    """Independent all-subsets maximum over a's own rows (test oracle).
+
+    A matrix of rank < n gives (0, (0, ..., n-1)), as delta_max does.
+    """
     n = len(a[0])
     best = Fraction(0)
-    witness = None
+    witness = tuple(range(n))
     for rows in combinations(range(len(a)), n):
         d = abs(fraction_det([a[i] for i in rows]))
         if d > best:
@@ -111,19 +114,20 @@ def test_delta_max_branch_bound_agrees_with_exhaustion():
     scale_rng = random.Random(4413)
     for _ in range(25):
         n = rng.choice([2, 3])
-        m = rng.randint(n + 2, 9)
+        m = rng.randint(n, 9)
         a = random_int_matrix(rng, m, n)
         # The same rows times positive fractions: the integer forms are
         # unchanged, the determinants to maximize are not.
         scales = [Fraction(scale_rng.randint(1, 9), scale_rng.randint(1, 9)) for _ in a]
         rational = [[s * x for x in row] for s, row in zip(scales, a)]
         for matrix in (a, rational):
+            # One search at every budget its node cap admits: C(m,n), one
+            # per subset, and one below it.
             full_budget = math.comb(m, n)
-            exhaustive = delta_max(matrix, budget=full_budget)
-            # A budget one below C(m,n) forces the branch-and-bound path.
-            pruned = delta_max(matrix, budget=full_budget - 1)
-            assert pruned == exhaustive
-            assert exhaustive == exhaustive_delta(matrix)
+            at_full = delta_max(matrix, budget=full_budget)
+            pruned = delta_max(matrix, budget=max(full_budget - 1, 1))
+            assert pruned == at_full
+            assert at_full == exhaustive_delta(matrix)
 
 
 def test_delta_max_respects_row_scaling():
@@ -135,6 +139,13 @@ def test_delta_max_respects_row_scaling():
         want, _ = exhaustive_delta(scaled)
         got, _ = delta_max(scaled)
         assert got == want
+
+
+@pytest.mark.parametrize("budget", [1, 6, None], ids=["1", "6", "default"])
+def test_delta_max_rank_deficient_is_zero_at_every_budget(budget):
+    a = to_matrix([[1, 0], [2, 0], [3, 0], [4, 0]])
+    kwargs = {} if budget is None else {"budget": budget}
+    assert delta_max(a, **kwargs) == (0, (0, 1))
 
 
 def test_delta_max_branch_bound_node_cap():
@@ -196,7 +207,8 @@ def test_check_vertex_bound_passes_on_boxes():
     for build in (square, cube, square_pyramid):
         p = build()
         result = run_enumeration(p)
-        report = check_vertex_bound(p, result)
+        stats = triangulation_stats(p.rows(), result.triangulation.cones)
+        report = check_vertex_bound(p, result, stats)
         assert report.passed
         assert report.lhs == len(result.vertices)
 
