@@ -40,6 +40,7 @@ from .hull import (
     enumerate_all_bases_oracle,
     enumerate_vertices,
     pivot_neighbors,
+    redundant_rows,
     run_enumeration,
     triangulate_normal_cone,
 )

@@ -109,13 +109,15 @@ class Analysis:
     """The analysis of one instance; each phase runs once, on first use.
 
     `loaded` parses the instance, takes the given feasible point or else
-    runs phase one, and runs the redundancy scan from that one point, so an
-    empty system exits before any redundancy warning. After --strip-redundant
-    without a given point, phase one runs again on the stripped system, so
-    the report equals that of the stripped system's own file. `result`
-    enumerates the vertices from the point, `fan_stats` takes the
-    subdeterminant statistics of the normal-fan triangulation, and `graph`
-    builds the vertex-edge graph.
+    runs phase one, enumerates the vertices from that point, and reads the
+    redundant rows off the enumeration (hull.redundant_rows); only a system
+    with implicit equalities, where that test does not apply, runs the LP
+    scan model.redundancy_scan from the same point. So an empty system exits
+    before any redundancy warning. After --strip-redundant, phase one (unless
+    a point was given) and the enumeration run again on the stripped system,
+    so the report equals that of the stripped system's own file.
+    `fan_stats` takes the subdeterminant statistics of the normal-fan
+    triangulation, and `graph` builds the vertex-edge graph.
     `--budget` caps every scan; without it the Delta search (50x the budget
     in nodes) and the minor count behind the total-unimodularity verdict use
     stats.DEFAULT_BUDGET, and the cell scan counting.DEFAULT_CELL_BUDGET.
@@ -128,33 +130,34 @@ class Analysis:
         self.cell_budget = args.budget if given else counting.DEFAULT_CELL_BUDGET
 
     @cached_property
-    def loaded(self) -> tuple[model.HPolyhedron, list, list[int]]:
-        """The system, a feasible point of it, its redundant rows."""
+    def loaded(self) -> tuple[model.HPolyhedron, hull.EnumerationResult, list[int]]:
+        """The system, its enumeration, its redundant rows."""
         doc = serialize.load_instance_path(self.args.path)
         p, given = doc.polyhedron, doc.feasible_point
         if self.args.feasible_point:
             text = serialize.read_text(self.args.feasible_point)
             given = serialize.parse_point(serialize.parse_json(text), p.n)
         x0 = given if given is not None else model.phase_one(p)
-        redundant = model.redundancy_scan(p, x0)
+        result = hull.run_enumeration(p, x0)
+        redundant = hull.redundant_rows(p, result)
+        if redundant is None:
+            redundant = model.redundancy_scan(p, x0)
         if redundant and self.args.strip_redundant:
             _warn(f"stripped redundant rows {redundant}")
             p = model.drop_rows(p, redundant)
+            result = hull.run_enumeration(p, given)
             redundant = []
-            if given is None:
-                x0 = model.phase_one(p)
         elif redundant:
             _warn(f"redundant rows present: {redundant}")
-        return p, x0, redundant
+        return p, result, redundant
 
     @property
     def p(self) -> model.HPolyhedron:
         return self.loaded[0]
 
-    @cached_property
+    @property
     def result(self) -> hull.EnumerationResult:
-        p, x0, _ = self.loaded
-        return hull.run_enumeration(p, x0)
+        return self.loaded[1]
 
     @cached_property
     def fan_stats(self) -> stats.FanStats:

@@ -5,7 +5,9 @@ Simple vertices contribute their unique basis; a degenerate vertex gets its
 normal cone triangulated on first visit and each simplex becomes a node.
 Pivoting from a node runs an exact ratio test; positive steps cross edges of
 the polyhedron, zero steps move between bases of the same vertex, and an
-empty ratio test marks an unbounded edge.
+empty ratio test marks an unbounded edge. The redundant rows of a
+full-dimensional polyhedron are read off the result: a row is a facet iff
+the vertices and rays on its hyperplane span dimension n - 1.
 """
 
 import heapq
@@ -253,6 +255,39 @@ def run_enumeration(p: HPolyhedron, feasible_point: Vec | None = None) -> Enumer
     """Feasibility phase, ray-cast initialization, then full enumeration."""
     x0 = list(feasible_point) if feasible_point is not None else model.phase_one(p)
     return enumerate_vertices(p, model.find_initial_vertex(p, x0))
+
+
+def _span_rank(points, directions) -> int:
+    """Rank of the differences of `points` from the first, with `directions`."""
+    base = points[0]
+    vectors = [[x - y for x, y in zip(pt, base)] for pt in points[1:]]
+    return linalg.rank_of([linalg.integer_row(v)[0] for v in vectors + directions])
+
+
+def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int] | None:
+    """The rows of p that are not facets, read off its enumeration.
+
+    P is full-dimensional iff its vertices and rays have affine rank n;
+    otherwise it has implicit equalities and this returns None (the LP scan
+    `model.redundancy_scan` decides that case). On a full-dimensional pointed
+    p without duplicate rows, row i is irredundant iff its face
+    {x in p : a_i x = b_i} has dimension n - 1. That face is spanned by the
+    differences of the vertices tight at i and by the rays d with a_i d = 0,
+    so a row tight at no vertex is redundant. One rank per row.
+    """
+    rays = sorted({d for _, d in result.rays})
+    if _span_rank([v.point for v in result.vertices], rays) < p.n:
+        return None
+    faces: list[list[tuple[Fraction, ...]]] = [[] for _ in range(p.m)]
+    for v in result.vertices:
+        for i in v.tight:
+            faces[i].append(v.point)
+    redundant = []
+    for i, face in enumerate(faces):
+        along = [d for d in rays if dot(p.ints[i], d) == 0]
+        if not face or _span_rank(face, along) < p.n - 1:
+            redundant.append(i)
+    return redundant
 
 
 @dataclass

@@ -5,8 +5,10 @@ the vertex-level primitives everything else builds on: tight sets, basis
 solves, a deterministic ray-cast walk from a feasible point to a vertex, and
 the one pivot kernel (ratio test plus Sherman-Morrison basis swap) shared by
 the vertex enumeration and the exact simplex (Bland's rule). The simplex
-serves phase one, the strict interior point and the redundancy scan, which
-starts every row's LP from one feasible point of the whole system.
+serves phase one and the strict interior point. The LP redundancy scan,
+one simplex per row from one feasible point, is only the fallback for a
+system with implicit equalities (hull.redundant_rows reads the redundant
+rows of a full-dimensional one off its enumeration) and that test's oracle.
 """
 
 from dataclasses import dataclass, field
@@ -331,11 +333,14 @@ def strict_interior_point(p: HPolyhedron):
 def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
     """Indices of rows that can be dropped together without changing p.
 
-    Row i is redundant iff max{A_i x : the other rows not already listed}
-    <= b_i. Testing only against the unlisted rows keeps the list droppable
-    together: with implicit equalities two rows can cut the same face, each
-    redundant only while the other stays. On a full-dimensional p the list
-    is the one a test against all other rows gives. Every maximum is
+    One LP per row. The CLI runs it only where hull.redundant_rows returns
+    None, on a system with implicit equalities, and the tests keep it as
+    that function's oracle. Row i is redundant iff max{A_i x : the other
+    rows not already listed} <= b_i. Testing only against the unlisted rows
+    keeps the list droppable together: with implicit equalities two rows can
+    cut the same face, each redundant only while the other stays. On a
+    full-dimensional p the list is the one a test against all other rows
+    gives, the rows that are not facets. Every maximum is
     computed with the exact simplex from x0, a point of p and hence of each
     row-deleted system; the verdict depends only on the optimum, not on the
     start. An unbounded maximum or a rank drop in the remaining system

@@ -33,7 +33,8 @@ def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
     order, and a subtree is dropped only when its Gram-determinant x
     remaining-norms (Hadamard-Fischer) bound is strictly below the best
     value found. Ties resolve to the lexicographically smallest witness in
-    original row order; a matrix of rank < n gives (0, (0, ..., n-1)).
+    original row order; a matrix of rank < n gives (0, (0, ..., n-1)), and
+    one with fewer rows than columns (0, ()), having no n-row submatrix.
     Raises BudgetExceeded past 50x `budget` search nodes; the tree has at
     most C(m+1, n) nodes. Determinants run on the integer rows and are
     divided by the product of their scales, so every comparison is one of
@@ -44,6 +45,8 @@ def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
 
 def _delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
     m, n = len(ints), len(ints[0])
+    if m < n:
+        return Fraction(0), ()
     norms_sq = [Fraction(dot(r, r)) / (s * s) for r, s in zip(ints, scales)]
     order = sorted(range(m), key=lambda i: (-norms_sq[i], i))
     sorted_norms = [norms_sq[i] for i in order]

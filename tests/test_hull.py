@@ -1,20 +1,38 @@
-"""Vertex enumeration, pivoting, and normal cone triangulation."""
+"""Vertex enumeration, pivoting, normal cone triangulation, and redundancy."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from deltahull.errors import NotAVertex, RankDeficient
+from deltahull.errors import (
+    DimensionMismatch,
+    DuplicateRow,
+    Infeasible,
+    NotAVertex,
+    NotPointed,
+    RankDeficient,
+)
 from deltahull.hull import (
     enumerate_all_bases_oracle,
     enumerate_vertices,
     pivot_neighbors,
+    redundant_rows,
     run_enumeration,
     triangulate_normal_cone,
 )
 from deltahull.linalg import det_exact, invert
-from deltahull.model import VertexRecord, make_polyhedron, submatrix
+from deltahull.model import (
+    VertexRecord,
+    make_polyhedron,
+    phase_one,
+    redundancy_scan,
+    submatrix,
+)
+from deltahull.serialize import load_instance_path
 
 from conftest import (
     DEGENERATE_FAMILY,
@@ -277,3 +295,127 @@ def test_degenerate_polytopes_may_visit_extra_bases():
     result = run_enumeration(octahedron())
     assert result.counters.bases_visited == 24
     assert len(result.triangulation) == 12
+
+
+# Redundancy read off the enumeration, against the LP scan as the oracle.
+
+BENCH_DUALS = Path(__file__).resolve().parent.parent / "bench" / "data"
+
+
+def lp_redundant(p, x0=None):
+    return redundancy_scan(p, phase_one(p) if x0 is None else x0)
+
+
+def padded(p, row, rhs):
+    return make_polyhedron([*p.a, row], [*p.b, rhs], name=p.name)
+
+
+def loosened_copy(p):
+    """p plus twice its row 0 with a larger right-hand side: never tight."""
+    return padded(p, [2 * x for x in p.a[0]], 2 * p.b[0] + 1)
+
+
+def tangent_row(p, result):
+    """p plus the sum of the rows tight at its first vertex, through that
+    vertex: the row lies in the interior of the vertex's normal cone, so its
+    face is the vertex alone. None if the sum duplicates a row."""
+    v = result.vertices[0]
+    row = [sum(p.ints[i][j] for i in v.tight) for j in range(p.n)]
+    try:
+        return padded(p, row, sum(x * y for x, y in zip(row, v.point)))
+    except DuplicateRow:
+        return None
+
+
+def test_redundant_rows_fixed_cases():
+    # x + y <= 2 touches the square only at (1,1): tight at a vertex, no facet.
+    p = make_polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 0, 0, 2])
+    assert redundant_rows(p, run_enumeration(p)) == [4]
+    assert redundant_rows(square(), run_enumeration(square())) == []
+    # The quadrant plus x + y >= 0: a degenerate origin with three tight rows;
+    # the rays (1,0) and (0,1) keep rows 0 and 1, none lies on x + y = 0.
+    quadrant = make_polyhedron([[-1, 0], [0, -1], [-1, -1]], [0, 0, 0])
+    result = run_enumeration(quadrant)
+    assert not result.bounded and not result.vertices[0].simple
+    assert redundant_rows(quadrant, result) == [2] == lp_redundant(quadrant)
+    # The segment [0,1] x {0} is flat: the LP scan keeps that case.
+    flat = make_polyhedron([[0, 1], [0, -1], [1, 0], [1, 1], [-1, 0]], [0, 0, 1, 1, 0])
+    assert redundant_rows(flat, run_enumeration(flat)) is None
+
+
+def test_redundant_rows_match_lp_scan_on_fuzz_corpus(corpus_analysis):
+    for p, result, _ in corpus_analysis:
+        assert redundant_rows(p, result) == lp_redundant(p), p.name
+
+
+@pytest.mark.parametrize("name", ["dual-n2k5", "dual-n4k2"])
+def test_redundant_rows_match_lp_scan_on_bench_duals(name):
+    doc = load_instance_path(str(BENCH_DUALS / f"{name}.instance.json"))
+    p, x0 = doc.polyhedron, doc.feasible_point
+    assert redundant_rows(p, run_enumeration(p, x0)) == lp_redundant(p, x0)
+
+
+def test_redundant_rows_match_lp_scan_on_padded_corpus(corpus_analysis):
+    tangent = 0
+    for p, result, _ in corpus_analysis[:60]:
+        loose = loosened_copy(p)
+        want = lp_redundant(loose)
+        assert p.m in want
+        assert redundant_rows(loose, run_enumeration(loose)) == want, p.name
+        touching = tangent_row(p, result)
+        if touching is None:
+            continue
+        tangent += 1
+        enumeration = run_enumeration(touching)
+        assert any(p.m in v.tight for v in enumeration.vertices)
+        want = lp_redundant(touching)
+        assert p.m in want
+        assert redundant_rows(touching, enumeration) == want, p.name
+    assert tangent >= 50
+
+
+entries = st.integers(-4, 4)
+
+
+@st.composite
+def systems(draw):
+    """A small system, sometimes boxed in, sometimes with an extra row: a
+    loosened copy of row 0, or its reverse, which makes row 0 an equality;
+    then a row permutation."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(n + 1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(entries, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        for j in range(n):
+            for sign in (1, -1):
+                rows.append([sign * (t == j) for t in range(n)])
+                b.append(5)
+    extra = draw(st.sampled_from(["none", "loose", "reverse"]))
+    if extra == "loose":
+        rows.append([2 * x for x in rows[0]])
+        b.append(2 * b[0] + 1)
+    elif extra == "reverse":
+        rows.append([-x for x in rows[0]])
+        b.append(-b[0])
+    order = draw(st.permutations(range(len(rows))))
+    return rows, b, order
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems())
+def test_redundant_rows_follow_a_row_permutation(system):
+    rows, b, order = system
+    try:
+        p = make_polyhedron(rows, b)
+        x0 = phase_one(p)
+    except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
+        assume(False)
+    q = make_polyhedron([rows[i] for i in order], [b[i] for i in order])
+    got = redundant_rows(p, run_enumeration(p, x0))
+    permuted = redundant_rows(q, run_enumeration(q, x0))
+    if got is None:
+        assert permuted is None
+        return
+    assert got == redundancy_scan(p, x0)
+    assert permuted == sorted(k for k, i in enumerate(order) if i in got)

@@ -148,6 +148,12 @@ def test_delta_max_rank_deficient_is_zero_at_every_budget(budget):
     assert delta_max(a, **kwargs) == (0, (0, 1))
 
 
+def test_delta_max_fewer_rows_than_columns_has_no_witness():
+    # No 3-row submatrix exists, so there is no row to name.
+    assert delta_max(to_matrix([[1, 2, 3]])) == (0, ())
+    assert delta_max(to_matrix([[1, 0, 0], [0, 1, 0]])) == (0, ())
+
+
 def test_delta_max_branch_bound_node_cap():
     rng = random.Random(4405)
     a = random_int_matrix(rng, 14, 4)
