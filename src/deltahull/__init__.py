@@ -7,7 +7,6 @@ from .counting import (
     CountReport,
     count_integer_points_bruteforce,
     estimate_counting_cost,
-    knapsack_bound_check,
 )
 from .errors import (
     BoundViolated,
@@ -46,12 +45,14 @@ from .hull import (
 )
 from .model import (
     HPolyhedron,
+    Point,
     VertexRecord,
     basis_vertex,
     find_initial_vertex,
     is_feasible_basis,
     make_polyhedron,
     phase_one,
+    rational_point,
     redundancy_scan,
     strict_interior_point,
     tight_set,
@@ -61,7 +62,6 @@ from .serialize import (
     canonical_dumps,
     dump_fan,
     dump_instance,
-    load_fan_json,
     load_instance_csv,
     load_instance_json,
     load_instance_path,

@@ -1,13 +1,11 @@
-"""Integer-point counting oracle, the counting-cost figures, and the
-bucket bound for convex functions on capped knapsack vectors."""
+"""Integer-point counting oracle and the counting-cost figures."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from .errors import BudgetExceeded, PreconditionViolated, Unbounded
-from .linalg import frac
+from .errors import BudgetExceeded, Unbounded
 from .model import HPolyhedron
 from .stats import FanStats
 
@@ -73,24 +71,3 @@ def estimate_counting_cost(stats: FanStats) -> CostEstimate:
         Fraction(n**n) * stats.delta**4 / stats.delta_avg
     )
     return CostEstimate(float(exact), exact, envelope)
-
-
-def knapsack_bound_check(x, alpha, beta, f) -> bool:
-    """Sum of f over a capped vector against floor(beta/alpha + 1) * f(alpha).
-
-    Requires 0 <= x_i <= alpha and sum(x) <= beta, with f convex,
-    nondecreasing, and f(0) = 0; under those conditions the inequality is a
-    theorem, so False from this function indicates a broken f.
-    """
-    alpha = frac(alpha)
-    beta = frac(beta)
-    xs = [frac(v) for v in x]
-    if alpha <= 0 or beta <= 0:
-        raise PreconditionViolated("alpha and beta must be positive")
-    if any(v < 0 or v > alpha for v in xs):
-        raise PreconditionViolated("entries must lie in [0, alpha]")
-    if sum(xs, Fraction(0)) > beta:
-        raise PreconditionViolated("entries must sum to at most beta")
-    lhs = sum((frac(f(v)) for v in xs), Fraction(0))
-    buckets = floor(beta / alpha) + 1
-    return lhs <= buckets * frac(f(alpha))

@@ -66,7 +66,7 @@ class PreconditionViolated(DeltahullError):
 
 
 class SingularUpdate(DeltahullError):
-    """A rank-1 basis-inverse update hit a zero pivot."""
+    """A basis row-swap update hit a zero pivot: the new row is dependent."""
 
 
 class InfeasiblePoint(DeltahullError):

@@ -3,9 +3,11 @@
 The search nodes are simplicial cones of the normal fan, one basis per cone.
 Simple vertices contribute their unique basis; a degenerate vertex gets its
 normal cone triangulated on first visit and each simplex becomes a node.
-Pivoting from a node runs an exact ratio test; positive steps cross edges of
-the polyhedron, zero steps move between bases of the same vertex, and an
-empty ratio test marks an unbounded edge. The redundant rows of a
+Pivoting from a node, a basis held as (det, adj), runs the integer ratio test
+on its vertex's slacks; positive steps cross edges of the polyhedron, zero
+steps move between bases of the same vertex, and an empty ratio test marks
+an unbounded edge. Fractions are built only for the report: once per vertex
+(`VertexRecord.point`) and per pivot edge. The redundant rows of a
 full-dimensional polyhedron are read off the result: a row is a facet iff
 the vertices and rays on its hyperplane span dimension n - 1.
 """
@@ -14,12 +16,12 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from . import linalg, model
 from .errors import BudgetExceeded, NotAVertex, RankDeficient
-from .linalg import Mat, Vec, dot
-from .model import HPolyhedron, VertexRecord
+from .linalg import Basis, Vec, dot
+from .model import HPolyhedron, Point, VertexRecord
 
 Rows = tuple[int, ...]
 
@@ -75,6 +77,7 @@ class WorkCounters:
 @dataclass
 class EnumerationResult:
     vertices: list[VertexRecord]
+    exact: list[tuple[tuple[int, ...], int]]  # each vertex as (num, den)
     triangulation: Triangulation
     pivot_edges: list[PivotEdge]
     rays: list[tuple[int, tuple[Fraction, ...]]]
@@ -92,31 +95,34 @@ class EnumerationResult:
 def pivot_neighbors(
     p: HPolyhedron,
     rows: Rows,
-    inv: Mat,
-    x: Vec,
+    basis: Basis,
+    pt: Point,
     counters: WorkCounters | None = None,
 ) -> list[PivotEdge]:
-    """All pivot edges out of a feasible basis.
+    """All pivot edges out of a feasible basis (det, adj) at its vertex pt.
 
-    For each leaving row the edge direction is the negated inverse column;
-    the exact ratio test picks every row attaining the minimal step (ties at
-    a degenerate vertex each yield an edge). Multiplications spent in the
-    test, n per rate and n per ratio, are charged to `counters` when given.
+    For each leaving row the edge direction is the negated inverse column
+    -adj[:, pos] / det; the integer ratio test picks every row attaining the
+    minimal step (ties at a degenerate vertex each yield an edge). The
+    ratio_mults charged to `counters` stay the paper's per-basis cost model,
+    n * (m - n + hits) per leaving row: n multiplications per rate and n per
+    ratio. The report keeps that figure, though the integer kernel does less
+    work, reading the slacks stored with the vertex.
     """
     n = p.n
+    det, adj = basis
     edges = []
     mults = 0
     for pos, leaving in enumerate(rows):
-        d = [-inv[r][pos] for r in range(n)]
-        step, blocking, hits = model.ratio_test(p, rows, x, d)
+        u = [-line[pos] for line in adj]
+        step, blocking, hits = model.ratio_test(p, rows, pt, u)
         mults += n * (p.m - n + hits)
+        d = tuple(Fraction(c, det) for c in u)
         if step is None:
-            edges.append(
-                PivotEdge(rows, leaving, None, Fraction(0), tuple(d), ray=True)
-            )
+            edges.append(PivotEdge(rows, leaving, None, Fraction(0), d, ray=True))
         else:
             for i in blocking:
-                edges.append(PivotEdge(rows, leaving, i, step, tuple(d)))
+                edges.append(PivotEdge(rows, leaving, i, step * det, d))
     if counters is not None:
         counters.charge(mults)
     return edges
@@ -168,81 +174,80 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
     Best-first search over bases in lexicographic order: deterministic
     traversal, duplicate-free vertex list keyed on exact points, normal cone
     triangulated once per vertex, rays recorded per (vertex, direction).
+    A vertex's slacks are held only while a basis of it waits on the heap.
     """
-    tight = model.tight_set(p, list(v0.point))
-    if linalg.rank_of(model.submatrix(p, tight)) < p.n:
+    start = model.rational_point(p, v0.point)
+    if linalg.rank_of(model.submatrix(p, model.tight_set(p, start))) < p.n:
         raise NotAVertex("tight rows at the starting point have rank < n")
-    start = VertexRecord(tuple(v0.point), tight)
 
     vertices: list[VertexRecord] = []
+    exact: list[tuple[tuple[int, ...], int]] = []
     triangulation = Triangulation()
-    by_point: dict[tuple[Fraction, ...], int] = {}
+    by_point: dict[tuple[int, ...], int] = {}
     basis_owner: dict[Rows, int] = {}
     pivot_edges: list[PivotEdge] = []
     ray_set: set[tuple[int, tuple[Fraction, ...]]] = set()
     counters = WorkCounters()
     heap: list[Rows] = []
     seen: set[Rows] = set()
-    inv_cache: dict[Rows, Mat] = {}
+    basis_cache: dict[Rows, Basis] = {}
+    frontier: dict[Rows, Point] = {}  # pushed basis -> its vertex
 
-    def register(point: tuple[Fraction, ...], tight: Rows) -> int:
-        index = by_point.get(point)
+    def push(rows: Rows, owner: int, pt: Point) -> None:
+        basis_owner.setdefault(rows, owner)
+        frontier.setdefault(rows, pt)
+        heapq.heappush(heap, rows)
+
+    def register(num, den: int) -> int:
+        g = gcd(den, *num)
+        key = (den // g, *(v // g for v in num))  # the point in lowest terms
+        index = by_point.get(key)
         if index is not None:
             return index
         index = len(vertices)
-        by_point[point] = index
-        record = VertexRecord(point, tight, index)
-        vertices.append(record)
+        by_point[key] = index
+        pt = model.scaled_point(p, num, den)
+        tight = model.tight_set(p, pt)
+        exact.append((key[1:], key[0]))
         cones = triangulate_normal_cone(p, tight)
+        vertices.append(VertexRecord(pt.x, tight, index, list(cones)))
         triangulation.cones_by_vertex.append(cones)
-        record.bases = list(cones)
         for c in cones:
-            basis_owner.setdefault(c, index)
-            heapq.heappush(heap, c)
+            push(c, index, pt)
         return index
 
-    register(start.point, start.tight)
+    register(start.num, start.den)
     while heap:
         rows = heapq.heappop(heap)
         if rows in seen:
             continue
         seen.add(rows)
         counters.bases_visited += 1
-        inv = inv_cache.pop(rows, None)
-        if inv is None:
-            inv = linalg.invert(model.submatrix(p, rows))
-        owner = basis_owner.get(rows)
-        if owner is None:
-            x = [dot(line, [p.rhs[i] for i in rows]) for line in inv]
-            owner = register(tuple(x), model.tight_set(p, x))
-            basis_owner[rows] = owner
-        x = list(vertices[owner].point)
-        for edge in pivot_neighbors(p, rows, inv, x, counters):
+        basis = basis_cache.pop(rows, None) or model.basis_adjugate(p, rows)
+        owner, pt = basis_owner[rows], frontier.pop(rows)
+        for edge in pivot_neighbors(p, rows, basis, pt, counters):
             pivot_edges.append(edge)
             if edge.ray:
                 ints, _ = linalg.integer_row(edge.direction)
                 ray_set.add((owner, tuple(map(Fraction, ints))))
                 continue
             target = edge.to_basis
-            if target in seen:
+            if target in seen or target in frontier:  # done, or on the heap
                 continue
-            if edge.step > 0:
-                point = tuple(
-                    xi + edge.step * di for xi, di in zip(x, edge.direction)
-                )
-                register(point, model.tight_set(p, list(point)))
-                if target not in basis_owner:
-                    basis_owner[target] = by_point[point]
-            else:
-                basis_owner.setdefault(target, owner)
-            if target not in inv_cache:
-                _, inv_cache[target] = model.pivot(
-                    p, rows, inv, edge.leaving, edge.entering
-                )
-            heapq.heappush(heap, target)
+            _, basis_cache[target] = model.pivot(
+                p, rows, basis, edge.leaving, edge.entering
+            )
+            if edge.step == 0:
+                push(target, owner, pt)
+                continue
+            num, den = model.basis_solution(p, target, basis_cache[target])
+            index = register(num, den)
+            # A vertex reached again may have dropped its slacks: recompute.
+            push(target, index, frontier.get(target) or model.scaled_point(p, num, den))
 
     return EnumerationResult(
         vertices=vertices,
+        exact=exact,
         triangulation=triangulation,
         pivot_edges=pivot_edges,
         rays=sorted(ray_set),
@@ -258,10 +263,15 @@ def run_enumeration(p: HPolyhedron, feasible_point: Vec | None = None) -> Enumer
 
 
 def _span_rank(points, directions) -> int:
-    """Rank of the differences of `points` from the first, with `directions`."""
-    base = points[0]
-    vectors = [[x - y for x, y in zip(pt, base)] for pt in points[1:]]
-    return linalg.rank_of([linalg.integer_row(v)[0] for v in vectors + directions])
+    """Rank of the differences of `points`, (num, den) pairs, from the first,
+    with `directions`; x_k - x_0 enters as X_k D_0 - X_0 D_k over its content."""
+    base, base_den = points[0]
+    vectors = []
+    for num, den in points[1:]:
+        v = [x * base_den - y * den for x, y in zip(num, base)]
+        g = gcd(*v) or 1
+        vectors.append([c // g for c in v])
+    return linalg.rank_of(vectors + directions)
 
 
 def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int] | None:
@@ -275,13 +285,13 @@ def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int] | Non
     differences of the vertices tight at i and by the rays d with a_i d = 0,
     so a row tight at no vertex is redundant. One rank per row.
     """
-    rays = sorted({d for _, d in result.rays})
-    if _span_rank([v.point for v in result.vertices], rays) < p.n:
+    rays = [list(map(int, d)) for d in sorted({d for _, d in result.rays})]
+    if _span_rank(result.exact, rays) < p.n:
         return None
-    faces: list[list[tuple[Fraction, ...]]] = [[] for _ in range(p.m)]
-    for v in result.vertices:
+    faces: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(p.m)]
+    for v, pt in zip(result.vertices, result.exact):
         for i in v.tight:
-            faces[i].append(v.point)
+            faces[i].append(pt)
     redundant = []
     for i, face in enumerate(faces):
         along = [d for d in rays if dot(p.ints[i], d) == 0]
@@ -318,7 +328,8 @@ def enumerate_all_bases_oracle(
         point = tuple(x)
         record = by_point.get(point)
         if record is None:
-            record = VertexRecord(point, model.tight_set(p, x), len(by_point))
+            tight = model.tight_set(p, model.rational_point(p, x))
+            record = VertexRecord(point, tight, len(by_point))
             by_point[point] = record
         record.bases.append(rows)
     vertices = sorted(by_point.values(), key=lambda r: r.point)

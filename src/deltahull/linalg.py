@@ -1,12 +1,14 @@
-"""Exact linear algebra: one integer kernel plus Fraction vector helpers.
+"""Exact linear algebra over Python ints, plus Fraction vector helpers.
 
 A rational row becomes integers once, in `integer_row`: its primitive
 integer multiple and the positive scale between the two. Rank, determinant
 and adjugate then come from one fraction-free (Bareiss) elimination over
 Python ints, whose every division is exact, so `rank_of`, `det_exact`,
 `adjugate` and `invert` take integer matrices and never see a denominator.
-Vectors of `fractions.Fraction` (points, inverses, right-hand sides) meet
-integer rows only in `dot`. No floating point is used anywhere.
+A basis is carried as the pair (det, adj) and a row swap updates that pair
+in integers (`basis_inverse_update`); the pivot kernel in `model` builds a
+`Fraction` only where a result leaves it. No floating point is used
+anywhere.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from .errors import SingularMatrix, SingularUpdate
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 IntRows = tuple[tuple[int, ...], ...]
+Basis = tuple[int, list[list[int]]]  # (det, adj) of a square integer matrix
 
 
 def frac(x) -> Fraction:
@@ -27,10 +30,6 @@ def frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("refusing float -> Fraction coercion; pass int/str")
     return Fraction(x)
-
-
-def to_matrix(rows) -> Mat:
-    return [[frac(x) for x in row] for row in rows]
 
 
 def to_vector(entries) -> Vec:
@@ -150,21 +149,23 @@ def isqrt_exact(v: int) -> int:
     return r
 
 
-def basis_inverse_update(inv: Mat, position: int, new_row) -> Mat:
-    """Inverse of B' where B' is B with row `position` replaced by new_row.
+def basis_inverse_update(basis: Basis, position: int, new_row) -> Basis:
+    """(det B', adj B') where B' is B with row `position` replaced by new_row.
 
-    Sherman-Morrison for a rank-1 row swap: with u = inv[:, position] and
-    w = new_row @ inv, the pivot is w[position]; a zero pivot means B' is
-    singular (SingularUpdate). Exact, so the result is identical to a fresh
-    inversion. `new_row` must be in the row form B was inverted in.
+    Takes (det B, adj B), or both negated, and returns the pair scaled the
+    same way. The fraction-free row swap: with W = new_row @ adj, det B' is
+    W[position], column `position` of the adjugate stays, and every other
+    column j becomes (W[position] adj_j - W[j] adj_position) / det B, an
+    exact division. A zero W[position] means B' is singular (SingularUpdate).
     """
-    w = [dot(new_row, col) for col in zip(*inv)]
+    det, adj = basis
+    w = [dot(new_row, col) for col in zip(*adj)]
     pivot = w[position]
     if pivot == 0:
         raise SingularUpdate("basis_inverse_update: replacement row is dependent")
     out = []
-    for row in inv:
-        u = row[position] / pivot
-        out.append([x - u * wc for x, wc in zip(row, w)])
+    for row in adj:
+        u = row[position]
+        out.append([(pivot * x - wc * u) // det for x, wc in zip(row, w)])
         out[-1][position] = u
-    return out
+    return pivot, out

@@ -1,18 +1,21 @@
 """H-polyhedron model: {x : A x <= b} with exact rational data.
 
-Holds the instance type, which clears each row's denominators once, plus
-the vertex-level primitives everything else builds on: tight sets, basis
-solves, a deterministic ray-cast walk from a feasible point to a vertex, and
-the one pivot kernel (ratio test plus Sherman-Morrison basis swap) shared by
-the vertex enumeration and the exact simplex (Bland's rule). The simplex
-serves phase one and the strict interior point. The LP redundancy scan,
-one simplex per row from one feasible point, is only the fallback for a
-system with implicit equalities (hull.redundant_rows reads the redundant
-rows of a full-dimensional one off its enumeration) and that test's oracle.
+Holds the instance type, kept in integers (rows and right-hand sides
+cleared once), plus the vertex-level primitives, all on Python ints: bases
+as (det, adj), points with their integer slacks, tight sets, basis solves, a
+ray-cast walk from a feasible point to a vertex, and the one pivot kernel
+(ratio test plus fraction-free basis swap) shared by the vertex enumeration
+and the exact simplex (Bland's rule), which serves phase one and the strict
+interior point. A `Fraction` is built only where a point or a step leaves
+the kernel. The LP redundancy scan, one simplex per row from one feasible
+point, is only the fallback for a system with implicit equalities
+(hull.redundant_rows reads the redundant rows of a full-dimensional one off
+its enumeration) and that test's oracle.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -25,7 +28,7 @@ from .errors import (
     SingularMatrix,
     UnboundedLine,
 )
-from .linalg import Mat, Vec, dot
+from .linalg import Basis, Mat, Vec, dot
 
 
 @dataclass(frozen=True)
@@ -33,9 +36,10 @@ class HPolyhedron:
     """Inequality system A x <= b with rank(A) = n (pointed).
 
     `a` and `b` are the rows as given. Row i is also kept as the same
-    half-space ints[i] x <= rhs[i]: ints[i] = scales[i] * a[i] is the
-    primitive integer multiple of a[i] and rhs[i] = scales[i] * b[i] stays
-    rational. The kernel, tight sets and ratio tests read this form, which
+    half-space denom * ints[i] x <= rhs_num[i] in integers: ints[i] =
+    scales[i] * a[i] is the primitive integer multiple of a[i], and
+    rhs_num[i] = denom * scales[i] * b[i] for one common denominator
+    denom > 0. The kernel, tight sets and ratio tests read this form, which
     no positive scaling of (a_i, b_i) changes.
     """
 
@@ -44,7 +48,8 @@ class HPolyhedron:
     name: str
     ints: tuple[tuple[int, ...], ...]
     scales: tuple[Fraction, ...]
-    rhs: tuple[Fraction, ...]
+    rhs_num: tuple[int, ...]
+    denom: int
 
     @property
     def m(self) -> int:
@@ -60,24 +65,26 @@ class HPolyhedron:
     def row(self, i: int) -> Vec:
         return list(self.a[i])
 
-    def contains(self, x: Vec) -> bool:
-        return all(dot(row, x) <= rhs for row, rhs in zip(self.ints, self.rhs))
-
-    def slacks(self, x: Vec) -> Vec:
-        return [rhs - dot(row, x) for row, rhs in zip(self.a, self.b)]
+    def contains(self, x) -> bool:
+        """A x <= b, for a point of ints or Fractions."""
+        d = self.denom
+        return all(d * dot(row, x) <= r for row, r in zip(self.ints, self.rhs_num))
 
     def restrict(self, keep, name: str) -> "HPolyhedron":
         """The subsystem of the rows in `keep`, in their integer form as is."""
-        fields = (self.a, self.b, self.ints, self.scales, self.rhs)
-        a, b, ints, scales, rhs = (tuple(f[i] for i in keep) for f in fields)
-        return HPolyhedron(a, b, name, ints, scales, rhs)
+        fields = (self.a, self.b, self.ints, self.scales, self.rhs_num)
+        a, b, ints, scales, rhs_num = (tuple(f[i] for i in keep) for f in fields)
+        return HPolyhedron(a, b, name, ints, scales, rhs_num, self.denom)
 
 
 def _system(a, b, name: str) -> HPolyhedron:
-    """Freeze rational rows, clearing each row's denominators once."""
+    """Freeze rational rows, clearing each row's denominators once and the
+    scaled right-hand sides' over their least common denominator."""
     ints, scales = linalg.integer_rows(a)
-    rhs = tuple(s * beta for s, beta in zip(scales, b))
-    return HPolyhedron(tuple(map(tuple, a)), tuple(b), name, ints, scales, rhs)
+    rhs = [s * beta for s, beta in zip(scales, b)]
+    denom = lcm(*(r.denominator for r in rhs))
+    rhs_num = tuple(r.numerator * (denom // r.denominator) for r in rhs)
+    return HPolyhedron(tuple(map(tuple, a)), tuple(b), name, ints, scales, rhs_num, denom)
 
 
 def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
@@ -100,7 +107,7 @@ def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
         raise DimensionMismatch(f"{len(a)} rows but {len(b)} right-hand sides")
     p = _system(a, b, name)
     seen = {}
-    for i, key in enumerate(zip(p.ints, p.rhs)):
+    for i, key in enumerate(zip(p.ints, p.rhs_num)):
         if not any(key[0]):
             raise DimensionMismatch(f"row {i} is the zero vector")
         if key in seen:
@@ -124,18 +131,60 @@ class VertexRecord:
         return len(self.tight) == len(self.point)
 
 
+@dataclass(frozen=True)
+class Point:
+    """x = num / den, den > 0 a multiple of p.denom, and each row's slack in
+    its integer form times den: slack[i] = den * scales[i] * (b_i - a_i x)."""
+
+    num: tuple[int, ...]
+    den: int
+    slack: tuple[int, ...]
+
+    @property
+    def x(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+
+def scaled_point(p: HPolyhedron, num, den: int) -> Point:
+    """The Point num / den of p, every slack computed once."""
+    k = den // p.denom
+    slack = tuple(k * r - dot(row, num) for row, r in zip(p.ints, p.rhs_num))
+    return Point(tuple(num), den, slack)
+
+
+def rational_point(p: HPolyhedron, x) -> Point:
+    """The Point of p at rational coordinates x."""
+    x = linalg.to_vector(x)
+    den = p.denom * lcm(*(v.denominator for v in x))
+    return scaled_point(p, [v.numerator * (den // v.denominator) for v in x], den)
+
+
 def submatrix(p: HPolyhedron, rows) -> list[tuple[int, ...]]:
     """The integer forms of the given rows, the kernel's input."""
     return [p.ints[i] for i in rows]
 
 
-def basis_vertex(p: HPolyhedron, rows) -> Vec:
-    """Solve A_B x = b_B for a candidate vertex; SingularBasis if dependent."""
-    rows = tuple(rows)
+def basis_adjugate(p: HPolyhedron, rows) -> Basis:
+    """(det, adj) of the basis rows, negated if need be so that det > 0;
+    adj / det is still the inverse. SingularBasis if the rows are dependent."""
     try:
-        return linalg.solve(submatrix(p, rows), [p.rhs[i] for i in rows])
+        det, adj = linalg.adjugate(submatrix(p, rows))
     except SingularMatrix as exc:
         raise SingularBasis(str(exc)) from None
+    return (det, adj) if det > 0 else (-det, [[-v for v in line] for line in adj])
+
+
+def basis_solution(p: HPolyhedron, rows, basis: Basis) -> tuple[list[int], int]:
+    """(num, den) of the basis vertex: adj @ rhs_num_B over det * denom."""
+    det, adj = basis
+    rhs = [p.rhs_num[i] for i in rows]
+    return [dot(line, rhs) for line in adj], det * p.denom
+
+
+def basis_vertex(p: HPolyhedron, rows) -> Vec:
+    """Solve A_B x = b_B for a candidate vertex; SingularBasis if dependent."""
+    num, den = basis_solution(p, rows, basis_adjugate(p, rows))
+    return [Fraction(v, den) for v in num]
 
 
 def is_feasible_basis(p: HPolyhedron, rows) -> bool:
@@ -146,16 +195,15 @@ def is_feasible_basis(p: HPolyhedron, rows) -> bool:
     return p.contains(x)
 
 
-def tight_set(p: HPolyhedron, x: Vec) -> tuple[int, ...]:
-    """Indices of rows satisfied with equality; x must be feasible."""
-    out = []
-    for i, (row, rhs) in enumerate(zip(p.ints, p.rhs)):
-        s = rhs - dot(row, x)
-        if s < 0:
-            raise InfeasiblePoint(f"row {i} violated by {s / p.scales[i]}")
-        if s == 0:
-            out.append(i)
-    return tuple(out)
+def tight_set(p: HPolyhedron, pt: Point) -> tuple[int, ...]:
+    """Indices of the rows with zero slack at pt; pt must be feasible.
+
+    InfeasiblePoint names the first violated row and its slack b_i - a_i x.
+    """
+    if min(pt.slack) < 0:
+        i, s = next((i, s) for i, s in enumerate(pt.slack) if s < 0)
+        raise InfeasiblePoint(f"row {i} violated by {Fraction(s, pt.den) / p.scales[i]}")
+    return tuple(i for i, s in enumerate(pt.slack) if s == 0)
 
 
 def _extend_independent(p: HPolyhedron, basis: list[int], rows) -> list[int]:
@@ -195,66 +243,75 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
     tight rows alone; each move adds at least one, so at most n happen.
     """
     x = linalg.to_vector(x0)
-    tight = tight_set(p, x)
+    pt = rational_point(p, x)
+    tight = tight_set(p, pt)
     basis = _extend_independent(p, [], tight)
     while len(basis) < p.n:
         d = _direction_off(p, basis)
-        step = ratio_test(p, (), x, d)[0]
+        step = ratio_test(p, (), pt, d)[0]
         if step is None:
             d = [-t for t in d]
-            step = ratio_test(p, (), x, d)[0]
+            step = ratio_test(p, (), pt, d)[0]
             if step is None:
                 raise UnboundedLine("polyhedron contains a line despite rank n")
         x = [xi + step * di for xi, di in zip(x, d)]
-        fresh = tight_set(p, x)
+        pt = rational_point(p, x)
+        fresh = tight_set(p, pt)
         basis = _extend_independent(p, basis, sorted(set(fresh) - set(tight)))
         tight = fresh
     return VertexRecord(tuple(x), tight)
 
 
-def ratio_test(p: HPolyhedron, rows, x: Vec, d: Vec):
-    """Longest feasible step from x along d over the rows outside `rows`.
+def ratio_test(p: HPolyhedron, rows, pt: Point, u):
+    """Longest feasible step from pt along the integer direction u over the
+    rows outside `rows`.
 
-    Returns (step, blocking, hits): the minimum ratio, or None when no row
-    has positive rate (an unbounded ray); the rows attaining it, ascending;
-    and the number of rows with positive rate.
+    Returns (step, blocking, hits): the least slack over rate, or None when
+    no row has positive rate (an unbounded ray); the rows attaining it,
+    ascending; and the number of rows with positive rate. The ratios
+    pt.slack[i] / w_i, with rates w_i = ints_i u, are compared by
+    cross-multiplying ints; the step is the one Fraction built.
     """
-    step = None
+    best_s = best_w = 0
     blocking: list[int] = []
     hits = 0
-    for i, (row, rhs) in enumerate(zip(p.ints, p.rhs)):
+    for i, (row, s) in enumerate(zip(p.ints, pt.slack)):
         if i in rows:
             continue
-        w = dot(row, d)
+        w = dot(row, u)
         if w <= 0:
             continue
         hits += 1
-        t = (rhs - dot(row, x)) / w
-        if step is None or t < step:
-            step, blocking = t, [i]
-        elif t == step:
+        order = s * best_w - best_s * w
+        if order < 0 or not blocking:
+            best_s, best_w, blocking = s, w, [i]
+        elif order == 0:
             blocking.append(i)
-    return step, blocking, hits
+    if not blocking:
+        return None, blocking, hits
+    return Fraction(best_s, pt.den * best_w), blocking, hits
 
 
 def pivot(
-    p: HPolyhedron, rows: tuple[int, ...], inv: Mat, leaving: int, entering: int
+    p: HPolyhedron, rows: tuple[int, ...], basis: Basis, leaving: int, entering: int
 ):
-    """Swap `leaving` for `entering` in a sorted basis with inverse inv.
+    """Swap `leaving` for `entering` in a sorted basis held as (det, adj).
 
-    Returns the sorted rows and their inverse, columns in row order, by the
-    Sherman-Morrison update; inv and the result invert the integer rows.
-    The update pivot is minus the entering row's rate along the edge, so a
-    pivot chosen by ratio_test is never singular.
+    Returns the sorted rows and their pair, det > 0 and the adjugate's
+    columns in row order, by the fraction-free row-swap update of the
+    integer rows. Its pivot is minus the entering row's rate along the edge
+    -adj[:, pos], pos being leaving's position, so a pivot chosen by
+    ratio_test is never singular.
     """
     pos = rows.index(leaving)
     swapped = list(rows)
     swapped[pos] = entering
-    updated = linalg.basis_inverse_update(inv, pos, p.ints[entering])
+    det, adj = linalg.basis_inverse_update(basis, pos, p.ints[entering])
     order = sorted(range(len(swapped)), key=swapped.__getitem__)
+    sign = 1 if det > 0 else -1
     return (
         tuple(swapped[k] for k in order),
-        [[r[k] for k in order] for r in updated],
+        (sign * det, [[sign * line[k] for k in order] for line in adj]),
     )
 
 
@@ -269,21 +326,20 @@ def simplex_max(p: HPolyhedron, objective: Vec, x0: Vec):
     ("unbounded", direction).
     """
     v = find_initial_vertex(p, x0)
-    x = list(v.point)
     rows = v.tight if v.simple else tuple(_extend_independent(p, [], v.tight))
-    inv = linalg.invert(submatrix(p, rows))
+    basis = basis_adjugate(p, rows)
     while True:
+        pt = scaled_point(p, *basis_solution(p, rows, basis))
         for pos, leaving in enumerate(rows):
-            d = [-inv[r][pos] for r in range(p.n)]
-            if dot(objective, d) > 0:
+            u = [-line[pos] for line in basis[1]]
+            if dot(objective, u) > 0:
                 break
         else:
-            return "optimal", x
-        step, blocking, _ = ratio_test(p, rows, x, d)
+            return "optimal", list(pt.x)
+        step, blocking, _ = ratio_test(p, rows, pt, u)
         if step is None:
-            return "unbounded", d
-        x = [xi + step * di for xi, di in zip(x, d)]
-        rows, inv = pivot(p, rows, inv, leaving, blocking[0])
+            return "unbounded", u
+        rows, basis = pivot(p, rows, basis, leaving, blocking[0])
 
 
 def _phase_one_system(p: HPolyhedron) -> HPolyhedron:
@@ -346,7 +402,7 @@ def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
     start. An unbounded maximum or a rank drop in the remaining system
     certifies irredundancy. Raises InfeasiblePoint if x0 lies outside p.
     """
-    tight_set(p, x0)
+    tight_set(p, rational_point(p, x0))
     redundant = []
     for i in range(p.m):
         keep = [j for j in range(p.m) if j != i and j not in redundant]
@@ -355,7 +411,7 @@ def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
         # A subsystem of a validated system has no zero or duplicate row.
         sub = p.restrict(keep, f"{p.name}/-{i}")
         status, opt = simplex_max(sub, p.ints[i], x0)
-        if status == "optimal" and dot(p.ints[i], opt) <= p.rhs[i]:
+        if status == "optimal" and p.denom * dot(p.ints[i], opt) <= p.rhs_num[i]:
             redundant.append(i)
     return redundant
 

@@ -162,19 +162,3 @@ def dump_fan(fan: SubdivisionFan) -> str:
             "parent": list(fan.parent),
         }
     )
-
-
-def load_fan_json(text: str) -> SubdivisionFan:
-    doc = parse_json(text)
-    try:
-        rays = [tuple(parse_rational(x) for x in ray) for ray in doc["rays"]]
-        cones = [tuple(int(i) for i in c) for c in doc["cones"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed fan document: {exc}") from None
-    n = int(doc.get("n", len(rays[0]) if rays else 0))
-    depth = int(doc.get("depth", 0))
-    parent = [int(x) for x in doc.get("parent", [-1] * len(cones))]
-    for c in cones:
-        if len(c) != n or any(i < 0 or i >= len(rays) for i in c):
-            raise ParseError(f"cone {c} does not index the rays")
-    return SubdivisionFan(n, depth, rays, cones, parent)

@@ -17,6 +17,7 @@ from deltahull import counting, graphs, hull, stats, subdivision
 from deltahull.errors import BoundViolated
 
 from conftest import DEGENERATE_FAMILY, record_criterion, standard_simplex
+from helpers import knapsack_bound_check
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +287,7 @@ def test_criterion_10_counting_oracle():
             xs.append(v)
             remaining -= v
         for f in functions:
-            if not counting.knapsack_bound_check(xs, alpha, beta, f):
+            if not knapsack_bound_check(xs, alpha, beta, f):
                 knapsack_bad += 1
     elapsed = time.perf_counter() - t0
     ok = not ehrhart_bad and knapsack_bad == 0

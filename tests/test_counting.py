@@ -11,7 +11,6 @@ from deltahull.counting import (
     count_integer_points_bruteforce,
     estimate_counting_cost,
     integer_box,
-    knapsack_bound_check,
 )
 from deltahull.errors import BudgetExceeded, PreconditionViolated, Unbounded
 from deltahull.hull import run_enumeration
@@ -19,6 +18,7 @@ from deltahull.model import make_polyhedron
 from deltahull.stats import triangulation_stats
 
 from conftest import cube, square, standard_simplex
+from helpers import knapsack_bound_check
 
 
 def frac_of(t):

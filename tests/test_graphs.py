@@ -13,11 +13,12 @@ from deltahull.graphs import (
     graph_diameter,
 )
 from deltahull.hull import run_enumeration
-from deltahull.linalg import rank_of, to_matrix
+from deltahull.linalg import rank_of
 from deltahull.model import make_polyhedron, submatrix
 from deltahull.subdivision import build_subdivision_fans, expected_counts
 
 from conftest import cube, octahedron, square, square_pyramid
+from helpers import to_matrix
 
 
 def rank_test_edges(p, result):

@@ -24,11 +24,13 @@ from deltahull.hull import (
     run_enumeration,
     triangulate_normal_cone,
 )
-from deltahull.linalg import det_exact, invert
+from deltahull.linalg import det_exact
 from deltahull.model import (
     VertexRecord,
+    basis_adjugate,
     make_polyhedron,
     phase_one,
+    rational_point,
     redundancy_scan,
     submatrix,
 )
@@ -111,9 +113,9 @@ def test_degenerate_family_matches_oracle():
 def test_pivot_neighbors_square_fixed_pivot():
     p = square()
     rows = (0, 1)  # vertex (1,1)
-    inv = invert(submatrix(p, rows))
-    x = [Fraction(1), Fraction(1)]
-    edges = pivot_neighbors(p, rows, inv, x)
+    basis = basis_adjugate(p, rows)
+    x = rational_point(p, [Fraction(1), Fraction(1)])
+    edges = pivot_neighbors(p, rows, basis, x)
     assert len(edges) == 2
     by_leaving = {e.leaving: e for e in edges}
     drop_x = by_leaving[0]
@@ -129,8 +131,8 @@ def test_pivot_neighbors_square_fixed_pivot():
 def test_pivot_neighbors_reports_rays_on_unbounded_cone():
     p = make_polyhedron([[-1, 0], [0, -1]], [0, 0], name="quadrant")
     rows = (0, 1)
-    inv = invert(submatrix(p, rows))
-    edges = pivot_neighbors(p, rows, inv, [Fraction(0), Fraction(0)])
+    basis = basis_adjugate(p, rows)
+    edges = pivot_neighbors(p, rows, basis, rational_point(p, [Fraction(0), Fraction(0)]))
     assert all(e.ray for e in edges)
     assert {e.direction for e in edges} == {
         (Fraction(1), Fraction(0)),
@@ -143,9 +145,9 @@ def test_pivot_neighbors_charges_ratio_test_work():
 
     p = cube()
     rows = (0, 1, 2)
-    inv = invert(submatrix(p, rows))
+    basis = basis_adjugate(p, rows)
     counters = WorkCounters()
-    pivot_neighbors(p, rows, inv, [Fraction(1)] * 3, counters)
+    pivot_neighbors(p, rows, basis, rational_point(p, [Fraction(1)] * 3), counters)
     assert counters.ratio_mults > 0
     assert counters.max_basis_mults <= 2 * p.n * p.n * p.m
 

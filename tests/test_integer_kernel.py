@@ -1,0 +1,153 @@
+"""The integer pivot kernel against the Fraction formulas it replaced.
+
+Tight sets, ratio tests and the InfeasiblePoint message are compared with
+`fraction_oracle` on small random rational systems, at random points and
+along random directions and basis edge directions. A chain of pivots is
+compared with a fresh adjugate of each sorted basis.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from deltahull.errors import (
+    DimensionMismatch,
+    DuplicateRow,
+    Infeasible,
+    InfeasiblePoint,
+    NotPointed,
+    SingularUpdate,
+)
+from deltahull.linalg import adjugate, det_exact, rank_of
+from deltahull.model import (
+    basis_adjugate,
+    basis_solution,
+    find_initial_vertex,
+    make_polyhedron,
+    phase_one,
+    pivot,
+    ratio_test,
+    rational_point,
+    scaled_point,
+    submatrix,
+    tight_set,
+)
+
+import fraction_oracle as oracle
+from conftest import square
+
+# Mostly integers, so that ties between ratios and degenerate vertices occur.
+rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3]))
+
+
+@st.composite
+def systems(draw):
+    """A small system with rational rows and right-hand sides."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(n + 1, n + 4))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(rationals, min_size=m, max_size=m))
+    return rows, b
+
+
+def build(rows, b):
+    try:
+        return make_polyhedron(rows, b)
+    except (DimensionMismatch, DuplicateRow, NotPointed):
+        assume(False)
+
+
+def same_tight_set(p, x):
+    """Integer and Fraction tight sets agree, raising the same message."""
+    try:
+        want = oracle.tight_set(p, x)
+    except InfeasiblePoint as exc:
+        with pytest.raises(InfeasiblePoint) as got:
+            tight_set(p, rational_point(p, x))
+        assert str(got.value) == str(exc)
+        return None
+    assert tight_set(p, rational_point(p, x)) == want
+    return want
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems(), st.data())
+def test_integer_kernel_matches_fraction_oracle(system, data):
+    p = build(*system)
+    n = p.n
+    x = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    rows = tuple(data.draw(st.sets(st.integers(0, p.m - 1), max_size=n)))
+    # The ratio test reads slacks only, so infeasible points count too.
+    assert ratio_test(p, rows, rational_point(p, x), u) == oracle.ratio_test(p, rows, x, u)
+    same_tight_set(p, x)
+    try:
+        start = phase_one(p)
+    except Infeasible:
+        return
+    v = find_initial_vertex(p, start)
+    assert same_tight_set(p, v.point) == v.tight
+    basis = next(b for b in combinations(v.tight, n) if rank_of(submatrix(p, b)) == n)
+    pair = basis_adjugate(p, basis)
+    det, adj = pair
+    # The basis solution, with its unreduced denominator, is the same point.
+    at_basis = scaled_point(p, *basis_solution(p, basis, pair))
+    assert at_basis.x == v.point
+    assert tight_set(p, at_basis) == v.tight
+    for pos in range(n):
+        edge = [-line[pos] for line in adj]
+        step, blocking, hits = ratio_test(p, basis, at_basis, edge)
+        d = [Fraction(c, det) for c in edge]
+        want_step, want_blocking, want_hits = oracle.ratio_test(p, basis, v.point, d)
+        assert (blocking, hits) == (want_blocking, want_hits)
+        assert (step is None and want_step is None) or step * det == want_step
+
+
+def normalized_adjugate(p, rows):
+    """linalg.adjugate of the rows, negated if its det is negative."""
+    det, adj = adjugate(submatrix(p, rows))
+    sign = 1 if det > 0 else -1
+    return sign * det, [[sign * x for x in line] for line in adj]
+
+
+def test_pivot_chain_matches_fresh_adjugates():
+    rng = random.Random(4206)
+    pivots = 0
+    for _ in range(40):
+        n = rng.choice([2, 3, 4])
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n + 5)]
+        b = [rng.randint(0, 9) for _ in range(n + 5)]
+        try:
+            p = make_polyhedron(rows, b)
+            v = find_initial_vertex(p, phase_one(p))
+        except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
+            continue
+        basis = next(
+            c for c in combinations(v.tight, n) if rank_of(submatrix(p, c)) == n
+        )
+        pair = basis_adjugate(p, basis)
+        for _ in range(12):
+            pt = scaled_point(p, *basis_solution(p, basis, pair))
+            pos = rng.randrange(n)
+            edge = [-line[pos] for line in pair[1]]
+            step, blocking, _ = ratio_test(p, basis, pt, edge)
+            if step is None:
+                continue
+            basis, pair = pivot(p, basis, pair, basis[pos], rng.choice(blocking))
+            assert list(basis) == sorted(basis)
+            assert pair == normalized_adjugate(p, basis)
+            assert pair[0] == abs(det_exact(submatrix(p, basis))) > 0
+            pivots += 1
+    assert pivots >= 200
+
+
+def test_pivot_on_a_dependent_row_raises_singular_update():
+    p = square()
+    pair = basis_adjugate(p, (0, 1))
+    # -y <= 0 in place of x <= 1 leaves two rows along y.
+    with pytest.raises(SingularUpdate):
+        pivot(p, (0, 1), pair, 0, 3)

@@ -27,6 +27,8 @@ from deltahull.linalg import (
     solve,
 )
 
+from fraction_oracle import as_inverse, sherman_morrison
+
 
 def mat_vec(m, v):
     return [dot(row, v) for row in m]
@@ -222,40 +224,57 @@ def test_invert_round_trip():
 
 
 def test_basis_inverse_update_fixed_example():
-    inv = invert([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
-    out = basis_inverse_update(inv, 1, [Fraction(0), Fraction(2)])
-    assert out == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
+    basis = adjugate([[1, 0], [0, 1]])
+    out = basis_inverse_update(basis, 1, [0, 2])
+    assert out == (2, [[2, 0], [0, 1]])
+    assert as_inverse(out) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
 
 
 def test_basis_inverse_update_chain_matches_fresh_inversion():
     rng = random.Random(4108)
     n = 4
     m = identity(n)
+    basis = adjugate(m)
     inv = invert(m)
     updates = 0
     while updates < 10:
-        row = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+        row = [rng.randint(-5, 5) for _ in range(n)]
         position = rng.randrange(n)
         candidate = [list(r) for r in m]
         candidate[position] = row
         try:
-            out = basis_inverse_update(inv, position, row)
+            out = basis_inverse_update(basis, position, row)
         except SingularUpdate:
             assert det_by_cofactors(candidate) == 0
+            with pytest.raises(SingularUpdate):
+                sherman_morrison(inv, position, row)
             continue
         m = candidate
-        inv = out
-        assert inv == invert(m)
+        basis = out
+        inv = sherman_morrison(inv, position, row)
+        assert as_inverse(basis) == inv == invert(m)
+        # The update carries the exact pair, signs included.
+        assert basis == adjugate(m)
+        assert basis[0] == det_exact(m) == det_by_cofactors(m)
         updates += 1
 
 
+def test_basis_inverse_update_keeps_a_negated_pair_negated():
+    m = [[2, 1, 0], [0, 1, 3], [1, 0, 1]]
+    det, adj = adjugate(m)
+    out = basis_inverse_update((-det, [[-x for x in r] for r in adj]), 2, [1, 1, 1])
+    m[2] = [1, 1, 1]
+    want_det, want_adj = adjugate(m)
+    assert out == (-want_det, [[-x for x in r] for r in want_adj])
+
+
 def test_basis_inverse_update_rejects_singular_replacement():
-    inv = invert([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    basis = adjugate([[1, 0], [0, 1]])
     with pytest.raises(SingularUpdate):
-        basis_inverse_update(inv, 0, [Fraction(0), Fraction(0)])
+        basis_inverse_update(basis, 0, [0, 0])
     with pytest.raises(SingularUpdate):
         # New row lies in the span of the untouched one.
-        basis_inverse_update(inv, 0, [Fraction(0), Fraction(3)])
+        basis_inverse_update(basis, 0, [0, 3])
 
 
 def test_frac_accepts_exact_inputs_only():

@@ -14,8 +14,9 @@ from deltahull.errors import (
     NotPointed,
     SingularBasis,
 )
-from deltahull.linalg import dot, invert, rank_of
+from deltahull.linalg import dot, rank_of
 from deltahull.model import (
+    basis_adjugate,
     basis_vertex,
     drop_rows,
     find_initial_vertex,
@@ -24,6 +25,7 @@ from deltahull.model import (
     phase_one,
     pivot,
     ratio_test,
+    rational_point,
     redundancy_scan,
     strict_interior_point,
     submatrix,
@@ -31,6 +33,7 @@ from deltahull.model import (
 )
 
 from conftest import cube, square, square_pyramid
+from fraction_oracle import slacks
 
 
 def test_make_polyhedron_accepts_unit_square():
@@ -109,17 +112,17 @@ def test_is_feasible_basis_matches_direct_definition():
 
 def test_tight_set_examples():
     p = square()
-    assert tight_set(p, [Fraction(1), Fraction(1)]) == (0, 1)
-    assert tight_set(p, [Fraction(1, 2), Fraction(1, 2)]) == ()
-    assert tight_set(p, [Fraction(0), Fraction(1)]) == (1, 2)
+    assert tight_set(p, rational_point(p, [Fraction(1), Fraction(1)])) == (0, 1)
+    assert tight_set(p, rational_point(p, [Fraction(1, 2), Fraction(1, 2)])) == ()
+    assert tight_set(p, rational_point(p, [Fraction(0), Fraction(1)])) == (1, 2)
     with pytest.raises(InfeasiblePoint):
-        tight_set(p, [Fraction(2), Fraction(0)])
+        tight_set(p, rational_point(p, [Fraction(2), Fraction(0)]))
 
 
 def test_tight_set_at_degenerate_apex():
     p = square_pyramid()
     apex = [Fraction(0), Fraction(0), Fraction(1)]
-    assert len(tight_set(p, apex)) == 4
+    assert len(tight_set(p, rational_point(p, apex))) == 4
 
 
 def test_find_initial_vertex_walks_square_interior_to_corner():
@@ -160,7 +163,7 @@ def test_find_initial_vertex_lands_on_vertex_for_random_instances():
         v = find_initial_vertex(p, x0)
         assert p.contains(list(v.point))
         assert rank_of(submatrix(p, v.tight)) == n
-        assert tight_set(p, list(v.point)) == v.tight
+        assert tight_set(p, rational_point(p, v.point)) == v.tight
 
 
 def test_pivot_kernel_walks_edges_with_exact_inverses():
@@ -178,11 +181,11 @@ def test_pivot_kernel_walks_edges_with_exact_inverses():
         basis = next(
             b for b in combinations(v.tight, n) if rank_of(submatrix(p, b)) == n
         )
-        inv = invert(submatrix(p, basis))
+        pair = basis_adjugate(p, basis)
         x = list(v.point)
         for pos, leaving in enumerate(basis):
-            d = [-inv[r][pos] for r in range(n)]
-            step, blocking, hits = ratio_test(p, basis, x, d)
+            d = [-line[pos] for line in pair[1]]
+            step, blocking, hits = ratio_test(p, basis, rational_point(p, x), d)
             rising = [i for i in range(p.m) if i not in basis and dot(p.a[i], d) > 0]
             assert hits == len(rising)
             if step is None:
@@ -190,11 +193,11 @@ def test_pivot_kernel_walks_edges_with_exact_inverses():
                 continue
             y = [xi + step * di for xi, di in zip(x, d)]
             assert p.contains(y)
-            assert blocking == sorted(i for i in rising if p.slacks(y)[i] == 0)
+            assert blocking == sorted(i for i in rising if slacks(p, y)[i] == 0)
             for entering in blocking:
-                new_rows, new_inv = pivot(p, basis, inv, leaving, entering)
+                new_rows, new_pair = pivot(p, basis, pair, leaving, entering)
                 assert new_rows == tuple(sorted(set(basis) - {leaving} | {entering}))
-                assert new_inv == invert(submatrix(p, new_rows))
+                assert new_pair == basis_adjugate(p, new_rows)
                 pivots += 1
 
 
@@ -243,7 +246,7 @@ def test_strict_interior_point_square_and_flat_slab():
     p = square()
     x = strict_interior_point(p)
     assert x is not None
-    assert all(s > 0 for s in p.slacks(x))
+    assert all(s > 0 for s in slacks(p, x))
     flat = make_polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 1, 0])
     assert strict_interior_point(flat) is None
 

@@ -10,7 +10,6 @@ from deltahull.serialize import (
     canonical_dumps,
     dump_fan,
     dump_instance,
-    load_fan_json,
     load_instance_csv,
     load_instance_json,
     load_instance_path,
@@ -21,6 +20,7 @@ from deltahull.serialize import (
 from deltahull.subdivision import build_subdivision_fans
 
 from conftest import square
+from helpers import load_fan_json
 
 
 def test_parse_rational_accepted_forms():

@@ -9,7 +9,7 @@ import pytest
 
 from deltahull.errors import BoundViolated, BudgetExceeded, SingularBasis
 from deltahull.hull import run_enumeration
-from deltahull.linalg import det_exact, to_matrix
+from deltahull.linalg import det_exact
 from deltahull.stats import (
     check_fan_bound,
     check_vertex_bound,
@@ -25,6 +25,7 @@ from deltahull.stats import (
 from deltahull.subdivision import base_simplex
 
 from conftest import cube, square, square_pyramid
+from helpers import to_matrix
 
 
 def fraction_det(m):
