@@ -29,11 +29,10 @@ from .errors import (
     Unbounded,
     UnboundedLine,
 )
-from .graphs import SkeletonGraph, build_fan_graph, build_polytope_graph, graph_diameter
+from .graphs import SkeletonGraph, build_polytope_graph, graph_diameter
 from .hull import (
     EnumerationResult,
     OracleEnumeration,
-    PivotEdge,
     Triangulation,
     WorkCounters,
     enumerate_all_bases_oracle,
@@ -91,12 +90,10 @@ from .subdivision import (
     base_fan,
     base_simplex,
     build_subdivision_fans,
-    density_profile,
     expected_counts,
     lift_polytope,
     normalize_rays,
     subdivide_fan,
-    tightness_experiment,
 )
 
 __version__ = "0.1.0"

@@ -191,7 +191,7 @@ class Analysis:
     def fan_bounds(self) -> dict:
         """The vertex-count, fan-volume and cone-count checks."""
         vertex_rep = stats.check_vertex_bound(self.p, self.result, self.fan_stats)
-        volume_rep, count_rep = stats.check_fan_bound(self.p.rows(), self.fan_stats)
+        volume_rep, count_rep = stats.check_fan_bound(self.fan_stats)
         return {
             "vertex-count": asdict(vertex_rep),
             "fan-volume": asdict(volume_rep),
@@ -220,7 +220,8 @@ def _points_block(result: hull.EnumerationResult) -> dict:
         {"point": list(v.point), "tight": list(v.tight), "simple": v.simple}
         for v in result.vertices
     ]
-    return {"vertices": vertices, "rays": [list(d) for _, d in result.rays]}
+    rays = [[Fraction(c) for c in d] for _, d in result.rays]
+    return {"vertices": vertices, "rays": rays}
 
 
 def _adjacency(graph: graphs.SkeletonGraph) -> dict:

@@ -6,9 +6,10 @@ normal cone triangulated on first visit and each simplex becomes a node.
 Pivoting from a node, a basis held as (det, adj), runs the integer ratio test
 on its vertex's slacks; positive steps cross edges of the polyhedron, zero
 steps move between bases of the same vertex, and an empty ratio test marks
-an unbounded edge. Fractions are built only for the report: once per vertex
-(`VertexRecord.point`) and per pivot edge. The redundant rows of a
-full-dimensional polyhedron are read off the result: a row is a facet iff
+an unbounded edge. The result is the skeleton walked: vertices, vertex pairs
+joined by a positive-step pivot, primitive integer rays. The only Fractions
+are each `VertexRecord.point` and the ratio-test step. The redundant rows of
+a full-dimensional polyhedron are read off the result: a row is a facet iff
 the vertices and rays on its hyperplane span dimension n - 1.
 """
 
@@ -24,29 +25,6 @@ from .linalg import Basis, Vec, dot
 from .model import HPolyhedron, Point, VertexRecord
 
 Rows = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PivotEdge:
-    """One pivot out of a basis: relax `leaving`, walk until `entering` blocks.
-
-    `ray` marks an unblocked direction; then entering is None and step is 0.
-    A zero step with an entering row means the pivot stays at the same point.
-    """
-
-    from_basis: Rows
-    leaving: int
-    entering: int | None
-    step: Fraction
-    direction: tuple[Fraction, ...]
-    ray: bool = False
-
-    @property
-    def to_basis(self) -> Rows | None:
-        if self.ray:
-            return None
-        keep = set(self.from_basis) - {self.leaving} | {self.entering}
-        return tuple(sorted(keep))
 
 
 @dataclass
@@ -79,10 +57,9 @@ class EnumerationResult:
     vertices: list[VertexRecord]
     exact: list[tuple[tuple[int, ...], int]]  # each vertex as (num, den)
     triangulation: Triangulation
-    pivot_edges: list[PivotEdge]
-    rays: list[tuple[int, tuple[Fraction, ...]]]
+    edges: set[tuple[int, int]]  # vertex index pairs, smaller first
+    rays: list[tuple[int, tuple[int, ...]]]  # (vertex, primitive direction)
     counters: WorkCounters
-    basis_owner: dict[Rows, int]
 
     @property
     def bounded(self) -> bool:
@@ -98,34 +75,31 @@ def pivot_neighbors(
     basis: Basis,
     pt: Point,
     counters: WorkCounters | None = None,
-) -> list[PivotEdge]:
-    """All pivot edges out of a feasible basis (det, adj) at its vertex pt.
+) -> list[tuple[int, int | None, Fraction | None, list[int]]]:
+    """All pivots out of a feasible basis (det, adj) at its vertex pt.
 
-    For each leaving row the edge direction is the negated inverse column
-    -adj[:, pos] / det; the integer ratio test picks every row attaining the
-    minimal step (ties at a degenerate vertex each yield an edge). The
-    ratio_mults charged to `counters` stay the paper's per-basis cost model,
+    Each is (leaving, entering, step, u): u = -adj[:, pos] is det times the
+    edge direction, and the integer ratio test picks every row attaining the
+    minimal step along u (ties at a degenerate vertex each yield a pivot; a
+    zero step stays at pt). Entering and step are None on an unbounded edge.
+    The ratio_mults charged to `counters` stay the paper's per-basis cost model,
     n * (m - n + hits) per leaving row: n multiplications per rate and n per
     ratio. The report keeps that figure, though the integer kernel does less
     work, reading the slacks stored with the vertex.
     """
     n = p.n
-    det, adj = basis
-    edges = []
+    pivots = []
     mults = 0
     for pos, leaving in enumerate(rows):
-        u = [-line[pos] for line in adj]
+        u = [-line[pos] for line in basis[1]]
         step, blocking, hits = model.ratio_test(p, rows, pt, u)
         mults += n * (p.m - n + hits)
-        d = tuple(Fraction(c, det) for c in u)
         if step is None:
-            edges.append(PivotEdge(rows, leaving, None, Fraction(0), d, ray=True))
-        else:
-            for i in blocking:
-                edges.append(PivotEdge(rows, leaving, i, step * det, d))
+            pivots.append((leaving, None, None, u))
+        pivots += [(leaving, i, step, u) for i in blocking]
     if counters is not None:
         counters.charge(mults)
-    return edges
+    return pivots
 
 
 def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
@@ -173,7 +147,8 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
 
     Best-first search over bases in lexicographic order: deterministic
     traversal, duplicate-free vertex list keyed on exact points, normal cone
-    triangulated once per vertex, rays recorded per (vertex, direction).
+    triangulated once per vertex, rays recorded per (vertex, primitive
+    direction), an edge per vertex pair that a positive-step pivot joins.
     A vertex's slacks are held only while a basis of it waits on the heap.
     """
     start = model.rational_point(p, v0.point)
@@ -184,14 +159,13 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
     exact: list[tuple[tuple[int, ...], int]] = []
     triangulation = Triangulation()
     by_point: dict[tuple[int, ...], int] = {}
-    basis_owner: dict[Rows, int] = {}
-    pivot_edges: list[PivotEdge] = []
-    ray_set: set[tuple[int, tuple[Fraction, ...]]] = set()
+    basis_owner: dict[Rows, int] = {}  # every pushed basis -> its vertex
+    edges: set[tuple[int, int]] = set()
+    ray_set: set[tuple[int, tuple[int, ...]]] = set()
     counters = WorkCounters()
     heap: list[Rows] = []
-    seen: set[Rows] = set()
     basis_cache: dict[Rows, Basis] = {}
-    frontier: dict[Rows, Point] = {}  # pushed basis -> its vertex
+    frontier: dict[Rows, Point] = {}  # pushed, not yet visited -> its vertex
 
     def push(rows: Rows, owner: int, pt: Point) -> None:
         basis_owner.setdefault(rows, owner)
@@ -210,7 +184,7 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
         tight = model.tight_set(p, pt)
         exact.append((key[1:], key[0]))
         cones = triangulate_normal_cone(p, tight)
-        vertices.append(VertexRecord(pt.x, tight, index, list(cones)))
+        vertices.append(VertexRecord(pt.x, tight, index))
         triangulation.cones_by_vertex.append(cones)
         for c in cones:
             push(c, index, pt)
@@ -219,40 +193,38 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
     register(start.num, start.den)
     while heap:
         rows = heapq.heappop(heap)
-        if rows in seen:
+        pt = frontier.pop(rows, None)
+        if pt is None:  # a duplicate heap entry of a visited basis
             continue
-        seen.add(rows)
         counters.bases_visited += 1
         basis = basis_cache.pop(rows, None) or model.basis_adjugate(p, rows)
-        owner, pt = basis_owner[rows], frontier.pop(rows)
-        for edge in pivot_neighbors(p, rows, basis, pt, counters):
-            pivot_edges.append(edge)
-            if edge.ray:
-                ints, _ = linalg.integer_row(edge.direction)
-                ray_set.add((owner, tuple(map(Fraction, ints))))
+        owner = basis_owner[rows]
+        for leaving, entering, step, u in pivot_neighbors(p, rows, basis, pt, counters):
+            if entering is None:
+                g = gcd(*u)
+                ray_set.add((owner, tuple(c // g for c in u)))
                 continue
-            target = edge.to_basis
-            if target in seen or target in frontier:  # done, or on the heap
-                continue
-            _, basis_cache[target] = model.pivot(
-                p, rows, basis, edge.leaving, edge.entering
-            )
-            if edge.step == 0:
-                push(target, owner, pt)
-                continue
-            num, den = model.basis_solution(p, target, basis_cache[target])
-            index = register(num, den)
-            # A vertex reached again may have dropped its slacks: recompute.
-            push(target, index, frontier.get(target) or model.scaled_point(p, num, den))
+            target = tuple(sorted([r for r in rows if r != leaving] + [entering]))
+            index = basis_owner.get(target)  # visited, or on the heap
+            if index is None:
+                _, basis_cache[target] = model.pivot(p, rows, basis, leaving, entering)
+                if step == 0:
+                    push(target, owner, pt)
+                    continue
+                num, den = model.basis_solution(p, target, basis_cache[target])
+                index = register(num, den)
+                # A vertex reached again may have dropped its slacks: recompute.
+                push(target, index, frontier.get(target) or model.scaled_point(p, num, den))
+            if step:
+                edges.add((min(owner, index), max(owner, index)))
 
     return EnumerationResult(
         vertices=vertices,
         exact=exact,
         triangulation=triangulation,
-        pivot_edges=pivot_edges,
+        edges=edges,
         rays=sorted(ray_set),
         counters=counters,
-        basis_owner=basis_owner,
     )
 
 
@@ -285,7 +257,7 @@ def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int] | Non
     differences of the vertices tight at i and by the rays d with a_i d = 0,
     so a row tight at no vertex is redundant. One rank per row.
     """
-    rays = [list(map(int, d)) for d in sorted({d for _, d in result.rays})]
+    rays = [list(d) for d in sorted({d for _, d in result.rays})]
     if _span_rank(result.exact, rays) < p.n:
         return None
     faces: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(p.m)]
@@ -326,12 +298,9 @@ def enumerate_all_bases_oracle(
         feasible.append(rows)
         x = model.basis_vertex(p, rows)
         point = tuple(x)
-        record = by_point.get(point)
-        if record is None:
+        if point not in by_point:
             tight = model.tight_set(p, model.rational_point(p, x))
-            record = VertexRecord(point, tight, len(by_point))
-            by_point[point] = record
-        record.bases.append(rows)
+            by_point[point] = VertexRecord(point, tight, len(by_point))
     vertices = sorted(by_point.values(), key=lambda r: r.point)
     for i, r in enumerate(vertices):
         r.index = i

@@ -13,7 +13,7 @@ point, is only the fallback for a system with implicit equalities
 its enumeration) and that test's oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -124,7 +124,6 @@ class VertexRecord:
     point: tuple[Fraction, ...]
     tight: tuple[int, ...]
     index: int = -1
-    bases: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def simple(self) -> bool:

@@ -190,9 +190,9 @@ def check_vertex_bound(
     )
 
 
-def check_fan_bound(a: Mat, stats: FanStats) -> tuple[BoundReport, BoundReport]:
+def check_fan_bound(stats: FanStats) -> tuple[BoundReport, BoundReport]:
     """Fan volume against delta * vol(ball); cone count as in the vertex check."""
-    n = len(a[0])
+    n = stats.n
     ball = unit_ball_volume(n)
     volume_report = _check(
         "fan-volume",

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import factorial, prod, sqrt
+from math import prod, sqrt
 
-from . import linalg, model, stats
+from . import linalg, model
 from .errors import EmptyAlphaInterval
 from .linalg import Mat, dot
 
@@ -214,70 +214,3 @@ def normalize_rays(rays: list[Point], digits: int) -> list[Point]:
             tuple(Fraction(round(float(x) / norm * scale), scale) for x in ray)
         )
     return out
-
-
-def density_profile(fan: SubdivisionFan, samples: int) -> float:
-    """Worst distance from a base-facet grid point to the ray set.
-
-    The grid puts positive barycentric combinations (a_i + 1)/(samples-1+n)
-    on each base facet; samples=1 is exactly the facet barycenters. The
-    value is monotone nonincreasing in depth because rays only accumulate.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample per facet")
-    n = fan.n
-    base_rays = [[float(x) for x in fan.rays[i]] for i in range(n + 1)]
-    points = [[float(x) for x in ray] for ray in fan.rays]
-    worst = 0.0
-    total = samples - 1 + n
-    for facet in combinations(range(n + 1), n):
-        for comp in _compositions(samples - 1, n):
-            coeffs = [(a + 1) / total for a in comp]
-            sample = [
-                sum(c * base_rays[r][t] for c, r in zip(coeffs, facet))
-                for t in range(n)
-            ]
-            dist = min(
-                sqrt(sum((s - p[t]) ** 2 for t, s in enumerate(sample)))
-                for p in points
-            )
-            worst = max(worst, dist)
-    return worst
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def tightness_experiment(
-    n: int, k_max: int, digits: int, budget: int = stats.DEFAULT_BUDGET
-) -> list[dict]:
-    """Cone count against the vertex bound on sphere-normalized rays, per depth.
-
-    Each row reports the count, the maximal and average subdeterminants of
-    the normalized ray matrix, the bound n!*(delta/delta_avg)*vol(ball), and
-    the count/bound ratio. The ratio climbs toward 1 as depth grows.
-    """
-    fans = build_subdivision_fans(n, k_max)
-    table = []
-    for fan in fans:
-        gens = [list(r) for r in normalize_rays(fan.rays, digits)]
-        fan_stats = stats.triangulation_stats(gens, fan.cones, budget)
-        delta, avg = fan_stats.delta, fan_stats.delta_avg
-        bound = factorial(n) * float(delta / avg) * stats.unit_ball_volume(n)
-        table.append(
-            {
-                "depth": fan.depth,
-                "cones": len(fan.cones),
-                "delta": delta,
-                "delta_avg": avg,
-                "bound": bound,
-                "ratio": len(fan.cones) / bound,
-            }
-        )
-    return table

@@ -1,14 +1,20 @@
 """Test-only helpers with no caller in the package: a rational matrix
-builder, the fan document loader, and the capped-sum bucket bound behind
-acceptance criterion 10."""
+builder, the fan document loader, the capped-sum bucket bound behind
+acceptance criterion 10, the cone-fan adjacency graph, and the density and
+tightness experiments on the subdivision fans."""
 
 from fractions import Fraction
-from math import floor
+from itertools import combinations
+from math import factorial, floor, sqrt
 
+from deltahull import linalg, stats
 from deltahull.errors import ParseError, PreconditionViolated
-from deltahull.linalg import Mat, frac
+from deltahull.graphs import SkeletonGraph
+from deltahull.linalg import Mat, dot, frac
 from deltahull.serialize import parse_json, parse_rational
-from deltahull.subdivision import SubdivisionFan
+from deltahull.subdivision import SubdivisionFan, build_subdivision_fans, normalize_rays
+
+Rows = tuple[int, ...]
 
 
 def to_matrix(rows) -> Mat:
@@ -50,3 +56,106 @@ def knapsack_bound_check(x, alpha, beta, f) -> bool:
     lhs = sum((frac(f(v)) for v in xs), Fraction(0))
     buckets = floor(beta / alpha) + 1
     return lhs <= buckets * frac(f(alpha))
+
+
+def build_fan_graph(cones: list[Rows], generators: Mat) -> SkeletonGraph:
+    """Cone adjacency: shared n-1 rays spanning a true common facet.
+
+    generators[i] is the vector of ray i. Two cones are adjacent when they
+    share exactly n-1 rays and their remaining rays lie strictly on opposite
+    sides of the shared hyperplane (adjugate sign test on the integer rays,
+    one adjugate per cone; positive ray scales keep every sign).
+    """
+    ints, _ = linalg.integer_rows(generators)
+    adjugates = [linalg.adjugate([ints[r] for r in cone])[1] for cone in cones]
+    g = SkeletonGraph(kind="fan-graph")
+    for i in range(len(cones)):
+        g.adjacency.setdefault(i, [])
+    by_facet: dict[Rows, list[int]] = {}
+    for ci, cone in enumerate(cones):
+        for drop in cone:
+            facet = tuple(r for r in cone if r != drop)
+            by_facet.setdefault(facet, []).append(ci)
+    for facet, owners in by_facet.items():
+        for a in range(len(owners)):
+            for b in range(a + 1, len(owners)):
+                ci, cj = owners[a], owners[b]
+                if _opposite_sides(cones[ci], cones[cj], facet, ints, adjugates[ci]):
+                    g.add_edge(ci, cj)
+    return g.finalize()
+
+
+def _opposite_sides(cone_a: Rows, cone_b: Rows, facet: Rows, gens, adj) -> bool:
+    ra = next(r for r in cone_a if r not in facet)
+    rb = next(r for r in cone_b if r not in facet)
+    pos = cone_a.index(ra)
+    u = [line[pos] for line in adj]  # normal to the shared facet
+    side_a = dot(gens[ra], u)  # equals det(cone_a), nonzero
+    side_b = dot(gens[rb], u)
+    return side_a * side_b < 0
+
+def density_profile(fan: SubdivisionFan, samples: int) -> float:
+    """Worst distance from a base-facet grid point to the ray set.
+
+    The grid puts positive barycentric combinations (a_i + 1)/(samples-1+n)
+    on each base facet; samples=1 is exactly the facet barycenters. The
+    value is monotone nonincreasing in depth because rays only accumulate.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample per facet")
+    n = fan.n
+    base_rays = [[float(x) for x in fan.rays[i]] for i in range(n + 1)]
+    points = [[float(x) for x in ray] for ray in fan.rays]
+    worst = 0.0
+    total = samples - 1 + n
+    for facet in combinations(range(n + 1), n):
+        for comp in _compositions(samples - 1, n):
+            coeffs = [(a + 1) / total for a in comp]
+            sample = [
+                sum(c * base_rays[r][t] for c, r in zip(coeffs, facet))
+                for t in range(n)
+            ]
+            dist = min(
+                sqrt(sum((s - p[t]) ** 2 for t, s in enumerate(sample)))
+                for p in points
+            )
+            worst = max(worst, dist)
+    return worst
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def tightness_experiment(
+    n: int, k_max: int, digits: int, budget: int = stats.DEFAULT_BUDGET
+) -> list[dict]:
+    """Cone count against the vertex bound on sphere-normalized rays, per depth.
+
+    Each row reports the count, the maximal and average subdeterminants of
+    the normalized ray matrix, the bound n!*(delta/delta_avg)*vol(ball), and
+    the count/bound ratio. The ratio climbs toward 1 as depth grows.
+    """
+    fans = build_subdivision_fans(n, k_max)
+    table = []
+    for fan in fans:
+        gens = [list(r) for r in normalize_rays(fan.rays, digits)]
+        fan_stats = stats.triangulation_stats(gens, fan.cones, budget)
+        delta, avg = fan_stats.delta, fan_stats.delta_avg
+        bound = factorial(n) * float(delta / avg) * stats.unit_ball_volume(n)
+        table.append(
+            {
+                "depth": fan.depth,
+                "cones": len(fan.cones),
+                "delta": delta,
+                "delta_avg": avg,
+                "bound": bound,
+                "ratio": len(fan.cones) / bound,
+            }
+        )
+    return table

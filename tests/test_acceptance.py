@@ -17,7 +17,7 @@ from deltahull import counting, graphs, hull, stats, subdivision
 from deltahull.errors import BoundViolated
 
 from conftest import DEGENERATE_FAMILY, record_criterion, standard_simplex
-from helpers import knapsack_bound_check
+from helpers import build_fan_graph, knapsack_bound_check, tightness_experiment
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def test_criterion_01_subdivision_family_exactness():
         for k, fan in enumerate(fans):
             expected = subdivision.expected_counts(n, k)
             cone_count = len(fan.cones)
-            g = graphs.build_fan_graph(fan.cones, fan.generators())
+            g = build_fan_graph(fan.cones, fan.generators())
             diameter = graphs.graph_diameter(g)
             delta, _ = stats.delta_max(fan.generators())
             ratio = delta / min(fan.cone_det(c) for c in fan.cones)
@@ -123,7 +123,7 @@ def test_criterion_04_fan_volume_bound(generated_duals, corpus_analysis):
     instances = full_corpus(generated_duals, corpus_analysis)
     for p, result, st in instances:
         try:
-            volume_report, count_report = stats.check_fan_bound(p.rows(), st)
+            volume_report, count_report = stats.check_fan_bound(st)
         except BoundViolated as exc:
             violations.append(f"{p.name}: {exc}")
             continue
@@ -142,7 +142,7 @@ def test_criterion_04_fan_volume_bound(generated_duals, corpus_analysis):
 
 def test_criterion_05_tightness_trend():
     t0 = time.perf_counter()
-    table = subdivision.tightness_experiment(2, 6, digits=6)
+    table = tightness_experiment(2, 6, digits=6)
     ratios = [row["ratio"] for row in table]
     monotone = all(b >= a for a, b in zip(ratios, ratios[1:]))
     final_ok = ratios[-1] > 0.9

@@ -8,7 +8,6 @@ import pytest
 from deltahull.errors import DisconnectedGraph
 from deltahull.graphs import (
     SkeletonGraph,
-    build_fan_graph,
     build_polytope_graph,
     graph_diameter,
 )
@@ -17,8 +16,8 @@ from deltahull.linalg import rank_of
 from deltahull.model import make_polyhedron, submatrix
 from deltahull.subdivision import build_subdivision_fans, expected_counts
 
-from conftest import cube, octahedron, square, square_pyramid
-from helpers import to_matrix
+from conftest import DEGENERATE_FAMILY, cube, octahedron, square, square_pyramid
+from helpers import build_fan_graph, to_matrix
 
 
 def rank_test_edges(p, result):
@@ -75,9 +74,10 @@ def test_octahedron_skeleton():
 
 
 def test_polytope_graph_agrees_with_rank_characterization():
+    # The degenerate family first: there several bases map to one vertex.
+    cases = [(p, run_enumeration(p)) for p in (build() for build in DEGENERATE_FAMILY)]
     rng = random.Random(4501)
-    done = 0
-    while done < 20:
+    while len(cases) < len(DEGENERATE_FAMILY) + 20:
         n = rng.choice([2, 3])
         m = rng.randint(n + 1, 8)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
@@ -87,11 +87,11 @@ def test_polytope_graph_agrees_with_rank_characterization():
             result = run_enumeration(p)
         except Exception:
             continue
-        if len(result.vertices) < 2:
-            continue
+        if len(result.vertices) >= 2:
+            cases.append((p, result))
+    for p, result in cases:
         g = build_polytope_graph(result)
-        assert graph_edges(g) == rank_test_edges(p, result)
-        done += 1
+        assert graph_edges(g) == rank_test_edges(p, result), p.name
 
 
 def test_base_fan_graph_is_complete():

@@ -1,6 +1,7 @@
 """Vertex enumeration, pivoting, normal cone triangulation, and redundancy."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from deltahull.linalg import det_exact
 from deltahull.model import (
     VertexRecord,
     basis_adjugate,
+    basis_vertex,
     make_polyhedron,
     phase_one,
     rational_point,
@@ -46,22 +48,8 @@ from conftest import (
 )
 
 
-def pivot_adjacency(result):
-    """Basis -> bases one non-ray pivot away, in either direction."""
-    adjacency = {}
-    for edge in result.pivot_edges:
-        if not edge.ray:
-            adjacency.setdefault(edge.from_basis, set()).add(edge.to_basis)
-            adjacency.setdefault(edge.to_basis, set()).add(edge.from_basis)
-    return adjacency
-
-
-def undirected_edges(result):
-    return {
-        tuple(sorted((basis, other)))
-        for basis, nbrs in pivot_adjacency(result).items()
-        for other in nbrs
-    }
+def target_basis(rows, leaving, entering):
+    return tuple(sorted(set(rows) - {leaving} | {entering}))
 
 
 def test_square_enumeration_counts():
@@ -75,16 +63,17 @@ def test_square_enumeration_counts():
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(0)),
     }
-    assert len(undirected_edges(result)) == 4
+    assert len(result.edges) == 4
 
 
 def test_cube_enumeration_counts_and_regularity():
     result = run_enumeration(cube())
     assert len(result.vertices) == 8
     assert len(result.triangulation) == 8
-    degree = {b: len(nbrs) for b, nbrs in pivot_adjacency(result).items()}
+    degree = Counter(v for edge in result.edges for v in edge)
+    assert len(degree) == 8
     assert set(degree.values()) == {3}
-    assert len(undirected_edges(result)) == 12
+    assert len(result.edges) == 12
 
 
 def test_degenerate_apex_owns_two_cones():
@@ -115,29 +104,26 @@ def test_pivot_neighbors_square_fixed_pivot():
     rows = (0, 1)  # vertex (1,1)
     basis = basis_adjugate(p, rows)
     x = rational_point(p, [Fraction(1), Fraction(1)])
-    edges = pivot_neighbors(p, rows, basis, x)
-    assert len(edges) == 2
-    by_leaving = {e.leaving: e for e in edges}
-    drop_x = by_leaving[0]
-    assert drop_x.entering == 2
-    assert drop_x.step == 1
-    assert drop_x.direction == (Fraction(-1), Fraction(0))
-    assert drop_x.to_basis == (1, 2)
-    drop_y = by_leaving[1]
-    assert drop_y.entering == 3
-    assert drop_y.to_basis == (0, 3)
+    pivots = pivot_neighbors(p, rows, basis, x)
+    assert len(pivots) == 2
+    by_leaving = {leaving: (entering, step, u) for leaving, entering, step, u in pivots}
+    entering, step, u = by_leaving[0]
+    assert entering == 2
+    assert step == 1
+    assert u == [-1, 0]
+    assert target_basis(rows, 0, entering) == (1, 2)
+    entering, _, _ = by_leaving[1]
+    assert entering == 3
+    assert target_basis(rows, 1, entering) == (0, 3)
 
 
 def test_pivot_neighbors_reports_rays_on_unbounded_cone():
     p = make_polyhedron([[-1, 0], [0, -1]], [0, 0], name="quadrant")
     rows = (0, 1)
     basis = basis_adjugate(p, rows)
-    edges = pivot_neighbors(p, rows, basis, rational_point(p, [Fraction(0), Fraction(0)]))
-    assert all(e.ray for e in edges)
-    assert {e.direction for e in edges} == {
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    }
+    pivots = pivot_neighbors(p, rows, basis, rational_point(p, [Fraction(0), Fraction(0)]))
+    assert all(entering is None and step is None for _, entering, step, _ in pivots)
+    assert {tuple(u) for _, _, _, u in pivots} == {(1, 0), (0, 1)}
 
 
 def test_pivot_neighbors_charges_ratio_test_work():
@@ -223,25 +209,27 @@ def test_enumeration_is_deterministic():
     second = run_enumeration(p)
     assert [v.point for v in first.vertices] == [v.point for v in second.vertices]
     assert first.triangulation.cones == second.triangulation.cones
-    assert undirected_edges(first) == undirected_edges(second)
+    assert first.edges == second.edges
 
 
 def test_pivot_edges_separate_moves_from_degenerate_stays():
     p = square_pyramid()
     result = run_enumeration(p)
-    points = {v.point: v for v in result.vertices}
-    for edge in result.pivot_edges:
-        if edge.ray:
-            continue
-        if edge.step > 0:
-            src = result.basis_owner[edge.from_basis]
-            dst = result.basis_owner[edge.to_basis]
-            assert result.vertices[src].point != result.vertices[dst].point
-        else:
-            src = result.basis_owner[edge.from_basis]
-            dst = result.basis_owner[edge.to_basis]
-            assert result.vertices[src].point == result.vertices[dst].point
-    assert points  # sanity: dictionary built
+    apex = (Fraction(0), Fraction(0), Fraction(1))
+    stays_at_apex = 0
+    for v, cones in zip(result.vertices, result.triangulation.cones_by_vertex):
+        x = rational_point(p, list(v.point))
+        for rows in cones:
+            basis = basis_adjugate(p, rows)
+            for leaving, entering, step, _ in pivot_neighbors(p, rows, basis, x):
+                reached = tuple(basis_vertex(p, target_basis(rows, leaving, entering)))
+                if step > 0:
+                    assert reached != v.point
+                else:
+                    assert reached == v.point
+                    stays_at_apex += v.point == apex
+    assert stays_at_apex > 0
+    assert all(a != b for a, b in result.edges)
 
 
 def test_oracle_counts_on_simple_examples():
@@ -421,3 +409,23 @@ def test_redundant_rows_follow_a_row_permutation(system):
         return
     assert got == redundancy_scan(p, x0)
     assert permuted == sorted(k for k, i in enumerate(order) if i in got)
+
+
+def skeleton(result):
+    """The vertex set, the ray set and the edges as pairs of points."""
+    points = [v.point for v in result.vertices]
+    edges = {frozenset((points[a], points[b])) for a, b in result.edges}
+    return set(points), {d for _, d in result.rays}, edges
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems())
+def test_skeleton_follows_a_row_permutation(system):
+    rows, b, order = system
+    try:
+        p = make_polyhedron(rows, b)
+        x0 = phase_one(p)
+    except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
+        assume(False)
+    q = make_polyhedron([rows[i] for i in order], [b[i] for i in order])
+    assert skeleton(run_enumeration(q, x0)) == skeleton(run_enumeration(p, x0))

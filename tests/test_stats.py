@@ -236,12 +236,12 @@ def test_check_fan_bound_square_and_scaled_copy():
     p = square()
     result = run_enumeration(p)
     stats = triangulation_stats(p.rows(), result.triangulation.cones)
-    volume_report, count_report = check_fan_bound(p.rows(), stats)
+    volume_report, count_report = check_fan_bound(stats)
     assert volume_report.passed
     assert count_report.passed
     scaled = [[5 * x for x in row] for row in p.rows()]
     stats5 = triangulation_stats(scaled, result.triangulation.cones)
-    v5, c5 = check_fan_bound(scaled, stats5)
+    v5, c5 = check_fan_bound(stats5)
     assert v5.passed == volume_report.passed
     assert c5.passed == count_report.passed
 

@@ -13,13 +13,13 @@ from deltahull.subdivision import (
     base_fan,
     base_simplex,
     build_subdivision_fans,
-    density_profile,
     expected_counts,
     lift_polytope,
     normalize_rays,
     subdivide_fan,
-    tightness_experiment,
 )
+
+from helpers import density_profile, tightness_experiment
 
 
 def test_base_simplex_columns_n2():
