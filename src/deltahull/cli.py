@@ -12,7 +12,7 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import counting, graphs, hull, model, serialize, stats, subdivision
 from .errors import (
@@ -41,6 +41,7 @@ def positive_int(text: str) -> int:
     return value
 
 
+@cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltahull",
@@ -161,8 +162,8 @@ class Analysis:
 
     @cached_property
     def fan_stats(self) -> stats.FanStats:
-        cones = self.result.triangulation.cones
-        return stats.triangulation_stats(self.p.rows(), cones, self.scan_budget)
+        t = self.result.triangulation
+        return stats.triangulation_stats(self.p.rows(), t.cones, t.dets, self.scan_budget)
 
     @cached_property
     def graph(self) -> graphs.SkeletonGraph:

@@ -1,15 +1,17 @@
 """Vertex enumeration by best-first search over feasible bases.
 
 The search nodes are simplicial cones of the normal fan, one basis per cone.
-Simple vertices contribute their unique basis; a degenerate vertex gets its
-normal cone triangulated on first visit and each simplex becomes a node.
-Pivoting from a node, a basis held as (det, adj), runs the integer ratio test
-on its vertex's slacks; positive steps cross edges of the polyhedron, zero
-steps move between bases of the same vertex, and an empty ratio test marks
-an unbounded edge. The result is the skeleton walked: vertices, vertex pairs
-joined by a positive-step pivot, primitive integer rays. The only Fractions
-are each `VertexRecord.point` and the ratio-test step. The redundant rows of
-a full-dimensional polyhedron are read off the result: a row is a facet iff
+Simple vertices contribute their unique basis, the one they were reached
+from; a degenerate vertex gets its normal cone triangulated on first visit
+and each simplex becomes a node. Pivoting from a node, a basis held as
+(det, adj), runs the integer ratio test on its vertex's slacks; positive
+steps cross edges of the polyhedron, zero steps move between bases of the
+same vertex, and an empty ratio test marks an unbounded edge. The det of
+every basis popped is kept, so the cone determinants need no second pass.
+The result is the skeleton walked: vertices, vertex pairs joined by a
+positive-step pivot, primitive integer rays. The only Fractions are each
+`VertexRecord.point` and the ratio-test step. The redundant rows of a
+full-dimensional polyhedron are read off the result: a row is a facet iff
 the vertices and rays on its hyperplane span dimension n - 1.
 """
 
@@ -29,9 +31,11 @@ Rows = tuple[int, ...]
 
 @dataclass
 class Triangulation:
-    """Simplicial cones of the normal fan, grouped by owning vertex."""
+    """Simplicial cones of the normal fan, grouped by owning vertex; `dets`
+    holds the |det| of the integer rows of every basis visited, cones included."""
 
     cones_by_vertex: list[list[Rows]] = field(default_factory=list)
+    dets: dict[Rows, int] = field(default_factory=dict)
 
     @property
     def cones(self) -> list[Rows]:
@@ -180,10 +184,11 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
             return index
         index = len(vertices)
         by_point[key] = index
-        pt = model.scaled_point(p, num, den)
+        pt = model.scaled_point(p, key[1:], key[0])
         tight = model.tight_set(p, pt)
         exact.append((key[1:], key[0]))
-        cones = triangulate_normal_cone(p, tight)
+        # n tight rows hold the nonsingular basis the vertex was reached from.
+        cones = [tight] if len(tight) == p.n else triangulate_normal_cone(p, tight)
         vertices.append(VertexRecord(pt.x, tight, index))
         triangulation.cones_by_vertex.append(cones)
         for c in cones:
@@ -198,6 +203,7 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
             continue
         counters.bases_visited += 1
         basis = basis_cache.pop(rows, None) or model.basis_adjugate(p, rows)
+        triangulation.dets[rows] = basis[0]
         owner = basis_owner[rows]
         for leaving, entering, step, u in pivot_neighbors(p, rows, basis, pt, counters):
             if entering is None:

@@ -1,21 +1,26 @@
 """H-polyhedron model: {x : A x <= b} with exact rational data.
 
-Holds the instance type, kept in integers (rows and right-hand sides
-cleared once), plus the vertex-level primitives, all on Python ints: bases
-as (det, adj), points with their integer slacks, tight sets, basis solves, a
-ray-cast walk from a feasible point to a vertex, and the one pivot kernel
-(ratio test plus fraction-free basis swap) shared by the vertex enumeration
-and the exact simplex (Bland's rule), which serves phase one and the strict
-interior point. A `Fraction` is built only where a point or a step leaves
-the kernel. The LP redundancy scan, one simplex per row from one feasible
-point, is only the fallback for a system with implicit equalities
-(hull.redundant_rows reads the redundant rows of a full-dimensional one off
-its enumeration) and that test's oracle.
+Holds the instance type, kept in integers (each row and its right-hand side
+cleared once, on its own), plus the vertex-level primitives, all on Python
+ints no wider than the data: bases as (det, adj), points in lowest terms
+with their integer slacks, tight sets, basis solves, a ray-cast walk from a
+feasible point to a vertex, and the one pivot kernel (ratio test plus
+fraction-free basis swap) shared by the vertex enumeration and the exact
+simplex (Bland's rule), which serves phase one and the strict interior
+point. Products of all rows with one vector run column by column. A
+`Fraction` is built only where a point or a step leaves the kernel. The LP
+redundancy scan, one simplex per row from one feasible point, is only the
+fallback for a system with implicit equalities (hull.redundant_rows reads
+the redundant rows of a full-dimensional one off its enumeration) and that
+test's oracle.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property, partial, reduce
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import add, floordiv, mul, sub
 
 from . import linalg
 from .errors import (
@@ -36,11 +41,11 @@ class HPolyhedron:
     """Inequality system A x <= b with rank(A) = n (pointed).
 
     `a` and `b` are the rows as given. Row i is also kept as the same
-    half-space denom * ints[i] x <= rhs_num[i] in integers: ints[i] =
+    half-space rhs_den[i] * ints[i] x <= rhs_num[i] in integers: ints[i] =
     scales[i] * a[i] is the primitive integer multiple of a[i], and
-    rhs_num[i] = denom * scales[i] * b[i] for one common denominator
-    denom > 0. The kernel, tight sets and ratio tests read this form, which
-    no positive scaling of (a_i, b_i) changes.
+    rhs_num[i] / rhs_den[i] is scales[i] * b[i] in lowest terms,
+    rhs_den[i] > 0. The kernel, tight sets and ratio tests read this form,
+    which no positive scaling of (a_i, b_i) changes.
     """
 
     a: tuple[tuple[Fraction, ...], ...]
@@ -49,7 +54,7 @@ class HPolyhedron:
     ints: tuple[tuple[int, ...], ...]
     scales: tuple[Fraction, ...]
     rhs_num: tuple[int, ...]
-    denom: int
+    rhs_den: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -65,26 +70,34 @@ class HPolyhedron:
     def row(self, i: int) -> Vec:
         return list(self.a[i])
 
+    @cached_property
+    def cols(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.ints))
+
+    def products(self, u) -> list[int]:
+        """ints[i] u for every row i, summed column by column in C-level maps."""
+        terms = [map(mul, col, repeat(c)) for col, c in zip(self.cols, u) if c]
+        return list(reduce(partial(map, add), terms)) if terms else [0] * self.m
+
     def contains(self, x) -> bool:
         """A x <= b, for a point of ints or Fractions."""
-        d = self.denom
-        return all(d * dot(row, x) <= r for row, r in zip(self.ints, self.rhs_num))
+        rows = zip(self.ints, self.rhs_num, self.rhs_den)
+        return all(q * dot(row, x) <= r for row, r, q in rows)
 
     def restrict(self, keep, name: str) -> "HPolyhedron":
         """The subsystem of the rows in `keep`, in their integer form as is."""
-        fields = (self.a, self.b, self.ints, self.scales, self.rhs_num)
-        a, b, ints, scales, rhs_num = (tuple(f[i] for i in keep) for f in fields)
-        return HPolyhedron(a, b, name, ints, scales, rhs_num, self.denom)
+        fields = (self.a, self.b, self.ints, self.scales, self.rhs_num, self.rhs_den)
+        a, b, ints, scales, rhs_num, rhs_den = (tuple(f[i] for i in keep) for f in fields)
+        return HPolyhedron(a, b, name, ints, scales, rhs_num, rhs_den)
 
 
 def _system(a, b, name: str) -> HPolyhedron:
-    """Freeze rational rows, clearing each row's denominators once and the
-    scaled right-hand sides' over their least common denominator."""
+    """Freeze rational rows, clearing each row and its scaled b_i once, alone."""
     ints, scales = linalg.integer_rows(a)
     rhs = [s * beta for s, beta in zip(scales, b)]
-    denom = lcm(*(r.denominator for r in rhs))
-    rhs_num = tuple(r.numerator * (denom // r.denominator) for r in rhs)
-    return HPolyhedron(tuple(map(tuple, a)), tuple(b), name, ints, scales, rhs_num, denom)
+    rhs_num = tuple(r.numerator for r in rhs)
+    rhs_den = tuple(r.denominator for r in rhs)
+    return HPolyhedron(tuple(map(tuple, a)), tuple(b), name, ints, scales, rhs_num, rhs_den)
 
 
 def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
@@ -107,7 +120,7 @@ def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
         raise DimensionMismatch(f"{len(a)} rows but {len(b)} right-hand sides")
     p = _system(a, b, name)
     seen = {}
-    for i, key in enumerate(zip(p.ints, p.rhs_num)):
+    for i, key in enumerate(zip(p.ints, p.rhs_num, p.rhs_den)):
         if not any(key[0]):
             raise DimensionMismatch(f"row {i} is the zero vector")
         if key in seen:
@@ -132,8 +145,8 @@ class VertexRecord:
 
 @dataclass(frozen=True)
 class Point:
-    """x = num / den, den > 0 a multiple of p.denom, and each row's slack in
-    its integer form times den: slack[i] = den * scales[i] * (b_i - a_i x)."""
+    """x = num / den in lowest terms, den > 0; slack[i] = den * rhs_num[i] -
+    rhs_den[i] * (ints[i] num) = den * rhs_den[i] * scales[i] * (b_i - a_i x)."""
 
     num: tuple[int, ...]
     den: int
@@ -145,16 +158,18 @@ class Point:
 
 
 def scaled_point(p: HPolyhedron, num, den: int) -> Point:
-    """The Point num / den of p, every slack computed once."""
-    k = den // p.denom
-    slack = tuple(k * r - dot(row, num) for row, r in zip(p.ints, p.rhs_num))
-    return Point(tuple(num), den, slack)
+    """The Point num / den of p, den > 0, in lowest terms, slacks computed once."""
+    g = gcd(den, *num)
+    if g > 1:
+        num, den = [v // g for v in num], den // g
+    lhs = map(mul, p.rhs_den, p.products(num))
+    return Point(tuple(num), den, tuple(map(sub, map(mul, p.rhs_num, repeat(den)), lhs)))
 
 
 def rational_point(p: HPolyhedron, x) -> Point:
     """The Point of p at rational coordinates x."""
     x = linalg.to_vector(x)
-    den = p.denom * lcm(*(v.denominator for v in x))
+    den = lcm(*(v.denominator for v in x))
     return scaled_point(p, [v.numerator * (den // v.denominator) for v in x], den)
 
 
@@ -174,10 +189,12 @@ def basis_adjugate(p: HPolyhedron, rows) -> Basis:
 
 
 def basis_solution(p: HPolyhedron, rows, basis: Basis) -> tuple[list[int], int]:
-    """(num, den) of the basis vertex: adj @ rhs_num_B over det * denom."""
+    """(num, den) of the basis vertex, not in lowest terms: adj @ (L rhs_B)
+    over det * L, with L = lcm(rhs_den_B) for the basis rows alone."""
     det, adj = basis
-    rhs = [p.rhs_num[i] for i in rows]
-    return [dot(line, rhs) for line in adj], det * p.denom
+    clear = lcm(*(p.rhs_den[i] for i in rows))
+    rhs = [p.rhs_num[i] * (clear // p.rhs_den[i]) for i in rows]
+    return [dot(line, rhs) for line in adj], det * clear
 
 
 def basis_vertex(p: HPolyhedron, rows) -> Vec:
@@ -201,8 +218,9 @@ def tight_set(p: HPolyhedron, pt: Point) -> tuple[int, ...]:
     """
     if min(pt.slack) < 0:
         i, s = next((i, s) for i, s in enumerate(pt.slack) if s < 0)
-        raise InfeasiblePoint(f"row {i} violated by {Fraction(s, pt.den) / p.scales[i]}")
-    return tuple(i for i, s in enumerate(pt.slack) if s == 0)
+        value = Fraction(s, pt.den * p.rhs_den[i]) / p.scales[i]
+        raise InfeasiblePoint(f"row {i} violated by {value}")
+    return tuple(compress(range(len(pt.slack)), map((0).__eq__, pt.slack)))
 
 
 def _extend_independent(p: HPolyhedron, basis: list[int], rows) -> list[int]:
@@ -267,28 +285,26 @@ def ratio_test(p: HPolyhedron, rows, pt: Point, u):
 
     Returns (step, blocking, hits): the least slack over rate, or None when
     no row has positive rate (an unbounded ray); the rows attaining it,
-    ascending; and the number of rows with positive rate. The ratios
-    pt.slack[i] / w_i, with rates w_i = ints_i u, are compared by
-    cross-multiplying ints; the step is the one Fraction built.
+    ascending; and the number of rows with positive rate. The ratios are
+    pt.slack[i] / (rhs_den[i] w_i), rates w_i = ints_i u. Only rows of least
+    floor quotient can attain the minimum, as floor(a/b) < floor(c/d) implies
+    a/b < c/d; they are compared by cross-multiplying. One Fraction: the step.
     """
-    best_s = best_w = 0
-    blocking: list[int] = []
-    hits = 0
-    for i, (row, s) in enumerate(zip(p.ints, pt.slack)):
-        if i in rows:
-            continue
-        w = dot(row, u)
-        if w <= 0:
-            continue
-        hits += 1
+    rates = p.products(u)
+    live = [i for i, w in enumerate(rates) if w > 0 and i not in rows]
+    if not live:
+        return None, [], 0
+    slacks = [pt.slack[i] for i in live]
+    dens = [p.rhs_den[i] * rates[i] for i in live]
+    floors = list(map(floordiv, slacks, dens))
+    best_s, best_w, blocking = 1, 0, []  # 1/0 stands for +infinity
+    for i, s, w in compress(zip(live, slacks, dens), map(min(floors).__eq__, floors)):
         order = s * best_w - best_s * w
-        if order < 0 or not blocking:
+        if order < 0:
             best_s, best_w, blocking = s, w, [i]
         elif order == 0:
             blocking.append(i)
-    if not blocking:
-        return None, blocking, hits
-    return Fraction(best_s, pt.den * best_w), blocking, hits
+    return Fraction(best_s, pt.den * best_w), blocking, len(live)
 
 
 def pivot(
@@ -410,7 +426,7 @@ def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
         # A subsystem of a validated system has no zero or duplicate row.
         sub = p.restrict(keep, f"{p.name}/-{i}")
         status, opt = simplex_max(sub, p.ints[i], x0)
-        if status == "optimal" and p.denom * dot(p.ints[i], opt) <= p.rhs_num[i]:
+        if status == "optimal" and p.rhs_den[i] * dot(p.ints[i], opt) <= p.rhs_num[i]:
             redundant.append(i)
     return redundant
 

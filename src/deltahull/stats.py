@@ -8,6 +8,7 @@ basis-distance / wideness numbers behind the diameter certificate.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import comb, factorial, gamma, log, pi, prod
 
@@ -18,12 +19,6 @@ from .linalg import Mat, dot
 Rows = tuple[int, ...]
 
 DEFAULT_BUDGET = 100_000
-
-
-def _abs_det(ints, scales, rows: Rows) -> Fraction:
-    """|det| of the rational rows `rows`: integer |det| over their scales."""
-    d = abs(linalg.det_exact([ints[i] for i in rows]))
-    return Fraction(d) / prod(scales[i] for i in rows)
 
 
 def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
@@ -44,25 +39,34 @@ def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
 
 
 def _delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
+    """delta_max on the integer rows and scales s_i. Squared determinants and
+    norms of a's rows are (num, den > 0) int pairs, the integer rows' own times
+    the weights 1/s_i^2, compared by cross-multiplying; one Fraction, at the end."""
     m, n = len(ints), len(ints[0])
     if m < n:
         return Fraction(0), ()
-    norms_sq = [Fraction(dot(r, r)) / (s * s) for r, s in zip(ints, scales)]
-    order = sorted(range(m), key=lambda i: (-norms_sq[i], i))
-    sorted_norms = [norms_sq[i] for i in order]
+    w_num, w_den = [s.denominator**2 for s in scales], [s.numerator**2 for s in scales]
+    sq = [dot(r, r) for r in ints]
+    norms = [(q * a, b) for q, a, b in zip(sq, w_num, w_den)]
+
+    def larger_first(i, j):  # ties by index
+        return norms[j][0] * norms[i][1] - norms[i][0] * norms[j][1] or i - j
+
+    order = sorted(range(m), key=cmp_to_key(larger_first))
     # suffix_top[p][j]: product of the j largest norms at positions >= p
-    suffix_top = [[Fraction(1)] * (n + 1) for _ in range(m + 1)]
+    suffix_top = [[(1, 1)] * (n + 1) for _ in range(m + 1)]
     for p in range(m - 1, -1, -1):
-        for j in range(1, n + 1):
-            if p + j <= m:
-                suffix_top[p][j] = sorted_norms[p] * suffix_top[p + 1][j - 1]
+        a, b = norms[order[p]]
+        for j in range(1, min(n, m - p) + 1):
+            c, d = suffix_top[p + 1][j - 1]
+            suffix_top[p][j] = (a * c, b * d)
 
-    def gram_det(rows: list[int]) -> Fraction:
-        g = [[dot(ints[i], ints[j]) for j in rows] for i in rows]
-        return Fraction(linalg.det_exact(g)) / prod(scales[i] for i in rows) ** 2
+    def gram_det(rows: list[int]) -> tuple[int, int]:
+        g = [[dot(ints[i], ints[j]) if i != j else sq[i] for j in rows] for i in rows]
+        det = linalg.det_exact(g)
+        return det * prod(w_num[i] for i in rows), prod(w_den[i] for i in rows)
 
-    best_sq = Fraction(0)
-    witness: Rows = tuple(range(n))
+    best_num, best_den, witness = 0, 1, tuple(range(n))
     node_cap = 50 * budget
     nodes = 0
     stack: list[tuple[list[int], int]] = [([], 0)]
@@ -70,26 +74,27 @@ def _delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
         chosen, start = stack.pop()
         nodes += 1
         if nodes > node_cap:
-            raise BudgetExceeded(
-                f"subdeterminant search exceeded {node_cap} nodes"
-            )
+            raise BudgetExceeded(f"subdeterminant search exceeded {node_cap} nodes")
         k = len(chosen)
         if k == n:
-            d_sq = gram_det(chosen)
+            d_num, d_den = gram_det(chosen)
             rows = tuple(sorted(chosen))
-            if d_sq > best_sq or (d_sq == best_sq and rows < witness):
-                best_sq, witness = d_sq, rows
+            gain = d_num * best_den - best_num * d_den
+            if gain > 0 or (gain == 0 and rows < witness):
+                best_num, best_den, witness = d_num, d_den, rows
             continue
-        g = gram_det(chosen) if chosen else Fraction(1)
-        if g * suffix_top[start][n - k] < best_sq:
-            continue
+        g_num, g_den = gram_det(chosen) if chosen else (1, 1)
+        # g * top < best, as lhs * top_num < rhs * top_den
+        lhs, rhs = g_num * best_den, best_num * g_den
         children = []
         for pos in range(start, m - (n - k) + 1):
             # ties may hide the lex-min witness: prune only on strict loss
-            if g * suffix_top[pos][n - k] < best_sq:
+            top_num, top_den = suffix_top[pos][n - k]
+            if lhs * top_num < rhs * top_den:
                 break
             children.append((chosen + [order[pos]], pos + 1))
         stack.extend(reversed(children))
+    best_sq = Fraction(best_num, best_den)
     num = linalg.isqrt_exact(best_sq.numerator)
     den = linalg.isqrt_exact(best_sq.denominator)
     return Fraction(num, den), witness
@@ -117,14 +122,16 @@ class FanStats:
 
 
 def triangulation_stats(
-    a: Mat, cones: list[Rows], budget: int = DEFAULT_BUDGET
+    a: Mat, cones: list[Rows], int_dets, budget: int = DEFAULT_BUDGET
 ) -> FanStats:
-    """Delta plus per-triangulation average, minimum, and exact volume."""
+    """Delta plus per-triangulation average, minimum, and exact volume. A
+    cone's |det| is int_dets[cone], the |det| of its integer rows as
+    hull.Triangulation.dets holds it, over the product of their scales."""
     if not cones:
         raise ValueError("empty cone list")
     n = len(a[0])
     ints, scales = linalg.integer_rows(a)
-    dets = tuple(_abs_det(ints, scales, c) for c in cones)
+    dets = tuple(Fraction(int_dets[c]) / prod(scales[i] for i in c) for c in cones)
     if min(dets) == 0:
         raise SingularBasis("triangulation contains a singular cone")
     delta, witness = _delta_search(ints, scales, budget)

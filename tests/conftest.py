@@ -131,8 +131,7 @@ def corpus_analysis(fuzz_corpus):
     out = []
     for p in fuzz_corpus:
         result = hull.run_enumeration(p)
-        stats = dstats.triangulation_stats(
-            p.rows(), result.triangulation.cones
-        )
+        t = result.triangulation
+        stats = dstats.triangulation_stats(p.rows(), t.cones, t.dets)
         out.append((p, result, stats))
     return out

@@ -1,11 +1,11 @@
 """Test-only helpers with no caller in the package: a rational matrix
-builder, the fan document loader, the capped-sum bucket bound behind
+builder, the cone-determinant oracle, the fan document loader, the capped-sum bucket bound behind
 acceptance criterion 10, the cone-fan adjacency graph, and the density and
 tightness experiments on the subdivision fans."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, floor, sqrt
+from math import factorial, floor, prod, sqrt
 
 from deltahull import linalg, stats
 from deltahull.errors import ParseError, PreconditionViolated
@@ -19,6 +19,20 @@ Rows = tuple[int, ...]
 
 def to_matrix(rows) -> Mat:
     return [[frac(x) for x in row] for row in rows]
+
+
+def abs_det(ints, scales, rows: Rows) -> Fraction:
+    """|det| of the rational rows `rows`: integer |det| over their scales,
+    evaluated afresh (the oracle of the determinants the enumeration keeps)."""
+    d = abs(linalg.det_exact([ints[i] for i in rows]))
+    return Fraction(d) / prod(scales[i] for i in rows)
+
+
+def cone_dets(a, cones) -> dict[Rows, int]:
+    """The integer |det| of each cone's primitive integer rows, evaluated
+    afresh: triangulation_stats's input for cones no enumeration visited."""
+    ints, _ = linalg.integer_rows(a)
+    return {c: abs(linalg.det_exact([ints[i] for i in c])) for c in cones}
 
 
 def load_fan_json(text: str) -> SubdivisionFan:
@@ -145,7 +159,9 @@ def tightness_experiment(
     table = []
     for fan in fans:
         gens = [list(r) for r in normalize_rays(fan.rays, digits)]
-        fan_stats = stats.triangulation_stats(gens, fan.cones, budget)
+        fan_stats = stats.triangulation_stats(
+            gens, fan.cones, cone_dets(gens, fan.cones), budget
+        )
         delta, avg = fan_stats.delta, fan_stats.delta_avg
         bound = factorial(n) * float(delta / avg) * stats.unit_ball_volume(n)
         table.append(

@@ -30,7 +30,8 @@ def generated_duals():
             lifted = subdivision.lift_polytope(fans[: k + 1])
             p = lifted.dual_polyhedron()
             result = hull.run_enumeration(p)
-            st = stats.triangulation_stats(p.rows(), result.triangulation.cones)
+            t = result.triangulation
+            st = stats.triangulation_stats(p.rows(), t.cones, t.dets)
             out.append((n, k, fans[k], p, result, st))
     return out
 

@@ -115,7 +115,8 @@ def test_integer_box_shrinks_to_contained_lattice():
 def test_estimate_counting_cost_square():
     p = square()
     result = run_enumeration(p)
-    stats = triangulation_stats(p.rows(), result.triangulation.cones)
+    t = result.triangulation
+    stats = triangulation_stats(p.rows(), t.cones, t.dets)
     est = estimate_counting_cost(stats)
     # n^4 * delta * |T| * sum det^2 = 16 * 1 * 4 * 4.
     assert est.triangulation_cost_exact == 256
@@ -127,10 +128,10 @@ def test_estimate_counting_cost_square():
 def test_estimate_counting_cost_scales_with_row_scaling():
     p = cube()
     result = run_enumeration(p)
-    cones = result.triangulation.cones
-    base = estimate_counting_cost(triangulation_stats(p.rows(), cones))
+    cones, dets = result.triangulation.cones, result.triangulation.dets
+    base = estimate_counting_cost(triangulation_stats(p.rows(), cones, dets))
     scaled_rows = [[3 * x for x in row] for row in p.rows()]
-    scaled = estimate_counting_cost(triangulation_stats(scaled_rows, cones))
+    scaled = estimate_counting_cost(triangulation_stats(scaled_rows, cones, dets))
     n = 3
     # Every cone determinant gains 3^n: delta and each det^2 term scale.
     factor = Fraction(3**n) * Fraction(3 ** (2 * n))

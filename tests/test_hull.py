@@ -37,6 +37,7 @@ from deltahull.model import (
     submatrix,
 )
 from deltahull.serialize import load_instance_path
+from deltahull.stats import triangulation_stats
 
 from conftest import (
     DEGENERATE_FAMILY,
@@ -46,6 +47,7 @@ from conftest import (
     square,
     square_pyramid,
 )
+from helpers import abs_det
 
 
 def target_basis(rows, leaving, entering):
@@ -97,6 +99,27 @@ def test_degenerate_family_matches_oracle():
         got_tight = {v.point: v.tight for v in result.vertices}
         want_tight = {v.point: v.tight for v in oracle.vertices}
         assert got_tight == want_tight
+
+
+def assert_recorded_dets_match_fresh_ones(p, result):
+    """Every cone's |det| that the enumeration kept equals a fresh
+    determinant, and so do the FanStats figures built from them."""
+    t = result.triangulation
+    for c in t.cones:
+        assert t.dets[c] == abs(det_exact(submatrix(p, c))) > 0
+    stats = triangulation_stats(p.rows(), t.cones, t.dets)
+    assert stats.cone_dets == tuple(abs_det(p.ints, p.scales, c) for c in t.cones)
+
+
+def test_recorded_cone_dets_match_fresh_ones_on_degenerate_family():
+    for build in DEGENERATE_FAMILY:
+        p = build()
+        assert_recorded_dets_match_fresh_ones(p, run_enumeration(p))
+
+
+def test_recorded_cone_dets_match_fresh_ones_on_fuzz_corpus(corpus_analysis):
+    for p, result, _ in corpus_analysis[:60]:
+        assert_recorded_dets_match_fresh_ones(p, result)
 
 
 def test_pivot_neighbors_square_fixed_pivot():

@@ -3,12 +3,15 @@
 Tight sets, ratio tests and the InfeasiblePoint message are compared with
 `fraction_oracle` on small random rational systems, at random points and
 along random directions and basis edge directions. A chain of pivots is
-compared with a fresh adjugate of each sorted basis.
+compared with a fresh adjugate of each sorted basis. Points are checked to
+be in lowest terms with the slacks of the per-row form, and the integers of
+a subdivision dual's enumeration to stay near the width of its data.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -22,7 +25,8 @@ from deltahull.errors import (
     NotPointed,
     SingularUpdate,
 )
-from deltahull.linalg import adjugate, det_exact, rank_of
+from deltahull import hull, model, subdivision
+from deltahull.linalg import adjugate, det_exact, dot, rank_of
 from deltahull.model import (
     basis_adjugate,
     basis_solution,
@@ -151,3 +155,73 @@ def test_pivot_on_a_dependent_row_raises_singular_update():
     # -y <= 0 in place of x <= 1 leaves two rows along y.
     with pytest.raises(SingularUpdate):
         pivot(p, (0, 1), pair, 0, 3)
+
+
+@st.composite
+def per_row_systems(draw):
+    """A small system whose right-hand sides carry distinct denominators."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(n + 1, n + 4))
+    dens = draw(st.lists(st.integers(1, 10**9), min_size=m, max_size=m, unique=True))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = [Fraction(draw(st.integers(-(10**9), 10**9)), d) for d in dens]
+    return rows, b
+
+
+def assert_lowest_terms_point(p, pt, x):
+    """pt is x over its lowest-terms denominator, with the per-row slacks."""
+    assert pt.den > 0 and gcd(pt.den, *pt.num) == 1
+    assert pt.x == tuple(x)
+    for i, s in enumerate(pt.slack):
+        assert s == pt.den * p.rhs_num[i] - p.rhs_den[i] * dot(p.ints[i], pt.num)
+    want = oracle.slacks(p, x)
+    assert [Fraction(s, pt.den * q) / c for s, q, c in zip(pt.slack, p.rhs_den, p.scales)] == want
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(per_row_systems(), st.data())
+def test_points_are_in_lowest_terms_with_per_row_slacks(system, data):
+    p = build(*system)
+    for r, q, c, beta in zip(p.rhs_num, p.rhs_den, p.scales, p.b):
+        assert q > 0 and gcd(r, q) == 1 and Fraction(r, q) == c * beta
+    x = data.draw(st.lists(rationals, min_size=p.n, max_size=p.n))
+    assert_lowest_terms_point(p, rational_point(p, x), x)
+    # An unreduced num / den gives the same lowest-terms point.
+    den = 6 * data.draw(st.integers(1, 12))  # 6 clears every `rationals` denominator
+    scaled = scaled_point(p, [v.numerator * den // v.denominator for v in x], den)
+    assert_lowest_terms_point(p, scaled, x)
+    try:
+        v = find_initial_vertex(p, phase_one(p))
+    except Infeasible:
+        return
+    basis = next(b for b in combinations(v.tight, p.n) if rank_of(submatrix(p, b)) == p.n)
+    at_basis = scaled_point(p, *basis_solution(p, basis, basis_adjugate(p, basis)))
+    assert_lowest_terms_point(p, at_basis, v.point)
+
+
+def test_subdivision_dual_enumeration_stays_near_the_data_width(monkeypatch):
+    """The n=2, k=5 dual: right-hand sides of at most 236 bits; no slack,
+    vertex numerator or denominator of its enumeration above 600 bits (one
+    denominator over all rows made them 2,604 bits wide)."""
+    fans = subdivision.build_subdivision_fans(2, 5)
+    p = subdivision.lift_polytope(fans).dual_polyhedron()
+    assert (p.m, p.n) == (96, 2)
+    assert max(abs(v).bit_length() for v in (*p.rhs_num, *p.rhs_den)) <= 236
+    widest = []
+
+    def recording(p, num, den):
+        pt = scaled_point(p, num, den)
+        widest.append(max(abs(v).bit_length() for v in (*pt.slack, *pt.num, pt.den)))
+        return pt
+
+    def recording_solution(p, rows, basis):
+        num, den = basis_solution(p, rows, basis)
+        widest.append(max(abs(v).bit_length() for v in (*num, den)))
+        return num, den
+
+    monkeypatch.setattr(model, "scaled_point", recording)
+    monkeypatch.setattr(model, "basis_solution", recording_solution)
+    result = hull.run_enumeration(p, [Fraction(0)] * 2)
+    assert len(result.vertices) == 96
+    assert len(widest) > 2 * 96
+    assert max(widest) <= 600

@@ -55,7 +55,7 @@ def test_positive_row_scaling_changes_nothing(system, data):
     if p == "duplicate" or q == "duplicate":
         assert p == q == "duplicate"
         return
-    assert (q.ints, q.rhs_num, q.denom) == (p.ints, p.rhs_num, p.denom)
+    assert (q.ints, q.rhs_num, q.rhs_den) == (p.ints, p.rhs_num, p.rhs_den)
     assert q.a == tuple(map(tuple, scaled_rows))  # the rows stay as given
     try:
         x0 = phase_one(p)

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deltahull.errors import BoundViolated, BudgetExceeded, SingularBasis
 from deltahull.hull import run_enumeration
@@ -25,7 +27,7 @@ from deltahull.stats import (
 from deltahull.subdivision import base_simplex
 
 from conftest import cube, square, square_pyramid
-from helpers import to_matrix
+from helpers import cone_dets, to_matrix
 
 
 def fraction_det(m):
@@ -155,6 +157,27 @@ def test_delta_max_fewer_rows_than_columns_has_no_witness():
     assert delta_max(to_matrix([[1, 0, 0], [0, 1, 0]])) == (0, ())
 
 
+@st.composite
+def wide_row_matrices(draw):
+    """Small integer rows, each times a positive rational from a pool of
+    three whose numerators and denominators reach 2^40: the rows carry
+    different denominators, and equal scales leave ties to break."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(n, 7))
+    big = st.integers(1, 2**40)
+    pool = [Fraction(draw(big), draw(big)) for _ in range(2)] + [Fraction(1)]
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=m, max_size=m))
+    scales = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    return [[s * x for x in row] for s, row in zip(scales, rows)]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_row_matrices())
+def test_delta_max_matches_exhaustion_on_wide_row_denominators(a):
+    assert delta_max(a) == exhaustive_delta(a)
+
+
 def test_delta_max_branch_bound_node_cap():
     rng = random.Random(4405)
     a = random_int_matrix(rng, 14, 4)
@@ -165,7 +188,8 @@ def test_delta_max_branch_bound_node_cap():
 def test_triangulation_stats_square():
     p = square()
     result = run_enumeration(p)
-    stats = triangulation_stats(p.rows(), result.triangulation.cones)
+    t = result.triangulation
+    stats = triangulation_stats(p.rows(), t.cones, t.dets)
     assert stats.delta == 1
     assert stats.delta_min == 1
     assert stats.delta_avg == 1
@@ -190,7 +214,7 @@ def test_triangulation_stats_volume_identity():
         if not result.vertices:
             continue
         cones = result.triangulation.cones
-        stats = triangulation_stats(p.rows(), cones)
+        stats = triangulation_stats(p.rows(), cones, result.triangulation.dets)
         total = sum(abs(det_exact([p.row(i) for i in c])) for c in cones)
         assert stats.fan_volume * math.factorial(p.n) == total
         assert stats.delta_min <= stats.delta_avg <= stats.delta
@@ -200,7 +224,7 @@ def test_triangulation_stats_volume_identity():
 def test_triangulation_stats_rejects_singular_cone():
     p = square()
     with pytest.raises(SingularBasis):
-        triangulation_stats(p.rows(), [(0, 2)])
+        triangulation_stats(p.rows(), [(0, 2)], cone_dets(p.rows(), [(0, 2)]))
 
 
 def test_unit_ball_volume_known_values():
@@ -214,7 +238,8 @@ def test_check_vertex_bound_passes_on_boxes():
     for build in (square, cube, square_pyramid):
         p = build()
         result = run_enumeration(p)
-        stats = triangulation_stats(p.rows(), result.triangulation.cones)
+        t = result.triangulation
+        stats = triangulation_stats(p.rows(), t.cones, t.dets)
         report = check_vertex_bound(p, result, stats)
         assert report.passed
         assert report.lhs == len(result.vertices)
@@ -223,7 +248,8 @@ def test_check_vertex_bound_passes_on_boxes():
 def test_check_vertex_bound_raises_on_fabricated_violation():
     p = square()
     result = run_enumeration(p)
-    stats = triangulation_stats(p.rows(), result.triangulation.cones)
+    t = result.triangulation
+    stats = triangulation_stats(p.rows(), t.cones, t.dets)
     from dataclasses import replace
 
     # Claim fewer cones than there are vertices: the count guard must fire.
@@ -235,12 +261,13 @@ def test_check_vertex_bound_raises_on_fabricated_violation():
 def test_check_fan_bound_square_and_scaled_copy():
     p = square()
     result = run_enumeration(p)
-    stats = triangulation_stats(p.rows(), result.triangulation.cones)
+    t = result.triangulation
+    stats = triangulation_stats(p.rows(), t.cones, t.dets)
     volume_report, count_report = check_fan_bound(stats)
     assert volume_report.passed
     assert count_report.passed
     scaled = [[5 * x for x in row] for row in p.rows()]
-    stats5 = triangulation_stats(scaled, result.triangulation.cones)
+    stats5 = triangulation_stats(scaled, t.cones, t.dets)
     v5, c5 = check_fan_bound(stats5)
     assert v5.passed == volume_report.passed
     assert c5.passed == count_report.passed
@@ -254,7 +281,8 @@ def test_totally_unimodular_transform_identity_witness():
 def test_totally_unimodular_transform_square_system():
     p = square()
     result = run_enumeration(p)
-    stats = triangulation_stats(p.rows(), result.triangulation.cones)
+    t = result.triangulation
+    stats = triangulation_stats(p.rows(), t.cones, t.dets)
     out = totally_unimodular_transform(p.rows(), stats.witness)
     assert all(abs(x) <= 1 for row in out for x in row)
     assert verify_total_unimodularity(out)
@@ -337,7 +365,7 @@ def test_wideness_and_diameter_bound_boxes():
         p = build()
         result = run_enumeration(p)
         cones = result.triangulation.cones
-        stats = triangulation_stats(p.rows(), cones)
+        stats = triangulation_stats(p.rows(), cones, result.triangulation.dets)
         report = wideness_and_diameter_bound(p, stats, cones)
         assert report.sin_sq_min == 1
         assert report.tau == pytest.approx(1 / n)
@@ -352,7 +380,7 @@ def test_wideness_floor_raises_when_certificate_dips():
     p = square()
     result = run_enumeration(p)
     cones = result.triangulation.cones
-    stats = triangulation_stats(p.rows(), cones)
+    stats = triangulation_stats(p.rows(), cones, result.triangulation.dets)
     from dataclasses import replace
 
     # Claim a huge minimum determinant: floor rises above the true sine.
