@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for rational H-polyhedra: vertex enumeration by
 basis pivoting, normal-fan triangulations, subdeterminant statistics,
 diameter certificates, the barycentric-subdivision generator family, and an
-integer-point counting oracle."""
+exact integer-point count."""
 
 from .counting import (
     CountReport,

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, "run every bound check end to end"),
         ("stats", cmd_stats, "subdeterminant statistics and volume bounds"),
         ("diameter", cmd_diameter, "exact vertex-edge graph diameter"),
-        ("count", cmd_count, "count integer points by exact box scan"),
+        ("count", cmd_count, "count integer points, one interval per line of the vertex box"),
     ):
         p = sub.add_parser(name, parents=[instance], help=text)
         p.set_defaults(func=run_instance, project=project)
@@ -121,7 +121,7 @@ class Analysis:
     triangulation, and `graph` builds the vertex-edge graph.
     `--budget` caps every scan; without it the Delta search (50x the budget
     in nodes) and the minor count behind the total-unimodularity verdict use
-    stats.DEFAULT_BUDGET, and the cell scan counting.DEFAULT_CELL_BUDGET.
+    stats.DEFAULT_BUDGET, and the vertex box's cells counting.DEFAULT_CELL_BUDGET.
     """
 
     def __init__(self, args):
@@ -200,7 +200,7 @@ class Analysis:
         }
 
     def counts_block(self) -> dict:
-        """The box-scan count; its cost figures need the Delta search in budget."""
+        """The integer-point count; its cost figures need the Delta search in budget."""
         count = counting.count_integer_points_bruteforce(
             self.p, self.result, self.cell_budget
         )

@@ -1,9 +1,16 @@
-"""Integer-point counting oracle and the counting-cost figures."""
+"""Exact integer-point counting over the vertex box, and the counting-cost figures.
+
+The count scans the integer bounding box of the vertices one line at a time:
+along the box's widest axis every line meets P in one integer interval, found
+from the rows' integer forms by floor division, so a line costs a few column
+maps instead of one membership test per cell.
+"""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import repeat
 from math import ceil, floor
+from operator import floordiv, mul, sub
 
 from .errors import BudgetExceeded, Unbounded
 from .model import HPolyhedron
@@ -29,10 +36,63 @@ def integer_box(vertices) -> list[tuple[int, int]]:
     return box
 
 
+def fibre_axis(box) -> int:
+    """The widest axis of `box`, the lowest index on a tie."""
+    return max(range(len(box)), key=lambda j: box[j][1] - box[j][0])
+
+
+def fibre_count(p: HPolyhedron, box, k: int) -> int:
+    """|P intersect Z^n| within `box`, one integer interval per line along axis k.
+
+    Row i is q_i * (ints_i x) <= r_i. On the line through an integer prefix of
+    the other axes it reads c_i * x_k <= t_i, with c_i = q_i * ints_ik and
+    t_i = r_i - q_i * (the row's sum over the other axes); c_i > 0 caps x_k at
+    t_i // c_i, c_i < 0 floors it at -(t_i // -c_i), and c_i = 0 with t_i < 0
+    empties the line. Only Python ints; the prefixes stream.
+    """
+    lo_k, hi_k = box[k]
+    scaled = [[q * a for a in row] for row, q in zip(p.ints, p.rhs_den)]
+    up = [i for i, row in enumerate(scaled) if row[k] > 0]
+    down = [i for i, row in enumerate(scaled) if row[k] < 0]
+    flat = [i for i, row in enumerate(scaled) if row[k] == 0]
+    order = up + down + flat  # t[:s] meets caps, t[s:f] floors, t[f:] flat rows
+    caps = [scaled[i][k] for i in up]
+    floors = [-scaled[i][k] for i in down]
+    s, f = len(up), len(up) + len(down)
+    others = [j for j in range(len(box)) if j != k]
+    cols = [[scaled[i][j] for i in order] for j in others]
+    base = [p.rhs_num[i] for i in order]
+    count = 0
+    for t in _line_offsets(base, cols, [box[j] for j in others]):
+        if min(t[f:], default=0) < 0:
+            continue
+        hi = min(hi_k, min(map(floordiv, t, caps), default=hi_k))
+        lo = max(lo_k, -min(map(floordiv, t[s:f], floors), default=-lo_k))
+        if hi >= lo:
+            count += hi - lo + 1
+    return count
+
+
+def _line_offsets(t, cols, ranges):
+    """t - sum_j cols[j] * x_j for each integer prefix x in `ranges`, one column
+    map per step: the prefixes in lexicographic order, one empty prefix if none."""
+    if not cols:
+        yield t
+        return
+    lo, hi = ranges[0]
+    t = list(map(sub, t, map(mul, cols[0], repeat(lo))))
+    for _ in range(lo, hi + 1):
+        yield from _line_offsets(t, cols[1:], ranges[1:])
+        t = list(map(sub, t, cols[0]))
+
+
 def count_integer_points_bruteforce(
     p: HPolyhedron, result, budget: int = DEFAULT_CELL_BUDGET
 ) -> CountReport:
-    """Exact |P intersect Z^n| by scanning the vertex bounding box."""
+    """Exact |P intersect Z^n| over the vertex box, counted along its widest axis.
+
+    `cells_scanned` is the box volume, and the budget caps it before any scan.
+    """
     if result.rays:
         raise Unbounded("cannot box-scan an unbounded polyhedron")
     box = integer_box(result.vertices)
@@ -41,8 +101,7 @@ def count_integer_points_bruteforce(
         cells *= max(0, hi - lo + 1)
     if cells > budget:
         raise BudgetExceeded(f"{cells} cells exceed budget {budget}")
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    count = sum(1 for cand in product(*ranges) if p.contains(cand))
+    count = fibre_count(p, box, fibre_axis(box))
     return CountReport(count=count, box=box, cells_scanned=cells)
 
 

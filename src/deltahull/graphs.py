@@ -10,7 +10,6 @@ from .errors import DisconnectedGraph
 class SkeletonGraph:
     """Undirected simple graph over integer node ids."""
 
-    kind: str
     adjacency: dict[int, list[int]] = field(default_factory=dict)
 
     @property
@@ -40,7 +39,7 @@ class SkeletonGraph:
 
 def build_polytope_graph(result) -> SkeletonGraph:
     """Vertex-edge graph of the enumeration: its vertices and its edges."""
-    g = SkeletonGraph(kind="polytope-graph")
+    g = SkeletonGraph()
     for v in result.vertices:
         g.adjacency.setdefault(v.index, [])
     for u, v in result.edges:

@@ -1,10 +1,11 @@
 """Test-only helpers with no caller in the package: a rational matrix
-builder, the cone-determinant oracle, the fan document loader, the capped-sum bucket bound behind
-acceptance criterion 10, the cone-fan adjacency graph, and the density and
-tightness experiments on the subdivision fans."""
+builder, the cone-determinant oracle, the per-cell box-scan counting oracle,
+the fan document loader, the capped-sum bucket bound behind acceptance
+criterion 10, the cone-fan adjacency graph, and the density and tightness
+experiments on the subdivision fans."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, floor, prod, sqrt
 
 from deltahull import linalg, stats
@@ -33,6 +34,12 @@ def cone_dets(a, cones) -> dict[Rows, int]:
     afresh: triangulation_stats's input for cones no enumeration visited."""
     ints, _ = linalg.integer_rows(a)
     return {c: abs(linalg.det_exact([ints[i] for i in c])) for c in cones}
+
+
+def box_scan_count(p, box) -> int:
+    """|P intersect Z^n| within `box` by one membership test per cell: the
+    slow exact oracle of counting.fibre_count."""
+    return sum(1 for x in product(*(range(lo, hi + 1) for lo, hi in box)) if p.contains(x))
 
 
 def load_fan_json(text: str) -> SubdivisionFan:
@@ -82,7 +89,7 @@ def build_fan_graph(cones: list[Rows], generators: Mat) -> SkeletonGraph:
     """
     ints, _ = linalg.integer_rows(generators)
     adjugates = [linalg.adjugate([ints[r] for r in cone])[1] for cone in cones]
-    g = SkeletonGraph(kind="fan-graph")
+    g = SkeletonGraph()
     for i in range(len(cones)):
         g.adjacency.setdefault(i, [])
     by_facet: dict[Rows, list[int]] = {}

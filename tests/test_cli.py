@@ -231,6 +231,19 @@ def test_exit_code_budget_exceeded(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_count_budget_caps_box_volume_of_a_strip(capsys, tmp_path):
+    # 2 lines along the long axis, but 2000 cells: the budget reads the cells.
+    doc = {"A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 0, 999, 0]}
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["count", str(path), "--budget", "1999"])
+    assert code == 7
+    assert "2000 cells exceed budget 1999" in err
+    code, out, _ = run_cli(capsys, ["count", str(path), "--budget", "2000"])
+    assert code == 0
+    assert json.loads(out)["counts"]["integer_points"] == 2000
+
+
 def test_generate_round_trip(capsys, tmp_path):
     prefix = str(tmp_path / "fam")
     code, out, _ = run_cli(

@@ -6,19 +6,23 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from deltahull.counting import (
     count_integer_points_bruteforce,
     estimate_counting_cost,
+    fibre_axis,
+    fibre_count,
     integer_box,
 )
-from deltahull.errors import BudgetExceeded, PreconditionViolated, Unbounded
+from deltahull.errors import BudgetExceeded, DeltahullError, PreconditionViolated, Unbounded
 from deltahull.hull import run_enumeration
 from deltahull.model import make_polyhedron
 from deltahull.stats import triangulation_stats
 
 from conftest import cube, square, standard_simplex
-from helpers import knapsack_bound_check
+from helpers import box_scan_count, knapsack_bound_check
 
 
 def frac_of(t):
@@ -110,6 +114,116 @@ def test_integer_box_shrinks_to_contained_lattice():
     result = run_enumeration(p)
     assert integer_box(result.vertices) == [(0, 0), (0, 0)]
     assert count_integer_points_bruteforce(p, result).count == 1
+
+
+def test_box_empty_on_one_axis_counts_nothing():
+    # 1/4 <= x1 <= 3/4 holds no integer, so the box is empty on axis 0.
+    p = make_polyhedron([[4, 0], [-4, 0], [0, 1], [0, -1]], [3, -1, 2, 0])
+    report = count_integer_points_bruteforce(p, run_enumeration(p))
+    assert report.box == [(1, 0), (0, 2)]
+    assert report.count == 0
+    assert report.cells_scanned == 0
+
+
+def test_row_with_zero_fibre_coefficient_cuts_whole_fibres():
+    # 0 <= x <= 5 and y, z >= 0 with y + z <= 1: x is the widest axis, and the
+    # last row, which has no x term, empties the fibre over (y, z) = (1, 1).
+    p = make_polyhedron(
+        [[1, 0, 0], [-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 1, 1]], [5, 0, 0, 0, 1]
+    )
+    report = count_integer_points_bruteforce(p, run_enumeration(p))
+    assert report.box == [(0, 5), (0, 1), (0, 1)]
+    assert fibre_axis(report.box) == 0
+    assert report.cells_scanned == 24
+    assert report.count == 18 == box_scan_count(p, report.box)
+
+
+def test_one_dimensional_instance_is_one_fibre():
+    # -4/3 <= x <= 7/2: the prefix box is empty, so one fibre holds the count.
+    p = make_polyhedron([[2], [-3]], [7, 4])
+    report = count_integer_points_bruteforce(p, run_enumeration(p))
+    assert report.box == [(-1, 3)]
+    assert report.count == 5
+    assert report.cells_scanned == 5
+
+
+def test_tied_widths_pick_the_lowest_axis_and_every_axis_counts_alike():
+    assert fibre_axis([(0, 3), (-2, 1), (0, 1)]) == 0
+    assert fibre_axis([(0, 1), (5, 8), (-3, 0)]) == 1
+    # A triangle with 3 x <= 10 and 3 y <= 10 cut by x + 2 y <= 7: widths tie.
+    p = make_polyhedron([[3, 0], [0, 3], [-1, 0], [0, -1], [1, 2]], [10, 10, 0, 0, 7])
+    report = count_integer_points_bruteforce(p, run_enumeration(p))
+    box = report.box
+    assert box[0][1] - box[0][0] == box[1][1] - box[1][0]
+    assert fibre_axis(box) == 0
+    counts = [fibre_count(p, box, k) for k in range(p.n)]
+    assert counts == [report.count] * p.n
+    assert report.count == box_scan_count(p, box) == oracle_count(p, box)
+
+
+def test_budget_caps_the_box_volume_not_the_fibres():
+    # A 2 x 1000 strip is 2 fibres along its long axis but 2000 cells.
+    p = make_polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 999, 0])
+    result = run_enumeration(p)
+    with pytest.raises(BudgetExceeded, match="2000 cells exceed budget 1999"):
+        count_integer_points_bruteforce(p, result, budget=1999)
+    report = count_integer_points_bruteforce(p, result, budget=2000)
+    assert report.count == report.cells_scanned == 2000
+
+
+# Bounding rows -h <= x_j <= h keep the box within (2h+1)^n <= 2,401 cells.
+HALF_WIDTH = {1: 20, 2: 12, 3: 6, 4: 3}
+small_rationals = st.builds(Fraction, st.integers(-6, 24), st.sampled_from([1, 1, 2, 3, 4]))
+
+
+@st.composite
+def bounded_systems(draw):
+    """Rational bounds on every axis plus up to four random small rows."""
+    n = draw(st.integers(1, 4))
+    h = HALF_WIDTH[n]
+    bounds = st.builds(Fraction, st.integers(-h, 4 * h), st.sampled_from([1, 2, 3, 4]))
+    rows, rhs = [], []
+    for j in range(n):
+        for sign in (1, -1):
+            rows.append([sign if t == j else 0 for t in range(n)])
+            rhs.append(min(draw(bounds), h))
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        rhs.append(draw(small_rationals))
+    return rows, rhs
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bounded_systems())
+def test_fibre_count_matches_cell_scan_oracles(system):
+    rows, rhs = system
+    try:
+        p = make_polyhedron(rows, rhs)
+        result = run_enumeration(p)
+    except DeltahullError:
+        assume(False)
+    report = count_integer_points_bruteforce(p, result, budget=2500)
+    box = report.box
+    assert report.count == box_scan_count(p, box) == oracle_count(p, box)
+    assert report.count == fibre_count(p, box, p.n - 1)
+
+
+def test_fibre_count_matches_cell_scan_on_fuzz_corpus(corpus_analysis):
+    checked = 0
+    for p, result, _ in corpus_analysis:
+        if result.rays:
+            continue
+        box = integer_box(result.vertices)
+        if math.prod(max(0, hi - lo + 1) for lo, hi in box) > 50_000:
+            continue
+        report = count_integer_points_bruteforce(p, result)
+        assert report.count == box_scan_count(p, box), p.name
+        checked += 1
+    assert checked > 20
 
 
 def test_estimate_counting_cost_square():

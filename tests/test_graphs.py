@@ -140,17 +140,17 @@ def test_fan_graph_counts_on_deeper_subdivisions():
 
 
 def test_graph_diameter_paths_and_disconnection():
-    g = SkeletonGraph(kind="test")
+    g = SkeletonGraph()
     for u, v in [(0, 1), (1, 2), (2, 3)]:
         g.add_edge(u, v)
     assert graph_diameter(g) == 3
-    lonely = SkeletonGraph(kind="test", adjacency={0: [1], 1: [0], 2: [3], 3: [2]})
+    lonely = SkeletonGraph(adjacency={0: [1], 1: [0], 2: [3], 3: [2]})
     with pytest.raises(DisconnectedGraph):
         graph_diameter(lonely)
 
 
 def test_single_node_graph_has_zero_diameter():
-    g = SkeletonGraph(kind="test", adjacency={0: []})
+    g = SkeletonGraph(adjacency={0: []})
     assert graph_diameter(g) == 0
 
 
