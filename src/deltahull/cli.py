@@ -269,8 +269,7 @@ def cmd_verify(a: Analysis) -> dict:
         bounds["total-unimodularity"] = {"skipped": True, "reason": reason}
     else:
         bounds["total-unimodularity"] = {"passed": True, "minors_checked": minors}
-    cones = result.triangulation.cones
-    wideness = stats.wideness_and_diameter_bound(p, fan_stats, cones)
+    wideness = stats.wideness_and_diameter_bound(p, fan_stats, result.triangulation)
     bounds["delta-distance-floor"] = {
         "passed": True,
         "sin_sq_min": wideness.sin_sq_min,

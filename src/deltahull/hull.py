@@ -6,8 +6,9 @@ from; a degenerate vertex gets its normal cone triangulated on first visit
 and each simplex becomes a node. Pivoting from a node, a basis held as
 (det, adj), runs the integer ratio test on its vertex's slacks; positive
 steps cross edges of the polyhedron, zero steps move between bases of the
-same vertex, and an empty ratio test marks an unbounded edge. The det of
-every basis popped is kept, so the cone determinants need no second pass.
+same vertex, and an empty ratio test marks an unbounded edge. The (det, adj)
+pair of every basis popped is kept, so the cone determinants and the cone
+distances of the wideness certificate need no second elimination.
 The result is the skeleton walked: vertices, vertex pairs joined by a
 positive-step pivot, primitive integer rays. The only Fractions are each
 `VertexRecord.point` and the ratio-test step. The redundant rows of a
@@ -32,10 +33,12 @@ Rows = tuple[int, ...]
 @dataclass
 class Triangulation:
     """Simplicial cones of the normal fan, grouped by owning vertex; `dets`
-    holds the |det| of the integer rows of every basis visited, cones included."""
+    holds the |det| of the integer rows of every basis visited, cones included,
+    and `adjugates` the matching adjugate, adj @ ints[rows] = det * I."""
 
     cones_by_vertex: list[list[Rows]] = field(default_factory=list)
     dets: dict[Rows, int] = field(default_factory=dict)
+    adjugates: dict[Rows, list[list[int]]] = field(default_factory=dict)
 
     @property
     def cones(self) -> list[Rows]:
@@ -203,7 +206,7 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
             continue
         counters.bases_visited += 1
         basis = basis_cache.pop(rows, None) or model.basis_adjugate(p, rows)
-        triangulation.dets[rows] = basis[0]
+        triangulation.dets[rows], triangulation.adjugates[rows] = basis
         owner = basis_owner[rows]
         for leaving, entering, step, u in pivot_neighbors(p, rows, basis, pt, counters):
             if entering is None:

@@ -4,15 +4,31 @@ Covers the maximum absolute n x n subdeterminant with a witness basis,
 per-triangulation averages and minima, exact fan volumes, the vertex-count
 and fan-volume inequalities, the unimodularizing transform, and the
 basis-distance / wideness numbers behind the diameter certificate.
+
+The distance certificate measures, for each cone C of the triangulation and
+each position pos in it, sin^2 of the angle between row i = C[pos] of
+A (A_W)^-1 and the span of the cone's other rows, W being the Delta
+witness. With M = diag(s) A the integer rows (`ints`), (A_W)^-1 =
+adj_W diag(s_W) / det_W. Take the integer column scalings D = L diag(s_W)
+and D' = L' diag(1/s_W), L the lcm of the denominators of s_W and L' that
+of their numerators. Since sin^2 ignores positive row scales, and
+adj(XY) = adj(Y) adj(X) and adj(adj M_W) = det_W^(n-2) M_W,
+
+    sin^2(C, pos) = (det_C det_W L L')^2
+                    / (|ints_i adj_W D|^2 * |D' M_W adj_C[:, pos]|^2),
+
+all in integers, from the (det_C, adj_C) the enumeration kept for C.
+`local_delta_distance(totally_unimodular_transform(a, W), cones)` is the
+rational route to the same minimum, kept as the tests' oracle.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import comb, factorial, gamma, log, pi, prod
+from math import comb, factorial, gamma, lcm, log, pi, prod
 
-from . import linalg, model
+from . import hull, linalg, model
 from .errors import BoundViolated, BudgetExceeded, SingularBasis, SingularMatrix
 from .linalg import Mat, dot
 
@@ -301,13 +317,56 @@ class WidenessReport:
         return self.sin_sq_min >= self.lemma_floor * self.lemma_floor
 
 
+def cone_distance_certificate(
+    p: model.HPolyhedron, witness: Rows, triangulation: hull.Triangulation
+) -> DistanceCertificate:
+    """local_delta_distance of A (A_W)^-1 over the triangulation's cones, by
+    the module docstring's identity on p's integer rows: one row norm per
+    row, one n x n by n product per cone on the adjugate it kept, candidates
+    compared as (num, den) pairs with the first minimum in (cone, position)
+    order winning, and one Fraction, for the minimum."""
+    ws = [p.scales[i] for i in witness]
+    clear, clear_num = lcm(*(s.denominator for s in ws)), lcm(*(s.numerator for s in ws))
+    det_w, adj_w = model.basis_adjugate(p, witness)
+    d = [clear // s.denominator * s.numerator for s in ws]  # L s_W
+    d_prime = [clear_num // s.numerator * s.denominator for s in ws]  # L' / s_W
+    # ints_i adj_W D is a positive multiple of row i of A (A_W)^-1
+    t_cols = [p.products([line[j] * d[j] for line in adj_w]) for j in range(p.n)]
+    row_sq = [dot(t, t) for t in zip(*t_cols)]
+    scaled_w = [[c * x for x in p.ints[i]] for c, i in zip(d_prime, witness)]  # D' M_W
+    best = None  # (det_C^2, |ints_i adj_W D|^2 |D' M_W adj_C[:, pos]|^2, C, i)
+    for rows in triangulation.cones:
+        det_sq = triangulation.dets[rows] ** 2
+        for i, col in zip(rows, zip(*triangulation.adjugates[rows])):
+            v = [dot(line, col) for line in scaled_w]
+            den = row_sq[i] * dot(v, v)
+            if best is None or det_sq * best[1] < best[0] * den:
+                best = (det_sq, den, rows, i)
+    if best is None:
+        raise ValueError("no bases given")
+    num, den, basis, row = best
+    scale = det_w * clear * clear_num
+    return DistanceCertificate(Fraction(num * scale * scale, den), basis, row)
+
+
 def wideness_and_diameter_bound(
-    p: model.HPolyhedron, stats: FanStats, cones: list[Rows]
+    p: model.HPolyhedron, stats: FanStats, triangulation: hull.Triangulation
 ) -> WidenessReport:
-    """Transform by the witness basis, certify the distance floor, and
-    evaluate the 8n/tau * (1 + ln(1/tau)) diameter bound."""
-    transformed = totally_unimodular_transform(p.rows(), stats.witness)
-    cert = local_delta_distance(transformed, cones)
+    """Certify the distance floor over the cones of `triangulation`, and
+    evaluate the 8n/tau * (1 + ln(1/tau)) diameter bound.
+
+    The certificate is the least sin^2, over every cone C and position pos,
+    of the angle between row i = C[pos] of A (A_W)^-1 (W the Delta witness)
+    and the span of C's other rows, computed in integers from the det_C and
+    adj_C the triangulation kept (see the module docstring):
+
+        (det_C det_W L L')^2 / (|ints_i adj_W D|^2 * |D' M_W adj_C[:, pos]|^2)
+
+    with no adjugate and no Fraction per cone. It must reach
+    (delta_min / (n delta))^2, else BoundViolated; tau is its square root
+    over n.
+    """
+    cert = cone_distance_certificate(p, stats.witness, triangulation)
     n = p.n
     floor = stats.delta_min / (n * stats.delta)
     if cert.sin_sq_min < floor * floor:

@@ -1,15 +1,16 @@
 """Test-only helpers with no caller in the package: a rational matrix
 builder, the cone-determinant oracle, the per-cell box-scan counting oracle,
-the fan document loader, the capped-sum bucket bound behind acceptance
-criterion 10, the cone-fan adjacency graph, and the density and tightness
-experiments on the subdivision fans."""
+the per-node BFS diameter oracle, the fan document loader, the capped-sum
+bucket bound behind acceptance criterion 10, the cone-fan adjacency graph,
+and the density and tightness experiments on the subdivision fans."""
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, floor, prod, sqrt
 
 from deltahull import linalg, stats
-from deltahull.errors import ParseError, PreconditionViolated
+from deltahull.errors import DisconnectedGraph, ParseError, PreconditionViolated
 from deltahull.graphs import SkeletonGraph
 from deltahull.linalg import Mat, dot, frac
 from deltahull.serialize import parse_json, parse_rational
@@ -40,6 +41,30 @@ def box_scan_count(p, box) -> int:
     """|P intersect Z^n| within `box` by one membership test per cell: the
     slow exact oracle of counting.fibre_count."""
     return sum(1 for x in product(*(range(lo, hi + 1) for lo, hi in box)) if p.contains(x))
+
+
+def bfs_diameter(g: SkeletonGraph) -> int:
+    """Exact diameter by one breadth-first search from every node: the slow
+    oracle of graphs.graph_diameter, raising the same DisconnectedGraph."""
+    nodes = g.nodes
+    if not nodes:
+        raise DisconnectedGraph("empty graph")
+    diameter = 0
+    for source in nodes:
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in g.adjacency[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if len(dist) != len(nodes):
+            raise DisconnectedGraph(
+                f"{len(dist)} of {len(nodes)} nodes reachable from {source}"
+            )
+        diameter = max(diameter, max(dist.values()))
+    return diameter
 
 
 def load_fan_json(text: str) -> SubdivisionFan:

@@ -188,9 +188,8 @@ def test_criterion_07_delta_distance_floor(generated_duals, corpus_analysis):
     violations = []
     instances = full_corpus(generated_duals, corpus_analysis)
     for p, result, st in instances:
-        cones = result.triangulation.cones
         try:
-            report = stats.wideness_and_diameter_bound(p, st, cones)
+            report = stats.wideness_and_diameter_bound(p, st, result.triangulation)
         except BoundViolated as exc:
             violations.append(f"{p.name}: {exc}")
             continue
@@ -212,8 +211,7 @@ def test_criterion_08_tau_diameter_certificate(generated_duals, corpus_analysis)
     violations = []
     instances = full_corpus(generated_duals, corpus_analysis)
     for p, result, st in instances:
-        cones = result.triangulation.cones
-        wideness = stats.wideness_and_diameter_bound(p, st, cones)
+        wideness = stats.wideness_and_diameter_bound(p, st, result.triangulation)
         g = graphs.build_polytope_graph(result)
         diameter = graphs.graph_diameter(g)
         if diameter > wideness.diameter_bound * (1 + stats.RELATIVE_SLACK):

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltahull.errors import DisconnectedGraph
 from deltahull.graphs import (
@@ -17,7 +19,7 @@ from deltahull.model import make_polyhedron, submatrix
 from deltahull.subdivision import build_subdivision_fans, expected_counts
 
 from conftest import DEGENERATE_FAMILY, cube, octahedron, square, square_pyramid
-from helpers import build_fan_graph, to_matrix
+from helpers import bfs_diameter, build_fan_graph, to_matrix
 
 
 def rank_test_edges(p, result):
@@ -163,3 +165,49 @@ def test_unbounded_polyhedron_graph_still_connected():
     g = build_polytope_graph(result)
     assert len(g.nodes) == len(result.vertices)
     graph_diameter(g)  # must not raise DisconnectedGraph
+
+
+def diameter_or_error(diameter, g):
+    try:
+        return diameter(g)
+    except DisconnectedGraph as exc:
+        return str(exc)
+
+
+@st.composite
+def random_graphs(draw):
+    """A graph on distinct, non-contiguous node ids, connected when a drawn
+    spanning tree is laid first, plus random extra edges."""
+    nodes = draw(st.lists(st.integers(-40, 400), min_size=1, max_size=14, unique=True))
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    if draw(st.booleans()):
+        edges += [(nodes[draw(st.integers(0, k - 1))], nodes[k]) for k in range(1, len(nodes))]
+    g = SkeletonGraph(adjacency={v: [] for v in nodes})
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g.finalize()
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs())
+def test_bitset_diameter_matches_bfs_on_random_graphs(g):
+    """The same diameter, or DisconnectedGraph with the same text: "<k> of
+    <V> nodes reachable from <lowest node>"."""
+    assert diameter_or_error(graph_diameter, g) == diameter_or_error(bfs_diameter, g)
+
+
+def test_bitset_diameter_edge_cases_match_bfs():
+    empty = SkeletonGraph()
+    assert diameter_or_error(graph_diameter, empty) == "empty graph"
+    assert diameter_or_error(bfs_diameter, empty) == "empty graph"
+    single = SkeletonGraph(adjacency={7: []})
+    assert graph_diameter(single) == bfs_diameter(single) == 0
+    cycle = SkeletonGraph()
+    ids = [3 * k + 5 for k in range(240)]
+    for k, v in enumerate(ids):
+        cycle.add_edge(v, ids[k - 1])
+    cycle.finalize()
+    assert graph_diameter(cycle) == bfs_diameter(cycle) == 120
+    split = SkeletonGraph(adjacency={9: [12], 12: [9], 4: []})
+    assert diameter_or_error(graph_diameter, split) == "1 of 3 nodes reachable from 4"

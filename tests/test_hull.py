@@ -25,7 +25,7 @@ from deltahull.hull import (
     run_enumeration,
     triangulate_normal_cone,
 )
-from deltahull.linalg import det_exact
+from deltahull.linalg import det_exact, dot
 from deltahull.model import (
     VertexRecord,
     basis_adjugate,
@@ -103,10 +103,19 @@ def test_degenerate_family_matches_oracle():
 
 def assert_recorded_dets_match_fresh_ones(p, result):
     """Every cone's |det| that the enumeration kept equals a fresh
-    determinant, and so do the FanStats figures built from them."""
+    determinant, and so do the FanStats figures built from them. Every
+    visited basis, cones and zero-step bases alike, keeps a (det, adj) pair
+    with adj @ M_C = det * I and det = |det M_C| > 0."""
     t = result.triangulation
     for c in t.cones:
         assert t.dets[c] == abs(det_exact(submatrix(p, c))) > 0
+    assert t.adjugates.keys() == t.dets.keys()
+    for rows, adj in t.adjugates.items():
+        det, cols = t.dets[rows], list(zip(*submatrix(p, rows)))
+        assert det > 0
+        assert [[dot(line, col) for col in cols] for line in adj] == [
+            [det * (j == k) for k in range(p.n)] for j in range(p.n)
+        ]
     stats = triangulation_stats(p.rows(), t.cones, t.dets)
     assert stats.cone_dets == tuple(abs_det(p.ints, p.scales, c) for c in t.cones)
 
@@ -114,7 +123,10 @@ def assert_recorded_dets_match_fresh_ones(p, result):
 def test_recorded_cone_dets_match_fresh_ones_on_degenerate_family():
     for build in DEGENERATE_FAMILY:
         p = build()
-        assert_recorded_dets_match_fresh_ones(p, run_enumeration(p))
+        result = run_enumeration(p)
+        # zero-step pivots visit bases of degenerate vertices beyond their cones
+        assert set(result.triangulation.dets) > set(result.triangulation.cones)
+        assert_recorded_dets_match_fresh_ones(p, result)
 
 
 def test_recorded_cone_dets_match_fresh_ones_on_fuzz_corpus(corpus_analysis):

@@ -6,15 +6,26 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from deltahull.errors import BoundViolated, BudgetExceeded, SingularBasis
+from deltahull import subdivision
+from deltahull.errors import (
+    BoundViolated,
+    BudgetExceeded,
+    DimensionMismatch,
+    DuplicateRow,
+    Infeasible,
+    NotPointed,
+    SingularBasis,
+)
 from deltahull.hull import run_enumeration
-from deltahull.linalg import det_exact
+from deltahull.linalg import det_exact, rank_of
+from deltahull.model import make_polyhedron, submatrix
 from deltahull.stats import (
     check_fan_bound,
     check_vertex_bound,
+    cone_distance_certificate,
     count_minors,
     delta_max,
     local_delta_distance,
@@ -26,7 +37,7 @@ from deltahull.stats import (
 )
 from deltahull.subdivision import base_simplex
 
-from conftest import cube, square, square_pyramid
+from conftest import DEGENERATE_FAMILY, cube, square, square_pyramid
 from helpers import cone_dets, to_matrix
 
 
@@ -366,7 +377,7 @@ def test_wideness_and_diameter_bound_boxes():
         result = run_enumeration(p)
         cones = result.triangulation.cones
         stats = triangulation_stats(p.rows(), cones, result.triangulation.dets)
-        report = wideness_and_diameter_bound(p, stats, cones)
+        report = wideness_and_diameter_bound(p, stats, result.triangulation)
         assert report.sin_sq_min == 1
         assert report.tau == pytest.approx(1 / n)
         want = 8 * n * n * (1 + math.log(n))
@@ -386,4 +397,61 @@ def test_wideness_floor_raises_when_certificate_dips():
     # Claim a huge minimum determinant: floor rises above the true sine.
     doctored = replace(stats, delta_min=Fraction(1000), delta=Fraction(1))
     with pytest.raises(BoundViolated):
-        wideness_and_diameter_bound(p, doctored, cones)
+        wideness_and_diameter_bound(p, doctored, result.triangulation)
+
+
+def assert_cone_distances_match_oracle(p, result, witness):
+    """The integer certificate from the kept adjugates equals the rational
+    route through A (A_W)^-1, minimum, basis and row alike (ties included)."""
+    t = result.triangulation
+    got = cone_distance_certificate(p, witness, t)
+    want = local_delta_distance(totally_unimodular_transform(p.rows(), witness), t.cones)
+    assert (got.sin_sq_min, got.basis, got.row) == (want.sin_sq_min, want.basis, want.row)
+
+
+def delta_witness(p, result):
+    t = result.triangulation
+    return triangulation_stats(p.rows(), t.cones, t.dets).witness
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def fractional_systems(draw):
+    """A small system with rational rows, so that some scales s_i != 1."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, n + 4))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = st.builds(Fraction, st.integers(-2, 6), st.integers(1, 4))
+    return rows, draw(st.lists(rhs, min_size=m, max_size=m))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fractional_systems(), st.data())
+def test_cone_distances_match_the_rational_oracle_on_random_systems(system, data):
+    try:
+        p = make_polyhedron(*system)
+        result = run_enumeration(p)
+    except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
+        assume(False)
+    assert_cone_distances_match_oracle(p, result, delta_witness(p, result))
+    # The identity holds for any nonsingular W, not only the Delta witness.
+    other = data.draw(st.sampled_from(list(combinations(range(p.m), p.n))))
+    if rank_of(submatrix(p, other)) == p.n:
+        assert_cone_distances_match_oracle(p, result, other)
+
+
+def test_cone_distances_match_the_rational_oracle_on_corpora(corpus_analysis):
+    """The fuzz corpus, the degenerate family and the subdivision duals
+    n2k0-5, n3k0-3 and n4k0-2."""
+    for p, result, fan in corpus_analysis:
+        assert_cone_distances_match_oracle(p, result, fan.witness)
+    systems = [build() for build in DEGENERATE_FAMILY]
+    for n, depth in ((2, 5), (3, 3), (4, 2)):
+        fans = subdivision.build_subdivision_fans(n, depth)
+        lifted = (subdivision.lift_polytope(fans[: k + 1]) for k in range(depth + 1))
+        systems += [polytope.dual_polyhedron() for polytope in lifted]
+    for p in systems:
+        result = run_enumeration(p)
+        assert_cone_distances_match_oracle(p, result, delta_witness(p, result))
