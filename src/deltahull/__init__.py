@@ -21,7 +21,6 @@ from .errors import (
     NotAVertex,
     NotPointed,
     ParseError,
-    PreconditionViolated,
     RankDeficient,
     SingularBasis,
     SingularMatrix,
@@ -29,7 +28,7 @@ from .errors import (
     Unbounded,
     UnboundedLine,
 )
-from .graphs import SkeletonGraph, build_polytope_graph, graph_diameter
+from .graphs import build_polytope_graph, graph_diameter
 from .hull import (
     EnumerationResult,
     OracleEnumeration,
@@ -77,11 +76,8 @@ from .stats import (
     check_fan_bound,
     check_vertex_bound,
     delta_max,
-    local_delta_distance,
-    totally_unimodular_transform,
     triangulation_stats,
     unit_ball_volume,
-    verify_total_unimodularity,
     wideness_and_diameter_bound,
 )
 from .subdivision import (

@@ -166,7 +166,7 @@ class Analysis:
         return stats.triangulation_stats(self.p.rows(), t.cones, t.dets, self.scan_budget)
 
     @cached_property
-    def graph(self) -> graphs.SkeletonGraph:
+    def graph(self) -> dict[int, list[int]]:
         return graphs.build_polytope_graph(self.result)
 
     def instance_block(self) -> dict:
@@ -223,10 +223,6 @@ def _points_block(result: hull.EnumerationResult) -> dict:
     ]
     rays = [[Fraction(c) for c in d] for _, d in result.rays]
     return {"vertices": vertices, "rays": rays}
-
-
-def _adjacency(graph: graphs.SkeletonGraph) -> dict:
-    return {str(u): vs for u, vs in graph.adjacency.items()}
 
 
 def _stats_block(fan_stats: stats.FanStats) -> dict:
@@ -289,7 +285,7 @@ def cmd_verify(a: Analysis) -> dict:
         "instance": a.instance_block(),
         **_points_block(result),
         "stats": _stats_block(fan_stats),
-        "graph": {"adjacency": _adjacency(a.graph), "diameter": diameter},
+        "graph": {"adjacency": a.graph, "diameter": diameter},
         "bounds": bounds,
         "work": a.work_block(),
     }
@@ -311,10 +307,10 @@ def cmd_diameter(a: Analysis) -> dict:
     return {
         "instance": a.instance_block(),
         "graph": {
-            "adjacency": _adjacency(a.graph),
+            "adjacency": a.graph,
             "diameter": graphs.graph_diameter(a.graph),
-            "nodes": len(a.graph.nodes),
-            "edges": a.graph.edge_count,
+            "nodes": len(a.graph),
+            "edges": len(a.result.edges),
         },
     }
 

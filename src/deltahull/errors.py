@@ -61,10 +61,6 @@ class RankDeficient(DeltahullError):
     """A generator set expected to span the space does not."""
 
 
-class PreconditionViolated(DeltahullError):
-    """An input fails the stated domain restrictions of a check."""
-
-
 class SingularUpdate(DeltahullError):
     """A basis row-swap update hit a zero pivot: the new row is dependent."""
 

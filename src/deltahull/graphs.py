@@ -1,53 +1,23 @@
-"""Skeleton graphs of polytopes, with exact diameters by bit-parallel reach."""
+"""Skeleton graphs of polytopes as adjacency dicts {node: ascending
+neighbours}, with exact diameters by bit-parallel reach."""
 
-from dataclasses import dataclass, field
 from operator import or_
 
 from .errors import DisconnectedGraph
 
 
-@dataclass
-class SkeletonGraph:
-    """Undirected simple graph over integer node ids."""
-
-    adjacency: dict[int, list[int]] = field(default_factory=dict)
-
-    @property
-    def nodes(self) -> list[int]:
-        return sorted(self.adjacency)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
-
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            return
-        if v not in self.adjacency.setdefault(u, []):
-            self.adjacency[u].append(v)
-        if u not in self.adjacency.setdefault(v, []):
-            self.adjacency[v].append(u)
-
-    def finalize(self) -> "SkeletonGraph":
-        for node in self.adjacency:
-            self.adjacency[node].sort()
-        return self
+def build_polytope_graph(result) -> dict[int, list[int]]:
+    """Vertex-edge graph of the enumeration: each vertex index with its
+    neighbours. result.edges holds distinct pairs u < v, so taking them in
+    sorted order appends every neighbour list in ascending order."""
+    adjacency = {v.index: [] for v in result.vertices}
+    for u, v in sorted(result.edges):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
 
 
-def build_polytope_graph(result) -> SkeletonGraph:
-    """Vertex-edge graph of the enumeration: its vertices and its edges."""
-    g = SkeletonGraph()
-    for v in result.vertices:
-        g.adjacency.setdefault(v.index, [])
-    for u, v in result.edges:
-        g.add_edge(u, v)
-    return g.finalize()
-
-
-def graph_diameter(g: SkeletonGraph) -> int:
+def graph_diameter(adjacency: dict[int, list[int]]) -> int:
     """Exact diameter by bit-parallel reach.
 
     Each node starts with the reach set holding only itself, a Python-int
@@ -60,14 +30,14 @@ def graph_diameter(g: SkeletonGraph) -> int:
     > j form a prefix and a round is one C-level OR map per neighbour slot:
     D rounds of E ORs.
     """
-    nodes = g.nodes
+    nodes = sorted(adjacency)
     if not nodes:
         raise DisconnectedGraph("empty graph")
-    order = sorted(nodes, key=lambda u: -len(g.adjacency[u]))
+    order = sorted(nodes, key=lambda u: -len(adjacency[u]))
     position = {v: k for k, v in enumerate(order)}
     slots = [
-        [position[g.adjacency[u][j]] for u in order if len(g.adjacency[u]) > j]
-        for j in range(len(g.adjacency[order[0]]))
+        [position[adjacency[u][j]] for u in order if len(adjacency[u]) > j]
+        for j in range(len(adjacency[order[0]]))
     ]
     reach = [1 << k for k in range(len(nodes))]
     full = (1 << len(nodes)) - 1

@@ -4,7 +4,7 @@ A rational row becomes integers once, in `integer_row`: its primitive
 integer multiple and the positive scale between the two. Rank, determinant
 and adjugate then come from one fraction-free (Bareiss) elimination over
 Python ints, whose every division is exact, so `rank_of`, `det_exact`,
-`adjugate` and `invert` take integer matrices and never see a denominator.
+`adjugate` and `solve` take integer matrices and never see a denominator.
 A basis is carried as the pair (det, adj) and a row swap updates that pair
 in integers (`basis_inverse_update`); the pivot kernel in `model` builds a
 `Fraction` only where a result leaves it. No floating point is used
@@ -43,11 +43,6 @@ def identity(n: int) -> list[list[int]]:
 def dot(u, v):
     """Inner product; an int when both vectors are integer."""
     return sum(map(mul, u, v))
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = list(zip(*b))
-    return [[dot(row, col) for col in cols] for row in a]
 
 
 def integer_row(row) -> tuple[tuple[int, ...], Fraction]:
@@ -127,12 +122,6 @@ def adjugate(m) -> tuple[int, list[list[int]]]:
     if rank < n:
         raise SingularMatrix("singular matrix")
     return sign * pivot, [[sign * x for x in row[n:]] for row in a]
-
-
-def invert(m) -> Mat:
-    """Exact inverse adj(m) / det(m) of a nonsingular integer matrix."""
-    det, adj = adjugate(m)
-    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 def solve(m, rhs) -> Vec:

@@ -67,9 +67,6 @@ class HPolyhedron:
     def rows(self) -> Mat:
         return [list(r) for r in self.a]
 
-    def row(self, i: int) -> Vec:
-        return list(self.a[i])
-
     @cached_property
     def cols(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.ints))
@@ -432,7 +429,7 @@ def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
 
 
 def drop_rows(p: HPolyhedron, drop) -> HPolyhedron:
-    keep = [i for i in range(p.m) if i not in set(drop)]
-    return make_polyhedron(
-        [p.row(i) for i in keep], [p.b[i] for i in keep], name=p.name
-    )
+    """p without the rows in `drop`. They must be redundant, so the rank
+    stays n and the remaining rows need no validation again."""
+    drop = set(drop)
+    return p.restrict([i for i in range(p.m) if i not in drop], p.name)

@@ -61,7 +61,6 @@ def canonical_dumps(obj) -> str:
 class InstanceDocument:
     polyhedron: HPolyhedron
     feasible_point: list[Fraction] | None
-    name: str
 
 
 def parse_json(text: str):
@@ -95,12 +94,11 @@ def load_instance_json(text: str) -> InstanceDocument:
         raise ParseError("b must be an array")
     a = [[parse_rational(x) for x in row] for row in raw_a]
     b = [parse_rational(x) for x in raw_b]
-    name = str(doc.get("name", ""))
-    p = make_polyhedron(a, b, name=name)
+    p = make_polyhedron(a, b, name=str(doc.get("name", "")))
     feasible = doc.get("feasible_point")
     if feasible is not None:
         feasible = parse_point(feasible, p.n)
-    return InstanceDocument(p, feasible, name)
+    return InstanceDocument(p, feasible)
 
 
 def load_instance_csv(text: str) -> InstanceDocument:
@@ -117,7 +115,7 @@ def load_instance_csv(text: str) -> InstanceDocument:
         raise ParseError("CSV rows must all have n+1 columns")
     a = [r[:-1] for r in rows]
     b = [r[-1] for r in rows]
-    return InstanceDocument(make_polyhedron(a, b), None, "")
+    return InstanceDocument(make_polyhedron(a, b), None)
 
 
 def read_text(path: str) -> str:
@@ -136,16 +134,14 @@ def load_instance_path(path: str) -> InstanceDocument:
     return load_instance_json(text)
 
 
-def dump_instance(
-    p: HPolyhedron, feasible_point=None, name: str = ""
-) -> str:
+def dump_instance(p: HPolyhedron, feasible_point=None) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
         "A": [[Fraction(x) for x in row] for row in p.a],
         "b": [Fraction(x) for x in p.b],
     }
-    if name or p.name:
-        doc["name"] = name or p.name
+    if p.name:
+        doc["name"] = p.name
     if feasible_point is not None:
         doc["feasible_point"] = [Fraction(x) for x in feasible_point]
     return canonical_dumps(doc)

@@ -2,8 +2,9 @@
 
 Covers the maximum absolute n x n subdeterminant with a witness basis,
 per-triangulation averages and minima, exact fan volumes, the vertex-count
-and fan-volume inequalities, the unimodularizing transform, and the
-basis-distance / wideness numbers behind the diameter certificate.
+and fan-volume inequalities, the minor count behind the
+total-unimodularity verdict, and the basis-distance / wideness numbers
+behind the diameter certificate.
 
 The distance certificate measures, for each cone C of the triangulation and
 each position pos in it, sin^2 of the angle between row i = C[pos] of
@@ -18,18 +19,17 @@ adj(XY) = adj(Y) adj(X) and adj(adj M_W) = det_W^(n-2) M_W,
                     / (|ints_i adj_W D|^2 * |D' M_W adj_C[:, pos]|^2),
 
 all in integers, from the (det_C, adj_C) the enumeration kept for C.
-`local_delta_distance(totally_unimodular_transform(a, W), cones)` is the
-rational route to the same minimum, kept as the tests' oracle.
+The tests keep the rational route to the same minimum (the matrix
+A (A_W)^-1, then one adjugate per cone) and the full minor scan as oracles.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
 from math import comb, factorial, gamma, lcm, log, pi, prod
 
 from . import hull, linalg, model
-from .errors import BoundViolated, BudgetExceeded, SingularBasis, SingularMatrix
+from .errors import BoundViolated, BudgetExceeded, SingularBasis
 from .linalg import Mat, dot
 
 Rows = tuple[int, ...]
@@ -234,38 +234,8 @@ def check_fan_bound(stats: FanStats) -> tuple[BoundReport, BoundReport]:
     return volume_report, count_report
 
 
-def totally_unimodular_transform(a: Mat, witness: Rows) -> Mat:
-    """Right-multiply by the inverse of the witness rows: A * (A_B)^-1.
-
-    With S_B A_B the integer witness rows, (A_B)^-1 = (S_B A_B)^-1 S_B.
-    """
-    ints, scales = linalg.integer_rows([a[i] for i in witness])
-    try:
-        inv = linalg.invert(ints)
-    except SingularMatrix:
-        raise SingularBasis("witness rows are singular") from None
-    return linalg.mat_mul(a, [[x * s for x, s in zip(row, scales)] for row in inv])
-
-
 def count_minors(m: int, n: int) -> int:
     return sum(comb(m, k) * comb(n, k) for k in range(1, min(m, n) + 1))
-
-
-def verify_total_unimodularity(a: Mat, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff every square minor of any size has |det| <= 1."""
-    m, n = len(a), len(a[0])
-    total = count_minors(m, n)
-    if total > budget:
-        raise BudgetExceeded(f"{total} minors exceed budget {budget}")
-    ints, scales = linalg.integer_rows(a)
-    for k in range(1, min(m, n) + 1):
-        for rows in combinations(range(m), k):
-            limit = prod(scales[i] for i in rows)
-            for cols in combinations(range(n), k):
-                sub = [[ints[i][j] for j in cols] for i in rows]
-                if abs(linalg.det_exact(sub)) > limit:
-                    return False
-    return True
 
 
 @dataclass
@@ -281,30 +251,6 @@ class DistanceCertificate:
         return float(self.sin_sq_min) ** 0.5
 
 
-def local_delta_distance(a: Mat, bases: list[Rows]) -> DistanceCertificate:
-    """Minimum normalized distance from a basis row to the others' span.
-
-    For each basis and row, sin^2 of the angle between the row and the span
-    of the remaining rows is det^2 / (|row|^2 * |adjugate column|^2), all
-    exact. Angles ignore positive row scales, so the integer rows give the
-    same value from one adjugate per basis. The certificate keeps the
-    minimizing square.
-    """
-    ints, _ = linalg.integer_rows(a)
-    best: DistanceCertificate | None = None
-    for rows in bases:
-        sub = [ints[i] for i in rows]
-        det, adj = linalg.adjugate(sub)
-        for pos, i in enumerate(rows):
-            u = [line[pos] for line in adj]
-            sin_sq = Fraction(det * det, dot(sub[pos], sub[pos]) * dot(u, u))
-            if best is None or sin_sq < best.sin_sq_min:
-                best = DistanceCertificate(sin_sq, rows, i)
-    if best is None:
-        raise ValueError("no bases given")
-    return best
-
-
 @dataclass
 class WidenessReport:
     sin_sq_min: Fraction
@@ -313,15 +259,13 @@ class WidenessReport:
     diameter_bound: float
     lemma_floor: Fraction
 
-    def floor_holds(self) -> bool:
-        return self.sin_sq_min >= self.lemma_floor * self.lemma_floor
-
 
 def cone_distance_certificate(
     p: model.HPolyhedron, witness: Rows, triangulation: hull.Triangulation
 ) -> DistanceCertificate:
-    """local_delta_distance of A (A_W)^-1 over the triangulation's cones, by
-    the module docstring's identity on p's integer rows: one row norm per
+    """The least sin^2 between a row of A (A_W)^-1 and the span of the other
+    rows of its cone, over the triangulation's cones, by the module
+    docstring's identity on p's integer rows: one row norm per
     row, one n x n by n product per cone on the adjugate it kept, candidates
     compared as (num, den) pairs with the first minimum in (cone, position)
     order winning, and one Fraction, for the minimum."""

@@ -5,14 +5,15 @@ The base object is the integer sum-zero simplex with vertex columns
 every facet simplex by the n simplices through its barycenter, multiplying
 the cone count by n and dividing each cone determinant by n exactly. Lifting
 scales each barycenter ray just past the facet it subdivides, producing a
-simplicial polytope whose facet cones reproduce the fan.
+simplicial polytope whose facet cones reproduce the fan. That polytope is
+kept as its fan and the scale of each ray; its polar,
+{x : <ray_i, x> <= 1/scale_i}, is the instance `generate` writes.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
-from math import prod, sqrt
+from math import sqrt
 
 from . import linalg, model
 from .errors import EmptyAlphaInterval
@@ -35,16 +36,6 @@ class SubdivisionFan:
     def generators(self) -> Mat:
         """Rays as matrix rows, the layout delta_max and cone tests expect."""
         return [list(r) for r in self.rays]
-
-    @cached_property
-    def integer_rays(self) -> tuple[linalg.IntRows, tuple[Fraction, ...]]:
-        """The rays' integer forms and scales, cleared once per fan."""
-        return linalg.integer_rows(self.rays)
-
-    def cone_det(self, cone: Rows) -> Fraction:
-        ints, scales = self.integer_rays
-        d = abs(linalg.det_exact([ints[r] for r in cone]))
-        return Fraction(d) / prod(scales[r] for r in cone)
 
 
 def base_simplex(n: int) -> list[Point]:
@@ -122,13 +113,6 @@ class LiftedPolytope:
 
     fan: SubdivisionFan
     scaling: list[Fraction]
-    facet_normals: dict[Rows, Point]  # facet inequality <u, x> <= 1
-
-    def vertex_columns(self) -> list[Point]:
-        return [
-            tuple(s * x for x in ray)
-            for s, ray in zip(self.scaling, self.fan.rays)
-        ]
 
     def dual_rhs(self) -> list[Fraction]:
         return [1 / s for s in self.scaling]
@@ -199,7 +183,7 @@ def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
                 facets[child] = _facet_normal([points[q] for q in child])
     final = fans[-1]
     assert set(facets) == set(final.cones)
-    return LiftedPolytope(final, scaling, facets)
+    return LiftedPolytope(final, scaling)
 
 
 def normalize_rays(rays: list[Point], digits: int) -> list[Point]:

@@ -1,8 +1,13 @@
 """Test-only helpers with no caller in the package: a rational matrix
-builder, the cone-determinant oracle, the per-cell box-scan counting oracle,
-the per-node BFS diameter oracle, the fan document loader, the capped-sum
-bucket bound behind acceptance criterion 10, the cone-fan adjacency graph,
-and the density and tightness experiments on the subdivision fans."""
+builder and product, the exact inverse, the cone-determinant oracle, the
+unimodularizing transform with the full minor scan and the per-cone
+distance certificate (the oracles of the CLI's total-unimodularity verdict
+and of stats.cone_distance_certificate), the per-cell box-scan counting
+oracle, the per-node BFS diameter oracle, the fan document loader, the
+capped-sum bucket bound behind acceptance criterion 10, the cone-fan
+adjacency graph, and the density and tightness experiments on the
+subdivision fans. Graphs are adjacency dicts {node: ascending neighbours},
+as graphs.build_polytope_graph returns them."""
 
 from collections import deque
 from fractions import Fraction
@@ -10,8 +15,14 @@ from itertools import combinations, product
 from math import factorial, floor, prod, sqrt
 
 from deltahull import linalg, stats
-from deltahull.errors import DisconnectedGraph, ParseError, PreconditionViolated
-from deltahull.graphs import SkeletonGraph
+from deltahull.errors import (
+    BudgetExceeded,
+    DeltahullError,
+    DisconnectedGraph,
+    ParseError,
+    SingularBasis,
+    SingularMatrix,
+)
 from deltahull.linalg import Mat, dot, frac
 from deltahull.serialize import parse_json, parse_rational
 from deltahull.subdivision import SubdivisionFan, build_subdivision_fans, normalize_rays
@@ -19,8 +30,87 @@ from deltahull.subdivision import SubdivisionFan, build_subdivision_fans, normal
 Rows = tuple[int, ...]
 
 
+class PreconditionViolated(DeltahullError):
+    """An input fails the stated domain restrictions of a check."""
+
+
 def to_matrix(rows) -> Mat:
     return [[frac(x) for x in row] for row in rows]
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    cols = list(zip(*b))
+    return [[dot(row, col) for col in cols] for row in a]
+
+
+def invert(m) -> Mat:
+    """Exact inverse adj(m) / det(m) of a nonsingular integer matrix."""
+    det, adj = linalg.adjugate(m)
+    return [[Fraction(x, det) for x in row] for row in adj]
+
+
+def totally_unimodular_transform(a: Mat, witness: Rows) -> Mat:
+    """Right-multiply by the inverse of the witness rows: A * (A_B)^-1.
+
+    With S_B A_B the integer witness rows, (A_B)^-1 = (S_B A_B)^-1 S_B.
+    """
+    ints, scales = linalg.integer_rows([a[i] for i in witness])
+    try:
+        inv = invert(ints)
+    except SingularMatrix:
+        raise SingularBasis("witness rows are singular") from None
+    return mat_mul(a, [[x * s for x, s in zip(row, scales)] for row in inv])
+
+
+def verify_total_unimodularity(a: Mat, budget: int = stats.DEFAULT_BUDGET) -> bool:
+    """True iff every square minor of any size has |det| <= 1."""
+    m, n = len(a), len(a[0])
+    total = stats.count_minors(m, n)
+    if total > budget:
+        raise BudgetExceeded(f"{total} minors exceed budget {budget}")
+    ints, scales = linalg.integer_rows(a)
+    for k in range(1, min(m, n) + 1):
+        for rows in combinations(range(m), k):
+            limit = prod(scales[i] for i in rows)
+            for cols in combinations(range(n), k):
+                sub = [[ints[i][j] for j in cols] for i in rows]
+                if abs(linalg.det_exact(sub)) > limit:
+                    return False
+    return True
+
+
+def local_delta_distance(a: Mat, bases: list[Rows]) -> stats.DistanceCertificate:
+    """Minimum normalized distance from a basis row to the others' span.
+
+    For each basis and row, sin^2 of the angle between the row and the span
+    of the remaining rows is det^2 / (|row|^2 * |adjugate column|^2), all
+    exact. Angles ignore positive row scales, so the integer rows give the
+    same value from one adjugate per basis. The certificate keeps the
+    minimizing square.
+    """
+    ints, _ = linalg.integer_rows(a)
+    best: stats.DistanceCertificate | None = None
+    for rows in bases:
+        sub = [ints[i] for i in rows]
+        det, adj = linalg.adjugate(sub)
+        for pos, i in enumerate(rows):
+            u = [line[pos] for line in adj]
+            sin_sq = Fraction(det * det, dot(sub[pos], sub[pos]) * dot(u, u))
+            if best is None or sin_sq < best.sin_sq_min:
+                best = stats.DistanceCertificate(sin_sq, rows, i)
+    if best is None:
+        raise ValueError("no bases given")
+    return best
+
+
+def floor_holds(report: stats.WidenessReport) -> bool:
+    """The certified sin^2 reaches the square of the lemma's floor."""
+    return report.sin_sq_min >= report.lemma_floor * report.lemma_floor
+
+
+def vertex_columns(lifted) -> list[tuple[Fraction, ...]]:
+    """The lifted polytope's vertices: each fan ray times its scale."""
+    return [tuple(s * x for x in ray) for s, ray in zip(lifted.scaling, lifted.fan.rays)]
 
 
 def abs_det(ints, scales, rows: Rows) -> Fraction:
@@ -43,10 +133,10 @@ def box_scan_count(p, box) -> int:
     return sum(1 for x in product(*(range(lo, hi + 1) for lo, hi in box)) if p.contains(x))
 
 
-def bfs_diameter(g: SkeletonGraph) -> int:
+def bfs_diameter(g: dict[int, list[int]]) -> int:
     """Exact diameter by one breadth-first search from every node: the slow
     oracle of graphs.graph_diameter, raising the same DisconnectedGraph."""
-    nodes = g.nodes
+    nodes = sorted(g)
     if not nodes:
         raise DisconnectedGraph("empty graph")
     diameter = 0
@@ -55,7 +145,7 @@ def bfs_diameter(g: SkeletonGraph) -> int:
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for v in g.adjacency[u]:
+            for v in g[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
@@ -104,7 +194,7 @@ def knapsack_bound_check(x, alpha, beta, f) -> bool:
     return lhs <= buckets * frac(f(alpha))
 
 
-def build_fan_graph(cones: list[Rows], generators: Mat) -> SkeletonGraph:
+def build_fan_graph(cones: list[Rows], generators: Mat) -> dict[int, list[int]]:
     """Cone adjacency: shared n-1 rays spanning a true common facet.
 
     generators[i] is the vector of ray i. Two cones are adjacent when they
@@ -114,9 +204,7 @@ def build_fan_graph(cones: list[Rows], generators: Mat) -> SkeletonGraph:
     """
     ints, _ = linalg.integer_rows(generators)
     adjugates = [linalg.adjugate([ints[r] for r in cone])[1] for cone in cones]
-    g = SkeletonGraph()
-    for i in range(len(cones)):
-        g.adjacency.setdefault(i, [])
+    g = {i: [] for i in range(len(cones))}
     by_facet: dict[Rows, list[int]] = {}
     for ci, cone in enumerate(cones):
         for drop in cone:
@@ -127,8 +215,9 @@ def build_fan_graph(cones: list[Rows], generators: Mat) -> SkeletonGraph:
             for b in range(a + 1, len(owners)):
                 ci, cj = owners[a], owners[b]
                 if _opposite_sides(cones[ci], cones[cj], facet, ints, adjugates[ci]):
-                    g.add_edge(ci, cj)
-    return g.finalize()
+                    g[ci].append(cj)
+                    g[cj].append(ci)
+    return {u: sorted(vs) for u, vs in g.items()}
 
 
 def _opposite_sides(cone_a: Rows, cone_b: Rows, facet: Rows, gens, adj) -> bool:

@@ -13,11 +13,19 @@ from fractions import Fraction
 
 import pytest
 
-from deltahull import counting, graphs, hull, stats, subdivision
+from deltahull import counting, graphs, hull, linalg, stats, subdivision
 from deltahull.errors import BoundViolated
 
 from conftest import DEGENERATE_FAMILY, record_criterion, standard_simplex
-from helpers import build_fan_graph, knapsack_bound_check, tightness_experiment
+from helpers import (
+    abs_det,
+    build_fan_graph,
+    floor_holds,
+    knapsack_bound_check,
+    tightness_experiment,
+    totally_unimodular_transform,
+    verify_total_unimodularity,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +61,8 @@ def test_criterion_01_subdivision_family_exactness():
             g = build_fan_graph(fan.cones, fan.generators())
             diameter = graphs.graph_diameter(g)
             delta, _ = stats.delta_max(fan.generators())
-            ratio = delta / min(fan.cone_det(c) for c in fan.cones)
+            ints, scales = linalg.integer_rows(fan.rays)
+            ratio = delta / min(abs_det(ints, scales, c) for c in fan.cones)
             if (
                 cone_count != expected["cones"]
                 or diameter != expected["diameter"]
@@ -167,8 +176,8 @@ def test_criterion_06_totally_unimodular_transform(generated_duals, corpus_analy
         if stats.count_minors(p.m, p.n) > stats.DEFAULT_BUDGET:
             skipped += 1
             continue
-        transformed = stats.totally_unimodular_transform(p.rows(), st.witness)
-        if not stats.verify_total_unimodularity(transformed):
+        transformed = totally_unimodular_transform(p.rows(), st.witness)
+        if not verify_total_unimodularity(transformed):
             violations.append(p.name)
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -193,7 +202,7 @@ def test_criterion_07_delta_distance_floor(generated_duals, corpus_analysis):
         except BoundViolated as exc:
             violations.append(f"{p.name}: {exc}")
             continue
-        assert report.floor_holds()
+        assert floor_holds(report)
     elapsed = time.perf_counter() - t0
     ok = not violations
     record_criterion(

@@ -16,13 +16,13 @@ from deltahull.counting import (
     fibre_count,
     integer_box,
 )
-from deltahull.errors import BudgetExceeded, DeltahullError, PreconditionViolated, Unbounded
+from deltahull.errors import BudgetExceeded, DeltahullError, Unbounded
 from deltahull.hull import run_enumeration
 from deltahull.model import make_polyhedron
 from deltahull.stats import triangulation_stats
 
 from conftest import cube, square, standard_simplex
-from helpers import box_scan_count, knapsack_bound_check
+from helpers import PreconditionViolated, box_scan_count, knapsack_bound_check
 
 
 def frac_of(t):

@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltahull.errors import DisconnectedGraph
-from deltahull.graphs import (
-    SkeletonGraph,
-    build_polytope_graph,
-    graph_diameter,
-)
+from deltahull.graphs import build_polytope_graph, graph_diameter
 from deltahull.hull import run_enumeration
 from deltahull.linalg import rank_of
 from deltahull.model import make_polyhedron, submatrix
@@ -34,16 +30,16 @@ def rank_test_edges(p, result):
 
 
 def graph_edges(g):
-    return {(min(u, v), max(u, v)) for u in g.adjacency for v in g.adjacency[u]}
+    return {(min(u, v), max(u, v)) for u in g for v in g[u]}
 
 
 def test_square_skeleton_is_a_4_cycle():
     p = square()
     result = run_enumeration(p)
     g = build_polytope_graph(result)
-    assert len(g.nodes) == 4
-    assert g.edge_count == 4
-    assert all(g.degree(v) == 2 for v in g.nodes)
+    assert len(g) == 4
+    assert len(result.edges) == 4
+    assert all(len(g[v]) == 2 for v in g)
     assert graph_diameter(g) == 2
 
 
@@ -51,9 +47,9 @@ def test_cube_skeleton():
     p = cube()
     result = run_enumeration(p)
     g = build_polytope_graph(result)
-    assert len(g.nodes) == 8
-    assert g.edge_count == 12
-    assert all(g.degree(v) == 3 for v in g.nodes)
+    assert len(g) == 8
+    assert len(result.edges) == 12
+    assert all(len(g[v]) == 3 for v in g)
     assert graph_diameter(g) == 3
 
 
@@ -61,7 +57,7 @@ def test_pyramid_skeleton_degrees():
     p = square_pyramid()
     result = run_enumeration(p)
     g = build_polytope_graph(result)
-    assert sorted(g.degree(v) for v in g.nodes) == [3, 3, 3, 3, 4]
+    assert sorted(len(g[v]) for v in g) == [3, 3, 3, 3, 4]
     assert graph_diameter(g) == 2
 
 
@@ -69,9 +65,9 @@ def test_octahedron_skeleton():
     p = octahedron()
     result = run_enumeration(p)
     g = build_polytope_graph(result)
-    assert len(g.nodes) == 6
-    assert g.edge_count == 12
-    assert all(g.degree(v) == 4 for v in g.nodes)
+    assert len(g) == 6
+    assert len(result.edges) == 12
+    assert all(len(g[v]) == 4 for v in g)
     assert graph_diameter(g) == 2
 
 
@@ -94,6 +90,9 @@ def test_polytope_graph_agrees_with_rank_characterization():
     for p, result in cases:
         g = build_polytope_graph(result)
         assert graph_edges(g) == rank_test_edges(p, result), p.name
+        # The report lists each node's neighbours as built, so they must
+        # come out strictly increasing.
+        assert all(vs == sorted(set(vs)) for vs in g.values()), p.name
 
 
 def test_base_fan_graph_is_complete():
@@ -102,15 +101,15 @@ def test_base_fan_graph_is_complete():
         g = build_fan_graph(fan.cones, fan.generators())
         k = len(fan.cones)
         assert k == n + 1
-        assert g.edge_count == k * (k - 1) // 2
+        assert len(graph_edges(g)) == k * (k - 1) // 2
         assert graph_diameter(g) == 1
 
 
 def test_depth_one_fan_graph_n2_is_a_hexagon_cycle():
     fan = build_subdivision_fans(2, 1)[1]
     g = build_fan_graph(fan.cones, fan.generators())
-    assert len(g.nodes) == 6
-    assert all(g.degree(v) == 2 for v in g.nodes)
+    assert len(g) == 6
+    assert all(len(g[v]) == 2 for v in g)
     assert graph_diameter(g) == 3
 
 
@@ -119,8 +118,8 @@ def test_planar_fan_graphs_are_cycles():
     # being one cycle through all 3*2^k sectors.
     for k, fan in enumerate(build_subdivision_fans(2, 4)):
         g = build_fan_graph(fan.cones, fan.generators())
-        assert len(g.nodes) == 3 * 2**k
-        assert all(g.degree(v) == 2 for v in g.nodes)
+        assert len(g) == 3 * 2**k
+        assert all(len(g[v]) == 2 for v in g)
         # graph_diameter raises DisconnectedGraph unless the graph is connected.
         assert graph_diameter(g) == expected_counts(2, k)["diameter"]
 
@@ -130,29 +129,27 @@ def test_fan_graph_requires_opposite_sides():
     # joined: {(1,0),(0,1)} and {(1,0),(1,1)} overlap instead of touching.
     gens = to_matrix([[1, 0], [0, 1], [1, 1]])
     g = build_fan_graph([(0, 1), (0, 2)], gens)
-    assert g.edge_count == 0
+    assert len(graph_edges(g)) == 0
 
 
 def test_fan_graph_counts_on_deeper_subdivisions():
     fans = build_subdivision_fans(3, 2)
     fan = fans[2]
     g = build_fan_graph(fan.cones, fan.generators())
-    assert len(g.nodes) == 36
+    assert len(g) == 36
     assert graph_diameter(g) == 7
 
 
 def test_graph_diameter_paths_and_disconnection():
-    g = SkeletonGraph()
-    for u, v in [(0, 1), (1, 2), (2, 3)]:
-        g.add_edge(u, v)
+    g = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
     assert graph_diameter(g) == 3
-    lonely = SkeletonGraph(adjacency={0: [1], 1: [0], 2: [3], 3: [2]})
+    lonely = {0: [1], 1: [0], 2: [3], 3: [2]}
     with pytest.raises(DisconnectedGraph):
         graph_diameter(lonely)
 
 
 def test_single_node_graph_has_zero_diameter():
-    g = SkeletonGraph(adjacency={0: []})
+    g = {0: []}
     assert graph_diameter(g) == 0
 
 
@@ -163,7 +160,7 @@ def test_unbounded_polyhedron_graph_still_connected():
     result = run_enumeration(p)
     assert not result.bounded
     g = build_polytope_graph(result)
-    assert len(g.nodes) == len(result.vertices)
+    assert len(g) == len(result.vertices)
     graph_diameter(g)  # must not raise DisconnectedGraph
 
 
@@ -183,10 +180,11 @@ def random_graphs(draw):
     edges = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
     if draw(st.booleans()):
         edges += [(nodes[draw(st.integers(0, k - 1))], nodes[k]) for k in range(1, len(nodes))]
-    g = SkeletonGraph(adjacency={v: [] for v in nodes})
+    g = {v: set() for v in nodes}
     for u, v in edges:
-        g.add_edge(u, v)
-    return g.finalize()
+        g[u].add(v)
+        g[v].add(u)
+    return {v: sorted(vs) for v, vs in g.items()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,16 +196,13 @@ def test_bitset_diameter_matches_bfs_on_random_graphs(g):
 
 
 def test_bitset_diameter_edge_cases_match_bfs():
-    empty = SkeletonGraph()
+    empty = {}
     assert diameter_or_error(graph_diameter, empty) == "empty graph"
     assert diameter_or_error(bfs_diameter, empty) == "empty graph"
-    single = SkeletonGraph(adjacency={7: []})
+    single = {7: []}
     assert graph_diameter(single) == bfs_diameter(single) == 0
-    cycle = SkeletonGraph()
     ids = [3 * k + 5 for k in range(240)]
-    for k, v in enumerate(ids):
-        cycle.add_edge(v, ids[k - 1])
-    cycle.finalize()
+    cycle = {v: sorted([ids[k - 1], ids[(k + 1) % 240]]) for k, v in enumerate(ids)}
     assert graph_diameter(cycle) == bfs_diameter(cycle) == 120
-    split = SkeletonGraph(adjacency={9: [12], 12: [9], 4: []})
+    split = {9: [12], 12: [9], 4: []}
     assert diameter_or_error(graph_diameter, split) == "1 of 3 nodes reachable from 4"

@@ -20,14 +20,13 @@ from deltahull.linalg import (
     identity,
     integer_row,
     integer_rows,
-    invert,
     isqrt_exact,
-    mat_mul,
     rank_of,
     solve,
 )
 
 from fraction_oracle import as_inverse, sherman_morrison
+from helpers import invert, mat_mul
 
 
 def mat_vec(m, v):

@@ -293,6 +293,9 @@ def test_redundancy_scan_agrees_with_vertex_description():
         for start in starts:
             assert redundancy_scan(p, start) == redundant
         slim = drop_rows(p, redundant) if redundant else p
+        keep = [i for i in range(p.m) if i not in redundant]
+        # The kept rows need no revalidation: the same system, built afresh.
+        assert slim == make_polyhedron([p.a[i] for i in keep], [p.b[i] for i in keep])
         # Dropping redundant rows must not admit new points: probe along a
         # random grid and compare membership verdicts.
         for _ in range(200):

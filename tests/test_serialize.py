@@ -61,9 +61,7 @@ def test_instance_round_trip_is_byte_identical():
     assert doc.polyhedron.a == p.a
     assert doc.polyhedron.b == p.b
     assert doc.feasible_point == [Fraction(1, 2), Fraction(1, 2)]
-    again = dump_instance(
-        doc.polyhedron, feasible_point=doc.feasible_point, name=doc.name
-    )
+    again = dump_instance(doc.polyhedron, feasible_point=doc.feasible_point)
     assert again == text
     # Re-serializing the parsed JSON object canonically is also identical.
     assert canonical_dumps(json.loads(text)) == text

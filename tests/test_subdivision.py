@@ -7,7 +7,7 @@ import pytest
 
 from deltahull.errors import EmptyAlphaInterval
 from deltahull.hull import run_enumeration
-from deltahull.linalg import dot
+from deltahull.linalg import dot, integer_rows
 from deltahull.stats import delta_max
 from deltahull.subdivision import (
     base_fan,
@@ -19,7 +19,7 @@ from deltahull.subdivision import (
     subdivide_fan,
 )
 
-from helpers import density_profile, tightness_experiment
+from helpers import abs_det, density_profile, tightness_experiment, vertex_columns
 
 
 def test_base_simplex_columns_n2():
@@ -47,7 +47,8 @@ def test_base_simplex_rejects_degenerate_dimension():
 def test_base_fan_cones_have_equal_determinants():
     for n, want in ((2, 3), (3, 16), (4, 125)):
         fan = base_fan(n)
-        dets = {fan.cone_det(c) for c in fan.cones}
+        ints, scales = integer_rows(fan.rays)
+        dets = {abs_det(ints, scales, c) for c in fan.cones}
         assert dets == {Fraction(want)}
         assert len(fan.cones) == n + 1
 
@@ -71,9 +72,11 @@ def test_child_cone_determinant_is_parent_over_n():
         for depth in range(1, 4):
             child_fan = fans[depth]
             parent_fan = fans[depth - 1]
+            child_rows = integer_rows(child_fan.rays)
+            parent_rows = integer_rows(parent_fan.rays)
             for cone, parent_idx in zip(child_fan.cones, child_fan.parent):
-                parent_det = parent_fan.cone_det(parent_fan.cones[parent_idx])
-                assert child_fan.cone_det(cone) * n == parent_det
+                parent_det = abs_det(*parent_rows, parent_fan.cones[parent_idx])
+                assert abs_det(*child_rows, cone) * n == parent_det
 
 
 def test_sibling_cones_share_a_wall():
@@ -103,7 +106,8 @@ def test_delta_ratio_growth():
     fans = build_subdivision_fans(2, 4)
     for k, fan in enumerate(fans):
         delta, _ = delta_max(fan.generators())
-        dmin = min(fan.cone_det(c) for c in fan.cones)
+        ints, scales = integer_rows(fan.rays)
+        dmin = min(abs_det(ints, scales, c) for c in fan.cones)
         assert delta / dmin == 2**k
 
 
@@ -121,8 +125,9 @@ def test_base_fan_volume_identity():
     # Fan volume of the base simplex: (n+1) cones of equal determinant.
     for n in (2, 3, 4):
         fan = base_fan(n)
-        delta = fan.cone_det(fan.cones[0])
-        total = sum(fan.cone_det(c) for c in fan.cones)
+        ints, scales = integer_rows(fan.rays)
+        delta = abs_det(ints, scales, fan.cones[0])
+        total = sum(abs_det(ints, scales, c) for c in fan.cones)
         assert total == (n + 1) * delta
 
 
@@ -130,7 +135,7 @@ def test_lift_depth_zero_keeps_unit_scaling():
     fans = build_subdivision_fans(3, 0)
     lifted = lift_polytope(fans)
     assert lifted.scaling == [Fraction(1)] * 4
-    assert lifted.vertex_columns() == fans[0].rays
+    assert vertex_columns(lifted) == fans[0].rays
 
 
 def test_lift_round_trip_recovers_fan_as_normal_cones():
@@ -164,7 +169,7 @@ def test_lifted_vertices_sit_strictly_outside_previous_hull():
     # previous stage is violated by the new scaled ray.
     new_start = len(fans[1].rays)
     for idx in range(new_start, len(fans[2].rays)):
-        column = lifted.vertex_columns()[idx]
+        column = vertex_columns(lifted)[idx]
         prev_result = run_enumeration(p_prev)
         best = max(dot(list(column), list(v.point)) for v in prev_result.vertices)
         assert best > 1
