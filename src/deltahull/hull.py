@@ -6,9 +6,12 @@ from; a degenerate vertex gets its normal cone triangulated on first visit
 and each simplex becomes a node. Pivoting from a node, a basis held as
 (det, adj), runs the integer ratio test on its vertex's slacks; positive
 steps cross edges of the polyhedron, zero steps move between bases of the
-same vertex, and an empty ratio test marks an unbounded edge. The (det, adj)
-pair of every basis popped is kept, so the cone determinants and the cone
-distances of the wideness certificate need no second elimination.
+same vertex, and an empty ratio test marks an unbounded edge. Each edge's
+ratio test runs once when one end is a simple vertex: the test back from the
+far end can only return to the basis it came from, so that basis skips it and
+is charged the hits it would have found. The (det, adj) pair of every basis
+popped is kept, so the cone determinants and the cone distances of the
+wideness certificate need no second elimination.
 The result is the skeleton walked: vertices, vertex pairs joined by a
 positive-step pivot, primitive integer rays. The only Fractions are each
 `VertexRecord.point` and the ratio-test step. The redundant rows of a
@@ -82,6 +85,8 @@ def pivot_neighbors(
     basis: Basis,
     pt: Point,
     counters: WorkCounters | None = None,
+    known: dict[int, int] | None = None,
+    back: dict[int, int] | None = None,
 ) -> list[tuple[int, int | None, Fraction | None, list[int]]]:
     """All pivots out of a feasible basis (det, adj) at its vertex pt.
 
@@ -93,14 +98,28 @@ def pivot_neighbors(
     n * (m - n + hits) per leaving row: n multiplications per rate and n per
     ratio. The report keeps that figure, though the integer kernel does less
     work, reading the slacks stored with the vertex.
+
+    `known` maps the leaving rows whose ratio test is already decided to its
+    hits: those positions are skipped and yield no pivot, but are charged
+    n * (m - n + hits) all the same. `back`, if given, receives for each
+    leaving row with a positive step the hits of the test back along that
+    edge from its far end, #{i : ints_i u < 0}. When pt is simple, that
+    reverse test is decided: only the leaving row attains its minimum, so it
+    pivots back to this basis.
     """
     n = p.n
     pivots = []
     mults = 0
     for pos, leaving in enumerate(rows):
+        if known and leaving in known:
+            mults += n * (p.m - n + known[leaving])
+            continue
         u = [-line[pos] for line in basis[1]]
-        step, blocking, hits = model.ratio_test(p, rows, pt, u)
+        rates = p.products(u)
+        step, blocking, hits = model.min_ratio(p, rows, pt, rates)
         mults += n * (p.m - n + hits)
+        if back is not None and step:
+            back[leaving] = sum(map((0).__gt__, rates))
         if step is None:
             pivots.append((leaving, None, None, u))
         pivots += [(leaving, i, step, u) for i in blocking]
@@ -173,6 +192,7 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
     heap: list[Rows] = []
     basis_cache: dict[Rows, Basis] = {}
     frontier: dict[Rows, Point] = {}  # pushed, not yet visited -> its vertex
+    decided: dict[Rows, dict[int, int]] = {}  # frontier basis -> {leaving: hits}
 
     def push(rows: Rows, owner: int, pt: Point) -> None:
         basis_owner.setdefault(rows, owner)
@@ -208,7 +228,11 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
         basis = basis_cache.pop(rows, None) or model.basis_adjugate(p, rows)
         triangulation.dets[rows], triangulation.adjugates[rows] = basis
         owner = basis_owner[rows]
-        for leaving, entering, step, u in pivot_neighbors(p, rows, basis, pt, counters):
+        back = {} if vertices[owner].simple else None
+        known = decided.pop(rows, None)
+        for leaving, entering, step, u in pivot_neighbors(
+            p, rows, basis, pt, counters, known, back
+        ):
             if entering is None:
                 g = gcd(*u)
                 ray_set.add((owner, tuple(c // g for c in u)))
@@ -226,6 +250,8 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
                 push(target, index, frontier.get(target) or model.scaled_point(p, num, den))
             if step:
                 edges.add((min(owner, index), max(owner, index)))
+                if back is not None and target in frontier:
+                    decided.setdefault(target, {})[entering] = back[leaving]
 
     return EnumerationResult(
         vertices=vertices,

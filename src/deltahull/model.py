@@ -282,12 +282,18 @@ def ratio_test(p: HPolyhedron, rows, pt: Point, u):
 
     Returns (step, blocking, hits): the least slack over rate, or None when
     no row has positive rate (an unbounded ray); the rows attaining it,
-    ascending; and the number of rows with positive rate. The ratios are
-    pt.slack[i] / (rhs_den[i] w_i), rates w_i = ints_i u. Only rows of least
-    floor quotient can attain the minimum, as floor(a/b) < floor(c/d) implies
+    ascending; and the number of rows with positive rate.
+    """
+    return min_ratio(p, rows, pt, p.products(u))
+
+
+def min_ratio(p: HPolyhedron, rows, pt: Point, rates):
+    """ratio_test given the rates w_i = ints_i u of every row.
+
+    The ratios are pt.slack[i] / (rhs_den[i] w_i). Only rows of least floor
+    quotient can attain the minimum, as floor(a/b) < floor(c/d) implies
     a/b < c/d; they are compared by cross-multiplying. One Fraction: the step.
     """
-    rates = p.products(u)
     live = [i for i, w in enumerate(rates) if w > 0 and i not in rows]
     if not live:
         return None, [], 0

@@ -1,11 +1,13 @@
-"""Shared instances, the seeded fuzz corpus, and its cached analysis."""
+"""Shared instances, the seeded fuzz corpus, its cached analysis, and the
+benchmark's frozen duals."""
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from deltahull import errors, hull, model
+from deltahull import errors, hull, model, serialize
 from deltahull import stats as dstats
 
 ACCEPTANCE_LINES: list[str] = []
@@ -134,4 +136,18 @@ def corpus_analysis(fuzz_corpus):
         t = result.triangulation
         stats = dstats.triangulation_stats(p.rows(), t.cones, t.dets)
         out.append((p, result, stats))
+    return out
+
+
+BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
+
+
+@pytest.fixture(scope="session")
+def bench_duals():
+    """The benchmark's frozen duals, each as (polyhedron, enumeration)."""
+    out = {}
+    for name in ("dual-n2k5", "dual-n4k2"):
+        doc = serialize.load_instance_path(str(BENCH_DATA / f"{name}.instance.json"))
+        p = doc.polyhedron
+        out[name] = (p, hull.run_enumeration(p, doc.feasible_point))
     return out

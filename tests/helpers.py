@@ -1,8 +1,9 @@
 """Test-only helpers with no caller in the package: a rational matrix
 builder and product, the exact inverse, the cone-determinant oracle, the
-unimodularizing transform with the full minor scan and the per-cone
-distance certificate (the oracles of the CLI's total-unimodularity verdict
-and of stats.cone_distance_certificate), the per-cell box-scan counting
+skeleton-edge rank oracle, the ratio-test work oracle, the unimodularizing
+transform with the full minor scan and the per-cone distance certificate
+(the oracles of the CLI's total-unimodularity verdict and of
+stats.cone_distance_certificate), the per-cell box-scan counting
 oracle, the per-node BFS diameter oracle, the fan document loader, the
 capped-sum bucket bound behind acceptance criterion 10, the cone-fan
 adjacency graph, and the density and tightness experiments on the
@@ -14,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, floor, prod, sqrt
 
-from deltahull import linalg, stats
+from deltahull import linalg, model, stats
 from deltahull.errors import (
     BudgetExceeded,
     DeltahullError,
@@ -125,6 +126,36 @@ def cone_dets(a, cones) -> dict[Rows, int]:
     afresh: triangulation_stats's input for cones no enumeration visited."""
     ints, _ = linalg.integer_rows(a)
     return {c: abs(linalg.det_exact([ints[i] for i in c])) for c in cones}
+
+
+def rank_test_edges(p, result) -> set[tuple[int, int]]:
+    """Oracle: vertices are adjacent iff their common tight rows have rank
+    n-1 (the standard polytope edge characterization)."""
+    edges = set()
+    for a, b in combinations(result.vertices, 2):
+        common = sorted(set(a.tight) & set(b.tight))
+        if common and linalg.rank_of(model.submatrix(p, common)) == p.n - 1:
+            edges.add((min(a.index, b.index), max(a.index, b.index)))
+    return edges
+
+
+def ratio_work(p, result) -> tuple[int, int]:
+    """Oracle of the enumeration's (ratio_mults, max_basis_mults): every
+    visited basis (the keys of triangulation.dets) runs a fresh
+    model.ratio_test at each position at its vertex, charged
+    n * (m - n + hits), whether or not the enumeration skipped that test."""
+    n = p.n
+    total = peak = 0
+    for rows in result.triangulation.dets:
+        basis = model.basis_adjugate(p, rows)
+        pt = model.scaled_point(p, *model.basis_solution(p, rows, basis))
+        mults = 0
+        for pos in range(n):
+            u = [-line[pos] for line in basis[1]]
+            mults += n * (p.m - n + model.ratio_test(p, rows, pt, u)[2])
+        total += mults
+        peak = max(peak, mults)
+    return total, peak
 
 
 def box_scan_count(p, box) -> int:

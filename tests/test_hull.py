@@ -3,12 +3,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from deltahull import model
 from deltahull.errors import (
     DimensionMismatch,
     DuplicateRow,
@@ -29,17 +29,20 @@ from deltahull.linalg import det_exact, dot
 from deltahull.model import (
     VertexRecord,
     basis_adjugate,
+    basis_solution,
     basis_vertex,
     make_polyhedron,
     phase_one,
     rational_point,
     redundancy_scan,
+    scaled_point,
     submatrix,
 )
 from deltahull.serialize import load_instance_path
 from deltahull.stats import triangulation_stats
 
 from conftest import (
+    BENCH_DATA,
     DEGENERATE_FAMILY,
     cross_polytope,
     cube,
@@ -47,7 +50,7 @@ from conftest import (
     square,
     square_pyramid,
 )
-from helpers import abs_det
+from helpers import abs_det, rank_test_edges, ratio_work
 
 
 def target_basis(rows, leaving, entering):
@@ -322,10 +325,104 @@ def test_degenerate_polytopes_may_visit_extra_bases():
     assert len(result.triangulation) == 12
 
 
+# Each edge's ratio test runs once from a simple end; the work counters still
+# charge both ends, as a fresh test at every visited basis would.
+
+
+def assert_work_and_closure(p, result):
+    """The counters equal fresh ratio tests at every visited basis, and every
+    pivot out of a visited basis, skipped or not, lands on a visited basis."""
+    c = result.counters
+    visited = result.triangulation.dets
+    assert c.bases_visited == len(visited), p.name
+    assert ratio_work(p, result) == (c.ratio_mults, c.max_basis_mults), p.name
+    for rows in visited:
+        basis = basis_adjugate(p, rows)
+        pt = scaled_point(p, *basis_solution(p, rows, basis))
+        for leaving, entering, _, _ in pivot_neighbors(p, rows, basis, pt):
+            if entering is not None:
+                assert target_basis(rows, leaving, entering) in visited, p.name
+
+
+def test_ratio_work_matches_fresh_ratio_tests_on_corpora(corpus_analysis, bench_duals):
+    cases = [(p, result) for p, result, _ in corpus_analysis] + list(bench_duals.values())
+    cases += [(p, run_enumeration(p)) for p in (build() for build in DEGENERATE_FAMILY)]
+    assert len(cases) == 205
+    for p, result in cases:
+        assert_work_and_closure(p, result)
+
+
+def ratio_tests_run(p, v0):
+    """The enumeration from v0 and the number of ratio tests it ran."""
+    core, calls = model.min_ratio, []
+
+    def counted(*args):
+        calls.append(None)
+        return core(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "min_ratio", counted)
+        result = enumerate_vertices(p, v0)
+    return result, len(calls)
+
+
+def test_each_edge_out_of_a_simple_vertex_is_tested_once(corpus_analysis, bench_duals):
+    # The octahedron's vertices are all degenerate: nothing is skipped there.
+    # Testing every edge from both ends ran 8, 24, 24, 72, 192 and 320.
+    cases = [(p, run_enumeration(p)) for p in (square(), cube(), square_pyramid(), octahedron())]
+    runs = []
+    for p, reference in cases + list(bench_duals.values()):
+        result, tests = ratio_tests_run(p, reference.vertices[0])
+        assert result.counters == reference.counters, p.name
+        runs.append(tests)
+    assert runs == [4, 12, 12, 72, 96, 160]
+    # All simple and bounded: n tests per basis, less one per edge.
+    simple = 0
+    for p, reference, _ in corpus_analysis:
+        if reference.bounded and all(v.simple for v in reference.vertices):
+            simple += 1
+            result, tests = ratio_tests_run(p, reference.vertices[0])
+            assert tests == p.n * result.counters.bases_visited - len(result.edges), p.name
+    assert simple >= 50
+
+
+small = st.integers(-2, 2)
+
+
+@st.composite
+def small_systems(draw):
+    """n in {2, 3}, m <= 8 rows with entries in [-2, 2]. Each row's slack at
+    a lattice point c is drawn from {0, 0, 1, 2}: c is feasible and about
+    half the rows pass through it, so degenerate vertices are common."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(n + 1, 8))
+    rows = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=m, max_size=m))
+    c = draw(st.lists(small, min_size=n, max_size=n))
+    slack = draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=m, max_size=m))
+    return rows, [dot(a, c) + s for a, s in zip(rows, slack)]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_systems())
+def test_enumeration_matches_its_oracles_on_small_systems(system):
+    try:
+        p = make_polyhedron(*system)
+        x0 = phase_one(p)
+    except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
+        assume(False)
+    result = run_enumeration(p, x0)
+    oracle = enumerate_all_bases_oracle(p)
+    got = {v.point: v.tight for v in result.vertices}
+    assert got == {v.point: v.tight for v in oracle.vertices}
+    assert result.edges == rank_test_edges(p, result)
+    assert_work_and_closure(p, result)
+
+
 # Redundancy read off the enumeration, against the LP scan as the oracle.
-
-BENCH_DUALS = Path(__file__).resolve().parent.parent / "bench" / "data"
-
 
 def lp_redundant(p, x0=None):
     return redundancy_scan(p, phase_one(p) if x0 is None else x0)
@@ -375,7 +472,7 @@ def test_redundant_rows_match_lp_scan_on_fuzz_corpus(corpus_analysis):
 
 @pytest.mark.parametrize("name", ["dual-n2k5", "dual-n4k2"])
 def test_redundant_rows_match_lp_scan_on_bench_duals(name):
-    doc = load_instance_path(str(BENCH_DUALS / f"{name}.instance.json"))
+    doc = load_instance_path(str(BENCH_DATA / f"{name}.instance.json"))
     p, x0 = doc.polyhedron, doc.feasible_point
     assert redundant_rows(p, run_enumeration(p, x0)) == lp_redundant(p, x0)
 
