@@ -162,8 +162,8 @@ class Analysis:
 
     @cached_property
     def fan_stats(self) -> stats.FanStats:
-        t = self.result.triangulation
-        return stats.triangulation_stats(self.p.rows(), t.cones, t.dets, self.scan_budget)
+        p, t = self.p, self.result.triangulation
+        return stats.triangulation_stats(p.ints, p.scales, t.cones, t.dets, self.scan_budget)
 
     @cached_property
     def graph(self) -> dict[int, list[int]]:

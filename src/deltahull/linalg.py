@@ -1,10 +1,10 @@
 """Exact linear algebra over Python ints, plus Fraction vector helpers.
 
 A rational row becomes integers once, in `integer_row`: its primitive
-integer multiple and the positive scale between the two. Rank, determinant
-and adjugate then come from one fraction-free (Bareiss) elimination over
-Python ints, whose every division is exact, so `rank_of`, `det_exact`,
-`adjugate` and `solve` take integer matrices and never see a denominator.
+integer multiple and the positive scale between the two. Rank and
+adjugate then come from one fraction-free (Bareiss) elimination over
+Python ints, whose every division is exact, so `rank_of`, `adjugate` and
+`solve` take integer matrices and never see a denominator.
 A basis is carried as the pair (det, adj) and a row swap updates that pair
 in integers (`basis_inverse_update`); the pivot kernel in `model` builds a
 `Fraction` only where a result leaves it. No floating point is used
@@ -97,15 +97,6 @@ def rank_of(m) -> int:
     if not m:
         return 0
     return _eliminate([list(row) for row in m], len(m[0]))[0]
-
-
-def det_exact(m) -> int:
-    """Determinant of a square integer matrix."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    rank, sign, pivot = _eliminate([list(row) for row in m], n)
-    return sign * pivot if rank == n else 0
 
 
 def adjugate(m) -> tuple[int, list[list[int]]]:

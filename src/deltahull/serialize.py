@@ -35,8 +35,7 @@ def parse_rational(token) -> Fraction:
     raise ParseError(f"not a rational: {token!r}")
 
 
-def rational_str(x: Fraction) -> str:
-    x = Fraction(x)
+def rational_str(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

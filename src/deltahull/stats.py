@@ -6,6 +6,13 @@ and fan-volume inequalities, the minor count behind the
 total-unimodularity verdict, and the basis-distance / wideness numbers
 behind the diameter certificate.
 
+A Delta search node on integer rows b_1..b_k keeps d_t = det G(b_1..b_t),
+d_0 = 1, and lambda_{t,s} = d_s mu_{t,s} for s < t (integral Gram-Schmidt,
+Cohen 1993, 2.6). Its child adding b_{k+1} runs, for s = 1..k+1 from
+u = b_{k+1}.b_s, u <- (d_r u - lambda_{k+1,r} lambda_{s,r}) / d_{r-1} over
+r < s, each division exact (Bareiss 1968): u ends as lambda_{k+1,s}, and as
+d_{k+1} at s = k+1. Once a d_t is 0, so is every descendant's.
+
 The distance certificate measures, for each cone C of the triangulation and
 each position pos in it, sin^2 of the angle between row i = C[pos] of
 A (A_W)^-1 and the span of the cone's other rows, W being the Delta
@@ -43,13 +50,14 @@ def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
     One exact branch and bound at every budget: rows in norm-descending
     order, and a subtree is dropped only when its Gram-determinant x
     remaining-norms (Hadamard-Fischer) bound is strictly below the best
-    value found. Ties resolve to the lexicographically smallest witness in
-    original row order; a matrix of rank < n gives (0, (0, ..., n-1)), and
-    one with fewer rows than columns (0, ()), having no n-row submatrix.
-    Raises BudgetExceeded past 50x `budget` search nodes; the tree has at
-    most C(m+1, n) nodes. Determinants run on the integer rows and are
-    divided by the product of their scales, so every comparison is one of
-    a's own determinants.
+    value found. Each node's Gram determinant is one step of the integral
+    Gram-Schmidt recurrence (module docstring) from its parent's. Ties
+    resolve to the lexicographically smallest witness in original row order;
+    a matrix of rank < n gives (0, (0, ..., n-1)), and one with fewer rows
+    than columns (0, ()), having no n-row submatrix. Raises BudgetExceeded
+    past 50x `budget` search nodes; the tree has at most C(m+1, n) nodes.
+    Determinants of the integer rows over the product of their scales make
+    every comparison one of a's own determinants.
     """
     return _delta_search(*linalg.integer_rows(a), budget)
 
@@ -62,8 +70,7 @@ def _delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
     if m < n:
         return Fraction(0), ()
     w_num, w_den = [s.denominator**2 for s in scales], [s.numerator**2 for s in scales]
-    sq = [dot(r, r) for r in ints]
-    norms = [(q * a, b) for q, a, b in zip(sq, w_num, w_den)]
+    norms = [(dot(r, r) * a, b) for r, a, b in zip(ints, w_num, w_den)]
 
     def larger_first(i, j):  # ties by index
         return norms[j][0] * norms[i][1] - norms[i][0] * norms[j][1] or i - j
@@ -77,43 +84,46 @@ def _delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
             c, d = suffix_top[p + 1][j - 1]
             suffix_top[p][j] = (a * c, b * d)
 
-    def gram_det(rows: list[int]) -> tuple[int, int]:
-        g = [[dot(ints[i], ints[j]) if i != j else sq[i] for j in rows] for i in rows]
-        det = linalg.det_exact(g)
-        return det * prod(w_num[i] for i in rows), prod(w_den[i] for i in rows)
+    def child(node, j):
+        """node plus row j: (chosen rows, d, lambda rows (s < t), weight num, den)."""
+        chosen, d, lam, wn, wd = node
+        chosen, row = chosen + (j,), []
+        lam += (row,)
+        for s, i in enumerate(chosen if d[-1] else ()):  # d = 0 stays 0
+            u = dot(ints[j], ints[i])
+            for r in range(s):
+                u = (d[r + 1] * u - row[r] * lam[s][r]) // d[r]
+            row.append(u)
+        return chosen, d + (row.pop() if row else 0,), lam, wn * w_num[j], wd * w_den[j]
 
     best_num, best_den, witness = 0, 1, tuple(range(n))
-    node_cap = 50 * budget
-    nodes = 0
-    stack: list[tuple[list[int], int]] = [([], 0)]
+    node_cap, nodes = 50 * budget, 0
+    # (parent, row it adds, next position); the root adds no row
+    stack = [(((), (1,), (), 1, 1), None, 0)]
     while stack:
-        chosen, start = stack.pop()
+        parent, j, start = stack.pop()
         nodes += 1
         if nodes > node_cap:
             raise BudgetExceeded(f"subdeterminant search exceeded {node_cap} nodes")
-        k = len(chosen)
+        node = parent if j is None else child(parent, j)
+        chosen, d, _, wn, g_den = node
+        k, g_num = len(chosen), d[-1] * wn
         if k == n:
-            d_num, d_den = gram_det(chosen)
-            rows = tuple(sorted(chosen))
-            gain = d_num * best_den - best_num * d_den
-            if gain > 0 or (gain == 0 and rows < witness):
-                best_num, best_den, witness = d_num, d_den, rows
+            gain = g_num * best_den - best_num * g_den
+            if gain > 0 or (gain == 0 and tuple(sorted(chosen)) < witness):
+                best_num, best_den, witness = g_num, g_den, tuple(sorted(chosen))
             continue
-        g_num, g_den = gram_det(chosen) if chosen else (1, 1)
-        # g * top < best, as lhs * top_num < rhs * top_den
-        lhs, rhs = g_num * best_den, best_num * g_den
+        lhs, rhs = g_num * best_den, best_num * g_den  # g * top < best, cross-multiplied
         children = []
         for pos in range(start, m - (n - k) + 1):
             # ties may hide the lex-min witness: prune only on strict loss
             top_num, top_den = suffix_top[pos][n - k]
             if lhs * top_num < rhs * top_den:
                 break
-            children.append((chosen + [order[pos]], pos + 1))
+            children.append((node, order[pos], pos + 1))
         stack.extend(reversed(children))
-    best_sq = Fraction(best_num, best_den)
-    num = linalg.isqrt_exact(best_sq.numerator)
-    den = linalg.isqrt_exact(best_sq.denominator)
-    return Fraction(num, den), witness
+    best_sq = Fraction(best_num, best_den).as_integer_ratio()
+    return Fraction(*map(linalg.isqrt_exact, best_sq)), witness
 
 
 @dataclass
@@ -138,15 +148,15 @@ class FanStats:
 
 
 def triangulation_stats(
-    a: Mat, cones: list[Rows], int_dets, budget: int = DEFAULT_BUDGET
+    ints, scales, cones: list[Rows], int_dets, budget: int = DEFAULT_BUDGET
 ) -> FanStats:
-    """Delta plus per-triangulation average, minimum, and exact volume. A
-    cone's |det| is int_dets[cone], the |det| of its integer rows as
+    """Delta plus per-triangulation average, minimum, and exact volume of the
+    rows ints_i / s_i (HPolyhedron.ints and .scales, or linalg.integer_rows).
+    A cone's |det| is int_dets[cone], the |det| of its integer rows as
     hull.Triangulation.dets holds it, over the product of their scales."""
     if not cones:
         raise ValueError("empty cone list")
-    n = len(a[0])
-    ints, scales = linalg.integer_rows(a)
+    n = len(ints[0])
     dets = tuple(Fraction(int_dets[c]) / prod(scales[i] for i in c) for c in cones)
     if min(dets) == 0:
         raise SingularBasis("triangulation contains a singular cone")

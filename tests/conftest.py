@@ -134,7 +134,7 @@ def corpus_analysis(fuzz_corpus):
     for p in fuzz_corpus:
         result = hull.run_enumeration(p)
         t = result.triangulation
-        stats = dstats.triangulation_stats(p.rows(), t.cones, t.dets)
+        stats = dstats.triangulation_stats(p.ints, p.scales, t.cones, t.dets)
         out.append((p, result, stats))
     return out
 

@@ -1,5 +1,7 @@
 """Test-only helpers with no caller in the package: a rational matrix
-builder and product, the exact inverse, the cone-determinant oracle, the
+builder and product, the exact determinant and inverse, the Delta search
+that evaluates one Gram determinant per node (the oracle of
+stats._delta_search), the cone-determinant oracle, the
 skeleton-edge rank oracle, the ratio-test work oracle, the unimodularizing
 transform with the full minor scan and the per-cone distance certificate
 (the oracles of the CLI's total-unimodularity verdict and of
@@ -12,6 +14,7 @@ as graphs.build_polytope_graph returns them."""
 
 from collections import deque
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, product
 from math import factorial, floor, prod, sqrt
 
@@ -42,6 +45,79 @@ def to_matrix(rows) -> Mat:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = list(zip(*b))
     return [[dot(row, col) for col in cols] for row in a]
+
+
+def det_exact(m) -> int:
+    """Determinant of a square integer matrix, by the package's Bareiss
+    elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    rank, sign, pivot = linalg._eliminate([list(row) for row in m], n)
+    return sign * pivot if rank == n else 0
+
+
+def gram_delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
+    """stats._delta_search with the Gram matrix of each node's rows built
+    afresh and its determinant taken by det_exact: the same norm order,
+    prune, node count and tie-break, so the same (Delta, witness) and the
+    same BudgetExceeded, from independent determinants."""
+    m, n = len(ints), len(ints[0])
+    if m < n:
+        return Fraction(0), ()
+    w_num, w_den = [s.denominator**2 for s in scales], [s.numerator**2 for s in scales]
+    sq = [dot(r, r) for r in ints]
+    norms = [(q * a, b) for q, a, b in zip(sq, w_num, w_den)]
+
+    def larger_first(i, j):  # ties by index
+        return norms[j][0] * norms[i][1] - norms[i][0] * norms[j][1] or i - j
+
+    order = sorted(range(m), key=cmp_to_key(larger_first))
+    # suffix_top[p][j]: product of the j largest norms at positions >= p
+    suffix_top = [[(1, 1)] * (n + 1) for _ in range(m + 1)]
+    for p in range(m - 1, -1, -1):
+        a, b = norms[order[p]]
+        for j in range(1, min(n, m - p) + 1):
+            c, d = suffix_top[p + 1][j - 1]
+            suffix_top[p][j] = (a * c, b * d)
+
+    def gram_det(rows: list[int]) -> tuple[int, int]:
+        g = [[dot(ints[i], ints[j]) if i != j else sq[i] for j in rows] for i in rows]
+        det = det_exact(g)
+        return det * prod(w_num[i] for i in rows), prod(w_den[i] for i in rows)
+
+    best_num, best_den, witness = 0, 1, tuple(range(n))
+    node_cap = 50 * budget
+    nodes = 0
+    stack: list[tuple[list[int], int]] = [([], 0)]
+    while stack:
+        chosen, start = stack.pop()
+        nodes += 1
+        if nodes > node_cap:
+            raise BudgetExceeded(f"subdeterminant search exceeded {node_cap} nodes")
+        k = len(chosen)
+        if k == n:
+            d_num, d_den = gram_det(chosen)
+            rows = tuple(sorted(chosen))
+            gain = d_num * best_den - best_num * d_den
+            if gain > 0 or (gain == 0 and rows < witness):
+                best_num, best_den, witness = d_num, d_den, rows
+            continue
+        g_num, g_den = gram_det(chosen) if chosen else (1, 1)
+        # g * top < best, as lhs * top_num < rhs * top_den
+        lhs, rhs = g_num * best_den, best_num * g_den
+        children = []
+        for pos in range(start, m - (n - k) + 1):
+            # ties may hide the lex-min witness: prune only on strict loss
+            top_num, top_den = suffix_top[pos][n - k]
+            if lhs * top_num < rhs * top_den:
+                break
+            children.append((chosen + [order[pos]], pos + 1))
+        stack.extend(reversed(children))
+    best_sq = Fraction(best_num, best_den)
+    num = linalg.isqrt_exact(best_sq.numerator)
+    den = linalg.isqrt_exact(best_sq.denominator)
+    return Fraction(num, den), witness
 
 
 def invert(m) -> Mat:
@@ -75,7 +151,7 @@ def verify_total_unimodularity(a: Mat, budget: int = stats.DEFAULT_BUDGET) -> bo
             limit = prod(scales[i] for i in rows)
             for cols in combinations(range(n), k):
                 sub = [[ints[i][j] for j in cols] for i in rows]
-                if abs(linalg.det_exact(sub)) > limit:
+                if abs(det_exact(sub)) > limit:
                     return False
     return True
 
@@ -117,7 +193,7 @@ def vertex_columns(lifted) -> list[tuple[Fraction, ...]]:
 def abs_det(ints, scales, rows: Rows) -> Fraction:
     """|det| of the rational rows `rows`: integer |det| over their scales,
     evaluated afresh (the oracle of the determinants the enumeration keeps)."""
-    d = abs(linalg.det_exact([ints[i] for i in rows]))
+    d = abs(det_exact([ints[i] for i in rows]))
     return Fraction(d) / prod(scales[i] for i in rows)
 
 
@@ -125,7 +201,7 @@ def cone_dets(a, cones) -> dict[Rows, int]:
     """The integer |det| of each cone's primitive integer rows, evaluated
     afresh: triangulation_stats's input for cones no enumeration visited."""
     ints, _ = linalg.integer_rows(a)
-    return {c: abs(linalg.det_exact([ints[i] for i in c])) for c in cones}
+    return {c: abs(det_exact([ints[i] for i in c])) for c in cones}
 
 
 def rank_test_edges(p, result) -> set[tuple[int, int]]:
@@ -312,7 +388,7 @@ def tightness_experiment(
     for fan in fans:
         gens = [list(r) for r in normalize_rays(fan.rays, digits)]
         fan_stats = stats.triangulation_stats(
-            gens, fan.cones, cone_dets(gens, fan.cones), budget
+            *linalg.integer_rows(gens), fan.cones, cone_dets(gens, fan.cones), budget
         )
         delta, avg = fan_stats.delta, fan_stats.delta_avg
         bound = factorial(n) * float(delta / avg) * stats.unit_ball_volume(n)

@@ -39,7 +39,7 @@ def generated_duals():
             p = lifted.dual_polyhedron()
             result = hull.run_enumeration(p)
             t = result.triangulation
-            st = stats.triangulation_stats(p.rows(), t.cones, t.dets)
+            st = stats.triangulation_stats(p.ints, p.scales, t.cones, t.dets)
             out.append((n, k, fans[k], p, result, st))
     return out
 

@@ -18,6 +18,7 @@ from deltahull.counting import (
 )
 from deltahull.errors import BudgetExceeded, DeltahullError, Unbounded
 from deltahull.hull import run_enumeration
+from deltahull.linalg import integer_rows
 from deltahull.model import make_polyhedron
 from deltahull.stats import triangulation_stats
 
@@ -230,7 +231,7 @@ def test_estimate_counting_cost_square():
     p = square()
     result = run_enumeration(p)
     t = result.triangulation
-    stats = triangulation_stats(p.rows(), t.cones, t.dets)
+    stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
     est = estimate_counting_cost(stats)
     # n^4 * delta * |T| * sum det^2 = 16 * 1 * 4 * 4.
     assert est.triangulation_cost_exact == 256
@@ -243,9 +244,9 @@ def test_estimate_counting_cost_scales_with_row_scaling():
     p = cube()
     result = run_enumeration(p)
     cones, dets = result.triangulation.cones, result.triangulation.dets
-    base = estimate_counting_cost(triangulation_stats(p.rows(), cones, dets))
+    base = estimate_counting_cost(triangulation_stats(p.ints, p.scales, cones, dets))
     scaled_rows = [[3 * x for x in row] for row in p.rows()]
-    scaled = estimate_counting_cost(triangulation_stats(scaled_rows, cones, dets))
+    scaled = estimate_counting_cost(triangulation_stats(*integer_rows(scaled_rows), cones, dets))
     n = 3
     # Every cone determinant gains 3^n: delta and each det^2 term scale.
     factor = Fraction(3**n) * Fraction(3 ** (2 * n))

@@ -25,7 +25,7 @@ from deltahull.hull import (
     run_enumeration,
     triangulate_normal_cone,
 )
-from deltahull.linalg import det_exact, dot
+from deltahull.linalg import dot
 from deltahull.model import (
     VertexRecord,
     basis_adjugate,
@@ -50,7 +50,7 @@ from conftest import (
     square,
     square_pyramid,
 )
-from helpers import abs_det, rank_test_edges, ratio_work
+from helpers import abs_det, det_exact, rank_test_edges, ratio_work
 
 
 def target_basis(rows, leaving, entering):
@@ -119,7 +119,7 @@ def assert_recorded_dets_match_fresh_ones(p, result):
         assert [[dot(line, col) for col in cols] for line in adj] == [
             [det * (j == k) for k in range(p.n)] for j in range(p.n)
         ]
-    stats = triangulation_stats(p.rows(), t.cones, t.dets)
+    stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
     assert stats.cone_dets == tuple(abs_det(p.ints, p.scales, c) for c in t.cones)
 
 

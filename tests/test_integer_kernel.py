@@ -26,7 +26,7 @@ from deltahull.errors import (
     SingularUpdate,
 )
 from deltahull import hull, model, subdivision
-from deltahull.linalg import adjugate, det_exact, dot, rank_of
+from deltahull.linalg import adjugate, dot, rank_of
 from deltahull.model import (
     basis_adjugate,
     basis_solution,
@@ -43,6 +43,7 @@ from deltahull.model import (
 
 import fraction_oracle as oracle
 from conftest import square
+from helpers import det_exact
 
 # Mostly integers, so that ties between ratios and degenerate vertices occur.
 rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3]))

@@ -14,7 +14,6 @@ from deltahull.errors import SingularMatrix, SingularUpdate
 from deltahull.linalg import (
     adjugate,
     basis_inverse_update,
-    det_exact,
     dot,
     frac,
     identity,
@@ -26,7 +25,7 @@ from deltahull.linalg import (
 )
 
 from fraction_oracle import as_inverse, sherman_morrison
-from helpers import invert, mat_mul
+from helpers import det_exact, invert, mat_mul
 
 
 def mat_vec(m, v):

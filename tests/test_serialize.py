@@ -47,6 +47,7 @@ def test_rational_str_lowest_terms():
     assert rational_str(Fraction(14, 6)) == "7/3"
     assert rational_str(Fraction(-4, 2)) == "-2"
     assert rational_str(Fraction(0)) == "0"
+    assert rational_str(7) == "7"
 
 
 def test_rationalize_handles_nested_structures():

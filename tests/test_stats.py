@@ -20,9 +20,11 @@ from deltahull.errors import (
     SingularBasis,
 )
 from deltahull.hull import run_enumeration
-from deltahull.linalg import det_exact, rank_of
+from deltahull.linalg import integer_rows, rank_of
 from deltahull.model import make_polyhedron, submatrix
 from deltahull.stats import (
+    DEFAULT_BUDGET,
+    _delta_search,
     check_fan_bound,
     check_vertex_bound,
     cone_distance_certificate,
@@ -37,7 +39,9 @@ from deltahull.subdivision import base_simplex
 from conftest import DEGENERATE_FAMILY, cube, square, square_pyramid
 from helpers import (
     cone_dets,
+    det_exact,
     floor_holds,
+    gram_delta_search,
     local_delta_distance,
     to_matrix,
     totally_unimodular_transform,
@@ -200,11 +204,81 @@ def test_delta_max_branch_bound_node_cap():
         delta_max(a, budget=1)
 
 
+def search_outcome(search, ints, scales, budget):
+    """(Delta, witness), or "raised" on BudgetExceeded."""
+    try:
+        return search(ints, scales, budget)
+    except BudgetExceeded:
+        return "raised"
+
+
+@st.composite
+def dependent_rational_matrices(draw):
+    """Matrices with n in 1..5 whose largest rows are often dependent: up to
+    three large combinations of fewer than n small generators, which lead the
+    search's norm order as a rank-deficient prefix, then small random rows,
+    up to two repeated rows, and a positive rational scale on every row."""
+    n = draw(st.integers(1, 5))
+    small = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    gens = draw(st.lists(small, min_size=1, max_size=max(n - 1, 1)))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
+    rows = [
+        [4 * sum(c * g[t] for c, g in zip(cs, gens)) for t in range(n)]
+        for cs in draw(st.lists(coeffs, max_size=3))
+    ]
+    rows += draw(st.lists(small, min_size=n, max_size=n + 3))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    pool = st.sampled_from([Fraction(1), Fraction(1), Fraction(2, 3), Fraction(5, 7)])
+    scales = draw(st.lists(pool, min_size=len(rows), max_size=len(rows)))
+    return [[s * x for x in row] for s, row in zip(scales, rows)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dependent_rational_matrices())
+def test_delta_search_matches_the_gram_oracle(a):
+    """The recurrence gives the per-node Gram determinants' (Delta, witness),
+    and raises at the same budgets: the node count and prune are unchanged."""
+    ints, scales = integer_rows(a)
+    for budget in (1, 2, 3, 4, 5, DEFAULT_BUDGET):
+        got = search_outcome(_delta_search, ints, scales, budget)
+        assert got == search_outcome(gram_delta_search, ints, scales, budget), budget
+
+
+def test_delta_search_walks_a_dependent_prefix():
+    # Rows 1 and 0 lead the norm order and are parallel: d_2 = 0 while the
+    # best value is still 0, so the subtree below them is walked with d = 0.
+    a = to_matrix(
+        [[5, 5, 0, 0], [10, 10, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    )
+    ints, scales = integer_rows(a)
+    want = (Fraction(10), (1, 2, 4, 5))
+    assert delta_max(a) == exhaustive_delta(a) == want
+    for budget in range(1, 6):
+        got = search_outcome(_delta_search, ints, scales, budget)
+        assert got == search_outcome(gram_delta_search, ints, scales, budget)
+
+
+def test_delta_search_matches_the_gram_oracle_on_corpora(bench_duals, fuzz_corpus):
+    """The frozen bench duals, the generated duals n3k3 and n5k2, and the
+    fuzz corpus, at every budget up to the least one the oracle returns at:
+    the searches visit the same number of nodes, to the cap's step of 50."""
+    systems = [p for p, _ in bench_duals.values()] + list(fuzz_corpus)
+    for n, depth in ((3, 3), (5, 2)):
+        fans = subdivision.build_subdivision_fans(n, depth)
+        systems.append(subdivision.lift_polytope(fans).dual_polyhedron())
+    for p in systems:
+        want, budget = "raised", 0
+        while want == "raised":
+            budget += 1
+            want = search_outcome(gram_delta_search, p.ints, p.scales, budget)
+            assert search_outcome(_delta_search, p.ints, p.scales, budget) == want, p.name
+
+
 def test_triangulation_stats_square():
     p = square()
     result = run_enumeration(p)
     t = result.triangulation
-    stats = triangulation_stats(p.rows(), t.cones, t.dets)
+    stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
     assert stats.delta == 1
     assert stats.delta_min == 1
     assert stats.delta_avg == 1
@@ -229,7 +303,7 @@ def test_triangulation_stats_volume_identity():
         if not result.vertices:
             continue
         cones = result.triangulation.cones
-        stats = triangulation_stats(p.rows(), cones, result.triangulation.dets)
+        stats = triangulation_stats(p.ints, p.scales, cones, result.triangulation.dets)
         total = sum(abs(det_exact([p.a[i] for i in c])) for c in cones)
         assert stats.fan_volume * math.factorial(p.n) == total
         assert stats.delta_min <= stats.delta_avg <= stats.delta
@@ -239,7 +313,7 @@ def test_triangulation_stats_volume_identity():
 def test_triangulation_stats_rejects_singular_cone():
     p = square()
     with pytest.raises(SingularBasis):
-        triangulation_stats(p.rows(), [(0, 2)], cone_dets(p.rows(), [(0, 2)]))
+        triangulation_stats(p.ints, p.scales, [(0, 2)], cone_dets(p.rows(), [(0, 2)]))
 
 
 def test_unit_ball_volume_known_values():
@@ -254,7 +328,7 @@ def test_check_vertex_bound_passes_on_boxes():
         p = build()
         result = run_enumeration(p)
         t = result.triangulation
-        stats = triangulation_stats(p.rows(), t.cones, t.dets)
+        stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
         report = check_vertex_bound(p, result, stats)
         assert report.passed
         assert report.lhs == len(result.vertices)
@@ -264,7 +338,7 @@ def test_check_vertex_bound_raises_on_fabricated_violation():
     p = square()
     result = run_enumeration(p)
     t = result.triangulation
-    stats = triangulation_stats(p.rows(), t.cones, t.dets)
+    stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
     from dataclasses import replace
 
     # Claim fewer cones than there are vertices: the count guard must fire.
@@ -277,12 +351,12 @@ def test_check_fan_bound_square_and_scaled_copy():
     p = square()
     result = run_enumeration(p)
     t = result.triangulation
-    stats = triangulation_stats(p.rows(), t.cones, t.dets)
+    stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
     volume_report, count_report = check_fan_bound(stats)
     assert volume_report.passed
     assert count_report.passed
     scaled = [[5 * x for x in row] for row in p.rows()]
-    stats5 = triangulation_stats(scaled, t.cones, t.dets)
+    stats5 = triangulation_stats(*integer_rows(scaled), t.cones, t.dets)
     v5, c5 = check_fan_bound(stats5)
     assert v5.passed == volume_report.passed
     assert c5.passed == count_report.passed
@@ -297,7 +371,7 @@ def test_totally_unimodular_transform_square_system():
     p = square()
     result = run_enumeration(p)
     t = result.triangulation
-    stats = triangulation_stats(p.rows(), t.cones, t.dets)
+    stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
     out = totally_unimodular_transform(p.rows(), stats.witness)
     assert all(abs(x) <= 1 for row in out for x in row)
     assert verify_total_unimodularity(out)
@@ -380,7 +454,7 @@ def test_wideness_and_diameter_bound_boxes():
         p = build()
         result = run_enumeration(p)
         cones = result.triangulation.cones
-        stats = triangulation_stats(p.rows(), cones, result.triangulation.dets)
+        stats = triangulation_stats(p.ints, p.scales, cones, result.triangulation.dets)
         report = wideness_and_diameter_bound(p, stats, result.triangulation)
         assert report.sin_sq_min == 1
         assert report.tau == pytest.approx(1 / n)
@@ -395,7 +469,7 @@ def test_wideness_floor_raises_when_certificate_dips():
     p = square()
     result = run_enumeration(p)
     cones = result.triangulation.cones
-    stats = triangulation_stats(p.rows(), cones, result.triangulation.dets)
+    stats = triangulation_stats(p.ints, p.scales, cones, result.triangulation.dets)
     from dataclasses import replace
 
     # Claim a huge minimum determinant: floor rises above the true sine.
@@ -415,7 +489,7 @@ def assert_cone_distances_match_oracle(p, result, witness):
 
 def delta_witness(p, result):
     t = result.triangulation
-    return triangulation_stats(p.rows(), t.cones, t.dets).witness
+    return triangulation_stats(p.ints, p.scales, t.cones, t.dets).witness
 
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
