@@ -169,6 +169,10 @@ class Analysis:
     def graph(self) -> dict[int, list[int]]:
         return graphs.build_polytope_graph(self.result)
 
+    def adjacency(self) -> dict[str, list[int]]:
+        """The graph keyed by strings, so that the report sorts them as text."""
+        return {str(v): near for v, near in self.graph.items()}
+
     def instance_block(self) -> dict:
         p, _, redundant = self.loaded
         return {
@@ -285,7 +289,7 @@ def cmd_verify(a: Analysis) -> dict:
         "instance": a.instance_block(),
         **_points_block(result),
         "stats": _stats_block(fan_stats),
-        "graph": {"adjacency": a.graph, "diameter": diameter},
+        "graph": {"adjacency": a.adjacency(), "diameter": diameter},
         "bounds": bounds,
         "work": a.work_block(),
     }
@@ -307,7 +311,7 @@ def cmd_diameter(a: Analysis) -> dict:
     return {
         "instance": a.instance_block(),
         "graph": {
-            "adjacency": a.graph,
+            "adjacency": a.adjacency(),
             "diameter": graphs.graph_diameter(a.graph),
             "nodes": len(a.graph),
             "edges": len(a.result.edges),

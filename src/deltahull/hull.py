@@ -13,10 +13,10 @@ is charged the hits it would have found. The (det, adj) pair of every basis
 popped is kept, so the cone determinants and the cone distances of the
 wideness certificate need no second elimination.
 The result is the skeleton walked: vertices, vertex pairs joined by a
-positive-step pivot, primitive integer rays. The only Fractions are each
-`VertexRecord.point` and the ratio-test step. The redundant rows of a
-full-dimensional polyhedron are read off the result: a row is a facet iff
-the vertices and rays on its hyperplane span dimension n - 1.
+positive-step pivot, primitive integer rays. The only Fractions are the
+`VertexRecord` points. The redundant rows of a full-dimensional polyhedron
+are read off the result: a row is a facet iff the vertices and rays on its
+hyperplane span dimension n - 1.
 """
 
 import heapq
@@ -87,13 +87,15 @@ def pivot_neighbors(
     counters: WorkCounters | None = None,
     known: dict[int, int] | None = None,
     back: dict[int, int] | None = None,
-) -> list[tuple[int, int | None, Fraction | None, list[int]]]:
+) -> list[tuple[int, int | None, int | None, list[int]]]:
     """All pivots out of a feasible basis (det, adj) at its vertex pt.
 
     Each is (leaving, entering, step, u): u = -adj[:, pos] is det times the
     edge direction, and the integer ratio test picks every row attaining the
     minimal step along u (ties at a degenerate vertex each yield a pivot; a
-    zero step stays at pt). Entering and step are None on an unbounded edge.
+    zero step stays at pt). `step` is the integer numerator of that step,
+    positive across an edge and zero at a stay, never built as a Fraction.
+    Entering and step are None on an unbounded edge.
     The ratio_mults charged to `counters` stay the paper's per-basis cost model,
     n * (m - n + hits) per leaving row: n multiplications per rate and n per
     ratio. The report keeps that figure, though the integer kernel does less
@@ -116,7 +118,8 @@ def pivot_neighbors(
             continue
         u = [-line[pos] for line in basis[1]]
         rates = p.products(u)
-        step, blocking, hits = model.min_ratio(p, rows, pt, rates)
+        pair, blocking, hits = model.min_ratio(p, rows, pt, rates)
+        step = pair and pair[0]
         mults += n * (p.m - n + hits)
         if back is not None and step:
             back[leaving] = sum(map((0).__gt__, rates))

@@ -7,8 +7,11 @@ with their integer slacks, tight sets, basis solves, a ray-cast walk from a
 feasible point to a vertex, and the one pivot kernel (ratio test plus
 fraction-free basis swap) shared by the vertex enumeration and the exact
 simplex (Bland's rule), which serves phase one and the strict interior
-point. Products of all rows with one vector run column by column. A
-`Fraction` is built only where a point or a step leaves the kernel. The LP
+point from auxiliary systems built off the integer form. The ratio test's
+step is an integer pair, the ray cast carries an integer point and an
+integral Gram-Schmidt basis of its tight rows, and products of all rows with
+one vector run column by column. A `Fraction` is built only where a point
+leaves the kernel, and for the rows as given (`a`, `b`). The LP
 redundancy scan, one simplex per row from one feasible point, is only the
 fallback for a system with implicit equalities (hull.redundant_rows reads
 the redundant rows of a full-dimensional one off its enumeration) and that
@@ -220,30 +223,29 @@ def tight_set(p: HPolyhedron, pt: Point) -> tuple[int, ...]:
     return tuple(compress(range(len(pt.slack)), map((0).__eq__, pt.slack)))
 
 
-def _extend_independent(p: HPolyhedron, basis: list[int], rows) -> list[int]:
+def _off_span(v, ortho) -> list[int]:
+    """A positive multiple of v less its projection on the span of `ortho`,
+    mutually orthogonal integer vectors with their square norms, in lowest
+    terms: v <- |o|^2 v - (v o) o for each (integral Gram-Schmidt)."""
+    for o, norm in ortho:
+        c = dot(v, o)
+        if c:
+            v = [norm * x - c * y for x, y in zip(v, o)]
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
+
+
+def _extend_independent(p: HPolyhedron, basis: list[int], ortho: list, rows) -> list[int]:
     """Append to `basis` each of `rows` independent of the rows before it,
-    with one rank test per row until the basis has n rows."""
+    and its part orthogonal to them to `ortho`, until the basis has n rows."""
     for i in rows:
         if len(basis) == p.n:
             break
-        trial = submatrix(p, basis + [i])
-        if linalg.rank_of(trial) == len(trial):
+        o = _off_span(p.ints[i], ortho)
+        if any(o):
             basis.append(i)
+            ortho.append((o, dot(o, o)))
     return basis
-
-
-def _direction_off(p: HPolyhedron, basis: list[int]) -> list[int]:
-    """det(G) > 0 times e_j - R^T G^-1 R e_j, the projection of e_j off the
-    span of the basis rows R (Gram matrix G), for the lowest j where it is
-    nonzero: an integer vector."""
-    rows = submatrix(p, basis)
-    det, adj = linalg.adjugate([[dot(r, s) for s in rows] for r in rows])
-    for j in range(p.n):
-        coeffs = [dot(line, [r[j] for r in rows]) for line in adj]
-        d = [det * (t == j) - dot(coeffs, [r[t] for r in rows]) for t in range(p.n)]
-        if any(d):
-            return d
-    raise UnboundedLine("no direction found below rank n")  # unreachable
 
 
 def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
@@ -255,44 +257,53 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
     negation if the forward ray is unbounded). The tight rows stay tight
     along the move, so an independent basis of them grows by the newly
     tight rows alone; each move adds at least one, so at most n happen.
+    The basis is kept orthogonalized in integers, so a rank test or a
+    projection is one pass over it. The walk carries the integer Point: a
+    step s / q along d from num / den lands on (num (q / den) + s d) / q, q a
+    multiple of den. Only the vertex reached becomes Fractions.
     """
-    x = linalg.to_vector(x0)
-    pt = rational_point(p, x)
+    pt = rational_point(p, x0)
     tight = tight_set(p, pt)
-    basis = _extend_independent(p, [], tight)
+    ortho: list = []
+    basis = _extend_independent(p, [], ortho, tight)
     while len(basis) < p.n:
-        d = _direction_off(p, basis)
-        step = ratio_test(p, (), pt, d)[0]
+        d = next(d for d in (_off_span(e, ortho) for e in linalg.identity(p.n)) if any(d))
+        rates = p.products(d)
+        step = min_ratio(p, (), pt, rates)[0]
         if step is None:
             d = [-t for t in d]
-            step = ratio_test(p, (), pt, d)[0]
+            step = min_ratio(p, (), pt, [-w for w in rates])[0]
             if step is None:
                 raise UnboundedLine("polyhedron contains a line despite rank n")
-        x = [xi + step * di for xi, di in zip(x, d)]
-        pt = rational_point(p, x)
+        s, q = step
+        k = q // pt.den
+        pt = scaled_point(p, [v * k + s * t for v, t in zip(pt.num, d)], q)
         fresh = tight_set(p, pt)
-        basis = _extend_independent(p, basis, sorted(set(fresh) - set(tight)))
+        basis = _extend_independent(p, basis, ortho, sorted(set(fresh) - set(tight)))
         tight = fresh
-    return VertexRecord(tuple(x), tight)
+    return VertexRecord(pt.x, tight)
 
 
 def ratio_test(p: HPolyhedron, rows, pt: Point, u):
     """Longest feasible step from pt along the integer direction u over the
     rows outside `rows`.
 
-    Returns (step, blocking, hits): the least slack over rate, or None when
-    no row has positive rate (an unbounded ray); the rows attaining it,
-    ascending; and the number of rows with positive rate.
+    Returns (step, blocking, hits): the least slack over rate as a Fraction,
+    or None when no row has positive rate (an unbounded ray); the rows
+    attaining it, ascending; and the number of rows with positive rate.
     """
-    return min_ratio(p, rows, pt, p.products(u))
+    step, blocking, hits = min_ratio(p, rows, pt, p.products(u))
+    return step and Fraction(*step), blocking, hits
 
 
 def min_ratio(p: HPolyhedron, rows, pt: Point, rates):
-    """ratio_test given the rates w_i = ints_i u of every row.
+    """ratio_test given the rates w_i = ints_i u of every row, with the step
+    as the integer pair (s, q): step = s / q, q = pt.den * rhs_den[i] * w_i > 0
+    for a blocking row i, so s is zero iff the step is.
 
     The ratios are pt.slack[i] / (rhs_den[i] w_i). Only rows of least floor
     quotient can attain the minimum, as floor(a/b) < floor(c/d) implies
-    a/b < c/d; they are compared by cross-multiplying. One Fraction: the step.
+    a/b < c/d; they are compared by cross-multiplying.
     """
     live = [i for i, w in enumerate(rates) if w > 0 and i not in rows]
     if not live:
@@ -307,7 +318,7 @@ def min_ratio(p: HPolyhedron, rows, pt: Point, rates):
             best_s, best_w, blocking = s, w, [i]
         elif order == 0:
             blocking.append(i)
-    return Fraction(best_s, pt.den * best_w), blocking, len(live)
+    return (best_s, pt.den * best_w), blocking, len(live)
 
 
 def pivot(
@@ -344,7 +355,7 @@ def simplex_max(p: HPolyhedron, objective: Vec, x0: Vec):
     ("unbounded", direction).
     """
     v = find_initial_vertex(p, x0)
-    rows = v.tight if v.simple else tuple(_extend_independent(p, [], v.tight))
+    rows = v.tight if v.simple else tuple(_extend_independent(p, [], [], v.tight))
     basis = basis_adjugate(p, rows)
     while True:
         pt = scaled_point(p, *basis_solution(p, rows, basis))
@@ -354,17 +365,27 @@ def simplex_max(p: HPolyhedron, objective: Vec, x0: Vec):
                 break
         else:
             return "optimal", list(pt.x)
-        step, blocking, _ = ratio_test(p, rows, pt, u)
+        step, blocking, _ = min_ratio(p, rows, pt, p.products(u))
         if step is None:
             return "unbounded", u
         rows, basis = pivot(p, rows, basis, leaving, blocking[0])
 
 
-def _phase_one_system(p: HPolyhedron) -> HPolyhedron:
-    """Auxiliary system over (x, t): A x - t <= b and -t <= 0."""
-    rows = [list(r) + [Fraction(-1)] for r in p.rows()]
-    rows.append([Fraction(0)] * p.n + [Fraction(-1)])
-    return _system(rows, list(p.b) + [Fraction(0)], "phase1")
+def _auxiliary_system(p: HPolyhedron, sign: int, cap: int, name: str) -> HPolyhedron:
+    """The system A x + sign t <= b, sign t <= cap over (x, t), sign = +-1,
+    straight from p's integer form: with scales[i] = P/Q, row i is the
+    primitive (Q ints_i, sign P), of scale P, and its right-hand side
+    P b_i = Q rhs_num[i] / rhs_den[i]."""
+    rows = []
+    for row, scale, r, d in zip(p.ints, p.scales, p.rhs_num, p.rhs_den):
+        big, small = scale.numerator, scale.denominator
+        g = gcd(small, d)
+        row = row if small == 1 else tuple(small * v for v in row)
+        rows.append((row + (sign * big,), Fraction(big), small // g * r, d // g))
+    rows.append(((0,) * p.n + (sign,), Fraction(1), cap, 1))
+    t = Fraction(sign)
+    a = tuple(row + (t,) for row in p.a) + ((Fraction(0),) * p.n + (t,),)
+    return HPolyhedron(a, p.b + (Fraction(cap),), name, *zip(*rows))
 
 
 def phase_one(p: HPolyhedron) -> Vec:
@@ -376,10 +397,8 @@ def phase_one(p: HPolyhedron) -> Vec:
     worst = min(p.b)
     if worst >= 0:
         return [Fraction(0)] * p.n
-    q = _phase_one_system(p)
-    start = [Fraction(0)] * p.n + [-worst]
-    objective = [Fraction(0)] * p.n + [Fraction(-1)]  # maximize -t
-    status, opt = simplex_max(q, objective, start)
+    q = _auxiliary_system(p, -1, 0, "phase1")
+    status, opt = simplex_max(q, [0] * p.n + [-1], [0] * p.n + [-worst])  # max -t
     assert status == "optimal"  # -t <= 0 bounds the objective
     if opt[-1] > 0:
         raise Infeasible(f"phase one optimum t = {opt[-1]} > 0")
@@ -392,12 +411,8 @@ def strict_interior_point(p: HPolyhedron):
     Maximizes t in A x + t·1 <= b, t <= 1 starting from a feasible point of
     the original system; the cap keeps the auxiliary problem bounded.
     """
-    rows = [list(r) + [Fraction(1)] for r in p.rows()]
-    rows.append([Fraction(0)] * p.n + [Fraction(1)])
-    q = _system(rows, list(p.b) + [Fraction(1)], "interior")
-    start = phase_one(p) + [Fraction(0)]
-    objective = [Fraction(0)] * p.n + [Fraction(1)]
-    status, opt = simplex_max(q, objective, start)
+    q = _auxiliary_system(p, 1, 1, "interior")
+    status, opt = simplex_max(q, [0] * p.n + [1], phase_one(p) + [0])
     assert status == "optimal"
     if opt[-1] <= 0:
         return None

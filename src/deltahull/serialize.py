@@ -41,19 +41,10 @@ def rational_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rationalize(obj):
-    """Deep-copy a structure, turning Fractions into canonical strings."""
-    if isinstance(obj, Fraction):
-        return rational_str(obj)
-    if isinstance(obj, dict):
-        return {str(k): rationalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [rationalize(v) for v in obj]
-    return obj
-
-
 def canonical_dumps(obj) -> str:
-    return json.dumps(rationalize(obj), sort_keys=True, separators=(",", ":"))
+    """Sorted keys, compact separators, each Fraction as its rational_str.
+    Keys must be strings: json would sort int keys as numbers."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=rational_str)
 
 
 @dataclass

@@ -1,15 +1,19 @@
-"""The Fraction formulas of the pivot kernel, kept as the oracle of the
-integer kernel in `deltahull.model` and `deltahull.linalg`.
+"""The Fraction formulas of the pivot kernel and of the LP layer, kept as
+the oracle of the integer kernel in `deltahull.model` and `deltahull.linalg`.
 
 Each reads the rational data of the system (the rows' integer forms with
 their rational right-hand sides scales[i] * b[i]) and divides Fractions, as
-the kernel did before it ran on Python ints.
+the kernel did before it ran on Python ints. The LP layer's oracle moves
+Fraction coordinates through the ray cast, solves each simplex basis
+afresh, and builds its auxiliary systems from Fraction rows through
+`model._system`.
 """
 
 from fractions import Fraction
 
-from deltahull.errors import InfeasiblePoint, SingularUpdate
-from deltahull.linalg import dot
+from deltahull import linalg, model
+from deltahull.errors import Infeasible, InfeasiblePoint, SingularUpdate, UnboundedLine
+from deltahull.linalg import dot, to_vector
 
 
 def rational_rhs(p):
@@ -73,3 +77,107 @@ def as_inverse(basis):
     """adj / det of a (det, adj) pair."""
     det, adj = basis
     return [[Fraction(x, det) for x in row] for row in adj]
+
+
+def extend_independent(p, basis, rows):
+    """Append to `basis` each of `rows` independent of the rows before it,
+    by one rank test per row, until the basis has n rows."""
+    for i in rows:
+        if len(basis) == p.n:
+            break
+        trial = model.submatrix(p, basis + [i])
+        if linalg.rank_of(trial) == len(trial):
+            basis.append(i)
+    return basis
+
+
+def direction_off(p, basis):
+    """det(G) > 0 times e_j - R^T G^-1 R e_j, the projection of e_j off the
+    span of the basis rows R (Gram matrix G), for the lowest j where it is
+    nonzero."""
+    rows = model.submatrix(p, basis)
+    det, adj = linalg.adjugate([[dot(r, s) for s in rows] for r in rows])
+    for j in range(p.n):
+        coeffs = [dot(line, [r[j] for r in rows]) for line in adj]
+        d = [det * (t == j) - dot(coeffs, [r[t] for r in rows]) for t in range(p.n)]
+        if any(d):
+            return d
+    raise UnboundedLine("no direction found below rank n")
+
+
+def find_initial_vertex(p, x0):
+    """model.find_initial_vertex on Fraction coordinates: the same rule, a
+    rank test per candidate row, each direction from its Gram adjugate, each
+    move x + step * d with the Fraction step of ratio_test."""
+    x = to_vector(x0)
+    tight = tight_set(p, x)
+    basis = extend_independent(p, [], tight)
+    while len(basis) < p.n:
+        d = direction_off(p, basis)
+        step = ratio_test(p, (), x, d)[0]
+        if step is None:
+            d = [-t for t in d]
+            step = ratio_test(p, (), x, d)[0]
+            if step is None:
+                raise UnboundedLine("polyhedron contains a line despite rank n")
+        x = [xi + step * di for xi, di in zip(x, d)]
+        fresh = tight_set(p, x)
+        basis = extend_independent(p, basis, sorted(set(fresh) - set(tight)))
+        tight = fresh
+    return model.VertexRecord(tuple(x), tight)
+
+
+def simplex_max(p, objective, x0):
+    """model.simplex_max with Fraction points: the Fraction ray cast, then
+    Bland's rule, each basis's (det, adj) and vertex solved afresh."""
+    v = find_initial_vertex(p, x0)
+    rows = v.tight if v.simple else tuple(extend_independent(p, [], v.tight))
+    while True:
+        det, adj = model.basis_adjugate(p, rows)
+        x = model.basis_vertex(p, rows)
+        for pos, leaving in enumerate(rows):
+            u = [-line[pos] for line in adj]
+            if dot(objective, u) > 0:
+                break
+        else:
+            return "optimal", x
+        step, blocking, _ = ratio_test(p, rows, x, u)
+        if step is None:
+            return "unbounded", u
+        rows = tuple(sorted([r for r in rows if r != leaving] + [blocking[0]]))
+
+
+def phase_one_system(p):
+    """A x - t <= b and -t <= 0 over (x, t), cleared row by row."""
+    rows = [list(r) + [Fraction(-1)] for r in p.rows()]
+    rows.append([Fraction(0)] * p.n + [Fraction(-1)])
+    return model._system(rows, list(p.b) + [Fraction(0)], "phase1")
+
+
+def interior_system(p):
+    """A x + t <= b and t <= 1 over (x, t), cleared row by row."""
+    rows = [list(r) + [Fraction(1)] for r in p.rows()]
+    rows.append([Fraction(0)] * p.n + [Fraction(1)])
+    return model._system(rows, list(p.b) + [Fraction(1)], "interior")
+
+
+def phase_one(p):
+    """model.phase_one over phase_one_system with the Fraction simplex."""
+    worst = min(p.b)
+    if worst >= 0:
+        return [Fraction(0)] * p.n
+    start = [Fraction(0)] * p.n + [-worst]
+    objective = [Fraction(0)] * p.n + [Fraction(-1)]
+    status, opt = simplex_max(phase_one_system(p), objective, start)
+    assert status == "optimal"
+    if opt[-1] > 0:
+        raise Infeasible(f"phase one optimum t = {opt[-1]} > 0")
+    return opt[: p.n]
+
+
+def strict_interior_point(p):
+    """model.strict_interior_point over interior_system with the Fraction simplex."""
+    objective = [Fraction(0)] * p.n + [Fraction(1)]
+    status, opt = simplex_max(interior_system(p), objective, phase_one(p) + [Fraction(0)])
+    assert status == "optimal"
+    return opt[: p.n] if opt[-1] > 0 else None

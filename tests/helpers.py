@@ -28,7 +28,7 @@ from deltahull.errors import (
     SingularMatrix,
 )
 from deltahull.linalg import Mat, dot, frac
-from deltahull.serialize import parse_json, parse_rational
+from deltahull.serialize import parse_json, parse_rational, rational_str
 from deltahull.subdivision import SubdivisionFan, build_subdivision_fans, normalize_rays
 
 Rows = tuple[int, ...]
@@ -262,6 +262,19 @@ def bfs_diameter(g: dict[int, list[int]]) -> int:
             )
         diameter = max(diameter, max(dist.values()))
     return diameter
+
+
+def rationalize(obj):
+    """Deep-copy a structure, turning Fractions into canonical strings and
+    keys into strings: json.dumps of the copy, with sorted keys and compact
+    separators, is what serialize.canonical_dumps writes."""
+    if isinstance(obj, Fraction):
+        return rational_str(obj)
+    if isinstance(obj, dict):
+        return {str(k): rationalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [rationalize(v) for v in obj]
+    return obj
 
 
 def load_fan_json(text: str) -> SubdivisionFan:

@@ -26,8 +26,15 @@ def workloads():
 
 
 def test_fuzz_corpus_is_the_tests_corpus(workloads, fuzz_corpus):
-    # make_polyhedron, phase_one and strict_interior_point build both.
-    assert workloads.fuzz_corpus(workloads.FUZZ_SEED_BASE, 3) == fuzz_corpus[:3]
+    # make_polyhedron, phase_one and strict_interior_point build both, so a
+    # change to the LP layer that accepts other candidates shows here, and
+    # as ops with no stored reference.
+    count = workloads.FUZZ_COUNT
+    assert workloads.fuzz_corpus(workloads.FUZZ_SEED_BASE, count) == fuzz_corpus[:count]
+    reference = workloads.load_reference()
+    for p in fuzz_corpus[:count]:
+        key = workloads.file_key((serialize.dump_instance(p) + "\n").encode())
+        assert key in reference, p.name
 
 
 def test_dual_text_is_what_generate_writes(workloads, tmp_path):

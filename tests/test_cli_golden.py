@@ -20,11 +20,13 @@ from pathlib import Path
 
 import pytest
 
+from deltahull import serialize
 from deltahull.cli import main
 from deltahull.model import make_polyhedron
 from deltahull.serialize import canonical_dumps, dump_instance
 
 from conftest import build_fuzz_corpus, cube, octahedron, square, square_pyramid
+from helpers import rationalize
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 FUZZ = 10
@@ -114,6 +116,33 @@ def test_golden_covers_every_case(golden):
 def test_cli_matches_golden(inputs, golden, label, sub):
     got = run_case(SUBCOMMANDS[sub] + inputs[label])
     assert got == golden[case_id(label, sub)]
+
+
+def test_canonical_dumps_matches_the_rationalize_oracle(
+    inputs, golden, fuzz_corpus, tmp_path, monkeypatch
+):
+    """Every report of the golden cases, and the verify report of every
+    corpus instance, is written as json.dumps of its rationalize copy."""
+    paths = []
+    for p in fuzz_corpus:
+        paths.append(tmp_path / f"{p.name}.json")
+        paths[-1].write_text(dump_instance(p) + "\n", encoding="utf-8")
+    reports = []
+
+    def keep(obj):
+        reports.append(obj)
+        return canonical_dumps(obj)
+
+    monkeypatch.setattr(serialize, "canonical_dumps", keep)
+    for label, sub in CASES:
+        run_case(SUBCOMMANDS[sub] + inputs[label])
+    for path in paths:
+        run_case(["verify", str(path)])
+    with_report = sum(1 for case in golden.values() if case["report_sha256"])
+    assert len(reports) == with_report + len(fuzz_corpus)
+    for report in reports:
+        want = json.dumps(rationalize(report), sort_keys=True, separators=(",", ":"))
+        assert canonical_dumps(report) == want
 
 
 def record() -> None:

@@ -1,0 +1,100 @@
+"""The LP layer on the integer kernel against its Fraction oracle.
+
+The auxiliary systems of phase one and of the strict interior point, built
+from a system's integer form, must equal the ones `model._system` clears from
+Fraction rows, field for field. Phase one, the ray cast, the strict interior
+point and the simplex must return the oracle's point, tight set, status and
+Infeasible message: on small rational systems, feasible or not, where the row
+scales are not integers, and on the fuzz generator's candidates, which are
+integer.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from deltahull import model
+from deltahull.errors import DimensionMismatch, DuplicateRow, Infeasible, NotPointed
+
+import fraction_oracle as oracle
+from conftest import FUZZ_SEED_BASE, _random_instance
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def systems(draw):
+    """Up to 9 rows in up to 4 variables, entries p/q with q <= 7."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 9))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(rationals, min_size=m, max_size=m))
+    return rows, b
+
+
+def outcome(f, *args):
+    """f's value, or the message of the Infeasible it raises."""
+    try:
+        return f(*args)
+    except Infeasible as exc:
+        return ("Infeasible", str(exc))
+
+
+def assert_lp_layer_matches_oracle(p, objective):
+    assert model._auxiliary_system(p, -1, 0, "phase1") == oracle.phase_one_system(p)
+    assert model._auxiliary_system(p, 1, 1, "interior") == oracle.interior_system(p)
+    x0 = outcome(model.phase_one, p)
+    assert x0 == outcome(oracle.phase_one, p)
+    if isinstance(x0, tuple):
+        return False
+    assert model.strict_interior_point(p) == oracle.strict_interior_point(p)
+    v = model.find_initial_vertex(p, x0)
+    want = oracle.find_initial_vertex(p, x0)
+    assert (v.point, v.tight) == (want.point, want.tight)
+    assert all(type(c) is Fraction for c in v.point)
+    assert model.simplex_max(p, objective, x0) == oracle.simplex_max(p, objective, x0)
+    return True
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems(), st.data())
+def test_lp_layer_matches_fraction_oracle_on_rational_systems(system, data):
+    rows, b = system
+    try:
+        p = model.make_polyhedron(rows, b)
+    except (DimensionMismatch, DuplicateRow, NotPointed):
+        assume(False)
+    objective = data.draw(st.lists(rationals, min_size=p.n, max_size=p.n))
+    assert_lp_layer_matches_oracle(p, objective)
+
+
+def test_lp_layer_matches_fraction_oracle_on_fuzz_candidates():
+    feasible = infeasible = 0
+    for candidate in range(300):
+        rng = random.Random(FUZZ_SEED_BASE + candidate)
+        rows, b = _random_instance(rng)
+        try:
+            p = model.make_polyhedron(rows, b)
+        except (DimensionMismatch, DuplicateRow, NotPointed):
+            continue
+        objective = [rng.randint(-3, 3) for _ in range(p.n)]
+        if assert_lp_layer_matches_oracle(p, objective):
+            feasible += 1
+        else:
+            infeasible += 1
+    assert feasible > 100 and infeasible > 10
+
+
+@pytest.mark.parametrize("sign,cap", [(-1, 0), (1, 1)])
+def test_auxiliary_rows_are_primitive_with_integer_scales(sign, cap):
+    p = model.make_polyhedron([[Fraction(2, 3), Fraction(4, 9)], [1, -1], [0, Fraction(-5, 2)]],
+                              [Fraction(7, 6), 2, Fraction(1, 4)])
+    q = model._auxiliary_system(p, sign, cap, "aux")
+    # row 0: (2/3, 4/9) has scale 9/2, so (a_0, sign) clears to (6, 4, 9 sign) over scale 9
+    assert q.ints[0] == (6, 4, 9 * sign) and q.scales[0] == 9
+    assert (q.rhs_num[0], q.rhs_den[0]) == (21, 2)  # 9 * 7/6
+    assert q.ints[-1] == (0, 0, sign) and (q.rhs_num[-1], q.rhs_den[-1]) == (cap, 1)
+    assert q.a[-1] == (0, 0, sign) and q.b == p.b + (cap,)

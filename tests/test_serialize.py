@@ -15,12 +15,11 @@ from deltahull.serialize import (
     load_instance_path,
     parse_rational,
     rational_str,
-    rationalize,
 )
 from deltahull.subdivision import build_subdivision_fans
 
 from conftest import square
-from helpers import load_fan_json
+from helpers import load_fan_json, rationalize
 
 
 def test_parse_rational_accepted_forms():
