@@ -14,9 +14,11 @@ popped is kept, so the cone determinants and the cone distances of the
 wideness certificate need no second elimination.
 The result is the skeleton walked: vertices, vertex pairs joined by a
 positive-step pivot, primitive integer rays. The only Fractions are the
-`VertexRecord` points. The redundant rows of a full-dimensional polyhedron
-are read off the result: a row is a facet iff the vertices and rays on its
-hyperplane span dimension n - 1.
+`VertexRecord` points. The redundant rows are read off the result. A row
+tight at a simple vertex is a facet, since near that vertex the polyhedron is
+the simplicial cone of its n tight rows, which also makes it full-dimensional;
+any other row of a full-dimensional polyhedron is a facet iff the vertices and
+rays on its hyperplane span dimension n - 1, one rank each.
 """
 
 import heapq
@@ -287,16 +289,21 @@ def _span_rank(points, directions) -> int:
 def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int] | None:
     """The rows of p that are not facets, read off its enumeration.
 
-    P is full-dimensional iff its vertices and rays have affine rank n;
-    otherwise it has implicit equalities and this returns None (the LP scan
+    At a simple vertex v every row off its n tight rows B has positive slack,
+    so near v, p is the simplicial cone {x : A_B (x - v) <= 0}: each row of B
+    is a facet, and p is full-dimensional. Without a simple vertex, p is
+    full-dimensional iff its vertices and rays have affine rank n; if not, it
+    has implicit equalities and this returns None (the LP scan
     `model.redundancy_scan` decides that case). On a full-dimensional pointed
-    p without duplicate rows, row i is irredundant iff its face
+    p without duplicate rows, any other row i is irredundant iff its face
     {x in p : a_i x = b_i} has dimension n - 1. That face is spanned by the
     differences of the vertices tight at i and by the rays d with a_i d = 0,
-    so a row tight at no vertex is redundant. One rank per row.
+    so a row tight at no vertex is redundant. One rank per such row, none on
+    a simple polytope.
     """
     rays = [list(d) for d in sorted({d for _, d in result.rays})]
-    if _span_rank(result.exact, rays) < p.n:
+    facets = {i for v in result.vertices if v.simple for i in v.tight}
+    if not facets and _span_rank(result.exact, rays) < p.n:
         return None
     faces: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(p.m)]
     for v, pt in zip(result.vertices, result.exact):
@@ -304,6 +311,8 @@ def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int] | Non
             faces[i].append(pt)
     redundant = []
     for i, face in enumerate(faces):
+        if i in facets:
+            continue
         along = [d for d in rays if dot(p.ints[i], d) == 0]
         if not face or _span_rank(face, along) < p.n - 1:
             redundant.append(i)

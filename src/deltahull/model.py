@@ -36,7 +36,7 @@ from .errors import (
     SingularMatrix,
     UnboundedLine,
 )
-from .linalg import Basis, Mat, Vec, dot
+from .linalg import Basis, Vec, dot
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,6 @@ class HPolyhedron:
     @property
     def n(self) -> int:
         return len(self.a[0]) if self.a else 0
-
-    def rows(self) -> Mat:
-        return [list(r) for r in self.a]
 
     @cached_property
     def cols(self) -> tuple[tuple[int, ...], ...]:

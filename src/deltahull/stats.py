@@ -128,7 +128,9 @@ def _delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
 
 @dataclass
 class FanStats:
-    """Exact statistics of a simplicial-cone family drawn from matrix rows."""
+    """Exact statistics of a simplicial-cone family drawn from matrix rows;
+    each cone's |det| is an int pair (num, den > 0) in `cone_pairs`, and
+    only `cone_dets` turns them into Fractions, one per cone."""
 
     delta: Fraction
     witness: Rows
@@ -136,15 +138,20 @@ class FanStats:
     delta_min: Fraction
     cone_count: int
     fan_volume: Fraction
-    cone_dets: tuple[Fraction, ...]
+    cone_pairs: tuple[tuple[int, int], ...]
 
     @property
     def n(self) -> int:
         return len(self.witness)
 
     @property
+    def cone_dets(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(*pair) for pair in self.cone_pairs)
+
+    @property
     def det_square_sum(self) -> Fraction:
-        return sum((d * d for d in self.cone_dets), Fraction(0))
+        den = lcm(*(b for _, b in self.cone_pairs))
+        return Fraction(sum((a * (den // b)) ** 2 for a, b in self.cone_pairs), den * den)
 
 
 def triangulation_stats(
@@ -153,23 +160,30 @@ def triangulation_stats(
     """Delta plus per-triangulation average, minimum, and exact volume of the
     rows ints_i / s_i (HPolyhedron.ints and .scales, or linalg.integer_rows).
     A cone's |det| is int_dets[cone], the |det| of its integer rows as
-    hull.Triangulation.dets holds it, over the product of their scales."""
+    hull.Triangulation.dets holds it, over the product of their scales, kept
+    as (int_det * prod den s_i, prod num s_i); the minimum cross-multiplies,
+    the sum is over the lcm of the pair denominators, and only the three
+    results become Fractions."""
     if not cones:
         raise ValueError("empty cone list")
-    n = len(ints[0])
-    dets = tuple(Fraction(int_dets[c]) / prod(scales[i] for i in c) for c in cones)
-    if min(dets) == 0:
+    s_num, s_den = [s.numerator for s in scales], [s.denominator for s in scales]
+    pairs = tuple(
+        (int_dets[c] * prod(s_den[i] for i in c), prod(s_num[i] for i in c)) for c in cones
+    )
+    low = min(pairs, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    if low[0] == 0:
         raise SingularBasis("triangulation contains a singular cone")
     delta, witness = _delta_search(ints, scales, budget)
-    total = sum(dets, Fraction(0))
+    den = lcm(*(b for _, b in pairs))
+    total = sum(a * (den // b) for a, b in pairs)
     return FanStats(
         delta=delta,
         witness=witness,
-        delta_avg=total / len(dets),
-        delta_min=min(dets),
-        cone_count=len(dets),
-        fan_volume=total / factorial(n),
-        cone_dets=dets,
+        delta_avg=Fraction(total, den * len(pairs)),
+        delta_min=Fraction(*low),
+        cone_count=len(pairs),
+        fan_volume=Fraction(total, den * factorial(len(ints[0]))),
+        cone_pairs=pairs,
     )
 
 

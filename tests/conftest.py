@@ -112,13 +112,12 @@ def build_fuzz_corpus(count=FUZZ_COUNT):
             p = model.make_polyhedron(rows, b, name=f"fuzz-{candidate - 1}")
         except (errors.DimensionMismatch, errors.DuplicateRow, errors.NotPointed):
             continue
-        try:
-            model.phase_one(p)
+        try:  # phase one runs inside and raises Infeasible
+            interior = model.strict_interior_point(p)
         except errors.Infeasible:
             continue
-        if model.strict_interior_point(p) is None:
-            continue
-        accepted.append(p)
+        if interior is not None:
+            accepted.append(p)
     return accepted
 
 

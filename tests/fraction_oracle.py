@@ -15,6 +15,8 @@ from deltahull import linalg, model
 from deltahull.errors import Infeasible, InfeasiblePoint, SingularUpdate, UnboundedLine
 from deltahull.linalg import dot, to_vector
 
+from helpers import rows_of
+
 
 def rational_rhs(p):
     """scales[i] * b[i]: row i's right-hand side in its integer form."""
@@ -149,14 +151,14 @@ def simplex_max(p, objective, x0):
 
 def phase_one_system(p):
     """A x - t <= b and -t <= 0 over (x, t), cleared row by row."""
-    rows = [list(r) + [Fraction(-1)] for r in p.rows()]
+    rows = [r + [Fraction(-1)] for r in rows_of(p)]
     rows.append([Fraction(0)] * p.n + [Fraction(-1)])
     return model._system(rows, list(p.b) + [Fraction(0)], "phase1")
 
 
 def interior_system(p):
     """A x + t <= b and t <= 1 over (x, t), cleared row by row."""
-    rows = [list(r) + [Fraction(1)] for r in p.rows()]
+    rows = [r + [Fraction(1)] for r in rows_of(p)]
     rows.append([Fraction(0)] * p.n + [Fraction(1)])
     return model._system(rows, list(p.b) + [Fraction(1)], "interior")
 

@@ -1,11 +1,11 @@
-"""Test-only helpers with no caller in the package: a rational matrix
-builder and product, the exact determinant and inverse, the Delta search
-that evaluates one Gram determinant per node (the oracle of
-stats._delta_search), the cone-determinant oracle, the
-skeleton-edge rank oracle, the ratio-test work oracle, the unimodularizing
-transform with the full minor scan and the per-cone distance certificate
-(the oracles of the CLI's total-unimodularity verdict and of
-stats.cone_distance_certificate), the per-cell box-scan counting
+"""Test-only helpers with no caller in the package: a system's rational
+rows, a rational matrix builder and product, the exact determinant and
+inverse, the Delta search that evaluates one Gram determinant per node (the
+oracle of stats._delta_search), the cone-determinant oracle, the
+skeleton-edge and redundant-row rank oracles, the ratio-test work oracle,
+the unimodularizing transform with the full minor scan and the per-cone
+distance certificate (the oracles of the CLI's total-unimodularity verdict
+and of stats.cone_distance_certificate), the per-cell box-scan counting
 oracle, the per-node BFS diameter oracle, the fan document loader, the
 capped-sum bucket bound behind acceptance criterion 10, the cone-fan
 adjacency graph, and the density and tightness experiments on the
@@ -18,7 +18,7 @@ from functools import cmp_to_key
 from itertools import combinations, product
 from math import factorial, floor, prod, sqrt
 
-from deltahull import linalg, model, stats
+from deltahull import hull, linalg, model, stats
 from deltahull.errors import (
     BudgetExceeded,
     DeltahullError,
@@ -40,6 +40,11 @@ class PreconditionViolated(DeltahullError):
 
 def to_matrix(rows) -> Mat:
     return [[frac(x) for x in row] for row in rows]
+
+
+def rows_of(p) -> Mat:
+    """The rows of p as given, as lists: the rational matrix A."""
+    return [list(r) for r in p.a]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -213,6 +218,23 @@ def rank_test_edges(p, result) -> set[tuple[int, int]]:
         if common and linalg.rank_of(model.submatrix(p, common)) == p.n - 1:
             edges.add((min(a.index, b.index), max(a.index, b.index)))
     return edges
+
+
+def rank_redundant_rows(p, result) -> list[int] | None:
+    """Oracle of hull.redundant_rows by one rank per row, simple vertices or
+    not: None unless the vertices and rays span dimension n, else the rows
+    whose face (the vertices tight at the row and the rays along it) spans
+    less than n - 1."""
+    rays = [list(d) for d in sorted({d for _, d in result.rays})]
+    if hull._span_rank(result.exact, rays) < p.n:
+        return None
+    redundant = []
+    for i in range(p.m):
+        face = [pt for v, pt in zip(result.vertices, result.exact) if i in v.tight]
+        along = [d for d in rays if dot(p.ints[i], d) == 0]
+        if not face or hull._span_rank(face, along) < p.n - 1:
+            redundant.append(i)
+    return redundant
 
 
 def ratio_work(p, result) -> tuple[int, int]:

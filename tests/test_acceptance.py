@@ -22,6 +22,7 @@ from helpers import (
     build_fan_graph,
     floor_holds,
     knapsack_bound_check,
+    rows_of,
     tightness_experiment,
     totally_unimodular_transform,
     verify_total_unimodularity,
@@ -176,7 +177,7 @@ def test_criterion_06_totally_unimodular_transform(generated_duals, corpus_analy
         if stats.count_minors(p.m, p.n) > stats.DEFAULT_BUDGET:
             skipped += 1
             continue
-        transformed = totally_unimodular_transform(p.rows(), st.witness)
+        transformed = totally_unimodular_transform(rows_of(p), st.witness)
         if not verify_total_unimodularity(transformed):
             violations.append(p.name)
         checked += 1

@@ -3,6 +3,8 @@
 Each case runs one subcommand on one instance through `deltahull.cli.main`
 and compares three things with `tests/data/cli_golden.json`: the exit code,
 the sha256 of the canonical report with `timings` removed, and stderr.
+Before hashing, it checks that the bytes the CLI wrote are already that
+canonical form, so a report written in another key order fails too.
 Record the file again with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
@@ -89,6 +91,8 @@ def run_case(argv: list[str]) -> dict:
     digest = None
     if out.getvalue():
         report = json.loads(out.getvalue())
+        # The CLI's own bytes are the canonical form, not only its parse.
+        assert out.getvalue() == canonical_dumps(report) + "\n"
         report.pop("timings", None)
         digest = hashlib.sha256(canonical_dumps(report).encode()).hexdigest()
     return {"exit": code, "report_sha256": digest, "stderr": err.getvalue()}

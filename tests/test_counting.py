@@ -23,7 +23,7 @@ from deltahull.model import make_polyhedron
 from deltahull.stats import triangulation_stats
 
 from conftest import cube, square, standard_simplex
-from helpers import PreconditionViolated, box_scan_count, knapsack_bound_check
+from helpers import PreconditionViolated, box_scan_count, knapsack_bound_check, rows_of
 
 
 def frac_of(t):
@@ -245,7 +245,7 @@ def test_estimate_counting_cost_scales_with_row_scaling():
     result = run_enumeration(p)
     cones, dets = result.triangulation.cones, result.triangulation.dets
     base = estimate_counting_cost(triangulation_stats(p.ints, p.scales, cones, dets))
-    scaled_rows = [[3 * x for x in row] for row in p.rows()]
+    scaled_rows = [[3 * x for x in row] for row in rows_of(p)]
     scaled = estimate_counting_cost(triangulation_stats(*integer_rows(scaled_rows), cones, dets))
     n = 3
     # Every cone determinant gains 3^n: delta and each det^2 term scale.

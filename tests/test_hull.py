@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from deltahull import model
+from deltahull import hull, linalg, model
 from deltahull.errors import (
     DimensionMismatch,
     DuplicateRow,
@@ -50,7 +50,7 @@ from conftest import (
     square,
     square_pyramid,
 )
-from helpers import abs_det, det_exact, rank_test_edges, ratio_work
+from helpers import abs_det, det_exact, rank_redundant_rows, rank_test_edges, ratio_work
 
 
 def target_basis(rows, leaving, entering):
@@ -422,7 +422,8 @@ def test_enumeration_matches_its_oracles_on_small_systems(system):
     assert_work_and_closure(p, result)
 
 
-# Redundancy read off the enumeration, against the LP scan as the oracle.
+# Redundancy read off the enumeration, against the rank-per-row oracle and
+# the LP scan.
 
 def lp_redundant(p, x0=None):
     return redundancy_scan(p, phase_one(p) if x0 is None else x0)
@@ -452,7 +453,8 @@ def tangent_row(p, result):
 def test_redundant_rows_fixed_cases():
     # x + y <= 2 touches the square only at (1,1): tight at a vertex, no facet.
     p = make_polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 0, 0, 2])
-    assert redundant_rows(p, run_enumeration(p)) == [4]
+    result = run_enumeration(p)
+    assert redundant_rows(p, result) == [4] == rank_redundant_rows(p, result)
     assert redundant_rows(square(), run_enumeration(square())) == []
     # The quadrant plus x + y >= 0: a degenerate origin with three tight rows;
     # the rays (1,0) and (0,1) keep rows 0 and 1, none lies on x + y = 0.
@@ -462,19 +464,59 @@ def test_redundant_rows_fixed_cases():
     assert redundant_rows(quadrant, result) == [2] == lp_redundant(quadrant)
     # The segment [0,1] x {0} is flat: the LP scan keeps that case.
     flat = make_polyhedron([[0, 1], [0, -1], [1, 0], [1, 1], [-1, 0]], [0, 0, 1, 1, 0])
-    assert redundant_rows(flat, run_enumeration(flat)) is None
+    result = run_enumeration(flat)
+    assert redundant_rows(flat, result) is None is rank_redundant_rows(flat, result)
+
+
+@pytest.mark.parametrize(
+    "system,want",
+    [
+        (octahedron(), []),
+        (make_polyhedron([[-1, 0], [0, -1], [-1, -1]], [0, 0, 0], name="quadrant"), [2]),
+    ],
+    ids=["octahedron", "quadrant"],
+)
+def test_redundant_rows_at_degenerate_vertices_take_the_rank_path(system, want, monkeypatch):
+    """No vertex is simple, so the full-dimension test and every row's face
+    take one rank each, as in the oracle."""
+    result = run_enumeration(system)
+    assert not any(v.simple for v in result.vertices)
+    calls, span_rank = [], hull._span_rank
+    monkeypatch.setattr(hull, "_span_rank", lambda *args: calls.append(args) or span_rank(*args))
+    assert redundant_rows(system, result) == want
+    assert len(calls) == 1 + system.m
+    assert rank_redundant_rows(system, result) == want == lp_redundant(system)
+
+
+def test_redundant_rows_match_the_oracles_on_the_degenerate_family():
+    for make in DEGENERATE_FAMILY:
+        p = make()
+        result = run_enumeration(p)
+        want = lp_redundant(p)
+        assert redundant_rows(p, result) == rank_redundant_rows(p, result) == want, p.name
 
 
 def test_redundant_rows_match_lp_scan_on_fuzz_corpus(corpus_analysis):
     for p, result, _ in corpus_analysis:
-        assert redundant_rows(p, result) == lp_redundant(p), p.name
+        want = lp_redundant(p)
+        assert redundant_rows(p, result) == rank_redundant_rows(p, result) == want, p.name
 
 
 @pytest.mark.parametrize("name", ["dual-n2k5", "dual-n4k2"])
-def test_redundant_rows_match_lp_scan_on_bench_duals(name):
+def test_redundant_rows_match_lp_scan_on_bench_duals(name, bench_duals, monkeypatch):
+    """Every vertex of the duals is simple: their redundant rows take no rank."""
     doc = load_instance_path(str(BENCH_DATA / f"{name}.instance.json"))
-    p, x0 = doc.polyhedron, doc.feasible_point
-    assert redundant_rows(p, run_enumeration(p, x0)) == lp_redundant(p, x0)
+    p, result = bench_duals[name]
+    assert all(v.simple for v in result.vertices)
+    want = lp_redundant(p, doc.feasible_point)
+    assert rank_redundant_rows(p, result) == want
+
+    def no_rank(*args):
+        raise AssertionError("a rank was taken")
+
+    monkeypatch.setattr(hull, "_span_rank", no_rank)
+    monkeypatch.setattr(linalg, "rank_of", no_rank)
+    assert redundant_rows(p, result) == want
 
 
 def test_redundant_rows_match_lp_scan_on_padded_corpus(corpus_analysis):
@@ -483,7 +525,9 @@ def test_redundant_rows_match_lp_scan_on_padded_corpus(corpus_analysis):
         loose = loosened_copy(p)
         want = lp_redundant(loose)
         assert p.m in want
-        assert redundant_rows(loose, run_enumeration(loose)) == want, p.name
+        enumeration = run_enumeration(loose)
+        assert redundant_rows(loose, enumeration) == want, p.name
+        assert rank_redundant_rows(loose, enumeration) == want, p.name
         touching = tangent_row(p, result)
         if touching is None:
             continue
@@ -493,6 +537,7 @@ def test_redundant_rows_match_lp_scan_on_padded_corpus(corpus_analysis):
         want = lp_redundant(touching)
         assert p.m in want
         assert redundant_rows(touching, enumeration) == want, p.name
+        assert rank_redundant_rows(touching, enumeration) == want, p.name
     assert tangent >= 50
 
 
@@ -534,8 +579,10 @@ def test_redundant_rows_follow_a_row_permutation(system):
     except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
         assume(False)
     q = make_polyhedron([rows[i] for i in order], [b[i] for i in order])
-    got = redundant_rows(p, run_enumeration(p, x0))
+    result = run_enumeration(p, x0)
+    got = redundant_rows(p, result)
     permuted = redundant_rows(q, run_enumeration(q, x0))
+    assert got == rank_redundant_rows(p, result)
     if got is None:
         assert permuted is None
         return

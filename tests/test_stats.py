@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from deltahull import stats as dstats
 from deltahull import subdivision
 from deltahull.errors import (
     BoundViolated,
@@ -38,11 +39,13 @@ from deltahull.subdivision import base_simplex
 
 from conftest import DEGENERATE_FAMILY, cube, square, square_pyramid
 from helpers import (
+    abs_det,
     cone_dets,
     det_exact,
     floor_holds,
     gram_delta_search,
     local_delta_distance,
+    rows_of,
     to_matrix,
     totally_unimodular_transform,
     verify_total_unimodularity,
@@ -88,7 +91,7 @@ def random_int_matrix(rng, m, n, span=4):
 
 def test_delta_max_box_is_one():
     p = cube()
-    delta, witness = delta_max(p.rows())
+    delta, witness = delta_max(rows_of(p))
     assert delta == 1
     assert witness == (0, 1, 2)
 
@@ -313,7 +316,69 @@ def test_triangulation_stats_volume_identity():
 def test_triangulation_stats_rejects_singular_cone():
     p = square()
     with pytest.raises(SingularBasis):
-        triangulation_stats(p.ints, p.scales, [(0, 2)], cone_dets(p.rows(), [(0, 2)]))
+        triangulation_stats(p.ints, p.scales, [(0, 2)], cone_dets(rows_of(p), [(0, 2)]))
+
+
+@st.composite
+def rational_fans(draw):
+    """The integer form of nonzero integer rows times positive rationals
+    p/q, q > 1 allowed, and one to six cones of n distinct rows among them;
+    small entries make some cones singular."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 7))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    scale = st.builds(Fraction, st.integers(1, 60), st.integers(1, 60))
+    pairs = draw(st.lists(st.tuples(row, scale), min_size=m, max_size=m))
+    ints, scales = integer_rows([[s * x for x in r] for r, s in pairs])
+    cone = st.lists(st.integers(0, m - 1), min_size=n, max_size=n, unique=True)
+    cones = draw(st.lists(cone.map(lambda c: tuple(sorted(c))), min_size=1, max_size=6))
+    return ints, scales, cones
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_fans())
+def test_integer_fan_stats_match_the_fraction_sums(fan):
+    """The integer pairs give the Fraction sums over helpers.abs_det, and a
+    cone with det 0 still raises SingularBasis."""
+    ints, scales, cones = fan
+    int_dets = {c: abs(det_exact([ints[i] for i in c])) for c in cones}
+    dets = tuple(abs_det(ints, scales, c) for c in cones)
+    if min(dets) == 0:
+        with pytest.raises(SingularBasis):
+            triangulation_stats(ints, scales, cones, int_dets)
+        return
+    got = triangulation_stats(ints, scales, cones, int_dets)
+    total = sum(dets, Fraction(0))
+    assert got.cone_dets == dets
+    assert got.delta_avg == total / len(dets)
+    assert got.delta_min == min(dets)
+    assert got.fan_volume == total / math.factorial(len(ints[0]))
+    assert got.det_square_sum == sum(d * d for d in dets)
+    assert got.cone_count == len(cones)
+    assert (got.delta, got.witness) == _delta_search(ints, scales, DEFAULT_BUDGET)
+
+
+def test_triangulation_stats_builds_no_fraction_per_cone(bench_duals, monkeypatch):
+    """Five Fractions whatever the cone count: two in the Delta search, and
+    delta_avg, delta_min and fan_volume; det_square_sum builds one more."""
+    p, result = bench_duals["dual-n4k2"]
+    t = result.triangulation
+    assert len(t) > 50
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(dstats, "Fraction", counted)
+    fan = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
+    assert len(built) == 5
+    squares = fan.det_square_sum
+    assert len(built) == 6
+    monkeypatch.undo()
+    dets = tuple(abs_det(p.ints, p.scales, c) for c in t.cones)
+    assert fan.cone_dets == dets
+    assert squares == sum(d * d for d in dets)
 
 
 def test_unit_ball_volume_known_values():
@@ -355,7 +420,7 @@ def test_check_fan_bound_square_and_scaled_copy():
     volume_report, count_report = check_fan_bound(stats)
     assert volume_report.passed
     assert count_report.passed
-    scaled = [[5 * x for x in row] for row in p.rows()]
+    scaled = [[5 * x for x in row] for row in rows_of(p)]
     stats5 = triangulation_stats(*integer_rows(scaled), t.cones, t.dets)
     v5, c5 = check_fan_bound(stats5)
     assert v5.passed == volume_report.passed
@@ -372,7 +437,7 @@ def test_totally_unimodular_transform_square_system():
     result = run_enumeration(p)
     t = result.triangulation
     stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
-    out = totally_unimodular_transform(p.rows(), stats.witness)
+    out = totally_unimodular_transform(rows_of(p), stats.witness)
     assert all(abs(x) <= 1 for row in out for x in row)
     assert verify_total_unimodularity(out)
 
@@ -483,7 +548,7 @@ def assert_cone_distances_match_oracle(p, result, witness):
     route through A (A_W)^-1, minimum, basis and row alike (ties included)."""
     t = result.triangulation
     got = cone_distance_certificate(p, witness, t)
-    want = local_delta_distance(totally_unimodular_transform(p.rows(), witness), t.cones)
+    want = local_delta_distance(totally_unimodular_transform(rows_of(p), witness), t.cones)
     assert (got.sin_sq_min, got.basis, got.row) == (want.sin_sq_min, want.basis, want.row)
 
 
