@@ -73,8 +73,8 @@ from .stats import (
     DistanceCertificate,
     FanStats,
     WidenessReport,
-    check_fan_bound,
-    check_vertex_bound,
+    check_diameter,
+    check_fan_bounds,
     delta_max,
     triangulation_stats,
     unit_ball_volume,

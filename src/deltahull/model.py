@@ -281,22 +281,15 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
     return VertexRecord(pt.x, tight)
 
 
-def ratio_test(p: HPolyhedron, rows, pt: Point, u):
-    """Longest feasible step from pt along the integer direction u over the
-    rows outside `rows`.
-
-    Returns (step, blocking, hits): the least slack over rate as a Fraction,
-    or None when no row has positive rate (an unbounded ray); the rows
-    attaining it, ascending; and the number of rows with positive rate.
-    """
-    step, blocking, hits = min_ratio(p, rows, pt, p.products(u))
-    return step and Fraction(*step), blocking, hits
-
-
 def min_ratio(p: HPolyhedron, rows, pt: Point, rates):
-    """ratio_test given the rates w_i = ints_i u of every row, with the step
-    as the integer pair (s, q): step = s / q, q = pt.den * rhs_den[i] * w_i > 0
-    for a blocking row i, so s is zero iff the step is.
+    """Longest feasible step from pt along an integer direction u over the
+    rows outside `rows`, given the rates w_i = ints_i u of every row.
+
+    Returns (step, blocking, hits): the least slack over rate as the integer
+    pair (s, q), step = s / q with q = pt.den * rhs_den[i] * w_i > 0 for a
+    blocking row i, so s is zero iff the step is, or None when no row has
+    positive rate (an unbounded ray); the rows attaining it, ascending; and
+    the number of rows with positive rate.
 
     The ratios are pt.slack[i] / (rhs_den[i] w_i). Only rows of least floor
     quotient can attain the minimum, as floor(a/b) < floor(c/d) implies
@@ -327,7 +320,7 @@ def pivot(
     columns in row order, by the fraction-free row-swap update of the
     integer rows. Its pivot is minus the entering row's rate along the edge
     -adj[:, pos], pos being leaving's position, so a pivot chosen by
-    ratio_test is never singular.
+    min_ratio is never singular.
     """
     pos = rows.index(leaving)
     swapped = list(rows)

@@ -1,10 +1,14 @@
 """Subdeterminant statistics and the bound certificates built on them.
 
 Covers the maximum absolute n x n subdeterminant with a witness basis,
-per-triangulation averages and minima, exact fan volumes, the vertex-count
-and fan-volume inequalities, the minor count behind the
-total-unimodularity verdict, and the basis-distance / wideness numbers
-behind the diameter certificate.
+per-triangulation averages and minima, exact fan volumes, and the
+basis-distance / wideness numbers behind the diameter certificate. Every
+bound verdict the CLI reports is decided here, each raising BoundViolated
+on failure: the fan bounds (check_fan_bounds), the distance floor
+(wideness_and_diameter_bound) and the tau-diameter (check_diameter), with
+RELATIVE_SLACK the one float tolerance. Total unimodularity needs no check:
+by Jacobi's complementary-minor identity every minor of A (A_W)^-1 is
++-det(A_S)/Delta, so the witness W of a returned Delta search certifies it.
 
 A Delta search node on integer rows b_1..b_k keeps d_t = det G(b_1..b_t),
 d_0 = 1, and lambda_{t,s} = d_s mu_{t,s} for s < t (integral Gram-Schmidt,
@@ -33,7 +37,7 @@ A (A_W)^-1, then one adjugate per cone) and the full minor scan as oracles.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import comb, factorial, gamma, lcm, log, pi, prod
+from math import factorial, gamma, lcm, log, pi, prod
 
 from . import hull, linalg, model
 from .errors import BoundViolated, BudgetExceeded, SingularBasis
@@ -205,7 +209,8 @@ class BoundReport:
     passed: bool
 
 
-def _check(name: str, lhs_exact, lhs: float, rhs: float, rhs_desc: str) -> BoundReport:
+def _check(name: str, lhs_exact, rhs: float, rhs_desc: str) -> BoundReport:
+    lhs = float(lhs_exact)
     passed = lhs <= rhs * (1 + RELATIVE_SLACK)
     report = BoundReport(name, lhs, rhs, str(lhs_exact), rhs_desc, passed)
     if not passed:
@@ -213,53 +218,25 @@ def _check(name: str, lhs_exact, lhs: float, rhs: float, rhs_desc: str) -> Bound
     return report
 
 
-def check_vertex_bound(
-    p: model.HPolyhedron, result, stats: FanStats
-) -> BoundReport:
-    """Vertex count against n! * (delta / delta_avg) * vol(unit ball).
+def check_fan_bounds(fan_stats: FanStats, vertex_count: int) -> dict[str, BoundReport]:
+    """The vertex and cone counts against n! * (delta / delta_avg) * vol(unit
+    ball), and the fan volume against delta * vol(unit ball).
 
-    `result` is an enumeration result carrying vertices and triangulation;
-    `stats` are the fan statistics of that triangulation.
+    Raises BoundViolated at the first failure, in the order: vertex count
+    above the cone count, vertex-count, fan-volume, cone-count.
     """
-    n = p.n
-    vertex_count = len(result.vertices)
-    rhs = float(factorial(n) * stats.delta / stats.delta_avg) * unit_ball_volume(n)
-    if vertex_count > stats.cone_count:
-        raise BoundViolated(
-            f"vertex count {vertex_count} exceeds cone count {stats.cone_count}"
-        )
-    return _check(
-        "vertex-count",
-        vertex_count,
-        float(vertex_count),
-        rhs,
-        f"{factorial(n)}*(({stats.delta})/({stats.delta_avg}))*vol_ball({n})",
-    )
-
-
-def check_fan_bound(stats: FanStats) -> tuple[BoundReport, BoundReport]:
-    """Fan volume against delta * vol(ball); cone count as in the vertex check."""
-    n = stats.n
-    ball = unit_ball_volume(n)
-    volume_report = _check(
-        "fan-volume",
-        stats.fan_volume,
-        float(stats.fan_volume),
-        float(stats.delta) * ball,
-        f"{stats.delta}*vol_ball({n})",
-    )
-    count_report = _check(
-        "cone-count",
-        stats.cone_count,
-        float(stats.cone_count),
-        float(factorial(n) * stats.delta / stats.delta_avg) * ball,
-        f"{factorial(n)}*(({stats.delta})/({stats.delta_avg}))*vol_ball({n})",
-    )
-    return volume_report, count_report
-
-
-def count_minors(m: int, n: int) -> int:
-    return sum(comb(m, k) * comb(n, k) for k in range(1, min(m, n) + 1))
+    delta, cones = fan_stats.delta, fan_stats.cone_count
+    if vertex_count > cones:
+        raise BoundViolated(f"vertex count {vertex_count} exceeds cone count {cones}")
+    n, ball = fan_stats.n, unit_ball_volume(fan_stats.n)
+    count_rhs = float(factorial(n) * delta / fan_stats.delta_avg) * ball
+    count_desc = f"{factorial(n)}*(({delta})/({fan_stats.delta_avg}))*vol_ball({n})"
+    volume = fan_stats.fan_volume
+    return {
+        "vertex-count": _check("vertex-count", vertex_count, count_rhs, count_desc),
+        "fan-volume": _check("fan-volume", volume, float(delta) * ball, f"{delta}*vol_ball({n})"),
+        "cone-count": _check("cone-count", cones, count_rhs, count_desc),
+    }
 
 
 @dataclass
@@ -352,3 +329,15 @@ def wideness_and_diameter_bound(
         diameter_bound=bound,
         lemma_floor=floor,
     )
+
+
+def check_diameter(diameter: int | None, wideness: WidenessReport) -> dict:
+    """The tau-diameter verdict: the graph diameter against the wideness
+    report's bound, else BoundViolated; skipped when the instance is
+    unbounded (diameter None)."""
+    if diameter is None:
+        return {"skipped": True, "reason": "unbounded instance"}
+    bound = wideness.diameter_bound
+    if diameter > bound * (1 + RELATIVE_SLACK):
+        raise BoundViolated(f"diameter {diameter} above bound {bound}")
+    return {"passed": True, "diameter": diameter, "bound": bound, "tau": wideness.tau}

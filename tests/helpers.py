@@ -2,10 +2,11 @@
 rows, a rational matrix builder and product, the exact determinant and
 inverse, the Delta search that evaluates one Gram determinant per node (the
 oracle of stats._delta_search), the cone-determinant oracle, the
-skeleton-edge and redundant-row rank oracles, the ratio-test work oracle,
-the unimodularizing transform with the full minor scan and the per-cone
-distance certificate (the oracles of the CLI's total-unimodularity verdict
-and of stats.cone_distance_certificate), the per-cell box-scan counting
+skeleton-edge and redundant-row rank oracles, the Fraction-step ratio test
+and its work oracle, the unimodularizing transform with the minor count,
+the full minor scan and the per-cone distance certificate (the oracles of
+the CLI's total-unimodularity verdict and of
+stats.cone_distance_certificate), the per-cell box-scan counting
 oracle, the per-node BFS diameter oracle, the fan document loader, the
 capped-sum bucket bound behind acceptance criterion 10, the cone-fan
 adjacency graph, and the density and tightness experiments on the
@@ -16,7 +17,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
-from math import factorial, floor, prod, sqrt
+from math import comb, factorial, floor, prod, sqrt
 
 from deltahull import hull, linalg, model, stats
 from deltahull.errors import (
@@ -144,10 +145,15 @@ def totally_unimodular_transform(a: Mat, witness: Rows) -> Mat:
     return mat_mul(a, [[x * s for x, s in zip(row, scales)] for row in inv])
 
 
+def count_minors(m: int, n: int) -> int:
+    """The number of square submatrices of an m x n matrix."""
+    return sum(comb(m, k) * comb(n, k) for k in range(1, min(m, n) + 1))
+
+
 def verify_total_unimodularity(a: Mat, budget: int = stats.DEFAULT_BUDGET) -> bool:
     """True iff every square minor of any size has |det| <= 1."""
     m, n = len(a), len(a[0])
-    total = stats.count_minors(m, n)
+    total = count_minors(m, n)
     if total > budget:
         raise BudgetExceeded(f"{total} minors exceed budget {budget}")
     ints, scales = linalg.integer_rows(a)
@@ -237,10 +243,17 @@ def rank_redundant_rows(p, result) -> list[int] | None:
     return redundant
 
 
+def ratio_test(p, rows, pt: model.Point, u):
+    """model.min_ratio along the integer direction u, with the step as a
+    Fraction, or None when no row has positive rate."""
+    step, blocking, hits = model.min_ratio(p, rows, pt, p.products(u))
+    return step and Fraction(*step), blocking, hits
+
+
 def ratio_work(p, result) -> tuple[int, int]:
     """Oracle of the enumeration's (ratio_mults, max_basis_mults): every
     visited basis (the keys of triangulation.dets) runs a fresh
-    model.ratio_test at each position at its vertex, charged
+    ratio_test at each position at its vertex, charged
     n * (m - n + hits), whether or not the enumeration skipped that test."""
     n = p.n
     total = peak = 0
@@ -250,7 +263,7 @@ def ratio_work(p, result) -> tuple[int, int]:
         mults = 0
         for pos in range(n):
             u = [-line[pos] for line in basis[1]]
-            mults += n * (p.m - n + model.ratio_test(p, rows, pt, u)[2])
+            mults += n * (p.m - n + ratio_test(p, rows, pt, u)[2])
         total += mults
         peak = max(peak, mults)
     return total, peak

@@ -20,6 +20,7 @@ from conftest import DEGENERATE_FAMILY, record_criterion, standard_simplex
 from helpers import (
     abs_det,
     build_fan_graph,
+    count_minors,
     floor_holds,
     knapsack_bound_check,
     rows_of,
@@ -111,11 +112,11 @@ def test_criterion_03_vertex_count_bound(generated_duals, corpus_analysis):
     instances = full_corpus(generated_duals, corpus_analysis)
     for p, result, st in instances:
         try:
-            report = stats.check_vertex_bound(p, result, st)
+            reports = stats.check_fan_bounds(st, len(result.vertices))
         except BoundViolated as exc:
             violations.append(f"{p.name}: {exc}")
             continue
-        assert report.passed
+        assert reports["vertex-count"].passed
     elapsed = time.perf_counter() - t0
     ok = not violations
     record_criterion(
@@ -134,11 +135,11 @@ def test_criterion_04_fan_volume_bound(generated_duals, corpus_analysis):
     instances = full_corpus(generated_duals, corpus_analysis)
     for p, result, st in instances:
         try:
-            volume_report, count_report = stats.check_fan_bound(st)
+            reports = stats.check_fan_bounds(st, len(result.vertices))
         except BoundViolated as exc:
             violations.append(f"{p.name}: {exc}")
             continue
-        assert volume_report.passed and count_report.passed
+        assert reports["fan-volume"].passed and reports["cone-count"].passed
     elapsed = time.perf_counter() - t0
     ok = not violations
     record_criterion(
@@ -174,7 +175,7 @@ def test_criterion_06_totally_unimodular_transform(generated_duals, corpus_analy
     violations = []
     checked = skipped = 0
     for p, result, st in full_corpus(generated_duals, corpus_analysis):
-        if stats.count_minors(p.m, p.n) > stats.DEFAULT_BUDGET:
+        if count_minors(p.m, p.n) > stats.DEFAULT_BUDGET:
             skipped += 1
             continue
         transformed = totally_unimodular_transform(rows_of(p), st.witness)
@@ -223,11 +224,10 @@ def test_criterion_08_tau_diameter_certificate(generated_duals, corpus_analysis)
     for p, result, st in instances:
         wideness = stats.wideness_and_diameter_bound(p, st, result.triangulation)
         g = graphs.build_polytope_graph(result)
-        diameter = graphs.graph_diameter(g)
-        if diameter > wideness.diameter_bound * (1 + stats.RELATIVE_SLACK):
-            violations.append(
-                f"{p.name}: diameter {diameter} > bound {wideness.diameter_bound:.2f}"
-            )
+        try:
+            stats.check_diameter(graphs.graph_diameter(g), wideness)
+        except BoundViolated as exc:
+            violations.append(f"{p.name}: {exc}")
     elapsed = time.perf_counter() - t0
     ok = not violations
     record_criterion(

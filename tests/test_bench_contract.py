@@ -59,3 +59,21 @@ def test_one_fuzz_op_passes_the_reference_and_the_oracle(workloads, tmp_path):
     assert workloads.check_invariants(op, code, report) == []
     entry = workloads.load_reference()[op.key]
     assert workloads.check_against_reference(entry, code, report) == []
+
+
+@pytest.mark.parametrize("workload", ["fuzz100", "dual-n2k5", "dual-n4k2"])
+def test_every_bench_op_matches_the_reference(workloads, tmp_path, workload):
+    # The bench's own inputs and check: a report change that would fail the
+    # benchmark fails here. Fuzz files go to tmp_path; the duals are read
+    # from bench/data.
+    inputs = workloads.build_inputs(workload, tmp_path, workloads.FUZZ_SEED_BASE)
+    reference = workloads.load_reference()
+    report_path = tmp_path / "report.json"
+    problems = {}
+    for op in inputs.ops:
+        code, _ = workloads.run_op(op, report_path)
+        report = workloads.read_report(code, report_path)
+        bad = workloads.check_against_reference(reference[op.key], code, report)
+        if bad:
+            problems[op.name] = bad
+    assert problems == {}

@@ -312,27 +312,31 @@ def test_verify_count_respects_budget(capsys, square_file):
     assert "4 cells exceed budget 3" in err
 
 
-@pytest.mark.parametrize(
-    "budget, block",
-    [
-        # One Delta search at every budget; only the minor count moves the
-        # verdict.
-        (5, {"skipped": True, "reason": "83 minors exceed budget 5"}),
-        (10, {"skipped": True, "reason": "83 minors exceed budget 10"}),
-        # The 83 minors are one over budget.
-        (82, {"skipped": True, "reason": "83 minors exceed budget 82"}),
-        (83, {"passed": True, "minors_checked": 83}),
-    ],
-    ids=["5", "10", "82", "83"],
-)
-def test_verify_tu_block_follows_budget(capsys, tmp_path, budget, block):
+@pytest.mark.parametrize("budget", [5, 10, 82, 83, None], ids=["5", "10", "82", "83", "default"])
+def test_verify_tu_block_follows_budget(capsys, tmp_path, budget):
+    # The cube has 83 square minors; the verdict is the Delta witness's
+    # certificate at every budget, and names no minor count.
     path = tmp_path / "cube.json"
     path.write_text(dump_instance(cube(3)) + "\n", encoding="utf-8")
-    code, out, _ = run_cli(capsys, ["verify", str(path), "--budget", str(budget)])
+    flags = [] if budget is None else ["--budget", str(budget)]
+    code, out, _ = run_cli(capsys, ["verify", str(path), *flags])
     assert code == 0
     report = json.loads(out)
     assert report["stats"]["delta"] == "1"
-    assert report["bounds"]["total-unimodularity"] == block
+    assert report["bounds"]["total-unimodularity"] == {
+        "certificate": "delta-witness",
+        "passed": True,
+    }
+
+
+def test_verify_exits_7_when_the_delta_search_exceeds_budget(capsys, tmp_path):
+    # The 4-cube's Delta search visits more than 50 * 1 nodes.
+    path = tmp_path / "cube4.json"
+    path.write_text(dump_instance(cube(4)) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify", str(path), "--budget", "1"])
+    assert code == 7
+    assert out == ""
+    assert err == "deltahull: budget exceeded: subdeterminant search exceeded 50 nodes\n"
 
 
 def test_every_instance_report_has_total_time(capsys, square_file):
@@ -355,6 +359,54 @@ def test_bound_violation_prints_reproducer(capsys, monkeypatch, square_file, com
     assert lines[0].startswith("deltahull: bound violated: ")
     assert lines[1] == "deltahull: reproducer instance follows"
     assert load_instance_json(lines[2]).polyhedron == square()
+
+
+# Fan statistics of the unit square doctored to break bounds, and the first
+# violation `verify` reports: vertex count above cone count, vertex-count,
+# fan-volume, cone-count, distance floor, then tau-diameter.
+VIOLATIONS = {
+    "vertex-over-cone": ({"cone_count": 3}, False, "vertex count 4 exceeds cone count 3"),
+    # The vertex and cone counts share one right-hand side: both fail.
+    "vertex-count": ({"delta_avg": 2}, False, "vertex-count: 4.0 > 3.141592653589793"),
+    "fan-volume": ({"fan_volume": 4}, False, "fan-volume: 4.0 > 3.141592653589793"),
+    "cone-count": ({"cone_count": 7}, False, "cone-count: 7.0 > 6.283185307179586"),
+    "distance-floor": ({"delta_min": 3}, False, "distance 1.0^(1/2) below floor 3/2"),
+    "tau-diameter": ({}, True, "diameter 1000000 above bound 54.18070977791825"),
+    "vertex-over-cone-and-fan-volume": (
+        {"cone_count": 3, "fan_volume": 4}, False, "vertex count 4 exceeds cone count 3"
+    ),
+    "fan-volume-and-cone-count": (
+        {"fan_volume": 4, "cone_count": 7}, False, "fan-volume: 4.0 > 3.141592653589793"
+    ),
+    "cone-count-and-distance-floor": (
+        {"cone_count": 7, "delta_min": 3}, False, "cone-count: 7.0 > 6.283185307179586"
+    ),
+    "distance-floor-and-tau-diameter": (
+        {"delta_min": 3}, True, "distance 1.0^(1/2) below floor 3/2"
+    ),
+}
+
+
+@pytest.mark.parametrize("doctored, far, message", VIOLATIONS.values(), ids=VIOLATIONS)
+def test_verify_reports_the_first_violated_bound(
+    capsys, monkeypatch, square_file, doctored, far, message
+):
+    from dataclasses import replace
+
+    from deltahull import graphs, stats
+
+    fan_stats = stats.triangulation_stats
+
+    def doctor(*args):
+        return replace(fan_stats(*args), **doctored)
+
+    monkeypatch.setattr(stats, "triangulation_stats", doctor)
+    if far:
+        monkeypatch.setattr(graphs, "graph_diameter", lambda g: 10**6)
+    code, out, err = run_cli(capsys, ["verify", square_file])
+    assert code == 5
+    assert out == ""
+    assert err.splitlines()[0] == f"deltahull: bound violated: {message}"
 
 
 @pytest.mark.parametrize(

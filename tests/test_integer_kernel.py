@@ -34,7 +34,6 @@ from deltahull.model import (
     make_polyhedron,
     phase_one,
     pivot,
-    ratio_test,
     rational_point,
     scaled_point,
     submatrix,
@@ -43,7 +42,7 @@ from deltahull.model import (
 
 import fraction_oracle as oracle
 from conftest import square
-from helpers import det_exact
+from helpers import det_exact, ratio_test
 
 # Mostly integers, so that ties between ratios and degenerate vertices occur.
 rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3]))

@@ -24,7 +24,6 @@ from deltahull.model import (
     make_polyhedron,
     phase_one,
     pivot,
-    ratio_test,
     rational_point,
     redundancy_scan,
     strict_interior_point,
@@ -34,6 +33,7 @@ from deltahull.model import (
 
 from conftest import cube, square, square_pyramid
 from fraction_oracle import slacks
+from helpers import ratio_test
 
 
 def test_make_polyhedron_accepts_unit_square():

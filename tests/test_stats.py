@@ -26,10 +26,8 @@ from deltahull.model import make_polyhedron, submatrix
 from deltahull.stats import (
     DEFAULT_BUDGET,
     _delta_search,
-    check_fan_bound,
-    check_vertex_bound,
+    check_fan_bounds,
     cone_distance_certificate,
-    count_minors,
     delta_max,
     triangulation_stats,
     unit_ball_volume,
@@ -41,6 +39,7 @@ from conftest import DEGENERATE_FAMILY, cube, square, square_pyramid
 from helpers import (
     abs_det,
     cone_dets,
+    count_minors,
     det_exact,
     floor_holds,
     gram_delta_search,
@@ -394,7 +393,7 @@ def test_check_vertex_bound_passes_on_boxes():
         result = run_enumeration(p)
         t = result.triangulation
         stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
-        report = check_vertex_bound(p, result, stats)
+        report = check_fan_bounds(stats, len(result.vertices))["vertex-count"]
         assert report.passed
         assert report.lhs == len(result.vertices)
 
@@ -409,7 +408,7 @@ def test_check_vertex_bound_raises_on_fabricated_violation():
     # Claim fewer cones than there are vertices: the count guard must fire.
     doctored = replace(stats, cone_count=len(result.vertices) - 1)
     with pytest.raises(BoundViolated):
-        check_vertex_bound(p, result, doctored)
+        check_fan_bounds(doctored, len(result.vertices))
 
 
 def test_check_fan_bound_square_and_scaled_copy():
@@ -417,14 +416,16 @@ def test_check_fan_bound_square_and_scaled_copy():
     result = run_enumeration(p)
     t = result.triangulation
     stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
-    volume_report, count_report = check_fan_bound(stats)
-    assert volume_report.passed
-    assert count_report.passed
+    reports = check_fan_bounds(stats, len(result.vertices))
+    assert list(reports) == ["vertex-count", "fan-volume", "cone-count"]
+    assert all(r.passed for r in reports.values())
+    # The vertex and cone counts share one right-hand side.
+    assert reports["vertex-count"].rhs == reports["cone-count"].rhs
+    assert reports["vertex-count"].rhs_exact == "2*((1)/(1))*vol_ball(2)"
     scaled = [[5 * x for x in row] for row in rows_of(p)]
     stats5 = triangulation_stats(*integer_rows(scaled), t.cones, t.dets)
-    v5, c5 = check_fan_bound(stats5)
-    assert v5.passed == volume_report.passed
-    assert c5.passed == count_report.passed
+    reports5 = check_fan_bounds(stats5, len(result.vertices))
+    assert {k: r.passed for k, r in reports5.items()} == {k: True for k in reports}
 
 
 def test_totally_unimodular_transform_identity_witness():
