@@ -193,11 +193,6 @@ class Analysis:
             "per_basis_mult_cap": 2 * self.p.n * self.p.n * self.p.m,
         }
 
-    def fan_bounds(self) -> dict:
-        """The vertex-count, fan-volume and cone-count checks."""
-        checks = stats.check_fan_bounds(self.fan_stats, len(self.result.vertices))
-        return {name: asdict(report) for name, report in checks.items()}
-
     def counts_block(self) -> dict:
         """The integer-point count; its cost figures need the Delta search in budget."""
         count = counting.count_integer_points_bruteforce(
@@ -252,19 +247,10 @@ def cmd_vertices(a: Analysis) -> dict:
 
 def cmd_verify(a: Analysis) -> dict:
     p, result, fan_stats = a.p, a.result, a.fan_stats
-    bounds = a.fan_bounds()
-    # The Delta search returned, so its witness certifies total unimodularity
-    # (stats module docstring).
-    bounds["total-unimodularity"] = {"certificate": "delta-witness", "passed": True}
-    wideness = stats.wideness_and_diameter_bound(p, fan_stats, result.triangulation)
-    bounds["delta-distance-floor"] = {
-        "passed": True,
-        "sin_sq_min": wideness.sin_sq_min,
-        "floor": wideness.lemma_floor,
-        "delta_distance_float": wideness.delta_distance,
-    }
     diameter = graphs.graph_diameter(a.graph) if result.bounded else None
-    bounds["tau-diameter"] = stats.check_diameter(diameter, wideness)
+    bounds = stats.verify_bounds(
+        p, fan_stats, result.triangulation, len(result.vertices), diameter
+    )
     report = {
         "instance": a.instance_block(),
         **_points_block(result),
@@ -282,7 +268,7 @@ def cmd_stats(a: Analysis) -> dict:
     return {
         "instance": a.instance_block(),
         "stats": _stats_block(a.fan_stats),
-        "bounds": a.fan_bounds(),
+        "bounds": stats.check_fan_bounds(a.fan_stats, len(a.result.vertices)),
         "work": a.work_block(),
     }
 

@@ -9,6 +9,7 @@ so re-serializing a parsed document is byte-identical.
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,10 +18,13 @@ from .model import HPolyhedron, make_polyhedron
 from .subdivision import SubdivisionFan
 
 SCHEMA_VERSION = 1
+EXPONENT = re.compile(r"[eE][-+]?\d")  # Fraction's exponent suffix
 
 
 def parse_rational(token) -> Fraction:
-    """Exact rational from an int or a string like '7/3' or '-2'."""
+    """Exact rational from an int or a string like '7/3', '-2' or '0.5'.
+    Exponent notation ('1e5') is rejected: Fraction would expand it with no
+    bound on the digits."""
     if isinstance(token, bool):
         raise ParseError(f"not a rational: {token!r}")
     if isinstance(token, int):
@@ -28,6 +32,8 @@ def parse_rational(token) -> Fraction:
     if isinstance(token, float):
         raise ParseError(f"binary float {token!r} not accepted; use 'p/q'")
     if isinstance(token, str):
+        if EXPONENT.search(token):
+            raise ParseError(f"bad rational {token!r}: exponent notation not accepted")
         try:
             return Fraction(token.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -54,9 +60,11 @@ class InstanceDocument:
 
 
 def parse_json(text: str):
+    """Decoded JSON; malformed text, or an integer literal past Python's
+    digit limit for int conversion, is a ParseError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError is one
         raise ParseError(f"invalid JSON: {exc}") from None
 
 

@@ -1,13 +1,15 @@
 """Subdeterminant statistics and the bound certificates built on them.
 
-Covers the maximum absolute n x n subdeterminant with a witness basis,
-per-triangulation averages and minima, exact fan volumes, and the
-basis-distance / wideness numbers behind the diameter certificate. Every
-bound verdict the CLI reports is decided here, each raising BoundViolated
-on failure: the fan bounds (check_fan_bounds), the distance floor
-(wideness_and_diameter_bound) and the tau-diameter (check_diameter), with
-RELATIVE_SLACK the one float tolerance. Total unimodularity needs no check:
-by Jacobi's complementary-minor identity every minor of A (A_W)^-1 is
+Each result has one entry point: delta_max (the Delta search, with a witness
+basis), triangulation_stats (per-triangulation averages, minima and exact fan
+volumes), cone_distance_certificate (the basis-distance number behind the
+diameter certificate), and the report's bound blocks. Every bound verdict
+the CLI reports is decided and built here, each raising BoundViolated on
+failure: check_fan_bounds gives the fan bounds the `stats` subcommand
+reports, and verify_bounds the whole section `verify` reports (those fan bounds, the
+total-unimodularity certificate, the distance floor and the tau-diameter),
+with RELATIVE_SLACK the one float tolerance. Total unimodularity needs no
+check: by Jacobi's complementary-minor identity every minor of A (A_W)^-1 is
 +-det(A_S)/Delta, so the witness W of a returned Delta search certifies it.
 
 A Delta search node on integer rows b_1..b_k keeps d_t = det G(b_1..b_t),
@@ -41,15 +43,17 @@ from math import factorial, gamma, lcm, log, pi, prod
 
 from . import hull, linalg, model
 from .errors import BoundViolated, BudgetExceeded, SingularBasis
-from .linalg import Mat, dot
+from .linalg import dot
 
 Rows = tuple[int, ...]
 
 DEFAULT_BUDGET = 100_000
 
 
-def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
-    """Largest |det| over all n-row submatrices, with its witness rows.
+def delta_max(ints, scales, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
+    """Largest |det| over all n-row submatrices of the rows ints_i / s_i
+    (HPolyhedron.ints and .scales, or linalg.integer_rows), with its witness
+    rows.
 
     One exact branch and bound at every budget: rows in norm-descending
     order, and a subtree is dropped only when its Gram-determinant x
@@ -60,16 +64,10 @@ def delta_max(a: Mat, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
     a matrix of rank < n gives (0, (0, ..., n-1)), and one with fewer rows
     than columns (0, ()), having no n-row submatrix. Raises BudgetExceeded
     past 50x `budget` search nodes; the tree has at most C(m+1, n) nodes.
-    Determinants of the integer rows over the product of their scales make
-    every comparison one of a's own determinants.
+    Squared determinants and norms of the rational rows are (num, den > 0)
+    int pairs, the integer rows' own times the weights 1/s_i^2, compared by
+    cross-multiplying; one Fraction, at the end.
     """
-    return _delta_search(*linalg.integer_rows(a), budget)
-
-
-def _delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
-    """delta_max on the integer rows and scales s_i. Squared determinants and
-    norms of a's rows are (num, den > 0) int pairs, the integer rows' own times
-    the weights 1/s_i^2, compared by cross-multiplying; one Fraction, at the end."""
     m, n = len(ints), len(ints[0])
     if m < n:
         return Fraction(0), ()
@@ -177,7 +175,7 @@ def triangulation_stats(
     low = min(pairs, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
     if low[0] == 0:
         raise SingularBasis("triangulation contains a singular cone")
-    delta, witness = _delta_search(ints, scales, budget)
+    delta, witness = delta_max(ints, scales, budget)
     den = lcm(*(b for _, b in pairs))
     total = sum(a * (den // b) for a, b in pairs)
     return FanStats(
@@ -199,28 +197,25 @@ def unit_ball_volume(n: int) -> float:
 RELATIVE_SLACK = 1e-9
 
 
-@dataclass
-class BoundReport:
-    name: str
-    lhs: float
-    rhs: float
-    lhs_exact: str
-    rhs_exact: str
-    passed: bool
-
-
-def _check(name: str, lhs_exact, rhs: float, rhs_desc: str) -> BoundReport:
+def _check(name: str, lhs_exact, rhs: float, rhs_desc: str) -> dict:
     lhs = float(lhs_exact)
     passed = lhs <= rhs * (1 + RELATIVE_SLACK)
-    report = BoundReport(name, lhs, rhs, str(lhs_exact), rhs_desc, passed)
+    report = {
+        "name": name,
+        "lhs": lhs,
+        "rhs": rhs,
+        "lhs_exact": str(lhs_exact),
+        "rhs_exact": rhs_desc,
+        "passed": passed,
+    }
     if not passed:
         raise BoundViolated(f"{name}: {lhs} > {rhs}", report)
     return report
 
 
-def check_fan_bounds(fan_stats: FanStats, vertex_count: int) -> dict[str, BoundReport]:
+def check_fan_bounds(fan_stats: FanStats, vertex_count: int) -> dict[str, dict]:
     """The vertex and cone counts against n! * (delta / delta_avg) * vol(unit
-    ball), and the fan volume against delta * vol(unit ball).
+    ball), and the fan volume against delta * vol(unit ball), as report blocks.
 
     Raises BoundViolated at the first failure, in the order: vertex count
     above the cone count, vertex-count, fan-volume, cone-count.
@@ -250,15 +245,6 @@ class DistanceCertificate:
     @property
     def delta(self) -> float:
         return float(self.sin_sq_min) ** 0.5
-
-
-@dataclass
-class WidenessReport:
-    sin_sq_min: Fraction
-    delta_distance: float
-    tau: float
-    diameter_bound: float
-    lemma_floor: Fraction
 
 
 def cone_distance_certificate(
@@ -294,50 +280,43 @@ def cone_distance_certificate(
     return DistanceCertificate(Fraction(num * scale * scale, den), basis, row)
 
 
-def wideness_and_diameter_bound(
-    p: model.HPolyhedron, stats: FanStats, triangulation: hull.Triangulation
-) -> WidenessReport:
-    """Certify the distance floor over the cones of `triangulation`, and
-    evaluate the 8n/tau * (1 + ln(1/tau)) diameter bound.
+def verify_bounds(
+    p: model.HPolyhedron,
+    fan_stats: FanStats,
+    triangulation: hull.Triangulation,
+    vertex_count: int,
+    diameter: int | None,
+) -> dict[str, dict]:
+    """verify's `bounds` section, raising BoundViolated at the first failure
+    in the order: the fan bounds (check_fan_bounds), the distance floor, the
+    tau-diameter.
 
-    The certificate is the least sin^2, over every cone C and position pos,
-    of the angle between row i = C[pos] of A (A_W)^-1 (W the Delta witness)
-    and the span of C's other rows, computed in integers from the det_C and
-    adj_C the triangulation kept (see the module docstring):
-
-        (det_C det_W L L')^2 / (|ints_i adj_W D|^2 * |D' M_W adj_C[:, pos]|^2)
-
-    with no adjugate and no Fraction per cone. It must reach
-    (delta_min / (n delta))^2, else BoundViolated; tau is its square root
-    over n.
+    The Delta search returned, so its witness certifies total unimodularity
+    (module docstring). The distance certificate over the triangulation's
+    cones (cone_distance_certificate) must reach (delta_min / (n delta))^2;
+    tau is its square root over n, and the graph diameter must stay within
+    8n/tau * (1 + ln(1/tau)). An unbounded instance (diameter None) skips
+    the tau-diameter check.
     """
-    cert = cone_distance_certificate(p, stats.witness, triangulation)
+    bounds = check_fan_bounds(fan_stats, vertex_count)
+    bounds["total-unimodularity"] = {"certificate": "delta-witness", "passed": True}
+    cert = cone_distance_certificate(p, fan_stats.witness, triangulation)
     n = p.n
-    floor = stats.delta_min / (n * stats.delta)
+    floor = fan_stats.delta_min / (n * fan_stats.delta)
     if cert.sin_sq_min < floor * floor:
-        raise BoundViolated(
-            f"distance {float(cert.sin_sq_min)}^(1/2) below floor {floor}",
-            cert,
-        )
-    delta = cert.delta
-    tau = delta / n
-    bound = 8 * n / tau * (1 + log(1 / tau))
-    return WidenessReport(
-        sin_sq_min=cert.sin_sq_min,
-        delta_distance=delta,
-        tau=tau,
-        diameter_bound=bound,
-        lemma_floor=floor,
-    )
-
-
-def check_diameter(diameter: int | None, wideness: WidenessReport) -> dict:
-    """The tau-diameter verdict: the graph diameter against the wideness
-    report's bound, else BoundViolated; skipped when the instance is
-    unbounded (diameter None)."""
+        raise BoundViolated(f"distance {float(cert.sin_sq_min)}^(1/2) below floor {floor}", cert)
+    bounds["delta-distance-floor"] = {
+        "passed": True,
+        "sin_sq_min": cert.sin_sq_min,
+        "floor": floor,
+        "delta_distance_float": cert.delta,
+    }
     if diameter is None:
-        return {"skipped": True, "reason": "unbounded instance"}
-    bound = wideness.diameter_bound
+        bounds["tau-diameter"] = {"skipped": True, "reason": "unbounded instance"}
+        return bounds
+    tau = cert.delta / n
+    bound = 8 * n / tau * (1 + log(1 / tau))
     if diameter > bound * (1 + RELATIVE_SLACK):
         raise BoundViolated(f"diameter {diameter} above bound {bound}")
-    return {"passed": True, "diameter": diameter, "bound": bound, "tau": wideness.tau}
+    bounds["tau-diameter"] = {"passed": True, "diameter": diameter, "bound": bound, "tau": tau}
+    return bounds

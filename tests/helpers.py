@@ -1,7 +1,7 @@
 """Test-only helpers with no caller in the package: a system's rational
 rows, a rational matrix builder and product, the exact determinant and
 inverse, the Delta search that evaluates one Gram determinant per node (the
-oracle of stats._delta_search), the cone-determinant oracle, the
+oracle of stats.delta_max), the cone-determinant oracle, the
 skeleton-edge and redundant-row rank oracles, the Fraction-step ratio test
 and its work oracle, the unimodularizing transform with the minor count,
 the full minor scan and the per-cone distance certificate (the oracles of
@@ -191,9 +191,10 @@ def local_delta_distance(a: Mat, bases: list[Rows]) -> stats.DistanceCertificate
     return best
 
 
-def floor_holds(report: stats.WidenessReport) -> bool:
-    """The certified sin^2 reaches the square of the lemma's floor."""
-    return report.sin_sq_min >= report.lemma_floor * report.lemma_floor
+def floor_holds(block: dict) -> bool:
+    """The certified sin^2 of a `delta-distance-floor` block reaches the
+    square of the lemma's floor."""
+    return block["sin_sq_min"] >= block["floor"] * block["floor"]
 
 
 def vertex_columns(lifted) -> list[tuple[Fraction, ...]]:

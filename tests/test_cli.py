@@ -1,6 +1,10 @@
 """Command line driver: subcommands, exit codes, canonical reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,24 @@ def square_file(tmp_path):
     path = tmp_path / "square.json"
     path.write_text(dump_instance(square()) + "\n", encoding="utf-8")
     return str(path)
+
+
+def test_package_import_loads_the_layer_modules_only():
+    """`import deltahull` loads its nine layer modules, and neither the CLI
+    nor argparse."""
+    probe = (
+        "import sys, deltahull; "
+        "print(sorted(m for m in sys.modules if m.startswith('deltahull')), "
+        "'argparse' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    layers = "counting errors graphs hull linalg model serialize stats subdivision".split()
+    want = sorted(["deltahull"] + [f"deltahull.{name}" for name in layers])
+    assert out == f"{want} False\n"
 
 
 def run_cli(capsys, argv):
@@ -207,6 +229,16 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert "parse error" in err
     code, _, err = run_cli(capsys, ["vertices", str(tmp_path / "missing.json")])
     assert code == 4
+
+
+def test_overlong_json_integer_is_a_parse_error(capsys, tmp_path):
+    # Past Python's 4,300-digit limit json.loads raises a plain ValueError.
+    path = tmp_path / "long.json"
+    path.write_text('{"A": [[%s, 0], [0, 1]], "b": [1, 1]}' % ("9" * 5001), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vertices", str(path)])
+    assert code == 4
+    assert out == ""
+    assert "parse error" in err
 
 
 def test_exit_code_unbounded_count(capsys, tmp_path):

@@ -42,6 +42,13 @@ def test_parse_rational_rejections():
         parse_rational(None)
 
 
+def test_parse_rational_rejects_exponent_notation():
+    # Fraction would expand the exponent into its digits, with no bound.
+    with pytest.raises(ParseError, match="exponent"):
+        parse_rational("1e400")
+    assert parse_rational("0.5") == Fraction(1, 2)
+
+
 def test_rational_str_lowest_terms():
     assert rational_str(Fraction(14, 6)) == "7/3"
     assert rational_str(Fraction(-4, 2)) == "-2"

@@ -25,13 +25,12 @@ from deltahull.linalg import integer_rows, rank_of
 from deltahull.model import make_polyhedron, submatrix
 from deltahull.stats import (
     DEFAULT_BUDGET,
-    _delta_search,
     check_fan_bounds,
     cone_distance_certificate,
     delta_max,
     triangulation_stats,
     unit_ball_volume,
-    wideness_and_diameter_bound,
+    verify_bounds,
 )
 from deltahull.subdivision import base_simplex
 
@@ -90,7 +89,7 @@ def random_int_matrix(rng, m, n, span=4):
 
 def test_delta_max_box_is_one():
     p = cube()
-    delta, witness = delta_max(rows_of(p))
+    delta, witness = delta_max(*integer_rows(rows_of(p)))
     assert delta == 1
     assert witness == (0, 1, 2)
 
@@ -98,7 +97,7 @@ def test_delta_max_box_is_one():
 def test_delta_max_subdivision_generators():
     for n, expected in ((2, 3), (3, 16), (4, 125)):
         cols = base_simplex(n)
-        delta, witness = delta_max(to_matrix(cols))
+        delta, witness = delta_max(*integer_rows(to_matrix(cols)))
         assert delta == expected
         assert witness == tuple(range(n))
 
@@ -110,7 +109,7 @@ def test_delta_max_matches_exhaustive_oracle():
         m = rng.randint(n, 8)
         a = random_int_matrix(rng, m, n)
         want, _ = exhaustive_delta(a)
-        got, witness = delta_max(a)
+        got, witness = delta_max(*integer_rows(a))
         assert got == want
         if got > 0:
             assert abs(det_exact([a[i] for i in witness])) == got
@@ -122,7 +121,7 @@ def test_delta_max_witness_is_lexicographically_smallest():
         n = 2
         m = rng.randint(3, 7)
         a = random_int_matrix(rng, m, n, span=2)
-        delta, witness = delta_max(a)
+        delta, witness = delta_max(*integer_rows(a))
         if delta == 0:
             continue
         ties = [
@@ -148,8 +147,8 @@ def test_delta_max_branch_bound_agrees_with_exhaustion():
             # One search at every budget its node cap admits: C(m,n), one
             # per subset, and one below it.
             full_budget = math.comb(m, n)
-            at_full = delta_max(matrix, budget=full_budget)
-            pruned = delta_max(matrix, budget=max(full_budget - 1, 1))
+            at_full = delta_max(*integer_rows(matrix), budget=full_budget)
+            pruned = delta_max(*integer_rows(matrix), budget=max(full_budget - 1, 1))
             assert pruned == at_full
             assert at_full == exhaustive_delta(matrix)
 
@@ -161,7 +160,7 @@ def test_delta_max_respects_row_scaling():
         scales = [Fraction(rng.randint(1, 5)) for _ in range(6)]
         scaled = [[s * x for x in row] for s, row in zip(scales, a)]
         want, _ = exhaustive_delta(scaled)
-        got, _ = delta_max(scaled)
+        got, _ = delta_max(*integer_rows(scaled))
         assert got == want
 
 
@@ -169,13 +168,13 @@ def test_delta_max_respects_row_scaling():
 def test_delta_max_rank_deficient_is_zero_at_every_budget(budget):
     a = to_matrix([[1, 0], [2, 0], [3, 0], [4, 0]])
     kwargs = {} if budget is None else {"budget": budget}
-    assert delta_max(a, **kwargs) == (0, (0, 1))
+    assert delta_max(*integer_rows(a), **kwargs) == (0, (0, 1))
 
 
 def test_delta_max_fewer_rows_than_columns_has_no_witness():
     # No 3-row submatrix exists, so there is no row to name.
-    assert delta_max(to_matrix([[1, 2, 3]])) == (0, ())
-    assert delta_max(to_matrix([[1, 0, 0], [0, 1, 0]])) == (0, ())
+    assert delta_max(*integer_rows(to_matrix([[1, 2, 3]]))) == (0, ())
+    assert delta_max(*integer_rows(to_matrix([[1, 0, 0], [0, 1, 0]]))) == (0, ())
 
 
 @st.composite
@@ -196,14 +195,14 @@ def wide_row_matrices(draw):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(wide_row_matrices())
 def test_delta_max_matches_exhaustion_on_wide_row_denominators(a):
-    assert delta_max(a) == exhaustive_delta(a)
+    assert delta_max(*integer_rows(a)) == exhaustive_delta(a)
 
 
 def test_delta_max_branch_bound_node_cap():
     rng = random.Random(4405)
     a = random_int_matrix(rng, 14, 4)
     with pytest.raises(BudgetExceeded):
-        delta_max(a, budget=1)
+        delta_max(*integer_rows(a), budget=1)
 
 
 def search_outcome(search, ints, scales, budget):
@@ -242,7 +241,7 @@ def test_delta_search_matches_the_gram_oracle(a):
     and raises at the same budgets: the node count and prune are unchanged."""
     ints, scales = integer_rows(a)
     for budget in (1, 2, 3, 4, 5, DEFAULT_BUDGET):
-        got = search_outcome(_delta_search, ints, scales, budget)
+        got = search_outcome(delta_max, ints, scales, budget)
         assert got == search_outcome(gram_delta_search, ints, scales, budget), budget
 
 
@@ -254,9 +253,9 @@ def test_delta_search_walks_a_dependent_prefix():
     )
     ints, scales = integer_rows(a)
     want = (Fraction(10), (1, 2, 4, 5))
-    assert delta_max(a) == exhaustive_delta(a) == want
+    assert delta_max(ints, scales) == exhaustive_delta(a) == want
     for budget in range(1, 6):
-        got = search_outcome(_delta_search, ints, scales, budget)
+        got = search_outcome(delta_max, ints, scales, budget)
         assert got == search_outcome(gram_delta_search, ints, scales, budget)
 
 
@@ -273,7 +272,7 @@ def test_delta_search_matches_the_gram_oracle_on_corpora(bench_duals, fuzz_corpu
         while want == "raised":
             budget += 1
             want = search_outcome(gram_delta_search, p.ints, p.scales, budget)
-            assert search_outcome(_delta_search, p.ints, p.scales, budget) == want, p.name
+            assert search_outcome(delta_max, p.ints, p.scales, budget) == want, p.name
 
 
 def test_triangulation_stats_square():
@@ -354,7 +353,7 @@ def test_integer_fan_stats_match_the_fraction_sums(fan):
     assert got.fan_volume == total / math.factorial(len(ints[0]))
     assert got.det_square_sum == sum(d * d for d in dets)
     assert got.cone_count == len(cones)
-    assert (got.delta, got.witness) == _delta_search(ints, scales, DEFAULT_BUDGET)
+    assert (got.delta, got.witness) == delta_max(ints, scales, DEFAULT_BUDGET)
 
 
 def test_triangulation_stats_builds_no_fraction_per_cone(bench_duals, monkeypatch):
@@ -394,8 +393,8 @@ def test_check_vertex_bound_passes_on_boxes():
         t = result.triangulation
         stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
         report = check_fan_bounds(stats, len(result.vertices))["vertex-count"]
-        assert report.passed
-        assert report.lhs == len(result.vertices)
+        assert report["passed"]
+        assert report["lhs"] == len(result.vertices)
 
 
 def test_check_vertex_bound_raises_on_fabricated_violation():
@@ -418,14 +417,14 @@ def test_check_fan_bound_square_and_scaled_copy():
     stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
     reports = check_fan_bounds(stats, len(result.vertices))
     assert list(reports) == ["vertex-count", "fan-volume", "cone-count"]
-    assert all(r.passed for r in reports.values())
+    assert all(r["passed"] for r in reports.values())
     # The vertex and cone counts share one right-hand side.
-    assert reports["vertex-count"].rhs == reports["cone-count"].rhs
-    assert reports["vertex-count"].rhs_exact == "2*((1)/(1))*vol_ball(2)"
+    assert reports["vertex-count"]["rhs"] == reports["cone-count"]["rhs"]
+    assert reports["vertex-count"]["rhs_exact"] == "2*((1)/(1))*vol_ball(2)"
     scaled = [[5 * x for x in row] for row in rows_of(p)]
     stats5 = triangulation_stats(*integer_rows(scaled), t.cones, t.dets)
     reports5 = check_fan_bounds(stats5, len(result.vertices))
-    assert {k: r.passed for k, r in reports5.items()} == {k: True for k in reports}
+    assert {k: r["passed"] for k, r in reports5.items()} == {k: True for k in reports}
 
 
 def test_totally_unimodular_transform_identity_witness():
@@ -451,7 +450,7 @@ def test_totally_unimodular_transform_random_witnesses():
     while done < 15:
         n = rng.choice([2, 3])
         a = random_int_matrix(rng, n + 3, n)
-        delta, witness = delta_max(a)
+        delta, witness = delta_max(*integer_rows(a))
         if delta == 0:
             continue
         assert abs(det_exact([a[i] for i in witness])) == delta
@@ -521,14 +520,17 @@ def test_wideness_and_diameter_bound_boxes():
         result = run_enumeration(p)
         cones = result.triangulation.cones
         stats = triangulation_stats(p.ints, p.scales, cones, result.triangulation.dets)
-        report = wideness_and_diameter_bound(p, stats, result.triangulation)
-        assert report.sin_sq_min == 1
-        assert report.tau == pytest.approx(1 / n)
-        want = 8 * n * n * (1 + math.log(n))
-        assert report.diameter_bound == pytest.approx(want)
-        assert floor_holds(report)
         diam = graph_diameter(build_polytope_graph(result))
-        assert diam <= report.diameter_bound + 1e-9
+        bounds = verify_bounds(p, stats, result.triangulation, len(result.vertices), diam)
+        floor = bounds["delta-distance-floor"]
+        assert floor["sin_sq_min"] == 1
+        assert floor_holds(floor)
+        tau = bounds["tau-diameter"]
+        assert tau["tau"] == pytest.approx(1 / n)
+        want = 8 * n * n * (1 + math.log(n))
+        assert tau["bound"] == pytest.approx(want)
+        assert tau["passed"] and tau["diameter"] == diam
+        assert diam <= tau["bound"] + 1e-9
 
 
 def test_wideness_floor_raises_when_certificate_dips():
@@ -540,8 +542,8 @@ def test_wideness_floor_raises_when_certificate_dips():
 
     # Claim a huge minimum determinant: floor rises above the true sine.
     doctored = replace(stats, delta_min=Fraction(1000), delta=Fraction(1))
-    with pytest.raises(BoundViolated):
-        wideness_and_diameter_bound(p, doctored, result.triangulation)
+    with pytest.raises(BoundViolated, match="below floor"):
+        verify_bounds(p, doctored, result.triangulation, len(result.vertices), None)
 
 
 def assert_cone_distances_match_oracle(p, result, witness):

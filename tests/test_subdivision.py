@@ -95,9 +95,9 @@ def test_sibling_cones_share_a_wall():
 def test_delta_is_preserved_under_subdivision():
     for n, k in ((2, 4), (3, 2)):
         fans = build_subdivision_fans(n, k)
-        base_delta, _ = delta_max(fans[0].generators())
+        base_delta, _ = delta_max(*integer_rows(fans[0].generators()))
         for fan in fans[1:]:
-            delta, witness = delta_max(fan.generators())
+            delta, witness = delta_max(*integer_rows(fan.generators()))
             assert delta == base_delta
             assert witness == tuple(range(n))
 
@@ -105,7 +105,7 @@ def test_delta_is_preserved_under_subdivision():
 def test_delta_ratio_growth():
     fans = build_subdivision_fans(2, 4)
     for k, fan in enumerate(fans):
-        delta, _ = delta_max(fan.generators())
+        delta, _ = delta_max(*integer_rows(fan.generators()))
         ints, scales = integer_rows(fan.rays)
         dmin = min(abs_det(ints, scales, c) for c in fan.cones)
         assert delta / dmin == 2**k
