@@ -121,7 +121,8 @@ class Analysis:
     triangulation, and `graph` builds the vertex-edge graph.
     `--budget` caps every scan; without it the Delta search (50x the budget
     in nodes) uses stats.DEFAULT_BUDGET, and the vertex box's cells
-    counting.DEFAULT_CELL_BUDGET. Every bound verdict is decided in `stats`.
+    counting.DEFAULT_CELL_BUDGET. Every bound verdict, and every bound block
+    of a report, comes from `stats`.
     """
 
     def __init__(self, args):
@@ -246,10 +247,10 @@ def cmd_vertices(a: Analysis) -> dict:
 
 
 def cmd_verify(a: Analysis) -> dict:
-    p, result, fan_stats = a.p, a.result, a.fan_stats
+    result, fan_stats = a.result, a.fan_stats
     diameter = graphs.graph_diameter(a.graph) if result.bounded else None
     bounds = stats.verify_bounds(
-        p, fan_stats, result.triangulation, len(result.vertices), diameter
+        a.p, fan_stats, result.triangulation, len(result.vertices), diameter
     )
     report = {
         "instance": a.instance_block(),

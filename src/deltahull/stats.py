@@ -5,8 +5,8 @@ basis), triangulation_stats (per-triangulation averages, minima and exact fan
 volumes), cone_distance_certificate (the basis-distance number behind the
 diameter certificate), and the report's bound blocks. Every bound verdict
 the CLI reports is decided and built here, each raising BoundViolated on
-failure: check_fan_bounds gives the fan bounds the `stats` subcommand
-reports, and verify_bounds the whole section `verify` reports (those fan bounds, the
+failure: check_fan_bounds gives the fan bounds of the `stats` report, and
+verify_bounds the whole `bounds` section of `verify` (those fan bounds, the
 total-unimodularity certificate, the distance floor and the tau-diameter),
 with RELATIVE_SLACK the one float tolerance. Total unimodularity needs no
 check: by Jacobi's complementary-minor identity every minor of A (A_W)^-1 is
