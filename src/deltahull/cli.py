@@ -33,6 +33,18 @@ EXIT_BOUND_VIOLATED = 5
 EXIT_UNBOUNDED = 6
 EXIT_BUDGET = 7
 
+# (error type, exit code, stderr prefix) for main; the first match wins,
+# and any other error propagates.
+ERROR_EXITS = (
+    (ParseError, EXIT_PARSE, "parse error: "),
+    (InfeasiblePoint, EXIT_PARSE, "given point outside the polyhedron: "),
+    (NotPointed, EXIT_NOT_POINTED, "not pointed: "),
+    (Infeasible, EXIT_INFEASIBLE, "infeasible: "),
+    (Unbounded, EXIT_UNBOUNDED, "unbounded: "),
+    (BudgetExceeded, EXIT_BUDGET, "budget exceeded: "),
+    (OSError, EXIT_PARSE, ""),
+)
+
 
 def positive_int(text: str) -> int:
     value = int(text)
@@ -109,14 +121,13 @@ def _warn(message: str) -> None:
 class Analysis:
     """The analysis of one instance; each phase runs once, on first use.
 
-    `loaded` parses the instance, takes the given feasible point or else
-    runs phase one, enumerates the vertices from that point, and reads the
-    redundant rows off the enumeration (hull.redundant_rows); only a system
-    with implicit equalities, where that test does not apply, runs the LP
-    scan model.redundancy_scan from the same point. So an empty system exits
-    before any redundancy warning. After --strip-redundant, phase one (unless
-    a point was given) and the enumeration run again on the stripped system,
-    so the report equals that of the stripped system's own file.
+    `loaded` parses the instance, enumerates its vertices from the given
+    feasible point, if any (hull.run_enumeration runs phase one otherwise),
+    and takes the redundant rows from hull.redundant_rows. So an empty
+    system exits before any redundancy warning. After --strip-redundant, the
+    enumeration runs again on the stripped system, from the given point or
+    its own phase one, so the report equals that of the stripped system's
+    own file.
     `fan_stats` takes the subdeterminant statistics of the normal-fan
     triangulation, and `graph` builds the vertex-edge graph.
     `--budget` caps every scan; without it the Delta search (50x the budget
@@ -139,11 +150,8 @@ class Analysis:
         if self.args.feasible_point:
             text = serialize.read_text(self.args.feasible_point)
             given = serialize.parse_point(serialize.parse_json(text), p.n)
-        x0 = given if given is not None else model.phase_one(p)
-        result = hull.run_enumeration(p, x0)
+        result = hull.run_enumeration(p, given)
         redundant = hull.redundant_rows(p, result)
-        if redundant is None:
-            redundant = model.redundancy_scan(p, x0)
         if redundant and self.args.strip_redundant:
             _warn(f"stripped redundant rows {redundant}")
             p = model.drop_rows(p, redundant)
@@ -351,27 +359,12 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         return args.func(args)
-    except ParseError as exc:
-        _warn(f"parse error: {exc}")
-        return EXIT_PARSE
-    except InfeasiblePoint as exc:
-        _warn(f"given point outside the polyhedron: {exc}")
-        return EXIT_PARSE
-    except NotPointed as exc:
-        _warn(f"not pointed: {exc}")
-        return EXIT_NOT_POINTED
-    except Infeasible as exc:
-        _warn(f"infeasible: {exc}")
-        return EXIT_INFEASIBLE
-    except Unbounded as exc:
-        _warn(f"unbounded: {exc}")
-        return EXIT_UNBOUNDED
-    except BudgetExceeded as exc:
-        _warn(f"budget exceeded: {exc}")
-        return EXIT_BUDGET
-    except OSError as exc:
-        _warn(str(exc))
-        return EXIT_PARSE
+    except Exception as exc:
+        for kind, code, prefix in ERROR_EXITS:
+            if isinstance(exc, kind):
+                _warn(prefix + str(exc))
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ from .errors import DisconnectedGraph
 
 
 def build_polytope_graph(result) -> dict[int, list[int]]:
-    """Vertex-edge graph of the enumeration: each vertex index with its
-    neighbours. result.edges holds distinct pairs u < v, so taking them in
-    sorted order appends every neighbour list in ascending order."""
-    adjacency = {v.index: [] for v in result.vertices}
+    """Vertex-edge graph of the enumeration: each vertex's position in
+    result.vertices with its neighbours. result.edges holds distinct pairs
+    u < v, so taking them in sorted order appends every neighbour list in
+    ascending order."""
+    adjacency = {v: [] for v in range(len(result.vertices))}
     for u, v in sorted(result.edges):
         adjacency[u].append(v)
         adjacency[v].append(u)

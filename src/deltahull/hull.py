@@ -1,24 +1,28 @@
 """Vertex enumeration by best-first search over feasible bases.
 
-The search nodes are simplicial cones of the normal fan, one basis per cone.
-Simple vertices contribute their unique basis, the one they were reached
-from; a degenerate vertex gets its normal cone triangulated on first visit
-and each simplex becomes a node. Pivoting from a node, a basis held as
-(det, adj), runs the integer ratio test on its vertex's slacks; positive
-steps cross edges of the polyhedron, zero steps move between bases of the
-same vertex, and an empty ratio test marks an unbounded edge. Each edge's
-ratio test runs once when one end is a simple vertex: the test back from the
-far end can only return to the basis it came from, so that basis skips it and
-is charged the hits it would have found. The (det, adj) pair of every basis
-popped is kept, so the cone determinants and the cone distances of the
-wideness certificate need no second elimination.
+`run_enumeration` is the whole walk: phase one unless a feasible point is
+given, the ray cast to a vertex, then the search. Its nodes are simplicial
+cones of the normal fan, one basis per cone. Simple vertices contribute
+their unique basis, the one they were reached from; a degenerate vertex gets
+its normal cone triangulated on first visit and each simplex becomes a
+node, pushed once. Pivoting from a node, a basis held as (det, adj), runs
+the integer ratio test on its vertex's slacks; positive steps cross edges
+of the polyhedron, zero steps move between bases of the same vertex, and an
+empty ratio test marks an unbounded edge. Each edge's ratio test runs once
+when one end is a simple vertex: the test back from the far end can only
+return to the basis it came from, so that basis skips it and is charged the
+hits it would have found. The (det, adj) pair of every basis popped is
+kept, so the cone determinants and the cone distances of the wideness
+certificate need no second elimination.
 The result is the skeleton walked: vertices, vertex pairs joined by a
-positive-step pivot, primitive integer rays. The only Fractions are the
-`VertexRecord` points. The redundant rows are read off the result. A row
-tight at a simple vertex is a facet, since near that vertex the polyhedron is
-the simplicial cone of its n tight rows, which also makes it full-dimensional;
-any other row of a full-dimensional polyhedron is a facet iff the vertices and
-rays on its hyperplane span dimension n - 1, one rank each.
+positive-step pivot, primitive integer rays; a vertex is named by its
+position in the vertex list. The only Fractions are the `VertexRecord`
+points. The redundant rows are read off the result. A row tight at a simple
+vertex is a facet, since near that vertex the polyhedron is the simplicial
+cone of its n tight rows, which also makes it full-dimensional; any other
+row of a full-dimensional polyhedron is a facet iff the vertices and rays on
+its hyperplane span dimension n - 1, one rank each. Only a system with
+implicit equalities falls back to the LP scan, from its first vertex.
 """
 
 import heapq
@@ -195,46 +199,46 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
     ray_set: set[tuple[int, tuple[int, ...]]] = set()
     counters = WorkCounters()
     heap: list[Rows] = []
-    basis_cache: dict[Rows, Basis] = {}
-    frontier: dict[Rows, Point] = {}  # pushed, not yet visited -> its vertex
-    decided: dict[Rows, dict[int, int]] = {}  # frontier basis -> {leaving: hits}
+    # waiting basis -> its vertex, its (det, adj) if a pivot built it, and
+    # {leaving row: hits} of the ratio tests already decided at the far end
+    pending: dict[Rows, tuple[Point, Basis | None, dict[int, int]]] = {}
 
-    def push(rows: Rows, owner: int, pt: Point) -> None:
-        basis_owner.setdefault(rows, owner)
-        frontier.setdefault(rows, pt)
-        heapq.heappush(heap, rows)
+    def push(rows: Rows, owner: int, pt: Point, basis: Basis | None = None) -> None:
+        if rows not in basis_owner:
+            basis_owner[rows] = owner
+            pending[rows] = (pt, basis, {})
+            heapq.heappush(heap, rows)
 
-    def register(num, den: int) -> int:
+    def register(num, den, rows: Rows = (), basis: Basis | None = None) -> tuple[int, Point]:
+        """Index and Point of the vertex num / den; a new one pushes its cones,
+        with `basis` for the one that is `rows`, the basis that reached it."""
         g = gcd(den, *num)
         key = (den // g, *(v // g for v in num))  # the point in lowest terms
+        pt = model.scaled_point(p, key[1:], key[0])
         index = by_point.get(key)
         if index is not None:
-            return index
+            return index, pt
         index = len(vertices)
         by_point[key] = index
-        pt = model.scaled_point(p, key[1:], key[0])
         tight = model.tight_set(p, pt)
         exact.append((key[1:], key[0]))
         # n tight rows hold the nonsingular basis the vertex was reached from.
         cones = [tight] if len(tight) == p.n else triangulate_normal_cone(p, tight)
-        vertices.append(VertexRecord(pt.x, tight, index))
+        vertices.append(VertexRecord(pt.x, tight))
         triangulation.cones_by_vertex.append(cones)
         for c in cones:
-            push(c, index, pt)
-        return index
+            push(c, index, pt, basis if c == rows else None)
+        return index, pt
 
     register(start.num, start.den)
     while heap:
         rows = heapq.heappop(heap)
-        pt = frontier.pop(rows, None)
-        if pt is None:  # a duplicate heap entry of a visited basis
-            continue
+        pt, basis, known = pending.pop(rows)
         counters.bases_visited += 1
-        basis = basis_cache.pop(rows, None) or model.basis_adjugate(p, rows)
+        basis = basis or model.basis_adjugate(p, rows)
         triangulation.dets[rows], triangulation.adjugates[rows] = basis
         owner = basis_owner[rows]
         back = {} if vertices[owner].simple else None
-        known = decided.pop(rows, None)
         for leaving, entering, step, u in pivot_neighbors(
             p, rows, basis, pt, counters, known, back
         ):
@@ -243,20 +247,19 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
                 ray_set.add((owner, tuple(c // g for c in u)))
                 continue
             target = tuple(sorted([r for r in rows if r != leaving] + [entering]))
-            index = basis_owner.get(target)  # visited, or on the heap
+            index = basis_owner.get(target)  # visited, or pending
             if index is None:
-                _, basis_cache[target] = model.pivot(p, rows, basis, leaving, entering)
+                _, child = model.pivot(p, rows, basis, leaving, entering)
                 if step == 0:
-                    push(target, owner, pt)
+                    push(target, owner, pt, child)
                     continue
-                num, den = model.basis_solution(p, target, basis_cache[target])
-                index = register(num, den)
-                # A vertex reached again may have dropped its slacks: recompute.
-                push(target, index, frontier.get(target) or model.scaled_point(p, num, den))
+                num, den = model.basis_solution(p, target, child)
+                index, far = register(num, den, target, child)
+                push(target, index, far, child)
             if step:
                 edges.add((min(owner, index), max(owner, index)))
-                if back is not None and target in frontier:
-                    decided.setdefault(target, {})[entering] = back[leaving]
+                if back is not None and target in pending:
+                    pending[target][2][entering] = back[leaving]
 
     return EnumerationResult(
         vertices=vertices,
@@ -269,7 +272,8 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
 
 
 def run_enumeration(p: HPolyhedron, feasible_point: Vec | None = None) -> EnumerationResult:
-    """Feasibility phase, ray-cast initialization, then full enumeration."""
+    """Phase one unless a feasible point is given, the ray cast from that
+    point to a vertex, then the full enumeration."""
     x0 = list(feasible_point) if feasible_point is not None else model.phase_one(p)
     return enumerate_vertices(p, model.find_initial_vertex(p, x0))
 
@@ -286,15 +290,16 @@ def _span_rank(points, directions) -> int:
     return linalg.rank_of(vectors + directions)
 
 
-def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int] | None:
-    """The rows of p that are not facets, read off its enumeration.
+def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int]:
+    """The rows of p that can be dropped together, read off its enumeration.
 
     At a simple vertex v every row off its n tight rows B has positive slack,
     so near v, p is the simplicial cone {x : A_B (x - v) <= 0}: each row of B
     is a facet, and p is full-dimensional. Without a simple vertex, p is
     full-dimensional iff its vertices and rays have affine rank n; if not, it
-    has implicit equalities and this returns None (the LP scan
-    `model.redundancy_scan` decides that case). On a full-dimensional pointed
+    has implicit equalities and the LP scan `model.redundancy_scan` decides,
+    started from the first vertex (each verdict is an LP optimum, which does
+    not depend on the start). On a full-dimensional pointed
     p without duplicate rows, any other row i is irredundant iff its face
     {x in p : a_i x = b_i} has dimension n - 1. That face is spanned by the
     differences of the vertices tight at i and by the rays d with a_i d = 0,
@@ -304,7 +309,7 @@ def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int] | Non
     rays = [list(d) for d in sorted({d for _, d in result.rays})]
     facets = {i for v in result.vertices if v.simple for i in v.tight}
     if not facets and _span_rank(result.exact, rays) < p.n:
-        return None
+        return model.redundancy_scan(p, list(result.vertices[0].point))
     faces: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(p.m)]
     for v, pt in zip(result.vertices, result.exact):
         for i in v.tight:
@@ -347,8 +352,5 @@ def enumerate_all_bases_oracle(
         point = tuple(x)
         if point not in by_point:
             tight = model.tight_set(p, model.rational_point(p, x))
-            by_point[point] = VertexRecord(point, tight, len(by_point))
-    vertices = sorted(by_point.values(), key=lambda r: r.point)
-    for i, r in enumerate(vertices):
-        r.index = i
-    return OracleEnumeration(vertices, feasible)
+            by_point[point] = VertexRecord(point, tight)
+    return OracleEnumeration(sorted(by_point.values(), key=lambda r: r.point), feasible)

@@ -13,9 +13,9 @@ integral Gram-Schmidt basis of its tight rows, and products of all rows with
 one vector run column by column. A `Fraction` is built only where a point
 leaves the kernel, and for the rows as given (`a`, `b`). The LP
 redundancy scan, one simplex per row from one feasible point, is only the
-fallback for a system with implicit equalities (hull.redundant_rows reads
-the redundant rows of a full-dimensional one off its enumeration) and that
-test's oracle.
+fallback that hull.redundant_rows runs for a system with implicit
+equalities (a full-dimensional system's are read off its enumeration)
+and that test's oracle.
 """
 
 from dataclasses import dataclass
@@ -133,7 +133,6 @@ def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
 class VertexRecord:
     point: tuple[Fraction, ...]
     tight: tuple[int, ...]
-    index: int = -1
 
     @property
     def simple(self) -> bool:
@@ -412,9 +411,9 @@ def strict_interior_point(p: HPolyhedron):
 def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
     """Indices of rows that can be dropped together without changing p.
 
-    One LP per row. The CLI runs it only where hull.redundant_rows returns
-    None, on a system with implicit equalities, and the tests keep it as
-    that function's oracle. Row i is redundant iff max{A_i x : the other
+    One LP per row. hull.redundant_rows runs it, from a vertex, only on a
+    system with implicit equalities, and the tests keep it as that
+    function's oracle. Row i is redundant iff max{A_i x : the other
     rows not already listed} <= b_i. Testing only against the unlisted rows
     keeps the list droppable together: with implicit equalities two rows can
     cut the same face, each redundant only while the other stays. On a

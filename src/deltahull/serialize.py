@@ -41,10 +41,20 @@ def parse_rational(token) -> Fraction:
     raise ParseError(f"not a rational: {token!r}")
 
 
+def _long_int_str(v: int) -> str:
+    """str(v) in 4,000-digit chunks, below Python's 4,300-digit limit on it."""
+    if abs(v) < 10**4000:
+        return str(v)
+    head, low = divmod(abs(v), 10**4000)
+    return "-" * (v < 0) + _long_int_str(head) + str(low).zfill(4000)
+
+
 def rational_str(x: Fraction | int) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    num, den = x.numerator, x.denominator
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past Python's 4,300-digit limit on str(int)
+        return _long_int_str(num) if den == 1 else f"{_long_int_str(num)}/{_long_int_str(den)}"
 
 
 def canonical_dumps(obj) -> str:

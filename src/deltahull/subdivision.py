@@ -57,11 +57,6 @@ def base_fan(n: int) -> SubdivisionFan:
     return SubdivisionFan(n, 0, rays, cones, [-1] * len(cones))
 
 
-def barycenter_index(fan: SubdivisionFan, cone_position: int) -> int:
-    """Ray index the given cone's barycenter receives after one subdivision."""
-    return len(fan.rays) + cone_position
-
-
 def subdivide_fan(fan: SubdivisionFan) -> SubdivisionFan:
     """One barycentric step: every cone splits into n children."""
     n = fan.n
@@ -114,14 +109,11 @@ class LiftedPolytope:
     fan: SubdivisionFan
     scaling: list[Fraction]
 
-    def dual_rhs(self) -> list[Fraction]:
-        return [1 / s for s in self.scaling]
-
     def dual_polyhedron(self) -> model.HPolyhedron:
         """Polar polytope {x : <ray_i, x> <= 1/scale_i} as an instance."""
         return model.make_polyhedron(
             self.fan.generators(),
-            self.dual_rhs(),
+            [1 / s for s in self.scaling],
             name=f"subdivision-dual-n{self.fan.n}-k{self.fan.depth}",
         )
 
@@ -151,7 +143,7 @@ def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
     for depth in range(1, len(fans)):
         prev, fan = fans[depth - 1], fans[depth]
         for ci, parent_cone in enumerate(prev.cones):
-            b = barycenter_index(prev, ci)
+            b = len(prev.rays) + ci  # subdivide_fan appends one barycenter per cone
             v = fan.rays[b]
             u_t = facets[parent_cone]
             denom = dot(list(u_t), list(v))

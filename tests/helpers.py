@@ -220,18 +220,19 @@ def rank_test_edges(p, result) -> set[tuple[int, int]]:
     """Oracle: vertices are adjacent iff their common tight rows have rank
     n-1 (the standard polytope edge characterization)."""
     edges = set()
-    for a, b in combinations(result.vertices, 2):
+    for (i, a), (j, b) in combinations(enumerate(result.vertices), 2):
         common = sorted(set(a.tight) & set(b.tight))
         if common and linalg.rank_of(model.submatrix(p, common)) == p.n - 1:
-            edges.add((min(a.index, b.index), max(a.index, b.index)))
+            edges.add((i, j))
     return edges
 
 
 def rank_redundant_rows(p, result) -> list[int] | None:
     """Oracle of hull.redundant_rows by one rank per row, simple vertices or
-    not: None unless the vertices and rays span dimension n, else the rows
-    whose face (the vertices tight at the row and the rays along it) spans
-    less than n - 1."""
+    not: None unless the vertices and rays span dimension n (where
+    hull.redundant_rows runs the LP scan instead), else the rows whose face
+    (the vertices tight at the row and the rays along it) spans less than
+    n - 1."""
     rays = [list(d) for d in sorted({d for _, d in result.rays})]
     if hull._span_rank(result.exact, rays) < p.n:
         return None

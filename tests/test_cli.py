@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,32 @@ def test_overlong_json_integer_is_a_parse_error(capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("command", ["vertices", "diameter"])
+def test_report_with_6000_digit_denominators(capsys, tmp_path, command):
+    # The vertex off the two long rows has a denominator of about 6,000
+    # digits, past Python's 4,300-digit limit on str(int).
+    long_rows = [["7" * 3000, "1"], ["1", "3" * 3000], ["-1", "0"], ["0", "-1"]]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"A": long_rows, "b": ["1", "1", "0", "0"]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    if command == "diameter":
+        assert report["graph"]["diameter"] == 2
+        return
+    a, c = 7 * (10**3000 - 1) // 9, 3 * (10**3000 - 1) // 9
+    far = [Fraction(c - 1, a * c - 1), Fraction(a - 1, a * c - 1)]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [f"{x.numerator}/{x.denominator}" for x in far]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert want in [v["point"] for v in report["vertices"]]
+    assert len(report["vertices"]) == 4
 
 
 def test_exit_code_unbounded_count(capsys, tmp_path):

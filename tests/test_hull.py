@@ -1,8 +1,10 @@
 """Vertex enumeration, pivoting, normal cone triangulation, and redundancy."""
 
+import heapq
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -85,9 +87,10 @@ def test_degenerate_apex_owns_two_cones():
     p = square_pyramid()
     result = run_enumeration(p)
     assert len(result.vertices) == 5
-    apex = [v for v in result.vertices if v.point == (Fraction(0), Fraction(0), Fraction(1))]
-    assert len(apex) == 1
-    cones = result.triangulation.cones_by_vertex[apex[0].index]
+    apex = (Fraction(0), Fraction(0), Fraction(1))
+    points = [v.point for v in result.vertices]
+    assert points.count(apex) == 1
+    cones = result.triangulation.cones_by_vertex[points.index(apex)]
     assert len(cones) == 2
     # The two cones tile the apex normal cone: dets sum over the split.
     assert all(len(c) == 3 for c in cones)
@@ -102,6 +105,21 @@ def test_degenerate_family_matches_oracle():
         got_tight = {v.point: v.tight for v in result.vertices}
         want_tight = {v.point: v.tight for v in oracle.vertices}
         assert got_tight == want_tight
+
+
+def test_each_basis_is_pushed_once(fuzz_corpus, monkeypatch):
+    """The heap gets one push per basis visited: no basis waits twice."""
+    pushes = []
+
+    def push(heap, rows):
+        pushes.append(rows)
+        heapq.heappush(heap, rows)
+
+    monkeypatch.setattr(hull, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    for p in fuzz_corpus + [build() for build in DEGENERATE_FAMILY]:
+        pushes.clear()
+        result = run_enumeration(p)
+        assert len(pushes) == len(set(pushes)) == result.counters.bases_visited, p.name
 
 
 def assert_recorded_dets_match_fresh_ones(p, result):
@@ -462,10 +480,12 @@ def test_redundant_rows_fixed_cases():
     result = run_enumeration(quadrant)
     assert not result.bounded and not result.vertices[0].simple
     assert redundant_rows(quadrant, result) == [2] == lp_redundant(quadrant)
-    # The segment [0,1] x {0} is flat: the LP scan keeps that case.
+    # The segment [0,1] x {0} is flat: the rank test does not apply, and the
+    # LP scan, run from the first vertex, decides.
     flat = make_polyhedron([[0, 1], [0, -1], [1, 0], [1, 1], [-1, 0]], [0, 0, 1, 1, 0])
     result = run_enumeration(flat)
-    assert redundant_rows(flat, result) is None is rank_redundant_rows(flat, result)
+    assert rank_redundant_rows(flat, result) is None
+    assert redundant_rows(flat, result) == lp_redundant(flat)
 
 
 @pytest.mark.parametrize(
@@ -582,11 +602,13 @@ def test_redundant_rows_follow_a_row_permutation(system):
     result = run_enumeration(p, x0)
     got = redundant_rows(p, result)
     permuted = redundant_rows(q, run_enumeration(q, x0))
-    assert got == rank_redundant_rows(p, result)
-    if got is None:
-        assert permuted is None
-        return
     assert got == redundancy_scan(p, x0)
+    if rank_redundant_rows(p, result) is None:
+        # Implicit equalities: which rows of an equal pair go depends on the
+        # row order, so each order has its own LP scan.
+        assert permuted == redundancy_scan(q, x0)
+        return
+    assert got == rank_redundant_rows(p, result)
     assert permuted == sorted(k for k, i in enumerate(order) if i in got)
 
 

@@ -1,6 +1,7 @@
 """Exact-rational JSON/CSV document handling and canonical output."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,23 @@ def test_rational_str_lowest_terms():
     assert rational_str(Fraction(-4, 2)) == "-2"
     assert rational_str(Fraction(0)) == "0"
     assert rational_str(7) == "7"
+
+
+@pytest.mark.parametrize(
+    "x",
+    [Fraction(10**8000 + 7, 3), Fraction(-(10**9000) - 1), Fraction(1, 7**6000)],
+    ids=["zero-padded-chunk", "negative-three-chunks", "long-denominator"],
+)
+def test_rational_str_past_the_int_digit_limit(x):
+    # str(int) raises ValueError past 4,300 digits; the expected text is
+    # taken with that limit lifted.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{x.numerator}/{x.denominator}" if x.denominator > 1 else str(x.numerator)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert rational_str(x) == want
 
 
 def test_rationalize_handles_nested_structures():
