@@ -8,11 +8,12 @@ the full minor scan and the per-cone distance certificate (the oracles of
 the CLI's total-unimodularity verdict and of
 stats.cone_distance_certificate), the per-cell box-scan counting
 oracle, the per-node BFS diameter oracle, the fan document loader, the
-capped-sum bucket bound behind acceptance criterion 10, the cone-fan
+report text of rationals past the str() digit limit, the capped-sum bucket bound behind acceptance criterion 10, the cone-fan
 adjacency graph, and the density and tightness experiments on the
 subdivision fans. Graphs are adjacency dicts {node: ascending neighbours},
 as graphs.build_polytope_graph returns them."""
 
+import sys
 from collections import deque
 from fractions import Fraction
 from functools import cmp_to_key
@@ -299,6 +300,17 @@ def bfs_diameter(g: dict[int, list[int]]) -> int:
             )
         diameter = max(diameter, max(dist.values()))
     return diameter
+
+
+def long_rational_text(x: Fraction) -> str:
+    """"num/den" or "num" with Python's 4,300-digit str(int) limit lifted for
+    the call: the oracle of serialize.rational_str past that limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{x.numerator}/{x.denominator}" if x.denominator > 1 else str(x.numerator)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def rationalize(obj):

@@ -1,7 +1,6 @@
 """Exact-rational JSON/CSV document handling and canonical output."""
 
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ from deltahull.serialize import (
 from deltahull.subdivision import build_subdivision_fans
 
 from conftest import square
-from helpers import load_fan_json, rationalize
+from helpers import load_fan_json, long_rational_text, rationalize
 
 
 def test_parse_rational_accepted_forms():
@@ -63,15 +62,7 @@ def test_rational_str_lowest_terms():
     ids=["zero-padded-chunk", "negative-three-chunks", "long-denominator"],
 )
 def test_rational_str_past_the_int_digit_limit(x):
-    # str(int) raises ValueError past 4,300 digits; the expected text is
-    # taken with that limit lifted.
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        want = f"{x.numerator}/{x.denominator}" if x.denominator > 1 else str(x.numerator)
-    finally:
-        sys.set_int_max_str_digits(saved)
-    assert rational_str(x) == want
+    assert rational_str(x) == long_rational_text(x)
 
 
 def test_rationalize_handles_nested_structures():
