@@ -1,15 +1,14 @@
 """Exact integer-point counting over the vertex box, and the counting-cost figures.
 
-The count scans the integer bounding box of the vertices one line at a time:
-along the box's widest axis every line meets P in one integer interval, found
-from the rows' integer forms by floor division, so a line costs a few column
-maps instead of one membership test per cell.
+The count scans the integer bounding box of the vertex records one line at a
+time: along the box's widest axis every line meets P in one integer interval,
+found from the rows' integer forms by floor division, so a line costs a few
+column maps instead of one membership test per cell.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import ceil, floor
 from operator import floordiv, mul, sub
 
 from .errors import BudgetExceeded, Unbounded
@@ -27,13 +26,12 @@ class CountReport:
 
 
 def integer_box(vertices) -> list[tuple[int, int]]:
-    """Per-coordinate integer candidate range from exact vertex coordinates."""
-    n = len(vertices[0].point)
-    box = []
-    for t in range(n):
-        coords = [v.point[t] for v in vertices]
-        box.append((ceil(min(coords)), floor(max(coords))))
-    return box
+    """Per-coordinate [ceil(min), floor(max)] of the vertex records num / den,
+    den > 0: a coordinate's ceiling is -(-num // den), its floor num // den."""
+    return [
+        (min(-(-v.num[t] // v.den) for v in vertices), max(v.num[t] // v.den for v in vertices))
+        for t in range(len(vertices[0].num))
+    ]
 
 
 def fibre_axis(box) -> int:

@@ -16,16 +16,17 @@ kept, so the cone determinants and the cone distances of the wideness
 certificate need no second elimination.
 The result is the skeleton walked: vertices, vertex pairs joined by a
 positive-step pivot, primitive integer rays; a vertex is named by its
-position in the vertex list. The only Fractions are the `VertexRecord`
-points. The redundant rows are read off the result. A row tight at a simple
-vertex is a facet, since near that vertex the polyhedron is the simplicial
-cone of its n tight rows, which also makes it full-dimensional; any other
-row of a full-dimensional polyhedron is a facet iff the vertices and rays on
-its hyperplane span dimension n - 1, one rank each. Only a system with
-implicit equalities falls back to the LP scan, from its first vertex.
+position in the vertex list and held as an integer `VertexRecord`, so the
+walk builds no Fraction. The redundant rows are read off the result. A row
+tight at a simple vertex is a facet, since near that vertex the polyhedron
+is the simplicial cone of its n tight rows, which also makes it
+full-dimensional; any other row of a full-dimensional polyhedron is a facet
+iff the vertices and rays on its hyperplane span dimension n - 1, one rank
+each. Only a system with implicit equalities falls back to the LP scan.
 """
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -71,7 +72,6 @@ class WorkCounters:
 @dataclass
 class EnumerationResult:
     vertices: list[VertexRecord]
-    exact: list[tuple[tuple[int, ...], int]]  # each vertex as (num, den)
     triangulation: Triangulation
     edges: set[tuple[int, int]]  # vertex index pairs, smaller first
     rays: list[tuple[int, tuple[int, ...]]]  # (vertex, primitive direction)
@@ -140,28 +140,24 @@ def pivot_neighbors(
 def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
     """Placing triangulation of the cone spanned by the tight-row normals.
 
-    Rows are inserted in ascending index order. A row that enlarges the span
-    cones the whole current complex; a row inside the span is joined to every
-    boundary facet it sees strictly from outside. Rows that land inside the
-    cone are absorbed without creating simplices. Returns index tuples whose
-    union covers the cone with pairwise disjoint interiors.
+    Rows are inserted in ascending index order. A row with a part off the
+    span (model._off_span, the ray cast's integral Gram-Schmidt) cones the
+    whole current complex; a row inside the span is joined to every boundary
+    facet it sees strictly from outside. Rows that land inside the cone are
+    absorbed without creating simplices. Returns index tuples whose union
+    covers the cone with pairwise disjoint interiors; RankDeficient if the
+    rows do not span the space.
     """
-    tight = tuple(sorted(tight))
-    if linalg.rank_of(model.submatrix(p, tight)) < p.n:
-        raise RankDeficient("tight rows do not span the space")
-    cones: list[Rows] = [(tight[0],)]
-    span_rows: list[int] = [tight[0]]
-    for idx in tight[1:]:
+    cones: list[Rows] = [()]
+    ortho: list = []
+    for idx in sorted(tight):
         v = p.ints[idx]
-        if linalg.rank_of(model.submatrix(p, span_rows + [idx])) > len(span_rows):
+        o = model._off_span(v, ortho)
+        if any(o):
             cones = [c + (idx,) for c in cones]
-            span_rows.append(idx)
+            ortho.append((o, dot(o, o)))
             continue
-        facet_count: dict[Rows, int] = {}
-        for c in cones:
-            for drop in c:
-                f = tuple(j for j in c if j != drop)
-                facet_count[f] = facet_count.get(f, 0) + 1
+        facet_count = Counter(c[:k] + c[k + 1 :] for c in cones for k in range(len(c)))
         added: list[Rows] = []
         for c in cones:
             # v's coordinates in the cone's generators times det(Gram) > 0,
@@ -169,11 +165,13 @@ def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
             gens = model.submatrix(p, c)
             _, adj = linalg.adjugate([[dot(g, h) for h in gens] for g in gens])
             lam = [dot(line, [dot(g, v) for g in gens]) for line in adj]
-            for k, drop in enumerate(c):
-                f = tuple(j for j in c if j != drop)
+            for k in range(len(c)):
+                f = c[:k] + c[k + 1 :]
                 if facet_count[f] == 1 and lam[k] < 0:
                     added.append(tuple(sorted(f + (idx,))))
         cones.extend(added)
+    if len(ortho) < p.n:
+        raise RankDeficient("tight rows do not span the space")
     return sorted(tuple(sorted(c)) for c in cones)
 
 
@@ -181,19 +179,18 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
     """All vertices of p reachable from the starting vertex (that is, all).
 
     Best-first search over bases in lexicographic order: deterministic
-    traversal, duplicate-free vertex list keyed on exact points, normal cone
-    triangulated once per vertex, rays recorded per (vertex, primitive
+    traversal, duplicate-free vertex list keyed on each (num, den), normal
+    cone triangulated once per vertex, rays recorded per (vertex, primitive
     direction), an edge per vertex pair that a positive-step pivot joins.
     A vertex's slacks are held only while a basis of it waits on the heap.
     """
-    start = model.rational_point(p, v0.point)
+    start = model.scaled_point(p, v0.num, v0.den)
     if linalg.rank_of(model.submatrix(p, model.tight_set(p, start))) < p.n:
         raise NotAVertex("tight rows at the starting point have rank < n")
 
     vertices: list[VertexRecord] = []
-    exact: list[tuple[tuple[int, ...], int]] = []
     triangulation = Triangulation()
-    by_point: dict[tuple[int, ...], int] = {}
+    by_point: dict[tuple[tuple[int, ...], int], int] = {}  # (num, den) -> index
     basis_owner: dict[Rows, int] = {}  # every pushed basis -> its vertex
     edges: set[tuple[int, int]] = set()
     ray_set: set[tuple[int, tuple[int, ...]]] = set()
@@ -212,19 +209,16 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
     def register(num, den, rows: Rows = (), basis: Basis | None = None) -> tuple[int, Point]:
         """Index and Point of the vertex num / den; a new one pushes its cones,
         with `basis` for the one that is `rows`, the basis that reached it."""
-        g = gcd(den, *num)
-        key = (den // g, *(v // g for v in num))  # the point in lowest terms
-        pt = model.scaled_point(p, key[1:], key[0])
-        index = by_point.get(key)
+        pt = model.scaled_point(p, num, den)
+        index = by_point.get((pt.num, pt.den))
         if index is not None:
             return index, pt
         index = len(vertices)
-        by_point[key] = index
+        by_point[pt.num, pt.den] = index
         tight = model.tight_set(p, pt)
-        exact.append((key[1:], key[0]))
         # n tight rows hold the nonsingular basis the vertex was reached from.
         cones = [tight] if len(tight) == p.n else triangulate_normal_cone(p, tight)
-        vertices.append(VertexRecord(pt.x, tight))
+        vertices.append(VertexRecord(pt.num, pt.den, tight))
         triangulation.cones_by_vertex.append(cones)
         for c in cones:
             push(c, index, pt, basis if c == rows else None)
@@ -263,7 +257,6 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
 
     return EnumerationResult(
         vertices=vertices,
-        exact=exact,
         triangulation=triangulation,
         edges=edges,
         rays=sorted(ray_set),
@@ -278,13 +271,13 @@ def run_enumeration(p: HPolyhedron, feasible_point: Vec | None = None) -> Enumer
     return enumerate_vertices(p, model.find_initial_vertex(p, x0))
 
 
-def _span_rank(points, directions) -> int:
-    """Rank of the differences of `points`, (num, den) pairs, from the first,
-    with `directions`; x_k - x_0 enters as X_k D_0 - X_0 D_k over its content."""
-    base, base_den = points[0]
+def _span_rank(records, directions) -> int:
+    """Rank of the differences of the vertex `records` from the first, with
+    `directions`; x_k - x_0 enters as X_k D_0 - X_0 D_k over its content."""
+    base, base_den = records[0].num, records[0].den
     vectors = []
-    for num, den in points[1:]:
-        v = [x * base_den - y * den for x, y in zip(num, base)]
+    for r in records[1:]:
+        v = [x * base_den - y * r.den for x, y in zip(r.num, base)]
         g = gcd(*v) or 1
         vectors.append([c // g for c in v])
     return linalg.rank_of(vectors + directions)
@@ -308,12 +301,12 @@ def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int]:
     """
     rays = [list(d) for d in sorted({d for _, d in result.rays})]
     facets = {i for v in result.vertices if v.simple for i in v.tight}
-    if not facets and _span_rank(result.exact, rays) < p.n:
+    if not facets and _span_rank(result.vertices, rays) < p.n:
         return model.redundancy_scan(p, list(result.vertices[0].point))
-    faces: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(p.m)]
-    for v, pt in zip(result.vertices, result.exact):
+    faces: list[list[VertexRecord]] = [[] for _ in range(p.m)]
+    for v in result.vertices:
         for i in v.tight:
-            faces[i].append(pt)
+            faces[i].append(v)
     redundant = []
     for i, face in enumerate(faces):
         if i in facets:
@@ -342,15 +335,13 @@ def enumerate_all_bases_oracle(
     total = comb(p.m, p.n)
     if total > budget:
         raise BudgetExceeded(f"C({p.m},{p.n}) = {total} exceeds budget {budget}")
-    by_point: dict[tuple[Fraction, ...], VertexRecord] = {}
+    by_point: dict[tuple[tuple[int, ...], int], VertexRecord] = {}
     feasible: list[Rows] = []
     for rows in combinations(range(p.m), p.n):
         if not model.is_feasible_basis(p, rows):
             continue
         feasible.append(rows)
-        x = model.basis_vertex(p, rows)
-        point = tuple(x)
-        if point not in by_point:
-            tight = model.tight_set(p, model.rational_point(p, x))
-            by_point[point] = VertexRecord(point, tight)
+        pt = model.rational_point(p, model.basis_vertex(p, rows))
+        if (pt.num, pt.den) not in by_point:
+            by_point[pt.num, pt.den] = VertexRecord(pt.num, pt.den, model.tight_set(p, pt))
     return OracleEnumeration(sorted(by_point.values(), key=lambda r: r.point), feasible)

@@ -10,12 +10,12 @@ simplex (Bland's rule), which serves phase one and the strict interior
 point from auxiliary systems built off the integer form. The ratio test's
 step is an integer pair, the ray cast carries an integer point and an
 integral Gram-Schmidt basis of its tight rows, and products of all rows with
-one vector run column by column. A `Fraction` is built only where a point
-leaves the kernel, and for the rows as given (`a`, `b`). The LP
-redundancy scan, one simplex per row from one feasible point, is only the
-fallback that hull.redundant_rows runs for a system with implicit
-equalities (a full-dimensional system's are read off its enumeration)
-and that test's oracle.
+one vector run column by column. A vertex is an integer VertexRecord; a
+`Fraction` is built only for an LP point leaving the kernel, a vertex's
+`point`, and the rows as given (`a`, `b`). The LP redundancy scan, one
+simplex per row from one feasible point, is only the fallback that
+hull.redundant_rows runs for a system with implicit equalities (a
+full-dimensional system's are read off its enumeration) and its oracle.
 """
 
 from dataclasses import dataclass
@@ -129,14 +129,21 @@ def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
     return p
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexRecord:
-    point: tuple[Fraction, ...]
+    """A vertex num / den in lowest terms, den > 0, and its tight rows."""
+
+    num: tuple[int, ...]
+    den: int
     tight: tuple[int, ...]
 
     @property
+    def point(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    @property
     def simple(self) -> bool:
-        return len(self.tight) == len(self.point)
+        return len(self.tight) == len(self.num)
 
 
 @dataclass(frozen=True)
@@ -256,7 +263,7 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
     The basis is kept orthogonalized in integers, so a rank test or a
     projection is one pass over it. The walk carries the integer Point: a
     step s / q along d from num / den lands on (num (q / den) + s d) / q, q a
-    multiple of den. Only the vertex reached becomes Fractions.
+    multiple of den. The vertex reached is returned as its integer record.
     """
     pt = rational_point(p, x0)
     tight = tight_set(p, pt)
@@ -277,7 +284,7 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
         fresh = tight_set(p, pt)
         basis = _extend_independent(p, basis, ortho, sorted(set(fresh) - set(tight)))
         tight = fresh
-    return VertexRecord(pt.x, tight)
+    return VertexRecord(pt.num, pt.den, tight)
 
 
 def min_ratio(p: HPolyhedron, rows, pt: Point, rates):

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import factorial, gamma, lcm, log, pi, prod
 
-from . import hull, linalg, model
+from . import hull, linalg, model, serialize
 from .errors import BoundViolated, BudgetExceeded, SingularBasis
 from .linalg import dot
 
@@ -204,7 +204,7 @@ def _check(name: str, lhs_exact, rhs: float, rhs_desc: str) -> dict:
         "name": name,
         "lhs": lhs,
         "rhs": rhs,
-        "lhs_exact": str(lhs_exact),
+        "lhs_exact": serialize.rational_str(lhs_exact),
         "rhs_exact": rhs_desc,
         "passed": passed,
     }
@@ -225,11 +225,12 @@ def check_fan_bounds(fan_stats: FanStats, vertex_count: int) -> dict[str, dict]:
         raise BoundViolated(f"vertex count {vertex_count} exceeds cone count {cones}")
     n, ball = fan_stats.n, unit_ball_volume(fan_stats.n)
     count_rhs = float(factorial(n) * delta / fan_stats.delta_avg) * ball
-    count_desc = f"{factorial(n)}*(({delta})/({fan_stats.delta_avg}))*vol_ball({n})"
-    volume = fan_stats.fan_volume
+    delta_text, avg_text = map(serialize.rational_str, (delta, fan_stats.delta_avg))
+    count_desc = f"{factorial(n)}*(({delta_text})/({avg_text}))*vol_ball({n})"
+    volume, volume_desc = fan_stats.fan_volume, f"{delta_text}*vol_ball({n})"
     return {
         "vertex-count": _check("vertex-count", vertex_count, count_rhs, count_desc),
-        "fan-volume": _check("fan-volume", volume, float(delta) * ball, f"{delta}*vol_ball({n})"),
+        "fan-volume": _check("fan-volume", volume, float(delta) * ball, volume_desc),
         "cone-count": _check("cone-count", cones, count_rhs, count_desc),
     }
 

@@ -126,7 +126,8 @@ def find_initial_vertex(p, x0):
         fresh = tight_set(p, x)
         basis = extend_independent(p, basis, sorted(set(fresh) - set(tight)))
         tight = fresh
-    return model.VertexRecord(tuple(x), tight)
+    pt = model.rational_point(p, x)
+    return model.VertexRecord(pt.num, pt.den, tight)
 
 
 def simplex_max(p, objective, x0):

@@ -235,11 +235,11 @@ def rank_redundant_rows(p, result) -> list[int] | None:
     (the vertices tight at the row and the rays along it) spans less than
     n - 1."""
     rays = [list(d) for d in sorted({d for _, d in result.rays})]
-    if hull._span_rank(result.exact, rays) < p.n:
+    if hull._span_rank(result.vertices, rays) < p.n:
         return None
     redundant = []
     for i in range(p.m):
-        face = [pt for v, pt in zip(result.vertices, result.exact) if i in v.tight]
+        face = [v for v in result.vertices if i in v.tight]
         along = [d for d in rays if dot(p.ints[i], d) == 0]
         if not face or hull._span_rank(face, along) < p.n - 1:
             redundant.append(i)

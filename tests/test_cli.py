@@ -263,6 +263,22 @@ def test_report_with_6000_digit_denominators(capsys, tmp_path, command):
     assert len(report["vertices"]) == 4
 
 
+@pytest.mark.parametrize("command", ["stats", "verify"])
+def test_bound_text_past_the_digit_limit(capsys, tmp_path, command):
+    # Delta = s^2 has about 5,000 digits over as many, yet a moderate value,
+    # so only the exact bound texts pass Python's limit on str(int).
+    s = Fraction(10**2500 + 1, 10**2500)
+    text = f"{s.numerator}/{s.denominator}"
+    rows = [[text, "0"], ["0", text], ["-1", "0"], ["0", "-1"]]
+    path = tmp_path / "long-square.json"
+    path.write_text(json.dumps({"A": rows, "b": ["1", "1", "0", "0"]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 0
+    assert err == ""
+    fan_volume = json.loads(out)["bounds"]["fan-volume"]
+    assert fan_volume["rhs_exact"] == long_rational_text(s * s) + "*vol_ball(2)"
+
+
 def test_exit_code_unbounded_count(capsys, tmp_path):
     doc = {"A": [[-1, 0], [0, -1]], "b": [0, 0]}
     path = tmp_path / "quadrant.json"

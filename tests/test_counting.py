@@ -22,7 +22,7 @@ from deltahull.linalg import integer_rows
 from deltahull.model import make_polyhedron
 from deltahull.stats import triangulation_stats
 
-from conftest import cube, square, standard_simplex
+from conftest import DEGENERATE_FAMILY, cube, square, standard_simplex
 from helpers import PreconditionViolated, box_scan_count, knapsack_bound_check, rows_of
 
 
@@ -115,6 +115,26 @@ def test_integer_box_shrinks_to_contained_lattice():
     result = run_enumeration(p)
     assert integer_box(result.vertices) == [(0, 0), (0, 0)]
     assert count_integer_points_bruteforce(p, result).count == 1
+
+
+def fraction_box(vertices) -> list[tuple[int, int]]:
+    """Oracle of integer_box: math.ceil and math.floor of the Fraction points."""
+    coords = list(zip(*(v.point for v in vertices)))
+    return [(math.ceil(min(c)), math.floor(max(c))) for c in coords]
+
+
+def test_integer_box_matches_fraction_ceil_and_floor(corpus_analysis):
+    # -7/3 <= x <= -2/3 and -1/2 <= y <= 3/2: floor division rounds toward
+    # minus infinity; a truncated floor would give x <= 0, and -(num // den)
+    # as the ceiling y >= 1.
+    negative = make_polyhedron([[3, 0], [-3, 0], [0, 2], [0, -2]], [-2, 7, 3, 1])
+    result = run_enumeration(negative)
+    assert integer_box(result.vertices) == fraction_box(result.vertices) == [(-2, -1), (0, 1)]
+    cases = [result for _, result, _ in corpus_analysis if result.bounded]
+    cases += [run_enumeration(build()) for build in DEGENERATE_FAMILY]
+    assert len(cases) > 50
+    for result in cases:
+        assert integer_box(result.vertices) == fraction_box(result.vertices)
 
 
 def test_box_empty_on_one_axis_counts_nothing():

@@ -254,7 +254,7 @@ def test_triangulate_normal_cone_rejects_rank_deficient_sets():
 
 def test_enumerate_vertices_rejects_non_vertex_start():
     p = square()
-    fake = VertexRecord((Fraction(1, 2), Fraction(1, 2)), ())
+    fake = VertexRecord((1, 1), 2, ())
     with pytest.raises(NotAVertex):
         enumerate_vertices(p, fake)
 
@@ -348,8 +348,14 @@ def test_degenerate_polytopes_may_visit_extra_bases():
 
 
 def assert_work_and_closure(p, result):
-    """The counters equal fresh ratio tests at every visited basis, and every
-    pivot out of a visited basis, skipped or not, lands on a visited basis."""
+    """Every vertex record is in lowest terms, den > 0, with the tight set of
+    its point; the counters equal fresh ratio tests at every visited basis,
+    and every pivot out of a visited basis, skipped or not, lands on a
+    visited basis."""
+    for v in result.vertices:
+        pt = scaled_point(p, v.num, v.den)
+        assert v.den > 0 and (pt.num, pt.den) == (v.num, v.den), p.name
+        assert model.tight_set(p, pt) == v.tight, p.name
     c = result.counters
     visited = result.triangulation.dets
     assert c.bases_visited == len(visited), p.name
@@ -630,3 +636,58 @@ def test_skeleton_follows_a_row_permutation(system):
         assume(False)
     q = make_polyhedron([rows[i] for i in order], [b[i] for i in order])
     assert skeleton(run_enumeration(q, x0)) == skeleton(run_enumeration(p, x0))
+
+
+def shears(n, moves):
+    """U = S_1 ... S_r for the integer shears S = I + k e_i e_j^T, and U^-1."""
+    u = [[int(r == c) for c in range(n)] for r in range(n)]
+    inv = [row[:] for row in u]
+    for i, j, k in moves:
+        for row in u:  # U S adds k times column i to column j
+            row[j] += k * row[i]
+        inv[i] = [x - k * y for x, y in zip(inv[i], inv[j])]  # S^-1 U^-1
+    return u, inv
+
+
+def mapped(matrix, x) -> tuple:
+    return tuple(dot(row, x) for row in matrix)
+
+
+def invariants(p):
+    """The skeleton, the ray count, redundant_rows, Delta, Delta_avg, Delta_min
+    and the cone count of p."""
+    result = run_enumeration(p)
+    t = result.triangulation
+    fan = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
+    figures = (fan.delta, fan.delta_avg, fan.delta_min, fan.cone_count)
+    return skeleton(result), len(result.rays), redundant_rows(p, result), figures
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_unimodular_change_of_coordinates(fuzz_corpus, data):
+    """y = U^-1 x maps the vertices, rays and edges of A x <= b onto those of
+    A U y <= b, and leaves redundant_rows, the ray count, Delta, Delta_avg,
+    Delta_min and the cone count unchanged: the rows' determinants only change
+    sign, and the placing triangulation reads linear-invariant signs alone.
+    Sets, not orders: the ray cast moves along coordinate axes."""
+    cases = fuzz_corpus + [build() for build in DEGENERATE_FAMILY] + [cube(), cross_polytope(4)]
+    p = data.draw(st.sampled_from(cases))
+    axis = st.integers(0, p.n - 1)
+    moves = data.draw(
+        st.lists(
+            st.tuples(axis, axis, st.integers(-2, 2)).filter(lambda s: s[0] != s[1]),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    u, inv = shears(p.n, moves)
+    rows = [[dot(row, column) for column in zip(*u)] for row in p.a]
+    q = make_polyhedron(rows, p.b, name=f"{p.name}-sheared")
+    (points, directions, edges), *rest = invariants(p)
+    moved = (
+        {mapped(inv, x) for x in points},
+        {mapped(inv, d) for d in directions},
+        {frozenset(mapped(inv, x) for x in edge) for edge in edges},
+    )
+    assert invariants(q) == (moved, *rest), p.name
