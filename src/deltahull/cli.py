@@ -236,7 +236,7 @@ def _stats_block(fan_stats: stats.FanStats) -> dict:
         "delta_min": fan_stats.delta_min,
         "cone_count": fan_stats.cone_count,
         "fan_volume": fan_stats.fan_volume,
-        "fan_volume_float": float(fan_stats.fan_volume),
+        "fan_volume_float": serialize.display_float(fan_stats.fan_volume),
     }
 
 

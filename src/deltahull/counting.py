@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mul, sub
 
+from . import serialize
 from .errors import BudgetExceeded, Unbounded
 from .model import HPolyhedron
 from .stats import FanStats
@@ -98,7 +99,7 @@ def count_integer_points_bruteforce(
     for lo, hi in box:
         cells *= max(0, hi - lo + 1)
     if cells > budget:
-        raise BudgetExceeded(f"{cells} cells exceed budget {budget}")
+        raise BudgetExceeded(f"{serialize.rational_str(cells)} cells exceed budget {budget}")
     count = fibre_count(p, box, fibre_axis(box))
     return CountReport(count=count, box=box, cells_scanned=cells)
 
@@ -108,23 +109,16 @@ class CostEstimate:
     """Counting-cost figures from exact fan statistics.
 
     `triangulation_cost` is n^4 * delta * |T| * sum of squared cone
-    determinants; `envelope` is the coarser n^n * delta^4 / delta_avg.
+    determinants; `envelope` is the coarser n^n * delta^4 / delta_avg. The
+    floats are None past the float range (serialize.display_float).
     """
 
-    triangulation_cost: float
+    triangulation_cost: float | None
     triangulation_cost_exact: Fraction
-    envelope: float
+    envelope: float | None
 
 
 def estimate_counting_cost(stats: FanStats) -> CostEstimate:
-    n = stats.n
-    exact = (
-        Fraction(n**4)
-        * stats.delta
-        * stats.cone_count
-        * stats.det_square_sum
-    )
-    envelope = float(
-        Fraction(n**n) * stats.delta**4 / stats.delta_avg
-    )
-    return CostEstimate(float(exact), exact, envelope)
+    exact = Fraction(stats.n**4) * stats.delta * stats.cone_count * stats.det_square_sum
+    envelope = Fraction(stats.n**stats.n) * stats.delta**4 / stats.delta_avg
+    return CostEstimate(serialize.display_float(exact), exact, serialize.display_float(envelope))

@@ -1,6 +1,6 @@
 """Vertex enumeration by best-first search over feasible bases.
 
-`run_enumeration` is the whole walk: phase one unless a feasible point is
+`run_enumeration` is the whole walk: phase one's Point unless a point is
 given, the ray cast to a vertex, then the search. Its nodes are simplicial
 cones of the normal fan, one basis per cone. Simple vertices contribute
 their unique basis, the one they were reached from; a degenerate vertex gets
@@ -33,7 +33,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from . import linalg, model
-from .errors import BudgetExceeded, NotAVertex, RankDeficient
+from .errors import BudgetExceeded, NotAVertex, RankDeficient, SingularBasis
 from .linalg import Basis, Vec, dot
 from .model import HPolyhedron, Point, VertexRecord
 
@@ -265,10 +265,11 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
 
 
 def run_enumeration(p: HPolyhedron, feasible_point: Vec | None = None) -> EnumerationResult:
-    """Phase one unless a feasible point is given, the ray cast from that
-    point to a vertex, then the full enumeration."""
-    x0 = list(feasible_point) if feasible_point is not None else model.phase_one(p)
-    return enumerate_vertices(p, model.find_initial_vertex(p, x0))
+    """Phase one unless rational coordinates of a feasible point are given,
+    the ray cast from that Point to a vertex, then the full enumeration."""
+    given = feasible_point is not None
+    start = model.rational_point(p, feasible_point) if given else model.phase_one(p)
+    return enumerate_vertices(p, model.find_initial_vertex(p, start))
 
 
 def _span_rank(records, directions) -> int:
@@ -302,7 +303,8 @@ def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int]:
     rays = [list(d) for d in sorted({d for _, d in result.rays})]
     facets = {i for v in result.vertices if v.simple for i in v.tight}
     if not facets and _span_rank(result.vertices, rays) < p.n:
-        return model.redundancy_scan(p, list(result.vertices[0].point))
+        first = result.vertices[0]
+        return model.redundancy_scan(p, model.scaled_point(p, first.num, first.den))
     faces: list[list[VertexRecord]] = [[] for _ in range(p.m)]
     for v in result.vertices:
         for i in v.tight:
@@ -331,17 +333,21 @@ class OracleEnumeration:
 def enumerate_all_bases_oracle(
     p: HPolyhedron, budget: int = 10**5
 ) -> OracleEnumeration:
-    """Exhaustive vertex enumeration over all C(m,n) row subsets."""
+    """Exhaustive vertex enumeration over all C(m,n) row subsets, each solved once."""
     total = comb(p.m, p.n)
     if total > budget:
         raise BudgetExceeded(f"C({p.m},{p.n}) = {total} exceeds budget {budget}")
     by_point: dict[tuple[tuple[int, ...], int], VertexRecord] = {}
     feasible: list[Rows] = []
     for rows in combinations(range(p.m), p.n):
-        if not model.is_feasible_basis(p, rows):
+        try:
+            basis = model.basis_adjugate(p, rows)
+        except SingularBasis:
+            continue
+        pt = model.scaled_point(p, *model.basis_solution(p, rows, basis))
+        if min(pt.slack) < 0:
             continue
         feasible.append(rows)
-        pt = model.rational_point(p, model.basis_vertex(p, rows))
         if (pt.num, pt.den) not in by_point:
             by_point[pt.num, pt.den] = VertexRecord(pt.num, pt.den, model.tight_set(p, pt))
     return OracleEnumeration(sorted(by_point.values(), key=lambda r: r.point), feasible)

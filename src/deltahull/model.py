@@ -10,12 +10,12 @@ simplex (Bland's rule), which serves phase one and the strict interior
 point from auxiliary systems built off the integer form. The ratio test's
 step is an integer pair, the ray cast carries an integer point and an
 integral Gram-Schmidt basis of its tight rows, and products of all rows with
-one vector run column by column. A vertex is an integer VertexRecord; a
-`Fraction` is built only for an LP point leaving the kernel, a vertex's
-`point`, and the rows as given (`a`, `b`). The LP redundancy scan, one
-simplex per row from one feasible point, is only the fallback that
-hull.redundant_rows runs for a system with implicit equalities (a
-full-dimensional system's are read off its enumeration) and its oracle.
+one vector run column by column. Vertices (VertexRecord) and LP points
+(Point) are integer records, in and out: only a given feasible point and
+phase one's start are cleared (rational_point), and a `Fraction` is built
+only to read `point` or `x` and for the rows as given (`a`, `b`). The LP
+redundancy scan is the fallback hull.redundant_rows runs on a system with
+implicit equalities, whose redundant rows it cannot read off the walk.
 """
 
 from dataclasses import dataclass
@@ -200,28 +200,15 @@ def basis_solution(p: HPolyhedron, rows, basis: Basis) -> tuple[list[int], int]:
     return [dot(line, rhs) for line in adj], det * clear
 
 
-def basis_vertex(p: HPolyhedron, rows) -> Vec:
-    """Solve A_B x = b_B for a candidate vertex; SingularBasis if dependent."""
-    num, den = basis_solution(p, rows, basis_adjugate(p, rows))
-    return [Fraction(v, den) for v in num]
-
-
-def is_feasible_basis(p: HPolyhedron, rows) -> bool:
-    try:
-        x = basis_vertex(p, rows)
-    except SingularMatrix:
-        return False
-    return p.contains(x)
-
-
 def tight_set(p: HPolyhedron, pt: Point) -> tuple[int, ...]:
     """Indices of the rows with zero slack at pt; pt must be feasible.
 
     InfeasiblePoint names the first violated row and its slack b_i - a_i x.
     """
     if min(pt.slack) < 0:
+        from .serialize import rational_str  # writes past the str(int) limit; imports model
         i, s = next((i, s) for i, s in enumerate(pt.slack) if s < 0)
-        value = Fraction(s, pt.den * p.rhs_den[i]) / p.scales[i]
+        value = rational_str(Fraction(s, pt.den * p.rhs_den[i]) / p.scales[i])
         raise InfeasiblePoint(f"row {i} violated by {value}")
     return tuple(compress(range(len(pt.slack)), map((0).__eq__, pt.slack)))
 
@@ -251,7 +238,7 @@ def _extend_independent(p: HPolyhedron, basis: list[int], ortho: list, rows) -> 
     return basis
 
 
-def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
+def find_initial_vertex(p: HPolyhedron, pt: Point) -> VertexRecord:
     """Ray-cast from a feasible point to a vertex of p.
 
     Deterministic rule: pick the lowest-index standard basis vector outside
@@ -265,7 +252,6 @@ def find_initial_vertex(p: HPolyhedron, x0: Vec) -> VertexRecord:
     step s / q along d from num / den lands on (num (q / den) + s d) / q, q a
     multiple of den. The vertex reached is returned as its integer record.
     """
-    pt = rational_point(p, x0)
     tight = tight_set(p, pt)
     ortho: list = []
     basis = _extend_independent(p, [], ortho, tight)
@@ -340,17 +326,17 @@ def pivot(
     )
 
 
-def simplex_max(p: HPolyhedron, objective: Vec, x0: Vec):
-    """Maximize <objective, x> over p from the feasible point x0.
+def simplex_max(p: HPolyhedron, objective: Vec, start: Point):
+    """Maximize <objective, x> over p from the feasible Point `start`.
 
-    Ray-casts x0 to a vertex and starts from its lexicographically smallest
-    independent tight basis, its tight set when the vertex is simple. Exact
-    simplex with Bland's anti-cycling rule: relax the smallest basic row
-    whose edge improves the objective; the entering row is the smallest
-    index attaining the minimum ratio. Returns ("optimal", x) or
-    ("unbounded", direction).
+    Ray-casts the start to a vertex and starts from its lexicographically
+    smallest independent tight basis, its tight set when the vertex is
+    simple. Exact simplex with Bland's anti-cycling rule: relax the smallest
+    basic row whose edge improves the objective; the entering row is the
+    smallest index attaining the minimum ratio. Returns ("optimal", Point)
+    or ("unbounded", direction).
     """
-    v = find_initial_vertex(p, x0)
+    v = find_initial_vertex(p, start)
     rows = v.tight if v.simple else tuple(_extend_independent(p, [], [], v.tight))
     basis = basis_adjugate(p, rows)
     while True:
@@ -360,7 +346,7 @@ def simplex_max(p: HPolyhedron, objective: Vec, x0: Vec):
             if dot(objective, u) > 0:
                 break
         else:
-            return "optimal", list(pt.x)
+            return "optimal", pt
         step, blocking, _ = min_ratio(p, rows, pt, p.products(u))
         if step is None:
             return "unbounded", u
@@ -384,38 +370,39 @@ def _auxiliary_system(p: HPolyhedron, sign: int, cap: int, name: str) -> HPolyhe
     return HPolyhedron(a, p.b + (Fraction(cap),), name, *zip(*rows))
 
 
-def phase_one(p: HPolyhedron) -> Vec:
-    """Exact feasible point of A x <= b, or raise Infeasible.
+def phase_one(p: HPolyhedron) -> Point:
+    """Exact feasible Point of A x <= b, or raise Infeasible.
 
     Minimizes the single slack t in the auxiliary system A x - t·1 <= b,
     t >= 0 with Bland's rule; t* = 0 iff the original system is feasible.
     """
     worst = min(p.b)
     if worst >= 0:
-        return [Fraction(0)] * p.n
+        return scaled_point(p, [0] * p.n, 1)
     q = _auxiliary_system(p, -1, 0, "phase1")
-    status, opt = simplex_max(q, [0] * p.n + [-1], [0] * p.n + [-worst])  # max -t
+    start = rational_point(q, [0] * p.n + [-worst])
+    status, opt = simplex_max(q, [0] * p.n + [-1], start)  # max -t
     assert status == "optimal"  # -t <= 0 bounds the objective
-    if opt[-1] > 0:
-        raise Infeasible(f"phase one optimum t = {opt[-1]} > 0")
-    return opt[: p.n]
+    if opt.num[-1] > 0:
+        from .serialize import rational_str  # writes past the str(int) limit; imports model
+        raise Infeasible(f"phase one optimum t = {rational_str(opt.x[-1])} > 0")
+    return scaled_point(p, opt.num[:-1], opt.den)
 
 
-def strict_interior_point(p: HPolyhedron):
-    """A point with A x < b strictly, or None if the polyhedron is flat.
+def strict_interior_point(p: HPolyhedron) -> Point | None:
+    """A Point with A x < b strictly, or None if the polyhedron is flat.
 
-    Maximizes t in A x + t·1 <= b, t <= 1 starting from a feasible point of
-    the original system; the cap keeps the auxiliary problem bounded.
+    Maximizes t in A x + t·1 <= b, t <= 1 starting from phase one's point
+    at t = 0; the cap keeps the auxiliary problem bounded.
     """
+    x0 = phase_one(p)
     q = _auxiliary_system(p, 1, 1, "interior")
-    status, opt = simplex_max(q, [0] * p.n + [1], phase_one(p) + [0])
+    status, opt = simplex_max(q, [0] * p.n + [1], scaled_point(q, x0.num + (0,), x0.den))
     assert status == "optimal"
-    if opt[-1] <= 0:
-        return None
-    return opt[: p.n]
+    return scaled_point(p, opt.num[:-1], opt.den) if opt.num[-1] > 0 else None
 
 
-def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
+def redundancy_scan(p: HPolyhedron, start: Point) -> list[int]:
     """Indices of rows that can be dropped together without changing p.
 
     One LP per row. hull.redundant_rows runs it, from a vertex, only on a
@@ -425,13 +412,13 @@ def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
     keeps the list droppable together: with implicit equalities two rows can
     cut the same face, each redundant only while the other stays. On a
     full-dimensional p the list is the one a test against all other rows
-    gives, the rows that are not facets. Every maximum is
-    computed with the exact simplex from x0, a point of p and hence of each
+    gives, the rows that are not facets. Every maximum is computed with
+    the exact simplex from `start`, a Point of p and hence of each
     row-deleted system; the verdict depends only on the optimum, not on the
     start. An unbounded maximum or a rank drop in the remaining system
-    certifies irredundancy. Raises InfeasiblePoint if x0 lies outside p.
+    certifies irredundancy. Raises InfeasiblePoint if start lies outside p.
     """
-    tight_set(p, rational_point(p, x0))
+    tight_set(p, start)
     redundant = []
     for i in range(p.m):
         keep = [j for j in range(p.m) if j != i and j not in redundant]
@@ -439,8 +426,8 @@ def redundancy_scan(p: HPolyhedron, x0: Vec) -> list[int]:
             continue
         # A subsystem of a validated system has no zero or duplicate row.
         sub = p.restrict(keep, f"{p.name}/-{i}")
-        status, opt = simplex_max(sub, p.ints[i], x0)
-        if status == "optimal" and p.rhs_den[i] * dot(p.ints[i], opt) <= p.rhs_num[i]:
+        status, opt = simplex_max(sub, p.ints[i], scaled_point(sub, start.num, start.den))
+        if status == "optimal" and p.rhs_den[i] * dot(p.ints[i], opt.num) <= p.rhs_num[i] * opt.den:
             redundant.append(i)
     return redundant
 

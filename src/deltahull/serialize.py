@@ -1,9 +1,9 @@
 """Instance, fan, and report documents: exact-rational JSON and CSV forms.
 
 Rationals travel as strings in lowest terms ("7/3", "-2"); binary floats are
-rejected on input and appear on output only in fields explicitly named as
-float renderings. JSON output is canonical: sorted keys, compact separators,
-so re-serializing a parsed document is byte-identical.
+rejected on input and appear on output only in fields named as float
+renderings, null past the float range. JSON output is canonical: sorted keys,
+compact separators, so re-serializing a parsed document is byte-identical.
 """
 
 import csv
@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from .errors import ParseError
 from .model import HPolyhedron, make_polyhedron
@@ -55,6 +56,16 @@ def rational_str(x: Fraction | int) -> str:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # past Python's 4,300-digit limit on str(int)
         return _long_int_str(num) if den == 1 else f"{_long_int_str(num)}/{_long_int_str(den)}"
+
+
+def display_float(x, scale: float = 1.0) -> float | None:
+    """float(x) * scale for a report's float rendering, or None where that
+    passes the float range, so that no report carries Infinity."""
+    try:
+        value = float(x) * scale
+    except OverflowError:
+        return None
+    return value if isfinite(value) else None
 
 
 def canonical_dumps(obj) -> str:

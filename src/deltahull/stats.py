@@ -3,13 +3,13 @@
 Each result has one entry point: delta_max (the Delta search, with a witness
 basis), triangulation_stats (per-triangulation averages, minima and exact fan
 volumes), cone_distance_certificate (the basis-distance number behind the
-diameter certificate), and the report's bound blocks. Every bound verdict
-the CLI reports is decided and built here, each raising BoundViolated on
-failure: check_fan_bounds gives the fan bounds of the `stats` report, and
-verify_bounds the whole `bounds` section of `verify` (those fan bounds, the
-total-unimodularity certificate, the distance floor and the tau-diameter),
-with RELATIVE_SLACK the one float tolerance. Total unimodularity needs no
-check: by Jacobi's complementary-minor identity every minor of A (A_W)^-1 is
+diameter certificate), and the report's bound blocks. Every bound verdict the
+CLI reports is decided and built here, each raising BoundViolated on failure:
+check_fan_bounds gives the fan bounds of the `stats` report, exact up to
+RELATIVE_SLACK, and verify_bounds the whole `bounds` section of `verify`
+(those, the unimodularity certificate, the distance floor, the tau-diameter);
+display floats are null out of range. Total unimodularity needs no check: by
+Jacobi's complementary-minor identity every minor of A (A_W)^-1 is
 +-det(A_S)/Delta, so the witness W of a returned Delta search certifies it.
 
 A Delta search node on integer rows b_1..b_k keeps d_t = det G(b_1..b_t),
@@ -197,9 +197,10 @@ def unit_ball_volume(n: int) -> float:
 RELATIVE_SLACK = 1e-9
 
 
-def _check(name: str, lhs_exact, rhs: float, rhs_desc: str) -> dict:
-    lhs = float(lhs_exact)
-    passed = lhs <= rhs * (1 + RELATIVE_SLACK)
+def _check(name: str, lhs_exact, factor, ball: float, rhs_desc: str) -> dict:
+    """lhs_exact <= factor * ball up to RELATIVE_SLACK in exact rationals; floats for display."""
+    lhs, rhs = serialize.display_float(lhs_exact), serialize.display_float(factor, ball)
+    passed = lhs_exact <= factor * Fraction(ball) * Fraction(1 + RELATIVE_SLACK)
     report = {
         "name": name,
         "lhs": lhs,
@@ -224,14 +225,14 @@ def check_fan_bounds(fan_stats: FanStats, vertex_count: int) -> dict[str, dict]:
     if vertex_count > cones:
         raise BoundViolated(f"vertex count {vertex_count} exceeds cone count {cones}")
     n, ball = fan_stats.n, unit_ball_volume(fan_stats.n)
-    count_rhs = float(factorial(n) * delta / fan_stats.delta_avg) * ball
+    count_factor = factorial(n) * delta / fan_stats.delta_avg
     delta_text, avg_text = map(serialize.rational_str, (delta, fan_stats.delta_avg))
     count_desc = f"{factorial(n)}*(({delta_text})/({avg_text}))*vol_ball({n})"
     volume, volume_desc = fan_stats.fan_volume, f"{delta_text}*vol_ball({n})"
     return {
-        "vertex-count": _check("vertex-count", vertex_count, count_rhs, count_desc),
-        "fan-volume": _check("fan-volume", volume, float(delta) * ball, volume_desc),
-        "cone-count": _check("cone-count", cones, count_rhs, count_desc),
+        "vertex-count": _check("vertex-count", vertex_count, count_factor, ball, count_desc),
+        "fan-volume": _check("fan-volume", volume, delta, ball, volume_desc),
+        "cone-count": _check("cone-count", cones, count_factor, ball, count_desc),
     }
 
 
@@ -297,7 +298,8 @@ def verify_bounds(
     cones (cone_distance_certificate) must reach (delta_min / (n delta))^2;
     tau is its square root over n, and the graph diameter must stay within
     8n/tau * (1 + ln(1/tau)). An unbounded instance (diameter None) skips
-    the tau-diameter check.
+    that check; a tau of 0.0 (sin^2 below the float range) passes it with a
+    null bound, since the bound then exceeds 10^160.
     """
     bounds = check_fan_bounds(fan_stats, vertex_count)
     bounds["total-unimodularity"] = {"certificate": "delta-witness", "passed": True}
@@ -316,8 +318,8 @@ def verify_bounds(
         bounds["tau-diameter"] = {"skipped": True, "reason": "unbounded instance"}
         return bounds
     tau = cert.delta / n
-    bound = 8 * n / tau * (1 + log(1 / tau))
-    if diameter > bound * (1 + RELATIVE_SLACK):
+    bound = serialize.display_float(8 * n / tau * (1 + log(1 / tau))) if tau else None
+    if bound is not None and diameter > bound * (1 + RELATIVE_SLACK):
         raise BoundViolated(f"diameter {diameter} above bound {bound}")
     bounds["tau-diameter"] = {"passed": True, "diameter": diameter, "bound": bound, "tau": tau}
     return bounds

@@ -3,16 +3,24 @@ the oracle of the integer kernel in `deltahull.model` and `deltahull.linalg`.
 
 Each reads the rational data of the system (the rows' integer forms with
 their rational right-hand sides scales[i] * b[i]) and divides Fractions, as
-the kernel did before it ran on Python ints. The LP layer's oracle moves
-Fraction coordinates through the ray cast, solves each simplex basis
-afresh, and builds its auxiliary systems from Fraction rows through
-`model._system`.
+the kernel did before it ran on Python ints. A basis vertex is solved as
+Fractions (basis_vertex) and a basis is feasible iff that point satisfies
+every row (is_feasible_basis), the oracle of `hull.enumerate_all_bases_oracle`.
+The LP layer's oracle moves Fraction coordinates through the ray cast,
+solves each simplex basis afresh, and builds its auxiliary systems from
+Fraction rows through `model._system`.
 """
 
 from fractions import Fraction
 
 from deltahull import linalg, model
-from deltahull.errors import Infeasible, InfeasiblePoint, SingularUpdate, UnboundedLine
+from deltahull.errors import (
+    Infeasible,
+    InfeasiblePoint,
+    SingularBasis,
+    SingularUpdate,
+    UnboundedLine,
+)
 from deltahull.linalg import dot, to_vector
 
 from helpers import rows_of
@@ -38,6 +46,20 @@ def tight_set(p, x):
         if s == 0:
             out.append(i)
     return tuple(out)
+
+
+def basis_vertex(p, rows):
+    """Solve A_B x = b_B for a candidate vertex; SingularBasis if dependent."""
+    num, den = model.basis_solution(p, rows, model.basis_adjugate(p, rows))
+    return [Fraction(v, den) for v in num]
+
+
+def is_feasible_basis(p, rows):
+    try:
+        x = basis_vertex(p, rows)
+    except SingularBasis:
+        return False
+    return p.contains(x)
 
 
 def ratio_test(p, rows, x, d):
@@ -137,7 +159,7 @@ def simplex_max(p, objective, x0):
     rows = v.tight if v.simple else tuple(extend_independent(p, [], v.tight))
     while True:
         det, adj = model.basis_adjugate(p, rows)
-        x = model.basis_vertex(p, rows)
+        x = basis_vertex(p, rows)
         for pos, leaving in enumerate(rows):
             u = [-line[pos] for line in adj]
             if dot(objective, u) > 0:

@@ -1,5 +1,7 @@
 """Command line driver: subcommands, exit codes, canonical reports."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deltahull.cli import main
 from deltahull.serialize import canonical_dumps, dump_instance
@@ -279,6 +283,90 @@ def test_bound_text_past_the_digit_limit(capsys, tmp_path, command):
     assert fan_volume["rhs_exact"] == long_rational_text(s * s) + "*vol_ball(2)"
 
 
+# Values past the float range: the box with rows N x <= 1, N y <= 1 for
+# N = 10^3000 - 1 (fan volume and cost figures about 10^6000 and more), and
+# the triangle under (10^400, 10^400) x <= 1, whose sin^2 also underflows, so
+# its tau reads 0.0 and its tau-diameter bound, above 10^160, is null.
+N3000, T400 = str(10**3000 - 1), str(10**400)
+PAST_FLOAT_RANGE = {
+    "box3000": ([[N3000, "0"], ["0", N3000], ["-1", "0"], ["0", "-1"]], ["1", "1", "0", "0"]),
+    "tri400": ([["-1", "0"], ["0", "-1"], [T400, T400]], ["0", "0", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "verify", "count"])
+@pytest.mark.parametrize("name", PAST_FLOAT_RANGE)
+def test_display_floats_past_the_float_range_are_null(capsys, tmp_path, name, command):
+    rows, b = PAST_FLOAT_RANGE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"A": rows, "b": b}), encoding="utf-8")
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 0
+    assert err == ""
+    assert "Infinity" not in out and "NaN" not in out
+    report = json.loads(out)
+    if command == "count":
+        assert report["counts"]["integer_points"] == 1
+        cost = report["counts"]["cost"]
+        assert cost["triangulation_cost"] is None and cost["envelope"] is None
+        assert len(cost["triangulation_cost_exact"]) > 400  # digits: past 10^400
+        return
+    assert report["stats"]["fan_volume_float"] is None
+    bounds = report["bounds"]
+    fan_volume = bounds["fan-volume"]
+    assert fan_volume["passed"] and fan_volume["lhs"] is None and fan_volume["rhs"] is None
+    assert len(fan_volume["lhs_exact"]) > 400
+    vertices = len(rows)  # a box and a triangle: one vertex per row
+    for key in ("vertex-count", "cone-count"):  # small counts, in range
+        assert bounds[key]["passed"] and bounds[key]["lhs"] == vertices
+        assert 0 < bounds[key]["rhs"] < 100
+    if command == "verify":
+        tau = bounds["tau-diameter"]
+        assert tau["passed"]
+        if name == "tri400":
+            assert tau["tau"] == 0.0 and tau["bound"] is None
+        else:
+            assert tau["tau"] == 0.5 and tau["bound"] > tau["diameter"]
+
+
+# Entries up to 10^3000 in absolute value and random rationals.
+long_entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda k, d, sign: sign * (10**k + d),
+              st.integers(1, 3000), st.integers(-2, 2), st.sampled_from([1, -1])),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def long_instances(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, n + 3))
+    row = st.lists(long_entries, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    b = draw(st.lists(long_entries, min_size=m, max_size=m))
+    return {"A": [[str(x) for x in r] for r in rows], "b": [str(x) for x in b]}
+
+
+COMMANDS = [["vertices"], ["verify"], ["verify", "--count"], ["stats"], ["diameter"], ["count"]]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(long_instances(), st.sampled_from(COMMANDS))
+def test_long_rational_instances_exit_with_a_documented_code(tmp_path_factory, doc, command):
+    path = tmp_path_factory.mktemp("long") / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], str(path), *command[1:]])
+    assert code in {0, 2, 3, 4, 5, 6, 7}
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        text = out.getvalue()
+        assert "Infinity" not in text and "NaN" not in text
+        json.loads(text)
+
+
 def test_exit_code_unbounded_count(capsys, tmp_path):
     doc = {"A": [[-1, 0], [0, -1]], "b": [0, 0]}
     path = tmp_path / "quadrant.json"
@@ -509,6 +597,28 @@ def test_infeasible_given_point_is_a_parse_error(capsys, square_file, tmp_path):
     assert code == 4
     assert out == ""
     assert "given point outside the polyhedron" in err
+
+
+def test_infeasibility_messages_past_the_digit_limit(capsys, tmp_path):
+    # 1/q1 and 1/q2 have 4,201-digit denominators, accepted on input, and
+    # each message's value one of about 8,400 digits.
+    q1, q2 = 10**4200, 10**4200 + 1
+    empty = {"A": [["1"], ["-1"]], "b": [f"1/{q1}", f"-2/{q2}"]}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(empty), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vertices", str(path)])
+    assert (code, out) == (2, "")
+    t = (Fraction(2, q2) - Fraction(1, q1)) / 2  # min t with x - t <= 1/q1, -x - t <= -2/q2
+    assert err == f"deltahull: infeasible: phase one optimum t = {long_rational_text(t)} > 0\n"
+    path = tmp_path / "square.json"
+    rows = [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"], ["1", "1"]]
+    point = [f"{q1 + 1}/{q1}", f"{q2 + 1}/{q2}"]
+    doc = {"A": rows, "b": ["5", "5", "0", "0", "2"], "feasible_point": point}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vertices", str(path)])
+    assert (code, out) == (4, "")
+    value = long_rational_text(-Fraction(1, q1) - Fraction(1, q2))  # 2 - x - y
+    assert err == f"deltahull: given point outside the polyhedron: row 4 violated by {value}\n"
 
 
 @pytest.mark.parametrize("target", ["instance", "feasible-point"])

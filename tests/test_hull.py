@@ -32,7 +32,6 @@ from deltahull.model import (
     VertexRecord,
     basis_adjugate,
     basis_solution,
-    basis_vertex,
     make_polyhedron,
     phase_one,
     rational_point,
@@ -52,6 +51,7 @@ from conftest import (
     square,
     square_pyramid,
 )
+from fraction_oracle import basis_vertex
 from helpers import abs_det, det_exact, rank_redundant_rows, rank_test_edges, ratio_work
 
 
@@ -435,7 +435,7 @@ def small_systems(draw):
 def test_enumeration_matches_its_oracles_on_small_systems(system):
     try:
         p = make_polyhedron(*system)
-        x0 = phase_one(p)
+        x0 = phase_one(p).x
     except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
         assume(False)
     result = run_enumeration(p, x0)
@@ -450,7 +450,7 @@ def test_enumeration_matches_its_oracles_on_small_systems(system):
 # the LP scan.
 
 def lp_redundant(p, x0=None):
-    return redundancy_scan(p, phase_one(p) if x0 is None else x0)
+    return redundancy_scan(p, phase_one(p) if x0 is None else rational_point(p, x0))
 
 
 def padded(p, row, rhs):
@@ -601,18 +601,18 @@ def test_redundant_rows_follow_a_row_permutation(system):
     rows, b, order = system
     try:
         p = make_polyhedron(rows, b)
-        x0 = phase_one(p)
+        x0 = phase_one(p).x
     except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
         assume(False)
     q = make_polyhedron([rows[i] for i in order], [b[i] for i in order])
     result = run_enumeration(p, x0)
     got = redundant_rows(p, result)
     permuted = redundant_rows(q, run_enumeration(q, x0))
-    assert got == redundancy_scan(p, x0)
+    assert got == redundancy_scan(p, rational_point(p, x0))
     if rank_redundant_rows(p, result) is None:
         # Implicit equalities: which rows of an equal pair go depends on the
         # row order, so each order has its own LP scan.
-        assert permuted == redundancy_scan(q, x0)
+        assert permuted == redundancy_scan(q, rational_point(q, x0))
         return
     assert got == rank_redundant_rows(p, result)
     assert permuted == sorted(k for k, i in enumerate(order) if i in got)
@@ -631,7 +631,7 @@ def test_skeleton_follows_a_row_permutation(system):
     rows, b, order = system
     try:
         p = make_polyhedron(rows, b)
-        x0 = phase_one(p)
+        x0 = phase_one(p).x
     except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
         assume(False)
     q = make_polyhedron([rows[i] for i in order], [b[i] for i in order])

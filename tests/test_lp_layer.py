@@ -3,10 +3,10 @@
 The auxiliary systems of phase one and of the strict interior point, built
 from a system's integer form, must equal the ones `model._system` clears from
 Fraction rows, field for field. Phase one, the ray cast, the strict interior
-point and the simplex must return the oracle's point, tight set, status and
-Infeasible message: on small rational systems, feasible or not, where the row
-scales are not integers, and on the fuzz generator's candidates, which are
-integer.
+point and the simplex must return the oracle's point (as an integer Point:
+its coordinates and its integer slacks), tight set, status and Infeasible
+message: on small rational systems, feasible or not, where the row scales
+are not integers, and on the fuzz generator's candidates, which are integer.
 """
 
 import random
@@ -43,19 +43,38 @@ def outcome(f, *args):
         return ("Infeasible", str(exc))
 
 
+def assert_point_is(p, pt, x):
+    """pt is the Point of p at the oracle's Fraction coordinates x: the same
+    x, and slack[i] = den * rhs_den[i] * scales[i] * (b_i - a_i x)."""
+    assert pt.x == tuple(x)
+    want = [pt.den * q * s * r for q, s, r in zip(p.rhs_den, p.scales, oracle.slacks(p, x))]
+    assert pt.slack == tuple(want)
+
+
 def assert_lp_layer_matches_oracle(p, objective):
     assert model._auxiliary_system(p, -1, 0, "phase1") == oracle.phase_one_system(p)
     assert model._auxiliary_system(p, 1, 1, "interior") == oracle.interior_system(p)
     x0 = outcome(model.phase_one, p)
-    assert x0 == outcome(oracle.phase_one, p)
-    if isinstance(x0, tuple):
+    want = outcome(oracle.phase_one, p)
+    if isinstance(want, tuple):
+        assert x0 == want
         return False
-    assert model.strict_interior_point(p) == oracle.strict_interior_point(p)
+    assert_point_is(p, x0, want)
+    interior, want = model.strict_interior_point(p), oracle.strict_interior_point(p)
+    assert (interior is None) == (want is None)
+    if want is not None:
+        assert_point_is(p, interior, want)
     v = model.find_initial_vertex(p, x0)
-    want = oracle.find_initial_vertex(p, x0)
+    want = oracle.find_initial_vertex(p, x0.x)
     assert (v.point, v.tight) == (want.point, want.tight)
     assert all(type(c) is Fraction for c in v.point)
-    assert model.simplex_max(p, objective, x0) == oracle.simplex_max(p, objective, x0)
+    status, opt = model.simplex_max(p, objective, x0)
+    want_status, want = oracle.simplex_max(p, objective, x0.x)
+    assert status == want_status
+    if status == "optimal":
+        assert_point_is(p, opt, want)
+    else:
+        assert opt == want
     return True
 
 

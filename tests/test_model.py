@@ -14,13 +14,12 @@ from deltahull.errors import (
     NotPointed,
     SingularBasis,
 )
+from deltahull.hull import enumerate_all_bases_oracle
 from deltahull.linalg import dot, rank_of
 from deltahull.model import (
     basis_adjugate,
-    basis_vertex,
     drop_rows,
     find_initial_vertex,
-    is_feasible_basis,
     make_polyhedron,
     phase_one,
     pivot,
@@ -32,7 +31,7 @@ from deltahull.model import (
 )
 
 from conftest import cube, square, square_pyramid
-from fraction_oracle import slacks
+from fraction_oracle import basis_vertex, is_feasible_basis, slacks
 from helpers import ratio_test
 
 
@@ -91,6 +90,8 @@ def test_basis_vertex_rejects_dependent_rows():
 
 
 def test_is_feasible_basis_matches_direct_definition():
+    """The kernel's exhaustive oracle solves each basis once; its feasible
+    bases and vertices are the Fraction oracle's, which match A x <= b."""
     rng = random.Random(4201)
     checked = 0
     while checked < 15:
@@ -101,6 +102,7 @@ def test_is_feasible_basis_matches_direct_definition():
         except (DimensionMismatch, DuplicateRow, NotPointed):
             continue
         checked += 1
+        feasible, points = [], set()
         for sub in combinations(range(p.m), p.n):
             mat = submatrix(p, sub)
             if rank_of(mat) < p.n:
@@ -108,6 +110,14 @@ def test_is_feasible_basis_matches_direct_definition():
                 continue
             x = basis_vertex(p, sub)
             assert is_feasible_basis(p, sub) == p.contains(x)
+            if p.contains(x):
+                feasible.append(sub)
+                points.add(tuple(x))
+        got = enumerate_all_bases_oracle(p)
+        assert got.feasible_bases == feasible
+        assert got.vertex_points() == points
+        for v in got.vertices:
+            assert v.tight == tuple(i for i, s in enumerate(slacks(p, v.point)) if s == 0)
 
 
 def test_tight_set_examples():
@@ -127,7 +137,7 @@ def test_tight_set_at_degenerate_apex():
 
 def test_find_initial_vertex_walks_square_interior_to_corner():
     p = square()
-    v = find_initial_vertex(p, [Fraction(1, 2), Fraction(1, 2)])
+    v = find_initial_vertex(p, rational_point(p, [Fraction(1, 2), Fraction(1, 2)]))
     # Deterministic: first move follows +e1 to x=1, second +e2 to y=1.
     assert v.point == (Fraction(1), Fraction(1))
     assert v.tight == (0, 1)
@@ -136,13 +146,13 @@ def test_find_initial_vertex_walks_square_interior_to_corner():
 
 def test_find_initial_vertex_keeps_existing_vertex():
     p = cube()
-    v = find_initial_vertex(p, [Fraction(0)] * 3)
+    v = find_initial_vertex(p, rational_point(p, [Fraction(0)] * 3))
     assert v.point == (Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_find_initial_vertex_on_unbounded_cone():
     p = make_polyhedron([[-1, 0], [0, -1]], [0, 0], name="quadrant")
-    v = find_initial_vertex(p, [Fraction(3), Fraction(5)])
+    v = find_initial_vertex(p, rational_point(p, [Fraction(3), Fraction(5)]))
     assert v.point == (Fraction(0), Fraction(0))
     assert v.tight == (0, 1)
 
@@ -204,10 +214,12 @@ def test_pivot_kernel_walks_edges_with_exact_inverses():
 def test_phase_one_square_and_shifted_box():
     p = square()
     x = phase_one(p)
-    assert p.contains(x)
+    assert p.contains(x.x)
+    assert x == rational_point(p, [Fraction(0)] * 2)
     shifted = make_polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [5, 6, -4, -5])
     x = phase_one(shifted)
-    assert shifted.contains(x)
+    assert shifted.contains(x.x)
+    assert x == rational_point(shifted, x.x)
 
 
 def test_phase_one_detects_empty_system():
@@ -238,7 +250,8 @@ def test_phase_one_feasible_on_random_instances():
         except Infeasible:
             infeasible += 1
             continue
-        assert p.contains(x)
+        assert p.contains(x.x)
+        assert x == rational_point(p, x.x)
         feasible += 1
 
 
@@ -246,7 +259,8 @@ def test_strict_interior_point_square_and_flat_slab():
     p = square()
     x = strict_interior_point(p)
     assert x is not None
-    assert all(s > 0 for s in slacks(p, x))
+    assert all(s > 0 for s in slacks(p, x.x))
+    assert x == rational_point(p, x.x)
     flat = make_polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 1, 0])
     assert strict_interior_point(flat) is None
 
@@ -262,7 +276,7 @@ def test_redundancy_scan_flags_dominated_rows_only():
     assert trimmed.m == 4
     assert redundancy_scan(trimmed, phase_one(trimmed)) == []
     with pytest.raises(InfeasiblePoint):
-        redundancy_scan(padded, [Fraction(2), Fraction(0)])
+        redundancy_scan(padded, rational_point(padded, [Fraction(2), Fraction(0)]))
 
 
 def test_redundancy_scan_flags_tangent_rows():
@@ -286,7 +300,7 @@ def test_redundancy_scan_agrees_with_vertex_description():
         done += 1
         redundant = redundancy_scan(p, x0)
         # The verdict depends only on each LP's optimum, not on the start.
-        starts = [list(find_initial_vertex(p, x0).point)]
+        starts = [rational_point(p, find_initial_vertex(p, x0).point)]
         interior = strict_interior_point(p)
         if interior is not None:
             starts.append(interior)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from deltahull.errors import DimensionMismatch, DuplicateRow, Infeasible, NotPointed
 from deltahull.hull import run_enumeration
-from deltahull.model import make_polyhedron, phase_one, redundancy_scan
+from deltahull.model import make_polyhedron, phase_one, rational_point, redundancy_scan
 
 entries = st.integers(-4, 4)
 factors = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
@@ -58,7 +58,7 @@ def test_positive_row_scaling_changes_nothing(system, data):
     assert (q.ints, q.rhs_num, q.rhs_den) == (p.ints, p.rhs_num, p.rhs_den)
     assert q.a == tuple(map(tuple, scaled_rows))  # the rows stay as given
     try:
-        x0 = phase_one(p)
+        x0 = phase_one(p).x
     except Infeasible:
         try:
             phase_one(q)
@@ -67,8 +67,8 @@ def test_positive_row_scaling_changes_nothing(system, data):
         raise AssertionError("scaling made an empty system feasible")
     # Phase one's slack t is not scale-free, so each system finds its own
     # point; from one common point everything else must coincide.
-    assert q.contains(phase_one(q))
-    assert redundancy_scan(q, x0) == redundancy_scan(p, x0)
+    assert q.contains(phase_one(q).x)
+    assert redundancy_scan(q, rational_point(q, x0)) == redundancy_scan(p, rational_point(p, x0))
     got, want = run_enumeration(q, x0), run_enumeration(p, x0)
     assert [(v.point, v.tight) for v in got.vertices] == [
         (v.point, v.tight) for v in want.vertices
