@@ -63,18 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=positive_int, default=None,
-                        help="cap N on every combinatorial scan: 50*N Delta "
-                        "search nodes, N box cells (default: 100000, but "
-                        "10^7 cells)")
     common.add_argument("--json", metavar="PATH", default=None,
                         help="write the report to PATH instead of stdout")
-    common.add_argument("--seed", type=int, default=None,
-                        help="echoed into the report for reproducibility "
-                        "bookkeeping")
 
     instance = argparse.ArgumentParser(add_help=False, parents=[common])
     instance.add_argument("path", help="instance file (JSON or CSV)")
+    instance.add_argument("--budget", type=positive_int, default=None,
+                          help="cap N on every combinatorial scan: 50*N Delta "
+                          "search nodes, N box cells (default: 100000, but "
+                          "10^7 cells)")
+    instance.add_argument("--seed", type=int, default=None,
+                          help="echoed into the report for reproducibility "
+                          "bookkeeping")
     instance.add_argument("--feasible-point", metavar="FILE", default=None,
                           help="JSON array of rationals to skip phase one")
     instance.add_argument("--strip-redundant", action="store_true",

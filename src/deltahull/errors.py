@@ -53,10 +53,6 @@ class SingularBasis(SingularMatrix):
     """A basis row set is linearly dependent."""
 
 
-class NotAVertex(DeltahullError):
-    """A claimed starting vertex does not have rank-n tight rows."""
-
-
 class RankDeficient(DeltahullError):
     """A generator set expected to span the space does not."""
 

@@ -1,19 +1,19 @@
 """Vertex enumeration by best-first search over feasible bases.
 
-`run_enumeration` is the whole walk: phase one's Point unless a point is
-given, the ray cast to a vertex, then the search. Its nodes are simplicial
-cones of the normal fan, one basis per cone. Simple vertices contribute
-their unique basis, the one they were reached from; a degenerate vertex gets
-its normal cone triangulated on first visit and each simplex becomes a
-node, pushed once. Pivoting from a node, a basis held as (det, adj), runs
-the integer ratio test on its vertex's slacks; positive steps cross edges
-of the polyhedron, zero steps move between bases of the same vertex, and an
-empty ratio test marks an unbounded edge. Each edge's ratio test runs once
-when one end is a simple vertex: the test back from the far end can only
-return to the basis it came from, so that basis skips it and is charged the
-hits it would have found. The (det, adj) pair of every basis popped is
-kept, so the cone determinants and the cone distances of the wideness
-certificate need no second elimination.
+`enumerate_vertices` ray-casts a feasible Point to a vertex and searches
+from there; `run_enumeration` gives it phase one's Point unless a point is
+given. The nodes are simplicial cones of the normal fan, one basis per cone.
+Simple vertices contribute their unique basis, the one they were reached
+from; a degenerate vertex gets its normal cone triangulated on first visit
+and each simplex becomes a node, pushed once. Pivoting from a node, a basis
+held as (det, adj), runs the integer ratio test on its vertex's slacks;
+positive steps cross edges of the polyhedron, zero steps move between bases
+of the same vertex, and an empty ratio test marks an unbounded edge. Each
+edge's ratio test runs once when one end is a simple vertex: the test back
+from the far end can only return to the basis it came from, so that basis
+skips it and is charged the hits it would have found. The (det, adj) pair
+of every basis popped is kept, so the cone determinants and the cone
+distances of the wideness certificate need no second elimination.
 The result is the skeleton walked: vertices, vertex pairs joined by a
 positive-step pivot, primitive integer rays; a vertex is named by its
 position in the vertex list and held as an integer `VertexRecord`, so the
@@ -33,7 +33,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from . import linalg, model
-from .errors import BudgetExceeded, NotAVertex, RankDeficient, SingularBasis
+from .errors import BudgetExceeded, RankDeficient, SingularBasis
 from .linalg import Basis, Vec, dot
 from .model import HPolyhedron, Point, VertexRecord
 
@@ -141,7 +141,7 @@ def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
     """Placing triangulation of the cone spanned by the tight-row normals.
 
     Rows are inserted in ascending index order. A row with a part off the
-    span (model._off_span, the ray cast's integral Gram-Schmidt) cones the
+    span (linalg.off_span, the integral Gram-Schmidt step) cones the
     whole current complex; a row inside the span is joined to every boundary
     facet it sees strictly from outside. Rows that land inside the cone are
     absorbed without creating simplices. Returns index tuples whose union
@@ -152,7 +152,7 @@ def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
     ortho: list = []
     for idx in sorted(tight):
         v = p.ints[idx]
-        o = model._off_span(v, ortho)
+        o = linalg.off_span(v, ortho)
         if any(o):
             cones = [c + (idx,) for c in cones]
             ortho.append((o, dot(o, o)))
@@ -175,8 +175,9 @@ def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
     return sorted(tuple(sorted(c)) for c in cones)
 
 
-def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
-    """All vertices of p reachable from the starting vertex (that is, all).
+def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
+    """All vertices of p, from the vertex model.find_initial_vertex reaches
+    from the feasible Point `start`.
 
     Best-first search over bases in lexicographic order: deterministic
     traversal, duplicate-free vertex list keyed on each (num, den), normal
@@ -184,10 +185,7 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
     direction), an edge per vertex pair that a positive-step pivot joins.
     A vertex's slacks are held only while a basis of it waits on the heap.
     """
-    start = model.scaled_point(p, v0.num, v0.den)
-    if linalg.rank_of(model.submatrix(p, model.tight_set(p, start))) < p.n:
-        raise NotAVertex("tight rows at the starting point have rank < n")
-
+    v0 = model.find_initial_vertex(p, start)
     vertices: list[VertexRecord] = []
     triangulation = Triangulation()
     by_point: dict[tuple[tuple[int, ...], int], int] = {}  # (num, den) -> index
@@ -224,7 +222,7 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
             push(c, index, pt, basis if c == rows else None)
         return index, pt
 
-    register(start.num, start.den)
+    register(v0.num, v0.den)
     while heap:
         rows = heapq.heappop(heap)
         pt, basis, known = pending.pop(rows)
@@ -265,11 +263,11 @@ def enumerate_vertices(p: HPolyhedron, v0: VertexRecord) -> EnumerationResult:
 
 
 def run_enumeration(p: HPolyhedron, feasible_point: Vec | None = None) -> EnumerationResult:
-    """Phase one unless rational coordinates of a feasible point are given,
-    the ray cast from that Point to a vertex, then the full enumeration."""
+    """The full enumeration from phase one's Point, or from the Point at the
+    rational coordinates of a feasible point when one is given."""
     given = feasible_point is not None
     start = model.rational_point(p, feasible_point) if given else model.phase_one(p)
-    return enumerate_vertices(p, model.find_initial_vertex(p, start))
+    return enumerate_vertices(p, start)
 
 
 def _span_rank(records, directions) -> int:

@@ -1,10 +1,11 @@
 """Exact linear algebra over Python ints, plus Fraction vector helpers.
 
 A rational row becomes integers once, in `integer_row`: its primitive
-integer multiple and the positive scale between the two. Rank and
-adjugate then come from one fraction-free (Bareiss) elimination over
-Python ints, whose every division is exact, so `rank_of`, `adjugate` and
-`solve` take integer matrices and never see a denominator.
+integer multiple and the positive scale between the two. Every
+independence test is the integral Gram-Schmidt step `off_span`, and the
+adjugate comes from one fraction-free (Bareiss) elimination, both over
+Python ints with exact divisions, so `rank_of`, `adjugate` and `solve` take
+integer matrices and never see a denominator.
 A basis is carried as the pair (det, adj) and a row swap updates that pair
 in integers (`basis_inverse_update`); the pivot kernel in `model` builds a
 `Fraction` only where a result leaves it. No floating point is used
@@ -63,56 +64,58 @@ def integer_rows(m) -> tuple[IntRows, tuple[Fraction, ...]]:
     return tuple(ints for ints, _ in pairs), tuple(s for _, s in pairs)
 
 
-def _eliminate(a: list[list[int]], width: int, jordan: bool = False):
-    """Fraction-free (Bareiss) elimination of integer rows, in place.
-
-    Takes pivots from the first `width` columns in order, skipping a column
-    with no nonzero entry at or below the current row. Each pivot step sets
-    row_i <- (pivot * row_i - a_ic * pivot_row) / previous pivot for the rows
-    below (and, when `jordan`, above) it, an exact division (Bareiss 1968).
-    Returns the rank, the sign of the row swaps and the last pivot; for a
-    nonsingular square matrix sign * pivot is its determinant.
-    """
-    rank, prev, sign = 0, 1, 1
-    for col in range(width):
-        r = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if r is None:
-            continue
-        if r != rank:
-            a[rank], a[r] = a[r], a[rank]
-            sign = -sign
-        top = a[rank]
-        pivot = top[col]
-        for i in range(0 if jordan else rank + 1, len(a)):
-            if i != rank:
-                f = a[i][col]
-                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
-        prev = pivot
-        rank += 1
-    return rank, sign, prev
+def off_span(v, ortho) -> list[int]:
+    """A positive multiple of v less its projection on the span of `ortho`,
+    mutually orthogonal integer vectors with their square norms, in lowest
+    terms: v <- |o|^2 v - (v o) o for each (integral Gram-Schmidt)."""
+    for o, norm in ortho:
+        c = dot(v, o)
+        if c:
+            v = [norm * x - c * y for x, y in zip(v, o)]
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
 
 
 def rank_of(m) -> int:
-    """Rank of an integer matrix."""
-    if not m:
-        return 0
-    return _eliminate([list(row) for row in m], len(m[0]))[0]
+    """Rank of an integer matrix: the number of rows with a nonzero part off
+    the span of the rows kept before them, up to the row width."""
+    ortho: list = []
+    for row in m:
+        if len(ortho) == len(row):
+            break
+        o = off_span(row, ortho)
+        if any(o):
+            ortho.append((o, dot(o, o)))
+    return len(ortho)
 
 
 def adjugate(m) -> tuple[int, list[list[int]]]:
     """(det m, adj m) of a nonsingular square integer matrix.
 
-    A Jordan sweep over [m | I] leaves [d I | d m^-1], d being the last
-    pivot, and det m = sign * d, so adj m = det(m) m^-1 is the right block
-    times the sign of the row swaps. Raises SingularMatrix when m is
-    singular.
+    A fraction-free (Bareiss 1968) Jordan sweep over [m | I], each step
+    row_i <- (pivot * row_i - a_ic * pivot_row) / previous pivot an exact
+    division, leaves [d I | d m^-1], d the last pivot; det m = sign * d, so
+    adj m = det(m) m^-1 is the right block times the sign of the row swaps.
+    Raises SingularMatrix when m is singular.
     """
     n = len(m)
     a = [list(row) + unit for row, unit in zip(m, identity(n))]
-    rank, sign, pivot = _eliminate(a, n, jordan=True)
-    if rank < n:
-        raise SingularMatrix("singular matrix")
-    return sign * pivot, [[sign * x for x in row[n:]] for row in a]
+    prev, sign = 1, 1
+    for col in range(n):
+        r = next((i for i in range(col, n) if a[i][col]), None)
+        if r is None:
+            raise SingularMatrix("singular matrix")
+        if r != col:
+            a[col], a[r] = a[r], a[col]
+            sign = -sign
+        top = a[col]
+        pivot = top[col]
+        for i in range(n):
+            if i != col:
+                f = a[i][col]
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def solve(m, rhs) -> Vec:

@@ -8,9 +8,9 @@ feasible point to a vertex, and the one pivot kernel (ratio test plus
 fraction-free basis swap) shared by the vertex enumeration and the exact
 simplex (Bland's rule), which serves phase one and the strict interior
 point from auxiliary systems built off the integer form. The ratio test's
-step is an integer pair, the ray cast carries an integer point and an
-integral Gram-Schmidt basis of its tight rows, and products of all rows with
-one vector run column by column. Vertices (VertexRecord) and LP points
+step is an integer pair, the ray cast carries an integer point and the
+linalg.off_span basis of its tight rows, and products of all rows with one
+vector run column by column. Vertices (VertexRecord) and LP points
 (Point) are integer records, in and out: only a given feasible point and
 phase one's start are cleared (rational_point), and a `Fraction` is built
 only to read `point` or `x` and for the rows as given (`a`, `b`). The LP
@@ -213,25 +213,13 @@ def tight_set(p: HPolyhedron, pt: Point) -> tuple[int, ...]:
     return tuple(compress(range(len(pt.slack)), map((0).__eq__, pt.slack)))
 
 
-def _off_span(v, ortho) -> list[int]:
-    """A positive multiple of v less its projection on the span of `ortho`,
-    mutually orthogonal integer vectors with their square norms, in lowest
-    terms: v <- |o|^2 v - (v o) o for each (integral Gram-Schmidt)."""
-    for o, norm in ortho:
-        c = dot(v, o)
-        if c:
-            v = [norm * x - c * y for x, y in zip(v, o)]
-    g = gcd(*v)
-    return [x // g for x in v] if g > 1 else list(v)
-
-
 def _extend_independent(p: HPolyhedron, basis: list[int], ortho: list, rows) -> list[int]:
     """Append to `basis` each of `rows` independent of the rows before it,
     and its part orthogonal to them to `ortho`, until the basis has n rows."""
     for i in rows:
         if len(basis) == p.n:
             break
-        o = _off_span(p.ints[i], ortho)
+        o = linalg.off_span(p.ints[i], ortho)
         if any(o):
             basis.append(i)
             ortho.append((o, dot(o, o)))
@@ -256,7 +244,7 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> VertexRecord:
     ortho: list = []
     basis = _extend_independent(p, [], ortho, tight)
     while len(basis) < p.n:
-        d = next(d for d in (_off_span(e, ortho) for e in linalg.identity(p.n)) if any(d))
+        d = next(d for d in (linalg.off_span(e, ortho) for e in linalg.identity(p.n)) if any(d))
         rates = p.products(d)
         step = min_ratio(p, (), pt, rates)[0]
         if step is None:

@@ -23,7 +23,7 @@ from deltahull.errors import (
 )
 from deltahull.linalg import dot, to_vector
 
-from helpers import rows_of
+from helpers import rank_exact, rows_of
 
 
 def rational_rhs(p):
@@ -105,12 +105,12 @@ def as_inverse(basis):
 
 def extend_independent(p, basis, rows):
     """Append to `basis` each of `rows` independent of the rows before it,
-    by one rank test per row, until the basis has n rows."""
+    by one Bareiss rank test per row, until the basis has n rows."""
     for i in rows:
         if len(basis) == p.n:
             break
         trial = model.submatrix(p, basis + [i])
-        if linalg.rank_of(trial) == len(trial):
+        if rank_exact(trial) == len(trial):
             basis.append(i)
     return basis
 

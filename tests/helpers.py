@@ -1,15 +1,17 @@
 """Test-only helpers with no caller in the package: a system's rational
-rows, a rational matrix builder and product, the exact determinant and
-inverse, the Delta search that evaluates one Gram determinant per node (the
-oracle of stats.delta_max), the cone-determinant oracle, the
-skeleton-edge and redundant-row rank oracles, the Fraction-step ratio test
-and its work oracle, the unimodularizing transform with the minor count,
-the full minor scan and the per-cone distance certificate (the oracles of
-the CLI's total-unimodularity verdict and of
-stats.cone_distance_certificate), the per-cell box-scan counting
-oracle, the per-node BFS diameter oracle, the fan document loader, the
-report text of rationals past the str() digit limit, the capped-sum bucket bound behind acceptance criterion 10, the cone-fan
-adjacency graph, and the density and tightness experiments on the
+rows, a rational matrix builder and product, the forward Bareiss
+elimination behind the exact rank and determinant (the oracle of the
+package's Gram-Schmidt rank and adjugate), the exact inverse, the Delta
+search that evaluates one Gram determinant per node (the oracle of
+stats.delta_max), the cone-determinant oracle, the skeleton-edge and
+redundant-row rank oracles, the Fraction-step ratio test and its work
+oracle, the unimodularizing transform with the minor count, the full minor
+scan and the per-cone distance certificate (the oracles of the CLI's
+total-unimodularity verdict and of stats.cone_distance_certificate), the
+per-cell box-scan counting oracle, the per-node BFS diameter oracle, the
+fan document loader, the report text of rationals past the str() digit
+limit, the capped-sum bucket bound behind acceptance criterion 10, the
+cone-fan adjacency graph, and the density and tightness experiments on the
 subdivision fans. Graphs are adjacency dicts {node: ascending neighbours},
 as graphs.build_polytope_graph returns them."""
 
@@ -20,7 +22,7 @@ from functools import cmp_to_key
 from itertools import combinations, product
 from math import comb, factorial, floor, prod, sqrt
 
-from deltahull import hull, linalg, model, stats
+from deltahull import linalg, model, stats
 from deltahull.errors import (
     BudgetExceeded,
     DeltahullError,
@@ -54,13 +56,48 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return [[dot(row, col) for col in cols] for row in a]
 
 
+def bareiss(m) -> tuple[int, int, int]:
+    """Forward fraction-free (Bareiss 1968) elimination of a copy of the
+    integer rows m: (rank, sign of the row swaps, last pivot).
+
+    Takes pivots column by column, skipping a column with no nonzero entry
+    at or below the current row; each step sets row_i <- (pivot * row_i -
+    a_ic * pivot_row) / previous pivot for the rows below, an exact division.
+    For a nonsingular square m, sign * pivot is det m. The tests' rank and
+    determinant oracle, independent of the package's Gram-Schmidt rank and
+    Jordan-sweep adjugate.
+    """
+    a = [list(row) for row in m]
+    rank, prev, sign = 0, 1, 1
+    for col in range(len(a[0]) if a else 0):
+        r = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if r is None:
+            continue
+        if r != rank:
+            a[rank], a[r] = a[r], a[rank]
+            sign = -sign
+        top = a[rank]
+        pivot = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pivot
+        rank += 1
+    return rank, sign, prev
+
+
+def rank_exact(m) -> int:
+    """Rank of an integer matrix, by the tests' Bareiss elimination."""
+    return bareiss(m)[0]
+
+
 def det_exact(m) -> int:
-    """Determinant of a square integer matrix, by the package's Bareiss
+    """Determinant of a square integer matrix, by the tests' Bareiss
     elimination."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    rank, sign, pivot = linalg._eliminate([list(row) for row in m], n)
+    rank, sign, pivot = bareiss(m)
     return sign * pivot if rank == n else 0
 
 
@@ -223,25 +260,31 @@ def rank_test_edges(p, result) -> set[tuple[int, int]]:
     edges = set()
     for (i, a), (j, b) in combinations(enumerate(result.vertices), 2):
         common = sorted(set(a.tight) & set(b.tight))
-        if common and linalg.rank_of(model.submatrix(p, common)) == p.n - 1:
+        if common and rank_exact(model.submatrix(p, common)) == p.n - 1:
             edges.add((i, j))
     return edges
 
 
 def rank_redundant_rows(p, result) -> list[int] | None:
-    """Oracle of hull.redundant_rows by one rank per row, simple vertices or
-    not: None unless the vertices and rays span dimension n (where
+    """Oracle of hull.redundant_rows by one Bareiss rank per row, simple
+    vertices or not: None unless the vertices and rays span dimension n (where
     hull.redundant_rows runs the LP scan instead), else the rows whose face
     (the vertices tight at the row and the rays along it) spans less than
     n - 1."""
     rays = [list(d) for d in sorted({d for _, d in result.rays})]
-    if hull._span_rank(result.vertices, rays) < p.n:
+
+    def span_rank(records, directions) -> int:  # x_k - x_0 as X_k D_0 - X_0 D_k
+        base = records[0]
+        diffs = [[x * base.den - y * r.den for x, y in zip(r.num, base.num)] for r in records[1:]]
+        return rank_exact(diffs + directions)
+
+    if span_rank(result.vertices, rays) < p.n:
         return None
     redundant = []
     for i in range(p.m):
         face = [v for v in result.vertices if i in v.tight]
         along = [d for d in rays if dot(p.ints[i], d) == 0]
-        if not face or hull._span_rank(face, along) < p.n - 1:
+        if not face or span_rank(face, along) < p.n - 1:
             redundant.append(i)
     return redundant
 

@@ -445,6 +445,12 @@ def test_generate_rejects_bad_parameters(capsys, tmp_path):
     )
     assert code == 4
     assert "Traceback" not in err
+    for flag in (["--budget", "1"], ["--seed", "9"]):  # only the instance subcommands read them
+        code, _, err = run_cli(
+            capsys, ["generate", str(tmp_path / "x"), "--n", "2", "--k", "1", *flag]
+        )
+        assert code == 4
+        assert "unrecognized arguments" in err
     assert not list(tmp_path.glob("x.*"))
 
 

@@ -15,7 +15,6 @@ from deltahull.errors import (
     DimensionMismatch,
     DuplicateRow,
     Infeasible,
-    NotAVertex,
     NotPointed,
     RankDeficient,
 )
@@ -29,7 +28,6 @@ from deltahull.hull import (
 )
 from deltahull.linalg import dot
 from deltahull.model import (
-    VertexRecord,
     basis_adjugate,
     basis_solution,
     make_polyhedron,
@@ -252,11 +250,12 @@ def test_triangulate_normal_cone_rejects_rank_deficient_sets():
         triangulate_normal_cone(p, (0,))
 
 
-def test_enumerate_vertices_rejects_non_vertex_start():
+def test_enumerate_vertices_walks_from_an_interior_start():
+    """The centre of the square is no vertex: the walk ray-casts it to one."""
     p = square()
-    fake = VertexRecord((1, 1), 2, ())
-    with pytest.raises(NotAVertex):
-        enumerate_vertices(p, fake)
+    result = enumerate_vertices(p, rational_point(p, [Fraction(1, 2), Fraction(1, 2)]))
+    assert result.vertex_points() == run_enumeration(p).vertex_points()
+    assert len(result.vertices) == 4
 
 
 def test_enumeration_is_deterministic():
@@ -377,7 +376,8 @@ def test_ratio_work_matches_fresh_ratio_tests_on_corpora(corpus_analysis, bench_
 
 
 def ratio_tests_run(p, v0):
-    """The enumeration from v0 and the number of ratio tests it ran."""
+    """The enumeration from the vertex v0 and the number of ratio tests it
+    ran; the ray cast from a vertex runs none."""
     core, calls = model.min_ratio, []
 
     def counted(*args):
@@ -386,7 +386,7 @@ def ratio_tests_run(p, v0):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "min_ratio", counted)
-        result = enumerate_vertices(p, v0)
+        result = enumerate_vertices(p, scaled_point(p, v0.num, v0.den))
     return result, len(calls)
 
 
@@ -691,3 +691,23 @@ def test_unimodular_change_of_coordinates(fuzz_corpus, data):
         {frozenset(mapped(inv, x) for x in edge) for edge in edges},
     )
     assert invariants(q) == (moved, *rest), p.name
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_row_permutation_invariants(fuzz_corpus, data):
+    """Permuting the rows leaves the skeleton, the ray count and Delta
+    unchanged and maps redundant_rows through the permutation. When every
+    vertex is simple the cones are the tight sets, so Delta_avg, Delta_min
+    and the cone count stay too; at a degenerate vertex they need not, as
+    the placing triangulation inserts rows in index order."""
+    cases = fuzz_corpus + [build() for build in DEGENERATE_FAMILY] + [cube(), cross_polytope(4)]
+    p = data.draw(st.sampled_from(cases))
+    order = data.draw(st.permutations(range(p.m)))
+    q = make_polyhedron([p.a[i] for i in order], [p.b[i] for i in order], name=f"{p.name}-permuted")
+    shape, rays, redundant, (delta, *figures) = invariants(p)
+    q_shape, q_rays, q_redundant, (q_delta, *q_figures) = invariants(q)
+    assert (q_shape, q_rays, q_delta) == (shape, rays, delta), p.name
+    assert q_redundant == sorted(order.index(i) for i in redundant), p.name
+    if all(v.simple for v in run_enumeration(p).vertices):
+        assert q_figures == figures, p.name

@@ -2,6 +2,8 @@
 
 The determinant oracle here is an independent cofactor expansion, so any
 agreement with the fraction-free elimination in the package is meaningful.
+The package's Gram-Schmidt rank is checked against the cofactor minors and
+against the tests' forward Bareiss elimination (helpers.rank_exact).
 """
 
 import random
@@ -9,6 +11,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltahull.errors import SingularMatrix, SingularUpdate
 from deltahull.linalg import (
@@ -25,7 +29,7 @@ from deltahull.linalg import (
 )
 
 from fraction_oracle import as_inverse, sherman_morrison
-from helpers import det_exact, invert, mat_mul
+from helpers import det_exact, invert, mat_mul, rank_exact
 
 
 def mat_vec(m, v):
@@ -136,9 +140,9 @@ def test_solve_linear_rejects_singular_matrix():
 
 def test_rank_of_examples():
     assert rank_of([]) == 0
-    assert rank_of([[Fraction(0), Fraction(0)]]) == 0
+    assert rank_of([[0, 0]]) == 0
     assert rank_of(identity(3)) == 3
-    dup = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
+    dup = [[1, 2], [2, 4], [0, 1]]
     assert rank_of(dup) == 2
 
 
@@ -158,6 +162,40 @@ def test_rank_of_matches_independent_minor_scan():
                     if det_by_cofactors(sub) != 0:
                         best = max(best, k)
         assert rank_of(m) == best
+
+
+@st.composite
+def tall_integer_matrices(draw):
+    """Up to 40 rows of width 1 to 5, entries up to 10^30, mixing fresh rows
+    with zero rows, repeats, positive multiples and sums of earlier rows."""
+    width = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "multiple", "sum"]))
+        if kind == "fresh" or (kind != "zero" and not rows):
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+        elif kind == "zero":
+            rows.append([0] * width)
+        else:
+            u = draw(st.sampled_from(rows))
+            if kind == "repeat":
+                rows.append(list(u))
+            elif kind == "multiple":
+                k = draw(st.integers(1, 10**12))
+                rows.append([k * x for x in u])
+            else:
+                w = draw(st.sampled_from(rows))
+                rows.append([x + y for x, y in zip(u, w)])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_integer_matrices())
+def test_rank_of_matches_the_bareiss_oracle_on_tall_matrices(m):
+    rank = rank_of(m)
+    assert rank == rank_exact(m)
+    assert all(rank_of(m[:k]) <= rank for k in range(len(m)))
 
 
 def adjugate_column(m, i):
