@@ -4,8 +4,8 @@ A rational row becomes integers once, in `integer_row`: its primitive
 integer multiple and the positive scale between the two. Every
 independence test is the integral Gram-Schmidt step `off_span`, and the
 adjugate comes from one fraction-free (Bareiss) elimination, both over
-Python ints with exact divisions, so `rank_of`, `adjugate` and `solve` take
-integer matrices and never see a denominator.
+Python ints with exact divisions, so `rank_of` and `adjugate` take integer
+matrices and never see a denominator.
 A basis is carried as the pair (det, adj) and a row swap updates that pair
 in integers (`basis_inverse_update`); the pivot kernel in `model` builds a
 `Fraction` only where a result leaves it. No floating point is used
@@ -116,12 +116,6 @@ def adjugate(m) -> tuple[int, list[list[int]]]:
                 a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
         prev = pivot
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
-
-
-def solve(m, rhs) -> Vec:
-    """The x with m x = rhs, for a nonsingular integer m and rational rhs."""
-    det, adj = adjugate(m)
-    return [Fraction(dot(row, rhs)) / det for row in adj]
 
 
 def isqrt_exact(v: int) -> int:

@@ -7,13 +7,15 @@ the cone count by n and dividing each cone determinant by n exactly. Lifting
 scales each barycenter ray just past the facet it subdivides, producing a
 simplicial polytope whose facet cones reproduce the fan. That polytope is
 kept as its fan and the scale of each ray; its polar,
-{x : <ray_i, x> <= 1/scale_i}, is the instance `generate` writes.
+{x : <ray_i, x> <= 1/scale_i}, is the instance `generate` writes. The lift
+holds each facet as an integer normal (U, D) from one adjugate and scans the
+facets in integers; each new ray costs one Fraction scale.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import sqrt
+from math import gcd, lcm, sqrt
 
 from . import linalg, model
 from .errors import EmptyAlphaInterval
@@ -118,49 +120,53 @@ class LiftedPolytope:
         )
 
 
-def _facet_normal(points) -> Point:
-    """The u with <u, q> = 1 at each point q, each given in integer form
-    (s q, s), where the condition reads <u, s q> = s."""
-    return tuple(linalg.solve([ints for ints, _ in points], [s for _, s in points]))
+def _facet_normal(points) -> tuple[tuple[int, ...], int]:
+    """(U, D), D > 0 and the pair in lowest terms, with u = U / D the normal
+    <u, q> = 1 at each point q given in integer form (s q, s): one adjugate
+    solves <u, s q> = s, the scales cleared into an integer right-hand side."""
+    clear = lcm(*(s.denominator for _, s in points))
+    rhs = [s.numerator * (clear // s.denominator) for _, s in points]
+    det, adj = linalg.adjugate([ints for ints, _ in points])
+    u = [dot(row, rhs) for row in adj]
+    g = gcd(*u, det) if det > 0 else -gcd(*u, det)
+    return tuple(x // g for x in u), det * clear // g
 
 
 def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
     """Scale each barycenter ray so it beats exactly its parent facet.
 
-    Processes depths in order, keeping the running facet set. For a parent
-    facet T with normal u_T, the new ray v gets a scale alpha in the open
-    interval (1/<u_T,v>, min over other facets of 1/<u_F,v>), taken at the
-    midpoint, or twice the lower end when no other facet caps it. The facet
-    T is then replaced by its n children through the new vertex.
+    Processes depths in order, keeping the running facet set, each facet T
+    as its integer normal (U_T, D_T) with u_T = U_T / D_T. For a parent
+    facet T, the new ray v = V / s (V its primitive integer row) gets a scale
+    alpha in the open interval (1/<u_T,v>, min over other facets of
+    1/<u_F,v>), taken at the midpoint, or twice the lower end when no other
+    facet caps it. The scan compares w_F = U_F.V / D_F in integers by
+    cross-multiplying; only lo, hi and alpha are Fractions, and the lifted
+    point alpha v is stored in integer form as (V, s / alpha). The facet T
+    is then replaced by its n children through the new vertex.
     """
     base = fans[0]
-    n = base.n
     scaling: list[Fraction] = [Fraction(1)] * len(base.rays)
     points = [linalg.integer_row(ray) for ray in base.rays]  # lifted vertices
-    facets: dict[Rows, Point] = {}
-    for cone in base.cones:
-        facets[cone] = _facet_normal([points[r] for r in cone])
+    facets = {cone: _facet_normal([points[r] for r in cone]) for cone in base.cones}
     for depth in range(1, len(fans)):
         prev, fan = fans[depth - 1], fans[depth]
         for ci, parent_cone in enumerate(prev.cones):
             b = len(prev.rays) + ci  # subdivide_fan appends one barycenter per cone
-            v = fan.rays[b]
-            u_t = facets[parent_cone]
-            denom = dot(list(u_t), list(v))
+            ints, s = linalg.integer_row(fan.rays[b])
+            u_t, d_t = facets.pop(parent_cone)
+            denom = dot(u_t, ints)
             if denom <= 0:
                 raise EmptyAlphaInterval(
                     f"barycenter ray leaves through its own facet at depth {depth}"
                 )
-            lo = 1 / denom
-            hi: Fraction | None = None
-            for cone2, u2 in facets.items():
-                if cone2 == parent_cone:
-                    continue
-                w = dot(list(u2), list(v))
-                if w > 0:
-                    cand = 1 / w
-                    if hi is None or cand < hi:
-                        hi = cand
+            lo = Fraction(d_t, denom) * s
+            best = None  # (U_F.V, D_F) of the largest positive w_F
+            for u_f, d_f in facets.values():
+                w = dot(u_f, ints)
+                if w > 0 and (best is None or w * best[1] > best[0] * d_f):
+                    best = (w, d_f)
+            hi = None if best is None else Fraction(best[1], best[0]) * s
             if hi is not None and hi <= lo:
                 raise EmptyAlphaInterval(
                     f"no admissible scale at depth {depth}: ({lo}, {hi})"
@@ -168,8 +174,7 @@ def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
             alpha = (lo + hi) / 2 if hi is not None else 2 * lo
             assert len(scaling) == b
             scaling.append(alpha)
-            points.append(linalg.integer_row([alpha * x for x in v]))
-            del facets[parent_cone]
+            points.append((ints, s / alpha))
             for r in parent_cone:
                 child = tuple(sorted(set(parent_cone) - {r} | {b}))
                 facets[child] = _facet_normal([points[q] for q in child])

@@ -1,7 +1,9 @@
 """Test-only helpers with no caller in the package: a system's rational
 rows, a rational matrix builder and product, the forward Bareiss
 elimination behind the exact rank and determinant (the oracle of the
-package's Gram-Schmidt rank and adjugate), the exact inverse, the Delta
+package's Gram-Schmidt rank and adjugate), the exact solve and inverse, the
+Fraction lift of the subdivision fans (the oracle of
+subdivision.lift_polytope's integer facet scan), the Delta
 search that evaluates one Gram determinant per node (the oracle of
 stats.delta_max), the cone-determinant oracle, the skeleton-edge and
 redundant-row rank oracles, the Fraction-step ratio test and its work
@@ -27,6 +29,7 @@ from deltahull.errors import (
     BudgetExceeded,
     DeltahullError,
     DisconnectedGraph,
+    EmptyAlphaInterval,
     ParseError,
     SingularBasis,
     SingularMatrix,
@@ -164,6 +167,12 @@ def gram_delta_search(ints, scales, budget: int) -> tuple[Fraction, Rows]:
     return Fraction(num, den), witness
 
 
+def solve(m, rhs) -> list[Fraction]:
+    """The x with m x = rhs, for a nonsingular integer m and rational rhs."""
+    det, adj = linalg.adjugate(m)
+    return [Fraction(dot(row, rhs)) / det for row in adj]
+
+
 def invert(m) -> Mat:
     """Exact inverse adj(m) / det(m) of a nonsingular integer matrix."""
     det, adj = linalg.adjugate(m)
@@ -238,6 +247,48 @@ def floor_holds(block: dict) -> bool:
 def vertex_columns(lifted) -> list[tuple[Fraction, ...]]:
     """The lifted polytope's vertices: each fan ray times its scale."""
     return [tuple(s * x for x in ray) for s, ray in zip(lifted.scaling, lifted.fan.rays)]
+
+
+def fraction_lift(fans: list[SubdivisionFan]) -> list[Fraction]:
+    """The scaling of subdivision.lift_polytope by its Fraction formulas.
+
+    Each facet normal u_T is solved as Fractions, and each new ray v takes
+    Fraction dot products <u_F, v> with every current facet: alpha is the
+    midpoint of (1/<u_T,v>, min 1/<u_F,v> over positive ones), or 2/<u_T,v>
+    when no other facet caps it. Raises EmptyAlphaInterval with the
+    package's texts. The oracle of the integer facet scan.
+    """
+
+    def normal(cone):  # <u, s q> = s at each lifted point (s q, s)
+        return solve([points[r][0] for r in cone], [points[r][1] for r in cone])
+
+    scaling = [Fraction(1)] * len(fans[0].rays)
+    points = [linalg.integer_row(ray) for ray in fans[0].rays]
+    facets = {cone: normal(cone) for cone in fans[0].cones}
+    for depth in range(1, len(fans)):
+        prev, fan = fans[depth - 1], fans[depth]
+        for ci, parent_cone in enumerate(prev.cones):
+            b = len(prev.rays) + ci
+            v = fan.rays[b]
+            denom = dot(facets.pop(parent_cone), v)
+            if denom <= 0:
+                raise EmptyAlphaInterval(
+                    f"barycenter ray leaves through its own facet at depth {depth}"
+                )
+            lo = 1 / denom
+            caps = [1 / w for w in (dot(u, v) for u in facets.values()) if w > 0]
+            hi = min(caps) if caps else None
+            if hi is not None and hi <= lo:
+                raise EmptyAlphaInterval(
+                    f"no admissible scale at depth {depth}: ({lo}, {hi})"
+                )
+            alpha = (lo + hi) / 2 if hi is not None else 2 * lo
+            scaling.append(alpha)
+            points.append(linalg.integer_row([alpha * x for x in v]))
+            for r in parent_cone:
+                child = tuple(sorted(set(parent_cone) - {r} | {b}))
+                facets[child] = normal(child)
+    return scaling
 
 
 def abs_det(ints, scales, rows: Rows) -> Fraction:

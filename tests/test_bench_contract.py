@@ -45,6 +45,17 @@ def test_dual_text_is_what_generate_writes(workloads, tmp_path):
     assert (tmp_path / "dual.instance.json").read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize("n, k", [(2, 5), (4, 2)])
+def test_generate_writes_the_frozen_dual(tmp_path, n, k):
+    # The bench runs the frozen files and only prints a drift; a change to
+    # the lift that moves their bytes fails here.
+    prefix = tmp_path / "dual"
+    assert cli.main(["generate", str(prefix), "--n", str(n), "--k", str(k),
+                     "--json", str(tmp_path / "report.json")]) == cli.EXIT_OK
+    frozen = (BENCH / "data" / f"dual-n{n}k{k}.instance.json").read_bytes()
+    assert (tmp_path / "dual.instance.json").read_bytes() == frozen
+
+
 def test_one_fuzz_op_passes_the_reference_and_the_oracle(workloads, tmp_path):
     p = workloads.fuzz_corpus(workloads.FUZZ_SEED_BASE, 1)[0]
     data = (serialize.dump_instance(p) + "\n").encode()

@@ -25,11 +25,10 @@ from deltahull.linalg import (
     integer_rows,
     isqrt_exact,
     rank_of,
-    solve,
 )
 
 from fraction_oracle import as_inverse, sherman_morrison
-from helpers import det_exact, invert, mat_mul, rank_exact
+from helpers import det_exact, invert, mat_mul, rank_exact, solve
 
 
 def mat_vec(m, v):

@@ -10,6 +10,8 @@ from deltahull.hull import run_enumeration
 from deltahull.linalg import dot, integer_rows
 from deltahull.stats import delta_max
 from deltahull.subdivision import (
+    SubdivisionFan,
+    _facet_normal,
     base_fan,
     base_simplex,
     build_subdivision_fans,
@@ -19,7 +21,13 @@ from deltahull.subdivision import (
     subdivide_fan,
 )
 
-from helpers import abs_det, density_profile, tightness_experiment, vertex_columns
+from helpers import (
+    abs_det,
+    density_profile,
+    fraction_lift,
+    tightness_experiment,
+    vertex_columns,
+)
 
 
 def test_base_simplex_columns_n2():
@@ -217,8 +225,6 @@ def test_lift_rejects_empty_interval_when_facets_collapse():
     broken = fans[1]
     bad = [list(r) for r in broken.rays]
     with pytest.raises(EmptyAlphaInterval):
-        from deltahull.subdivision import SubdivisionFan
-
         twisted = SubdivisionFan(
             n=2,
             depth=1,
@@ -227,3 +233,77 @@ def test_lift_rejects_empty_interval_when_facets_collapse():
             parent=broken.parent,
         )
         lift_polytope([fans[0], twisted])
+
+
+@pytest.mark.parametrize("n, k_max", [(2, 6), (3, 4), (4, 3), (5, 2)])
+def test_integer_lift_matches_the_fraction_oracle(n, k_max):
+    fans = build_subdivision_fans(n, k_max)
+    for k in range(k_max + 1):
+        assert lift_polytope(fans[: k + 1]).scaling == fraction_lift(fans[: k + 1])
+
+
+def _error_text(lift, fans) -> str:
+    with pytest.raises(EmptyAlphaInterval) as caught:
+        lift(fans)
+    return str(caught.value)
+
+
+def test_empty_interval_texts_match_the_fraction_oracle():
+    fans = build_subdivision_fans(2, 1)
+    rays = fans[1].rays
+    # A barycenter equal to ray 0, which caps it at its own lower end; and
+    # the first barycenter reversed, which points away from its parent facet.
+    twisted = SubdivisionFan(2, 1, rays[:3] + rays[:3], fans[1].cones, fans[1].parent)
+    reversed_ray = tuple(-x for x in rays[3])
+    outward = SubdivisionFan(
+        2, 1, rays[:3] + [reversed_ray] + rays[4:], fans[1].cones, fans[1].parent
+    )
+    texts = []
+    for broken in (twisted, outward):
+        text = _error_text(lift_polytope, [fans[0], broken])
+        assert text == _error_text(fraction_lift, [fans[0], broken])
+        texts.append(text)
+    assert texts == [
+        "no admissible scale at depth 1: (1, 1)",
+        "barycenter ray leaves through its own facet at depth 1",
+    ]
+
+
+def _height(normal, point) -> int:
+    """A positive multiple of <u, q> - 1, u = U / D and q = P / c, in integers."""
+    (u, d), (ints, c) = normal, point
+    return dot(u, ints) * c.denominator - d * c.numerator
+
+
+@pytest.mark.parametrize("n, k", [(2, 4), (3, 3), (4, 2)])
+def test_each_lifted_point_is_beyond_its_parent_facet_only(n, k):
+    # Replays the facet set on the integer normals of the lifted points: each
+    # new point lies strictly beyond the facet it subdivides and strictly
+    # beneath every other current facet, and each normal is tight at the n
+    # points of its cone.
+    fans = build_subdivision_fans(n, k)
+    scaling = lift_polytope(fans).scaling
+    ints, scales = integer_rows(fans[-1].rays)
+    points = [(v, s / alpha) for v, s, alpha in zip(ints, scales, scaling)]
+
+    def normal(cone):
+        u, d = _facet_normal([points[r] for r in cone])
+        assert d > 0 and math.gcd(*u, d) == 1
+        assert all(_height((u, d), points[r]) == 0 for r in cone)
+        return u, d
+
+    facets = {cone: normal(cone) for cone in fans[0].cones}
+    for depth in range(1, k + 1):
+        prev, fan = fans[depth - 1], fans[depth]
+        children = {}
+        for cone, parent in zip(fan.cones, fan.parent):
+            children.setdefault(parent, []).append(cone)
+        for ci, parent_cone in enumerate(prev.cones):
+            b = len(prev.rays) + ci
+            assert _height(facets.pop(parent_cone), points[b]) > 0
+            assert all(_height(f, points[b]) < 0 for f in facets.values())
+            for child in children[ci]:
+                facets[child] = normal(child)
+    assert set(facets) == set(fans[-1].cones)
+    for cone, f in facets.items():
+        assert all(_height(f, q) < 0 for i, q in enumerate(points) if i not in cone)
