@@ -81,9 +81,6 @@ class EnumerationResult:
     def bounded(self) -> bool:
         return not self.rays
 
-    def vertex_points(self) -> set[tuple[Fraction, ...]]:
-        return {v.point for v in self.vertices}
-
 
 def pivot_neighbors(
     p: HPolyhedron,

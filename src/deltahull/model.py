@@ -1,19 +1,20 @@
 """H-polyhedron model: {x : A x <= b} with exact rational data.
 
-Holds the instance type, kept in integers (each row and its right-hand side
-cleared once, on its own), plus the vertex-level primitives, all on Python
-ints no wider than the data: bases as (det, adj), points in lowest terms
-with their integer slacks, tight sets, basis solves, a ray-cast walk from a
-feasible point to a vertex, and the one pivot kernel (ratio test plus
-fraction-free basis swap) shared by the vertex enumeration and the exact
-simplex (Bland's rule), which serves phase one and the strict interior
-point from auxiliary systems built off the integer form. The ratio test's
-step is an integer pair, the ray cast carries an integer point and the
-linalg.off_span basis of its tight rows, and products of all rows with one
-vector run column by column. Vertices (VertexRecord) and LP points
+Holds the instance type, stored in integers only (each row and its
+right-hand side cleared once, on its own), plus the vertex-level
+primitives, all on Python ints no wider than the data: bases as (det, adj),
+points in lowest terms with their integer slacks, tight sets, basis solves,
+a ray-cast walk from a feasible point to a vertex, and the one pivot kernel
+(ratio test plus fraction-free basis swap) shared by the vertex enumeration
+and the exact simplex (Bland's rule), which serves phase one and the strict
+interior point from auxiliary systems built off the integer form. The ratio
+test's step is an integer pair, the ray cast carries an integer point and
+the linalg.off_span basis of its tight rows, and products of all rows with
+one vector run column by column. Vertices (VertexRecord) and LP points
 (Point) are integer records, in and out: only a given feasible point and
 phase one's start are cleared (rational_point), and a `Fraction` is built
-only to read `point` or `x` and for the rows as given (`a`, `b`). The LP
+only to read `point` or `x`, or the rows as given (`a`, `b`), which a
+system rebuilds from its integer form when a report reads them. The LP
 redundancy scan is the fallback hull.redundant_rows runs on a system with
 implicit equalities, whose redundant rows it cannot read off the walk.
 """
@@ -41,18 +42,16 @@ from .linalg import Basis, Vec, dot
 
 @dataclass(frozen=True)
 class HPolyhedron:
-    """Inequality system A x <= b with rank(A) = n (pointed).
+    """Inequality system A x <= b with rank(A) = n (pointed), stored in integers.
 
-    `a` and `b` are the rows as given. Row i is also kept as the same
-    half-space rhs_den[i] * ints[i] x <= rhs_num[i] in integers: ints[i] =
-    scales[i] * a[i] is the primitive integer multiple of a[i], and
-    rhs_num[i] / rhs_den[i] is scales[i] * b[i] in lowest terms,
+    Row i is the half-space rhs_den[i] * ints[i] x <= rhs_num[i]: ints[i] =
+    scales[i] * a[i] is the primitive integer multiple of the row a[i] as
+    given, and rhs_num[i] / rhs_den[i] is scales[i] * b[i] in lowest terms,
     rhs_den[i] > 0. The kernel, tight sets and ratio tests read this form,
-    which no positive scaling of (a_i, b_i) changes.
+    which no positive scaling of (a_i, b_i) changes. The rows as given, `a`
+    and `b`, are rebuilt from it exactly when first read, and kept.
     """
 
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
     name: str
     ints: tuple[tuple[int, ...], ...]
     scales: tuple[Fraction, ...]
@@ -61,11 +60,29 @@ class HPolyhedron:
 
     @property
     def m(self) -> int:
-        return len(self.a)
+        return len(self.ints)
 
     @property
     def n(self) -> int:
-        return len(self.a[0]) if self.a else 0
+        return len(self.ints[0]) if self.ints else 0
+
+    @cached_property
+    def a(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Row i as given, ints[i] / scales[i]: v q / p for scales[i] = p / q,
+        by Fraction's one-argument path, with no gcd, for an integral row (p = 1)."""
+        pairs = ((row, *s.as_integer_ratio()) for row, s in zip(self.ints, self.scales))
+        return tuple(
+            tuple(Fraction(v * q) for v in row) if p == 1 else tuple(Fraction(v * q, p) for v in row)
+            for row, p, q in pairs
+        )
+
+    @cached_property
+    def b(self) -> tuple[Fraction, ...]:
+        """b_i as given, rhs_num[i] / (rhs_den[i] * scales[i])."""
+        return tuple(
+            Fraction(r * s.denominator, d * s.numerator)
+            for r, d, s in zip(self.rhs_num, self.rhs_den, self.scales)
+        )
 
     @cached_property
     def cols(self) -> tuple[tuple[int, ...], ...]:
@@ -76,25 +93,17 @@ class HPolyhedron:
         terms = [map(mul, col, repeat(c)) for col, c in zip(self.cols, u) if c]
         return list(reduce(partial(map, add), terms)) if terms else [0] * self.m
 
-    def contains(self, x) -> bool:
-        """A x <= b, for a point of ints or Fractions."""
-        rows = zip(self.ints, self.rhs_num, self.rhs_den)
-        return all(q * dot(row, x) <= r for row, r, q in rows)
-
     def restrict(self, keep, name: str) -> "HPolyhedron":
         """The subsystem of the rows in `keep`, in their integer form as is."""
-        fields = (self.a, self.b, self.ints, self.scales, self.rhs_num, self.rhs_den)
-        a, b, ints, scales, rhs_num, rhs_den = (tuple(f[i] for i in keep) for f in fields)
-        return HPolyhedron(a, b, name, ints, scales, rhs_num, rhs_den)
+        fields = (self.ints, self.scales, self.rhs_num, self.rhs_den)
+        return HPolyhedron(name, *(tuple(f[i] for i in keep) for f in fields))
 
 
 def _system(a, b, name: str) -> HPolyhedron:
-    """Freeze rational rows, clearing each row and its scaled b_i once, alone."""
+    """Clear rational rows to integers, each row and its scaled b_i once, alone."""
     ints, scales = linalg.integer_rows(a)
-    rhs = [s * beta for s, beta in zip(scales, b)]
-    rhs_num = tuple(r.numerator for r in rhs)
-    rhs_den = tuple(r.denominator for r in rhs)
-    return HPolyhedron(tuple(map(tuple, a)), tuple(b), name, ints, scales, rhs_num, rhs_den)
+    rhs = ((s * beta).as_integer_ratio() for s, beta in zip(scales, b))  # (rhs_num, rhs_den)
+    return HPolyhedron(name, ints, scales, *map(tuple, zip(*rhs)))
 
 
 def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
@@ -353,9 +362,7 @@ def _auxiliary_system(p: HPolyhedron, sign: int, cap: int, name: str) -> HPolyhe
         row = row if small == 1 else tuple(small * v for v in row)
         rows.append((row + (sign * big,), Fraction(big), small // g * r, d // g))
     rows.append(((0,) * p.n + (sign,), Fraction(1), cap, 1))
-    t = Fraction(sign)
-    a = tuple(row + (t,) for row in p.a) + ((Fraction(0),) * p.n + (t,),)
-    return HPolyhedron(a, p.b + (Fraction(cap),), name, *zip(*rows))
+    return HPolyhedron(name, *zip(*rows))
 
 
 def phase_one(p: HPolyhedron) -> Point:

@@ -156,8 +156,8 @@ def load_instance_path(path: str) -> InstanceDocument:
 def dump_instance(p: HPolyhedron, feasible_point=None) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
-        "A": [[Fraction(x) for x in row] for row in p.a],
-        "b": [Fraction(x) for x in p.b],
+        "A": p.a,
+        "b": p.b,
     }
     if p.name:
         doc["name"] = p.name

@@ -131,8 +131,7 @@ def delta_max(ints, scales, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Row
 @dataclass
 class FanStats:
     """Exact statistics of a simplicial-cone family drawn from matrix rows;
-    each cone's |det| is an int pair (num, den > 0) in `cone_pairs`, and
-    only `cone_dets` turns them into Fractions, one per cone."""
+    each cone's |det| is an int pair (num, den > 0) in `cone_pairs`."""
 
     delta: Fraction
     witness: Rows
@@ -145,10 +144,6 @@ class FanStats:
     @property
     def n(self) -> int:
         return len(self.witness)
-
-    @property
-    def cone_dets(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(*pair) for pair in self.cone_pairs)
 
     @property
     def det_square_sum(self) -> Fraction:

@@ -175,8 +175,7 @@ def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
             assert len(scaling) == b
             scaling.append(alpha)
             points.append((ints, s / alpha))
-            for r in parent_cone:
-                child = tuple(sorted(set(parent_cone) - {r} | {b}))
+            for child in fan.cones[fan.n * ci : fan.n * (ci + 1)]:  # its n children, in order
                 facets[child] = _facet_normal([points[q] for q in child])
     final = fans[-1]
     assert set(facets) == set(final.cones)

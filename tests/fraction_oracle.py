@@ -23,7 +23,7 @@ from deltahull.errors import (
 )
 from deltahull.linalg import dot, to_vector
 
-from helpers import rank_exact, rows_of
+from helpers import contains, rank_exact, rows_of
 
 
 def rational_rhs(p):
@@ -59,7 +59,7 @@ def is_feasible_basis(p, rows):
         x = basis_vertex(p, rows)
     except SingularBasis:
         return False
-    return p.contains(x)
+    return contains(p, x)
 
 
 def ratio_test(p, rows, x, d):

@@ -1,21 +1,22 @@
-"""Test-only helpers with no caller in the package: a system's rational
-rows, a rational matrix builder and product, the forward Bareiss
-elimination behind the exact rank and determinant (the oracle of the
-package's Gram-Schmidt rank and adjugate), the exact solve and inverse, the
-Fraction lift of the subdivision fans (the oracle of
-subdivision.lift_polytope's integer facet scan), the Delta
-search that evaluates one Gram determinant per node (the oracle of
-stats.delta_max), the cone-determinant oracle, the skeleton-edge and
-redundant-row rank oracles, the Fraction-step ratio test and its work
-oracle, the unimodularizing transform with the minor count, the full minor
-scan and the per-cone distance certificate (the oracles of the CLI's
-total-unimodularity verdict and of stats.cone_distance_certificate), the
-per-cell box-scan counting oracle, the per-node BFS diameter oracle, the
-fan document loader, the report text of rationals past the str() digit
-limit, the capped-sum bucket bound behind acceptance criterion 10, the
-cone-fan adjacency graph, and the density and tightness experiments on the
-subdivision fans. Graphs are adjacency dicts {node: ascending neighbours},
-as graphs.build_polytope_graph returns them."""
+"""Test-only helpers with no caller in the package: a system's rational rows,
+a rational matrix builder and product, the forward Bareiss elimination
+behind the exact rank and determinant (the oracle of the package's
+Gram-Schmidt rank and adjugate), the exact solve and inverse, the Fraction
+lift of the subdivision fans (the oracle of subdivision.lift_polytope's
+integer facet scan), the Delta search that evaluates one Gram determinant
+per node (the oracle of stats.delta_max), the cone-determinant oracle, the
+readers that only tests need (point membership on a system's integer form,
+an enumeration's vertex points, a FanStats's cone determinants as
+Fractions), the skeleton-edge and redundant-row rank oracles, the
+Fraction-step ratio test and its work oracle, the unimodularizing transform
+with the minor count, the full minor scan and the per-cone distance
+certificate (the oracles of the CLI's total-unimodularity verdict and of
+stats.cone_distance_certificate), the per-cell box-scan counting oracle,
+the per-node BFS diameter oracle, the fan document loader, the report text
+of rationals past the str() digit limit, the capped-sum bucket bound behind
+acceptance criterion 10, the cone-fan adjacency graph, and the density and
+tightness experiments on the subdivision fans. Graphs are adjacency dicts
+{node: ascending neighbours}, as graphs.build_polytope_graph returns them."""
 
 import sys
 from collections import deque
@@ -305,6 +306,22 @@ def cone_dets(a, cones) -> dict[Rows, int]:
     return {c: abs(det_exact([ints[i] for i in c])) for c in cones}
 
 
+def contains(p, x) -> bool:
+    """A x <= b, for a point of ints or Fractions, read off p's integer form."""
+    rows = zip(p.ints, p.rhs_num, p.rhs_den)
+    return all(q * dot(row, x) <= r for row, r, q in rows)
+
+
+def vertex_points(result) -> set[tuple[Fraction, ...]]:
+    """The vertices of an enumeration as a set of Fraction points."""
+    return {v.point for v in result.vertices}
+
+
+def cone_det_fractions(fan: stats.FanStats) -> tuple[Fraction, ...]:
+    """Each cone's |det| in a FanStats, as a Fraction, in cone order."""
+    return tuple(Fraction(*pair) for pair in fan.cone_pairs)
+
+
 def rank_test_edges(p, result) -> set[tuple[int, int]]:
     """Oracle: vertices are adjacent iff their common tight rows have rank
     n-1 (the standard polytope edge characterization)."""
@@ -369,7 +386,7 @@ def ratio_work(p, result) -> tuple[int, int]:
 def box_scan_count(p, box) -> int:
     """|P intersect Z^n| within `box` by one membership test per cell: the
     slow exact oracle of counting.fibre_count."""
-    return sum(1 for x in product(*(range(lo, hi + 1) for lo, hi in box)) if p.contains(x))
+    return sum(1 for x in product(*(range(lo, hi + 1) for lo, hi in box)) if contains(p, x))
 
 
 def bfs_diameter(g: dict[int, list[int]]) -> int:

@@ -15,6 +15,8 @@ from deltahull.errors import DimensionMismatch, DuplicateRow, Infeasible, NotPoi
 from deltahull.hull import run_enumeration
 from deltahull.model import make_polyhedron, phase_one, rational_point, redundancy_scan
 
+from helpers import contains
+
 entries = st.integers(-4, 4)
 factors = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
 
@@ -67,7 +69,7 @@ def test_positive_row_scaling_changes_nothing(system, data):
         raise AssertionError("scaling made an empty system feasible")
     # Phase one's slack t is not scale-free, so each system finds its own
     # point; from one common point everything else must coincide.
-    assert q.contains(phase_one(q).x)
+    assert contains(q, phase_one(q).x)
     assert redundancy_scan(q, rational_point(q, x0)) == redundancy_scan(p, rational_point(p, x0))
     got, want = run_enumeration(q, x0), run_enumeration(p, x0)
     assert [(v.point, v.tight) for v in got.vertices] == [

@@ -4,8 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from deltahull.errors import ParseError
+from deltahull.errors import DimensionMismatch, DuplicateRow, NotPointed, ParseError
 from deltahull.serialize import (
     canonical_dumps,
     dump_fan,
@@ -16,7 +18,8 @@ from deltahull.serialize import (
     parse_rational,
     rational_str,
 )
-from deltahull.subdivision import build_subdivision_fans
+from deltahull.model import make_polyhedron
+from deltahull.subdivision import SubdivisionFan, build_subdivision_fans
 
 from conftest import square
 from helpers import load_fan_json, long_rational_text, rationalize
@@ -133,6 +136,68 @@ def test_fan_round_trip():
     assert loaded.rays == fan.rays
     assert loaded.cones == fan.cones
     assert loaded.parent == fan.parent
+    assert dump_fan(loaded) == text
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+row_scales = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def scaled_systems(draw):
+    """Up to 8 rows in up to 4 variables: row i is an integer row times a
+    row scale p/q, so the stored scale need not be an integer; b_i and the
+    feasible point are any small rationals."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 8))
+    rows = []
+    for _ in range(m):
+        ints = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        scale = draw(row_scales)
+        rows.append([v * scale for v in ints])
+    b = draw(st.lists(rationals, min_size=m, max_size=m))
+    point = draw(st.none() | st.lists(rationals, min_size=n, max_size=n))
+    return rows, b, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_systems(), st.sampled_from(["", "drawn"]))
+def test_instance_documents_round_trip(system, name):
+    rows, b, point = system
+    try:
+        p = make_polyhedron(rows, b, name=name)
+    except (DimensionMismatch, DuplicateRow, NotPointed):
+        assume(False)
+    text = dump_instance(p, feasible_point=point)
+    doc = load_instance_json(text)
+    assert doc.polyhedron == p
+    assert doc.feasible_point == point
+    assert dump_instance(doc.polyhedron, feasible_point=doc.feasible_point) == text
+    # the rows rebuilt from the integer form are the given Fractions
+    assert len(p.a) == len(rows) and len(p.b) == len(b)
+    for got, want in zip(p.a, rows):
+        assert len(got) == len(want)
+        assert all(type(x) is Fraction and x == y for x, y in zip(got, want))
+    assert all(type(x) is Fraction and x == y for x, y in zip(p.b, b))
+
+
+@st.composite
+def fans(draw):
+    """Rational rays in n = 2..4 and cones of n distinct sorted ray indices."""
+    n = draw(st.integers(2, 4))
+    rays = draw(st.lists(st.tuples(*[rationals] * n), min_size=n, max_size=8))
+    cone = st.lists(st.integers(0, len(rays) - 1), min_size=n, max_size=n, unique=True)
+    cones = draw(st.lists(cone.map(lambda c: tuple(sorted(c))), max_size=10))
+    parent = draw(st.lists(st.integers(-1, 20), min_size=len(cones), max_size=len(cones)))
+    return SubdivisionFan(n, draw(st.integers(0, 6)), rays, cones, parent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fans())
+def test_fan_documents_round_trip(fan):
+    text = dump_fan(fan)
+    loaded = load_fan_json(text)
+    assert loaded == fan
     assert dump_fan(loaded) == text
 
 

@@ -7,7 +7,11 @@ in the module, an attribute chain such as `model.phase_one` reading `model`.
 The package's `__init__.py` imports its layer modules for their side effect
 of loading them, so it is skipped. Every private top-level function (one
 name with a leading underscore) must be read somewhere in the package,
-outside its own definition, by name or as a module attribute.
+outside its own definition, by name or as a module attribute. Every public
+top-level function and class of the package, and every public method and
+property of those classes, must be read in the same way somewhere in the
+package or in `bench/`: a reader that only the tests call belongs in the
+tests.
 """
 
 import ast
@@ -16,6 +20,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "deltahull"
+BENCH = PACKAGE.parents[1] / "bench"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -46,27 +51,61 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def reads(node, name: str) -> bool:
-    """Whether the syntax node loads `name`, alone or as an attribute."""
-    if isinstance(node, ast.Name):
-        return isinstance(node.ctx, ast.Load) and node.id == name
-    return isinstance(node, ast.Attribute) and node.attr == name
+def loads(trees) -> dict[str, set[int]]:
+    """The ids of the nodes of `trees` that load each name, alone or as an
+    attribute."""
+    found: dict[str, set[int]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.setdefault(node.attr, set()).add(id(node))
+    return found
+
+
+def read_elsewhere(definition, found: dict[str, set[int]]) -> bool:
+    """Whether some load of the definition's name lies outside its body."""
+    own = {id(node) for node in ast.walk(definition)}
+    return not found.get(definition.name, set()) <= own
 
 
 def unread_private_functions(sources: dict[str, str]) -> list[str]:
     """The private top-level functions of `sources`, module name -> text,
     that no code in them reads outside the function's own definition."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    unread = []
-    for module, tree in trees.items():
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name[:1] != "_" or fn.name[:2] == "__":
-                continue
-            own = {id(node) for node in ast.walk(fn)}
-            nodes = (node for other in trees.values() for node in ast.walk(other))
-            if not any(id(node) not in own and reads(node, fn.name) for node in nodes):
-                unread.append(f"{module}.{fn.name}")
-    return sorted(unread)
+    found = loads(trees.values())
+    return sorted(
+        f"{module}.{fn.name}"
+        for module, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name[:1] == "_" and fn.name[:2] != "__"
+        and not read_elsewhere(fn, found)
+    )
+
+
+def public_definitions(tree):
+    """(qualified name, node) of each public top-level function and class of
+    a module, and of each public method and property of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[:1] != "_":
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and item.name[:1] != "_":
+                    yield f"{node.name}.{item.name}", item
+
+
+def unread_public_names(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The public names of `sources`, module name -> text, that no code in
+    them or in the `readers` texts reads outside the name's own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    found = loads([*trees.values(), *map(ast.parse, readers)])
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, definition in public_definitions(tree)
+        if not read_elsewhere(definition, found)
+    )
 
 
 def test_the_check_finds_an_unread_private_function():
@@ -80,3 +119,24 @@ def test_the_check_finds_an_unread_private_function():
 def test_no_unread_private_functions():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_private_functions(sources) == []
+
+
+def test_the_check_finds_an_unread_public_name():
+    sources = {
+        "a": (
+            "class Box:\n    def size(self):\n        return self.size()\n\n"
+            "    @property\n    def used(self):\n        pass\n\n"
+            "    def _private(self):\n        pass\n\n"
+            "def alone():\n    return alone\n\n"
+            "def caller():\n    pass\n"
+        ),
+    }
+    readers = ["from deltahull import a\na.caller(a.Box().used)\n"]
+    assert unread_public_names(sources, readers) == ["a.Box.size", "a.alone"]
+    assert unread_public_names(sources, []) == ["a.Box", "a.Box.size", "a.Box.used", "a.alone", "a.caller"]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text(encoding="utf-8") for p in BENCH.glob("*.py")]
+    assert unread_public_names(sources, readers) == []
