@@ -68,13 +68,9 @@ class HPolyhedron:
 
     @cached_property
     def a(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Row i as given, ints[i] / scales[i]: v q / p for scales[i] = p / q,
-        by Fraction's one-argument path, with no gcd, for an integral row (p = 1)."""
+        """Row i as given, ints[i] / scales[i]: v q / p for scales[i] = p / q."""
         pairs = ((row, *s.as_integer_ratio()) for row, s in zip(self.ints, self.scales))
-        return tuple(
-            tuple(Fraction(v * q) for v in row) if p == 1 else tuple(Fraction(v * q, p) for v in row)
-            for row, p, q in pairs
-        )
+        return tuple(tuple(Fraction(v * q, p) for v in row) for row, p, q in pairs)
 
     @cached_property
     def b(self) -> tuple[Fraction, ...]:
