@@ -10,7 +10,6 @@ the polyhedron, 5 bound violated, 6 unbounded, 7 budget exceeded.
 import argparse
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -100,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="subdivision depth")
     p.add_argument("--normalize", type=int, metavar="DIGITS", default=None,
                    help="also emit rays normalized to unit length at "
-                   "10^-DIGITS precision")
+                   "10^-DIGITS precision (DIGITS <= 308)")
     p.set_defaults(func=cmd_generate)
     return parser
 
@@ -208,7 +207,7 @@ class Analysis:
             self.p, self.result, self.cell_budget
         )
         try:
-            cost = asdict(counting.estimate_counting_cost(self.fan_stats))
+            cost = counting.estimate_counting_cost(self.fan_stats)
         except BudgetExceeded:
             cost = None
         return {
@@ -321,8 +320,9 @@ def run_instance(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.n < 2 or args.k < 0 or (args.normalize or 0) < 0:
-        _warn("generate needs --n >= 2, --k >= 0 and --normalize >= 0")
+    top = sys.float_info.max_10_exp  # normalize_rays scales by the float 10^DIGITS
+    if args.n < 2 or args.k < 0 or not 0 <= (args.normalize or 0) <= top:
+        _warn(f"generate needs --n >= 2, --k >= 0 and 0 <= --normalize <= {top}")
         return EXIT_PARSE
     fans = subdivision.build_subdivision_fans(args.n, args.k)
     lifted = subdivision.lift_polytope(fans)

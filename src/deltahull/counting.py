@@ -9,6 +9,7 @@ column maps instead of one membership test per cell.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
 from operator import floordiv, mul, sub
 
 from . import serialize
@@ -104,21 +105,20 @@ def count_integer_points_bruteforce(
     return CountReport(count=count, box=box, cells_scanned=cells)
 
 
-@dataclass
-class CostEstimate:
-    """Counting-cost figures from exact fan statistics.
+def estimate_counting_cost(stats: FanStats) -> dict:
+    """The report's counting-cost figures from exact fan statistics.
 
     `triangulation_cost` is n^4 * delta * |T| * sum of squared cone
-    determinants; `envelope` is the coarser n^n * delta^4 / delta_avg. The
-    floats are None past the float range (serialize.display_float).
+    determinants, the squares summed from the cone pairs over the lcm of
+    their denominators; `envelope` is the coarser n^n * delta^4 / delta_avg.
+    The floats are None past the float range (serialize.display_float).
     """
-
-    triangulation_cost: float | None
-    triangulation_cost_exact: Fraction
-    envelope: float | None
-
-
-def estimate_counting_cost(stats: FanStats) -> CostEstimate:
-    exact = Fraction(stats.n**4) * stats.delta * stats.cone_count * stats.det_square_sum
+    den = lcm(*(b for _, b in stats.cone_pairs))
+    squares = Fraction(sum((a * (den // b)) ** 2 for a, b in stats.cone_pairs), den * den)
+    exact = Fraction(stats.n**4) * stats.delta * stats.cone_count * squares
     envelope = Fraction(stats.n**stats.n) * stats.delta**4 / stats.delta_avg
-    return CostEstimate(serialize.display_float(exact), exact, serialize.display_float(envelope))
+    return {
+        "triangulation_cost": serialize.display_float(exact),
+        "triangulation_cost_exact": exact,
+        "envelope": serialize.display_float(envelope),
+    }

@@ -7,12 +7,12 @@ points in lowest terms with their integer slacks, tight sets, basis solves,
 a ray-cast walk from a feasible point to a vertex, and the one pivot kernel
 (ratio test plus fraction-free basis swap) shared by the vertex enumeration
 and the exact simplex (Bland's rule), which serves phase one and the strict
-interior point from auxiliary systems built off the integer form. The ratio
+interior point from one margin system built off the integer form. The ratio
 test's step is an integer pair, the ray cast carries an integer point and
 the linalg.off_span basis of its tight rows, and products of all rows with
 one vector run column by column. Vertices (VertexRecord) and LP points
 (Point) are integer records, in and out: only a given feasible point and
-phase one's start are cleared (rational_point), and a `Fraction` is built
+the margin LP's start are cleared (rational_point), and a `Fraction` is built
 only to read `point` or `x`, or the rows as given (`a`, `b`), which a
 system rebuilds from its integer form when a report reads them. The LP
 redundancy scan is the fallback hull.redundant_rows runs on a system with
@@ -323,14 +323,13 @@ def simplex_max(p: HPolyhedron, objective: Vec, start: Point):
     """Maximize <objective, x> over p from the feasible Point `start`.
 
     Ray-casts the start to a vertex and starts from its lexicographically
-    smallest independent tight basis, its tight set when the vertex is
-    simple. Exact simplex with Bland's anti-cycling rule: relax the smallest
-    basic row whose edge improves the objective; the entering row is the
-    smallest index attaining the minimum ratio. Returns ("optimal", Point)
-    or ("unbounded", direction).
+    smallest independent tight basis. Exact simplex with Bland's
+    anti-cycling rule: relax the smallest basic row whose edge improves the
+    objective; the entering row is the smallest index attaining the minimum
+    ratio. Returns ("optimal", Point) or ("unbounded", direction).
     """
     v = find_initial_vertex(p, start)
-    rows = v.tight if v.simple else tuple(_extend_independent(p, [], [], v.tight))
+    rows = tuple(_extend_independent(p, [], [], v.tight))
     basis = basis_adjugate(p, rows)
     while True:
         pt = scaled_point(p, *basis_solution(p, rows, basis))
@@ -346,50 +345,49 @@ def simplex_max(p: HPolyhedron, objective: Vec, start: Point):
         rows, basis = pivot(p, rows, basis, leaving, blocking[0])
 
 
-def _auxiliary_system(p: HPolyhedron, sign: int, cap: int, name: str) -> HPolyhedron:
-    """The system A x + sign t <= b, sign t <= cap over (x, t), sign = +-1,
-    straight from p's integer form: with scales[i] = P/Q, row i is the
-    primitive (Q ints_i, sign P), of scale P, and its right-hand side
-    P b_i = Q rhs_num[i] / rhs_den[i]."""
+def _auxiliary_system(p: HPolyhedron, cap: int) -> HPolyhedron:
+    """The margin system A x + s·1 <= b, s <= cap over (x, s), straight from
+    p's integer form: with scales[i] = P/Q, row i is the primitive
+    (Q ints_i, P), of scale P, and its right-hand side P b_i = Q rhs_num[i] /
+    rhs_den[i]."""
     rows = []
     for row, scale, r, d in zip(p.ints, p.scales, p.rhs_num, p.rhs_den):
         big, small = scale.numerator, scale.denominator
         g = gcd(small, d)
         row = row if small == 1 else tuple(small * v for v in row)
-        rows.append((row + (sign * big,), Fraction(big), small // g * r, d // g))
-    rows.append(((0,) * p.n + (sign,), Fraction(1), cap, 1))
-    return HPolyhedron(name, *zip(*rows))
+        rows.append((row + (big,), Fraction(big), small // g * r, d // g))
+    rows.append(((0,) * p.n + (1,), Fraction(1), cap, 1))
+    return HPolyhedron("margin", *zip(*rows))
+
+
+def _max_margin(p: HPolyhedron, cap: int) -> Point:
+    """The Point (x*, s*) maximizing s over the margin system from x = 0,
+    s = min(min b, cap). Raises Infeasible, naming t = -s*, if s* < 0: then
+    no x has A x <= b."""
+    q = _auxiliary_system(p, cap)
+    start = rational_point(q, [0] * p.n + [min(min(p.b), cap)])
+    status, opt = simplex_max(q, [0] * p.n + [1], start)
+    assert status == "optimal"  # s <= cap bounds the objective
+    if opt.num[-1] < 0:
+        from .serialize import rational_str  # writes past the str(int) limit; imports model
+        raise Infeasible(f"phase one optimum t = {rational_str(-opt.x[-1])} > 0")
+    return opt
 
 
 def phase_one(p: HPolyhedron) -> Point:
-    """Exact feasible Point of A x <= b, or raise Infeasible.
-
-    Minimizes the single slack t in the auxiliary system A x - t·1 <= b,
-    t >= 0 with Bland's rule; t* = 0 iff the original system is feasible.
-    """
-    worst = min(p.b)
-    if worst >= 0:
+    """Exact feasible Point of A x <= b, or raise Infeasible: the origin
+    when b >= 0, else the x of the margin optimum at cap 0, where s* = 0."""
+    if min(p.rhs_num) >= 0:  # rhs_num[i] has the sign of b_i
         return scaled_point(p, [0] * p.n, 1)
-    q = _auxiliary_system(p, -1, 0, "phase1")
-    start = rational_point(q, [0] * p.n + [-worst])
-    status, opt = simplex_max(q, [0] * p.n + [-1], start)  # max -t
-    assert status == "optimal"  # -t <= 0 bounds the objective
-    if opt.num[-1] > 0:
-        from .serialize import rational_str  # writes past the str(int) limit; imports model
-        raise Infeasible(f"phase one optimum t = {rational_str(opt.x[-1])} > 0")
+    opt = _max_margin(p, 0)
     return scaled_point(p, opt.num[:-1], opt.den)
 
 
 def strict_interior_point(p: HPolyhedron) -> Point | None:
-    """A Point with A x < b strictly, or None if the polyhedron is flat.
-
-    Maximizes t in A x + t·1 <= b, t <= 1 starting from phase one's point
-    at t = 0; the cap keeps the auxiliary problem bounded.
-    """
-    x0 = phase_one(p)
-    q = _auxiliary_system(p, 1, 1, "interior")
-    status, opt = simplex_max(q, [0] * p.n + [1], scaled_point(q, x0.num + (0,), x0.den))
-    assert status == "optimal"
+    """A Point with A x < b strictly, or None if the polyhedron is flat: one
+    LP, the margin optimum at cap 1, which raises phase one's Infeasible
+    when s* < 0 (the cap then is slack) and is flat when s* = 0."""
+    opt = _max_margin(p, 1)
     return scaled_point(p, opt.num[:-1], opt.den) if opt.num[-1] > 0 else None
 
 

@@ -145,11 +145,6 @@ class FanStats:
     def n(self) -> int:
         return len(self.witness)
 
-    @property
-    def det_square_sum(self) -> Fraction:
-        den = lcm(*(b for _, b in self.cone_pairs))
-        return Fraction(sum((a * (den // b)) ** 2 for a, b in self.cone_pairs), den * den)
-
 
 def triangulation_stats(
     ints, scales, cones: list[Rows], int_dets, budget: int = DEFAULT_BUDGET
@@ -240,7 +235,7 @@ class DistanceCertificate:
     row: int
 
     @property
-    def delta(self) -> float:
+    def distance(self) -> float:
         return float(self.sin_sq_min) ** 0.5
 
 
@@ -307,12 +302,12 @@ def verify_bounds(
         "passed": True,
         "sin_sq_min": cert.sin_sq_min,
         "floor": floor,
-        "delta_distance_float": cert.delta,
+        "delta_distance_float": cert.distance,
     }
     if diameter is None:
         bounds["tau-diameter"] = {"skipped": True, "reason": "unbounded instance"}
         return bounds
-    tau = cert.delta / n
+    tau = cert.distance / n
     bound = serialize.display_float(8 * n / tau * (1 + log(1 / tau))) if tau else None
     if bound is not None and diameter > bound * (1 + RELATIVE_SLACK):
         raise BoundViolated(f"diameter {diameter} above bound {bound}")

@@ -7,7 +7,7 @@ the kernel did before it ran on Python ints. A basis vertex is solved as
 Fractions (basis_vertex) and a basis is feasible iff that point satisfies
 every row (is_feasible_basis), the oracle of `hull.enumerate_all_bases_oracle`.
 The LP layer's oracle moves Fraction coordinates through the ray cast,
-solves each simplex basis afresh, and builds its auxiliary systems from
+solves each simplex basis afresh, and builds its one margin system from
 Fraction rows through `model._system`.
 """
 
@@ -156,7 +156,7 @@ def simplex_max(p, objective, x0):
     """model.simplex_max with Fraction points: the Fraction ray cast, then
     Bland's rule, each basis's (det, adj) and vertex solved afresh."""
     v = find_initial_vertex(p, x0)
-    rows = v.tight if v.simple else tuple(extend_independent(p, [], v.tight))
+    rows = tuple(extend_independent(p, [], v.tight))
     while True:
         det, adj = model.basis_adjugate(p, rows)
         x = basis_vertex(p, rows)
@@ -172,37 +172,32 @@ def simplex_max(p, objective, x0):
         rows = tuple(sorted([r for r in rows if r != leaving] + [blocking[0]]))
 
 
-def phase_one_system(p):
-    """A x - t <= b and -t <= 0 over (x, t), cleared row by row."""
-    rows = [r + [Fraction(-1)] for r in rows_of(p)]
-    rows.append([Fraction(0)] * p.n + [Fraction(-1)])
-    return model._system(rows, list(p.b) + [Fraction(0)], "phase1")
-
-
-def interior_system(p):
-    """A x + t <= b and t <= 1 over (x, t), cleared row by row."""
+def margin_system(p, cap):
+    """A x + s <= b and s <= cap over (x, s), cleared row by row."""
     rows = [r + [Fraction(1)] for r in rows_of(p)]
     rows.append([Fraction(0)] * p.n + [Fraction(1)])
-    return model._system(rows, list(p.b) + [Fraction(1)], "interior")
+    return model._system(rows, list(p.b) + [Fraction(cap)], "margin")
+
+
+def max_margin(p, cap):
+    """model._max_margin over margin_system with the Fraction simplex."""
+    start = [Fraction(0)] * p.n + [min(min(p.b), cap)]
+    objective = [Fraction(0)] * p.n + [Fraction(1)]
+    status, opt = simplex_max(margin_system(p, cap), objective, start)
+    assert status == "optimal"
+    if opt[-1] < 0:
+        raise Infeasible(f"phase one optimum t = {-opt[-1]} > 0")
+    return opt
 
 
 def phase_one(p):
-    """model.phase_one over phase_one_system with the Fraction simplex."""
-    worst = min(p.b)
-    if worst >= 0:
+    """model.phase_one: the origin when b >= 0, else the margin optimum at cap 0."""
+    if min(p.b) >= 0:
         return [Fraction(0)] * p.n
-    start = [Fraction(0)] * p.n + [-worst]
-    objective = [Fraction(0)] * p.n + [Fraction(-1)]
-    status, opt = simplex_max(phase_one_system(p), objective, start)
-    assert status == "optimal"
-    if opt[-1] > 0:
-        raise Infeasible(f"phase one optimum t = {opt[-1]} > 0")
-    return opt[: p.n]
+    return max_margin(p, 0)[: p.n]
 
 
 def strict_interior_point(p):
-    """model.strict_interior_point over interior_system with the Fraction simplex."""
-    objective = [Fraction(0)] * p.n + [Fraction(1)]
-    status, opt = simplex_max(interior_system(p), objective, phase_one(p) + [Fraction(0)])
-    assert status == "optimal"
+    """model.strict_interior_point: the margin optimum at cap 1."""
+    opt = max_margin(p, 1)
     return opt[: p.n] if opt[-1] > 0 else None

@@ -423,6 +423,14 @@ def test_generate_round_trip(capsys, tmp_path):
     assert len(report["vertices"]) == 6
 
 
+def test_generate_normalizes_up_to_the_float_range(capsys, tmp_path):
+    prefix = str(tmp_path / "wide")
+    code, _, _ = run_cli(capsys, ["generate", prefix, "--n", "2", "--k", "0", "--normalize", "308"])
+    assert code == 0
+    norm_doc = json.loads((tmp_path / "wide.rays-normalized.json").read_text(encoding="utf-8"))
+    assert norm_doc["digits"] == 308 and len(norm_doc["rays"]) == 3
+
+
 def test_generate_expected_diameter_matches_planar_dual(capsys, tmp_path):
     # Depth 2 is the first planar depth where the cycle diameter floor(3*2^k/2)
     # and 2^(k+1)-1 differ.
@@ -440,11 +448,12 @@ def test_generate_rejects_bad_parameters(capsys, tmp_path):
     assert code == 4
     code, _, err = run_cli(capsys, ["generate", str(tmp_path / "x"), "--n", "3", "--k", "-1"])
     assert code == 4
-    code, _, err = run_cli(
-        capsys, ["generate", str(tmp_path / "x"), "--n", "2", "--k", "1", "--normalize", "-1"]
-    )
-    assert code == 4
-    assert "Traceback" not in err
+    for digits in ("-1", "309"):  # 10^309 has no float
+        code, _, err = run_cli(
+            capsys, ["generate", str(tmp_path / "x"), "--n", "2", "--k", "1", "--normalize", digits]
+        )
+        assert code == 4
+        assert "Traceback" not in err
     for flag in (["--budget", "1"], ["--seed", "9"]):  # only the instance subcommands read them
         code, _, err = run_cli(
             capsys, ["generate", str(tmp_path / "x"), "--n", "2", "--k", "1", *flag]

@@ -254,10 +254,10 @@ def test_estimate_counting_cost_square():
     stats = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
     est = estimate_counting_cost(stats)
     # n^4 * delta * |T| * sum det^2 = 16 * 1 * 4 * 4.
-    assert est.triangulation_cost_exact == 256
-    assert est.triangulation_cost == 256.0
+    assert est["triangulation_cost_exact"] == 256
+    assert est["triangulation_cost"] == 256.0
     # n^n * delta^4 / delta_avg = 4 * 1 / 1.
-    assert est.envelope == 4.0
+    assert est["envelope"] == 4.0
 
 
 def test_estimate_counting_cost_scales_with_row_scaling():
@@ -270,9 +270,9 @@ def test_estimate_counting_cost_scales_with_row_scaling():
     n = 3
     # Every cone determinant gains 3^n: delta and each det^2 term scale.
     factor = Fraction(3**n) * Fraction(3 ** (2 * n))
-    assert scaled.triangulation_cost_exact == base.triangulation_cost_exact * factor
+    assert scaled["triangulation_cost_exact"] == base["triangulation_cost_exact"] * factor
     envelope_factor = Fraction(3 ** (4 * n)) / Fraction(3**n)
-    assert scaled.envelope == pytest.approx(base.envelope * float(envelope_factor))
+    assert scaled["envelope"] == pytest.approx(base["envelope"] * float(envelope_factor))
 
 
 def test_knapsack_bound_hand_example():

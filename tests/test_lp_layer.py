@@ -1,12 +1,14 @@
 """The LP layer on the integer kernel against its Fraction oracle.
 
-The auxiliary systems of phase one and of the strict interior point, built
-from a system's integer form, must equal the ones `model._system` clears from
-Fraction rows, field for field. Phase one, the ray cast, the strict interior
-point and the simplex must return the oracle's point (as an integer Point:
-its coordinates and its integer slacks), tight set, status and Infeasible
-message: on small rational systems, feasible or not, where the row scales
-are not integers, and on the fuzz generator's candidates, which are integer.
+The margin system that phase one and the strict interior point share, built
+from a system's integer form at either cap, must equal the one
+`model._system` clears from Fraction rows, field for field. Phase one, the
+ray cast, the strict interior point and the simplex must return the
+oracle's point (as an integer Point: its coordinates and its integer
+slacks), tight set, status and Infeasible message, the strict interior point
+also on infeasible systems: on small rational systems, feasible or not,
+where the row scales are not integers, and on the fuzz generator's
+candidates, which are integer. The strict interior point is one LP.
 """
 
 import random
@@ -52,18 +54,20 @@ def assert_point_is(p, pt, x):
 
 
 def assert_lp_layer_matches_oracle(p, objective):
-    assert model._auxiliary_system(p, -1, 0, "phase1") == oracle.phase_one_system(p)
-    assert model._auxiliary_system(p, 1, 1, "interior") == oracle.interior_system(p)
+    for cap in (0, 1):
+        assert model._auxiliary_system(p, cap) == oracle.margin_system(p, cap)
     x0 = outcome(model.phase_one, p)
     want = outcome(oracle.phase_one, p)
+    interior = outcome(model.strict_interior_point, p)
+    want_interior = outcome(oracle.strict_interior_point, p)
     if isinstance(want, tuple):
         assert x0 == want
+        assert interior == want_interior == want
         return False
     assert_point_is(p, x0, want)
-    interior, want = model.strict_interior_point(p), oracle.strict_interior_point(p)
-    assert (interior is None) == (want is None)
-    if want is not None:
-        assert_point_is(p, interior, want)
+    assert (interior is None) == (want_interior is None)
+    if want_interior is not None:
+        assert_point_is(p, interior, want_interior)
     v = model.find_initial_vertex(p, x0)
     want = oracle.find_initial_vertex(p, x0.x)
     assert (v.point, v.tight) == (want.point, want.tight)
@@ -107,13 +111,49 @@ def test_lp_layer_matches_fraction_oracle_on_fuzz_candidates():
     assert feasible > 100 and infeasible > 10
 
 
-@pytest.mark.parametrize("sign,cap", [(-1, 0), (1, 1)])
-def test_auxiliary_rows_are_primitive_with_integer_scales(sign, cap):
+@pytest.mark.parametrize("cap", [0, 1])
+def test_auxiliary_rows_are_primitive_with_integer_scales(cap):
     p = model.make_polyhedron([[Fraction(2, 3), Fraction(4, 9)], [1, -1], [0, Fraction(-5, 2)]],
                               [Fraction(7, 6), 2, Fraction(1, 4)])
-    q = model._auxiliary_system(p, sign, cap, "aux")
-    # row 0: (2/3, 4/9) has scale 9/2, so (a_0, sign) clears to (6, 4, 9 sign) over scale 9
-    assert q.ints[0] == (6, 4, 9 * sign) and q.scales[0] == 9
+    q = model._auxiliary_system(p, cap)
+    # row 0: (2/3, 4/9) has scale 9/2, so (a_0, 1) clears to (6, 4, 9) over scale 9
+    assert q.ints[0] == (6, 4, 9) and q.scales[0] == 9
     assert (q.rhs_num[0], q.rhs_den[0]) == (21, 2)  # 9 * 7/6
-    assert q.ints[-1] == (0, 0, sign) and (q.rhs_num[-1], q.rhs_den[-1]) == (cap, 1)
-    assert q.a[-1] == (0, 0, sign) and q.b == p.b + (cap,)
+    assert q.ints[-1] == (0, 0, 1) and (q.rhs_num[-1], q.rhs_den[-1]) == (cap, 1)
+    assert q.a[-1] == (0, 0, 1) and q.b == p.b + (cap,)
+
+
+def count_simplex_calls(monkeypatch):
+    calls = []
+    simplex_max = model.simplex_max
+
+    def counted(*args):
+        calls.append(args)
+        return simplex_max(*args)
+
+    monkeypatch.setattr(model, "simplex_max", counted)
+    return calls
+
+
+def test_strict_interior_point_runs_one_lp(monkeypatch):
+    # the box 1 <= x <= 3, 1 <= y <= 3 has b_i < 0, so phase one would need an LP of its own
+    p = model.make_polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [3, -1, 3, -1])
+    calls = count_simplex_calls(monkeypatch)
+    interior = model.strict_interior_point(p)
+    assert len(calls) == 1
+    assert min(interior.slack) > 0
+
+
+@pytest.mark.parametrize("rows,b", [
+    ([[1, 0], [-1, 0], [0, 1]], [1, -2, 0]),  # x <= 1 and x >= 2
+    ([[Fraction(1, 2), 1], [-1, -2], [1, -1]], [Fraction(-1, 3), Fraction(-1, 2), 4]),
+])
+def test_strict_interior_point_raises_phase_ones_infeasible(monkeypatch, rows, b):
+    p = model.make_polyhedron(rows, b)
+    with pytest.raises(Infeasible) as phase_one:
+        model.phase_one(p)
+    calls = count_simplex_calls(monkeypatch)
+    with pytest.raises(Infeasible) as interior:
+        model.strict_interior_point(p)
+    assert str(interior.value) == str(phase_one.value)
+    assert len(calls) == 1

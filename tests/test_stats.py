@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from deltahull import stats as dstats
 from deltahull import subdivision
+from deltahull.counting import estimate_counting_cost
 from deltahull.errors import (
     BoundViolated,
     BudgetExceeded,
@@ -286,7 +287,7 @@ def test_triangulation_stats_square():
     assert stats.delta_avg == 1
     assert stats.cone_count == 4
     assert stats.fan_volume == 2
-    assert stats.det_square_sum == 4
+    assert stats.cone_pairs == ((1, 1),) * 4
 
 
 def test_triangulation_stats_volume_identity():
@@ -352,14 +353,16 @@ def test_integer_fan_stats_match_the_fraction_sums(fan):
     assert got.delta_avg == total / len(dets)
     assert got.delta_min == min(dets)
     assert got.fan_volume == total / math.factorial(len(ints[0]))
-    assert got.det_square_sum == sum(d * d for d in dets)
+    squares = sum(d * d for d in dets)
+    cost = estimate_counting_cost(got)["triangulation_cost_exact"]
+    assert cost == len(ints[0]) ** 4 * got.delta * len(cones) * squares
     assert got.cone_count == len(cones)
     assert (got.delta, got.witness) == delta_max(ints, scales, DEFAULT_BUDGET)
 
 
 def test_triangulation_stats_builds_no_fraction_per_cone(bench_duals, monkeypatch):
     """Five Fractions whatever the cone count: two in the Delta search, and
-    delta_avg, delta_min and fan_volume; det_square_sum builds one more."""
+    delta_avg, delta_min and fan_volume."""
     p, result = bench_duals["dual-n4k2"]
     t = result.triangulation
     assert len(t) > 50
@@ -372,12 +375,9 @@ def test_triangulation_stats_builds_no_fraction_per_cone(bench_duals, monkeypatc
     monkeypatch.setattr(dstats, "Fraction", counted)
     fan = triangulation_stats(p.ints, p.scales, t.cones, t.dets)
     assert len(built) == 5
-    squares = fan.det_square_sum
-    assert len(built) == 6
     monkeypatch.undo()
     dets = tuple(abs_det(p.ints, p.scales, c) for c in t.cones)
     assert cone_det_fractions(fan) == dets
-    assert squares == sum(d * d for d in dets)
 
 
 def test_unit_ball_volume_known_values():
@@ -493,7 +493,7 @@ def test_local_delta_distance_identity_rows():
     a = to_matrix([[1, 0], [0, 1]])
     cert = local_delta_distance(a, [(0, 1)])
     assert cert.sin_sq_min == 1
-    assert cert.delta == pytest.approx(1.0)
+    assert cert.distance == pytest.approx(1.0)
 
 
 def test_local_delta_distance_sheared_pair():
@@ -501,7 +501,7 @@ def test_local_delta_distance_sheared_pair():
     cert = local_delta_distance(a, [(0, 1)])
     # Row (1,0) against span((1,1)): angle 45 degrees, sin^2 = 1/2.
     assert cert.sin_sq_min == Fraction(1, 2)
-    assert cert.delta == pytest.approx(math.sqrt(0.5))
+    assert cert.distance == pytest.approx(math.sqrt(0.5))
     assert cert.basis == (0, 1)
 
 

@@ -32,11 +32,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "deltahull"
 BENCH = PACKAGE.parents[1] / "bench"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# Each read on its own class: t.cones and fan.cones; cert.delta and
-# fan_stats.delta; p.n, stats.n and fan.n.
+# Each read on its own class: t.cones and fan.cones; p.n, stats.n and fan.n.
 SHARED_MEMBERS = {
     "cones": ["hull.Triangulation.cones", "subdivision.SubdivisionFan.cones"],
-    "delta": ["stats.DistanceCertificate.delta", "stats.FanStats.delta"],
     "n": ["model.HPolyhedron.n", "stats.FanStats.n", "subdivision.SubdivisionFan.n"],
 }
 
