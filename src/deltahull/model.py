@@ -8,7 +8,8 @@ a ray-cast walk from a feasible point to a vertex, and the one pivot kernel
 (ratio test plus fraction-free basis swap) shared by the vertex enumeration
 and the exact simplex (Bland's rule), which serves phase one and the strict
 interior point from one margin system built off the integer form. The ratio
-test's step is an integer pair, the ray cast carries an integer point and
+test's step is an integer pair, and the ray cast, the simplex and the walk
+end each move by one rule, step_point and step_tight. The ray cast carries an integer point and
 the linalg.off_span basis of its tight rows, and products of all rows with
 one vector run column by column. Vertices (VertexRecord) and LP points
 (Point) are integer records, in and out: only a given feasible point and
@@ -241,9 +242,11 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> VertexRecord:
     along the move, so an independent basis of them grows by the newly
     tight rows alone; each move adds at least one, so at most n happen.
     The basis is kept orthogonalized in integers, so a rank test or a
-    projection is one pass over it. The walk carries the integer Point: a
-    step s / q along d from num / den lands on (num (q / den) + s d) / q, q a
-    multiple of den. The vertex reached is returned as its integer record.
+    projection is one pass over it. Each move is the walk's one move rule:
+    step_point gives the far point and step_tight its tight set, read off
+    the ratio test, so only the start's slacks are scanned (tight_set, which
+    rejects an infeasible start). The vertex reached is returned as its
+    integer record.
     """
     tight = tight_set(p, pt)
     ortho: list = []
@@ -251,18 +254,15 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> VertexRecord:
     while len(basis) < p.n:
         d = next(d for d in (linalg.off_span(e, ortho) for e in linalg.identity(p.n)) if any(d))
         rates = p.products(d)
-        step = min_ratio(p, (), pt, rates)[0]
+        step, blocking, _ = min_ratio(p, (), pt, rates)
         if step is None:
-            d = [-t for t in d]
-            step = min_ratio(p, (), pt, [-w for w in rates])[0]
+            d, rates = [-t for t in d], [-w for w in rates]
+            step, blocking, _ = min_ratio(p, (), pt, rates)
             if step is None:
                 raise UnboundedLine("polyhedron contains a line despite rank n")
-        s, q = step
-        k = q // pt.den
-        pt = scaled_point(p, [v * k + s * t for v, t in zip(pt.num, d)], q)
-        fresh = tight_set(p, pt)
-        basis = _extend_independent(p, basis, ortho, sorted(set(fresh) - set(tight)))
-        tight = fresh
+        pt = step_point(p, pt, step, d)
+        basis = _extend_independent(p, basis, ortho, blocking)
+        tight = step_tight(tight, rates, blocking)
     return VertexRecord(pt.num, pt.den, tight)
 
 
@@ -296,6 +296,22 @@ def min_ratio(p: HPolyhedron, rows, pt: Point, rates):
     return (best_s, pt.den * best_w), blocking, len(live)
 
 
+def step_point(p: HPolyhedron, pt: Point, step: tuple[int, int], u) -> Point:
+    """The Point a step (s, q) along the integer direction u from pt lands on,
+    (num (q / den) + s u) / q; min_ratio makes q a multiple of pt.den."""
+    s, q = step
+    k = q // pt.den
+    return scaled_point(p, [v * k + s * t for v, t in zip(pt.num, u)], q)
+
+
+def step_tight(tight, rates, blocking) -> tuple[int, ...]:
+    """The tight set after a positive step: the rows of `tight` with zero
+    rate and the blocking rows min_ratio returned. A tight row of positive
+    rate would have made the step zero, and one of negative rate gains
+    slack, so the far slacks need no scan."""
+    return tuple(sorted([i for i in tight if not rates[i]] + blocking))
+
+
 def pivot(
     p: HPolyhedron, rows: tuple[int, ...], basis: Basis, leaving: int, entering: int
 ):
@@ -322,17 +338,19 @@ def pivot(
 def simplex_max(p: HPolyhedron, objective: Vec, start: Point):
     """Maximize <objective, x> over p from the feasible Point `start`.
 
-    Ray-casts the start to a vertex and starts from its lexicographically
-    smallest independent tight basis. Exact simplex with Bland's
-    anti-cycling rule: relax the smallest basic row whose edge improves the
-    objective; the entering row is the smallest index attaining the minimum
-    ratio. Returns ("optimal", Point) or ("unbounded", direction).
+    Ray-casts the start to a vertex and starts from its record: its point
+    and the lexicographically smallest independent basis of its tight rows.
+    Exact simplex with Bland's anti-cycling rule: relax the smallest basic
+    row whose edge improves the objective; the entering row is the smallest
+    index attaining the minimum ratio. A positive step moves the point by
+    step_point, a degenerate one keeps it, so no basis is solved. Returns
+    ("optimal", Point) or ("unbounded", direction).
     """
     v = find_initial_vertex(p, start)
+    pt = scaled_point(p, v.num, v.den)
     rows = tuple(_extend_independent(p, [], [], v.tight))
     basis = basis_adjugate(p, rows)
     while True:
-        pt = scaled_point(p, *basis_solution(p, rows, basis))
         for pos, leaving in enumerate(rows):
             u = [-line[pos] for line in basis[1]]
             if dot(objective, u) > 0:
@@ -343,6 +361,8 @@ def simplex_max(p: HPolyhedron, objective: Vec, start: Point):
         if step is None:
             return "unbounded", u
         rows, basis = pivot(p, rows, basis, leaving, blocking[0])
+        if step[0]:
+            pt = step_point(p, pt, step, u)
 
 
 def _auxiliary_system(p: HPolyhedron, cap: int) -> HPolyhedron:

@@ -168,7 +168,7 @@ def test_pivot_neighbors_square_fixed_pivot():
     x = rational_point(p, [Fraction(1), Fraction(1)])
     pivots = pivot_neighbors(p, rows, basis, x)
     assert len(pivots) == 2
-    by_leaving = {leaving: (entering, step, u) for leaving, entering, step, u in pivots}
+    by_leaving = {leaving: (entering, step, u) for leaving, entering, step, u, _ in pivots}
     entering, step, u = by_leaving[0]
     assert entering == 2
     assert step == 1
@@ -184,8 +184,8 @@ def test_pivot_neighbors_reports_rays_on_unbounded_cone():
     rows = (0, 1)
     basis = basis_adjugate(p, rows)
     pivots = pivot_neighbors(p, rows, basis, rational_point(p, [Fraction(0), Fraction(0)]))
-    assert all(entering is None and step is None for _, entering, step, _ in pivots)
-    assert {tuple(u) for _, _, _, u in pivots} == {(1, 0), (0, 1)}
+    assert all(entering is None and step is None for _, entering, step, _, _ in pivots)
+    assert {tuple(u) for _, _, _, u, _ in pivots} == {(1, 0), (0, 1)}
 
 
 def test_pivot_neighbors_charges_ratio_test_work():
@@ -284,7 +284,7 @@ def test_pivot_edges_separate_moves_from_degenerate_stays():
         x = rational_point(p, list(v.point))
         for rows in cones:
             basis = basis_adjugate(p, rows)
-            for leaving, entering, step, _ in pivot_neighbors(p, rows, basis, x):
+            for leaving, entering, step, _, _ in pivot_neighbors(p, rows, basis, x):
                 reached = tuple(basis_vertex(p, target_basis(rows, leaving, entering)))
                 if step > 0:
                     assert reached != v.point
@@ -370,7 +370,7 @@ def assert_work_and_closure(p, result):
     for rows in visited:
         basis = basis_adjugate(p, rows)
         pt = scaled_point(p, *basis_solution(p, rows, basis))
-        for leaving, entering, _, _ in pivot_neighbors(p, rows, basis, pt):
+        for leaving, entering, _, _, _ in pivot_neighbors(p, rows, basis, pt):
             if entering is not None:
                 assert target_basis(rows, leaving, entering) in visited, p.name
 

@@ -202,7 +202,9 @@ def test_points_are_in_lowest_terms_with_per_row_slacks(system, data):
 def test_subdivision_dual_enumeration_stays_near_the_data_width(monkeypatch):
     """The n=2, k=5 dual: right-hand sides of at most 236 bits; no slack,
     vertex numerator or denominator of its enumeration above 600 bits (one
-    denominator over all rows made them 2,604 bits wide)."""
+    denominator over all rows made them 2,604 bits wide). Each point is
+    recorded twice: as model.step_point builds it, (num (q / den) + s u) / q
+    before its gcd is divided out, and in lowest terms with its slacks."""
     fans = subdivision.build_subdivision_fans(2, 5)
     p = subdivision.lift_polytope(fans).dual_polyhedron()
     assert (p.m, p.n) == (96, 2)
@@ -210,17 +212,12 @@ def test_subdivision_dual_enumeration_stays_near_the_data_width(monkeypatch):
     widest = []
 
     def recording(p, num, den):
+        widest.append(max(abs(v).bit_length() for v in (*num, den)))
         pt = scaled_point(p, num, den)
         widest.append(max(abs(v).bit_length() for v in (*pt.slack, *pt.num, pt.den)))
         return pt
 
-    def recording_solution(p, rows, basis):
-        num, den = basis_solution(p, rows, basis)
-        widest.append(max(abs(v).bit_length() for v in (*num, den)))
-        return num, den
-
     monkeypatch.setattr(model, "scaled_point", recording)
-    monkeypatch.setattr(model, "basis_solution", recording_solution)
     result = hull.run_enumeration(p, [Fraction(0)] * 2)
     assert len(result.vertices) == 96
     assert len(widest) > 2 * 96
