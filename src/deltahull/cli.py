@@ -320,7 +320,7 @@ def run_instance(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    top = sys.float_info.max_10_exp  # normalize_rays scales by the float 10^DIGITS
+    top = 308  # the documented --normalize cap; normalize_rays itself is exact at any width
     if args.n < 2 or args.k < 0 or not 0 <= (args.normalize or 0) <= top:
         _warn(f"generate needs --n >= 2, --k >= 0 and 0 <= --normalize <= {top}")
         return EXIT_PARSE

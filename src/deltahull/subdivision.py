@@ -15,7 +15,7 @@ facets in integers; each new ray costs one Fraction scale.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, sqrt
+from math import gcd, isqrt, lcm
 
 from . import linalg, model
 from .errors import EmptyAlphaInterval
@@ -183,14 +183,18 @@ def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
 
 
 def normalize_rays(rays: list[Point], digits: int) -> list[Point]:
-    """Rays rescaled to unit length, entries rounded to 10^-digits."""
+    """Rays rescaled to unit length, each entry X_i / |X| rounded to the
+    nearest multiple of 10^-digits, halves away from zero, exactly: with X
+    cleared to the integer vector Y, S = sum Y_j^2 and T = 10^digits, the
+    entry is round(|Y_i| T / sqrt(S)) = (isqrt(4 Y_i^2 T^2 // S) + 1) // 2,
+    signed as Y_i."""
     scale = 10**digits
     out = []
     for ray in rays:
-        norm = sqrt(sum(float(x) * float(x) for x in ray))
-        if norm == 0:
+        ints, _ = linalg.integer_row(ray)
+        norm2 = dot(ints, ints)
+        if norm2 == 0:
             raise ValueError("zero ray cannot be normalized")
-        out.append(
-            tuple(Fraction(round(float(x) / norm * scale), scale) for x in ray)
-        )
+        rounded = ((isqrt(4 * (y * scale) ** 2 // norm2) + 1) // 2 for y in ints)
+        out.append(tuple(Fraction(r if y >= 0 else -r, scale) for r, y in zip(rounded, ints)))
     return out

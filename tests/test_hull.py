@@ -383,6 +383,37 @@ def test_ratio_work_matches_fresh_ratio_tests_on_corpora(corpus_analysis, bench_
         assert_work_and_closure(p, result)
 
 
+def test_the_walk_neither_solves_nor_rescans_a_vertex(bench_duals, monkeypatch):
+    """Kernel calls per enumeration of the simple benchmark duals: no basis
+    solve, one tight-set scan (the ray cast's start), and one slack vector
+    per ray-cast move and per vertex. Every move ends where its ratio test
+    says, so a walk that re-solved or rescanned each vertex would fail."""
+    calls = Counter()
+
+    def counting(name):
+        core = getattr(model, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return core(*args)
+
+        return counted
+
+    for name in ("basis_solution", "tight_set", "scaled_point"):
+        monkeypatch.setattr(model, name, counting(name))
+    for p, reference in bench_duals.values():
+        start = rational_point(p, [Fraction(0)] * p.n)
+        calls.clear()
+        model.find_initial_vertex(p, start)
+        moves = calls["scaled_point"]
+        assert 0 < moves <= p.n and calls["tight_set"] == 1, p.name
+        calls.clear()
+        result = enumerate_vertices(p, start)
+        assert all(v.simple for v in result.vertices), p.name
+        assert result.vertices == reference.vertices, p.name
+        assert calls == {"tight_set": 1, "scaled_point": moves + len(result.vertices)}, p.name
+
+
 def ratio_tests_run(p, v0):
     """The enumeration from the vertex v0 and the number of ratio tests it
     ran; the ray cast from a vertex runs none."""
@@ -451,6 +482,57 @@ def test_enumeration_matches_its_oracles_on_small_systems(system):
     got = {v.point: v.tight for v in result.vertices}
     assert got == {v.point: v.tight for v in oracle.vertices}
     assert result.edges == rank_test_edges(p, result)
+    assert_work_and_closure(p, result)
+
+
+@st.composite
+def combined_systems(draw):
+    """A boxed simple polytope, n in {2, 3}, and for one vertex v with tight
+    rows B, one to three distinct positive integer combinations of two or
+    more rows of B, each tight at v. v turns degenerate, and a combination
+    of rows that stay tight along an edge out of v has zero rate along it:
+    the far end keeps it in its tight set and is degenerate too."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(n + 1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    for j in range(n):
+        for sign in (1, -1):
+            rows.append([sign * (t == j) for t in range(n)])
+            b.append(3)
+    try:
+        simple = enumerate_all_bases_oracle(make_polyhedron(rows, b))
+    except (DimensionMismatch, DuplicateRow):
+        assume(False)
+    assume(all(v.simple for v in simple.vertices))
+    tight = draw(st.sampled_from(simple.vertices)).tight
+    for _ in range(draw(st.integers(1, 3))):
+        subset = draw(st.lists(st.sampled_from(tight), min_size=2, max_size=n, unique=True))
+        coef = draw(st.lists(st.integers(1, 3), min_size=len(subset), max_size=len(subset)))
+        rows.append([sum(c * rows[i][t] for c, i in zip(coef, subset)) for t in range(n)])
+        b.append(sum(c * b[i] for c, i in zip(coef, subset)))
+    try:
+        return make_polyhedron(rows, b)
+    except DuplicateRow:  # two combinations coincide up to scaling
+        assume(False)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(combined_systems())
+def test_far_tight_sets_keep_the_zero_rate_rows_of_degenerate_vertices(p):
+    """The walk reads each far tight set off the ratio test: the near tight
+    rows of zero rate plus the blocking rows. It must equal a fresh scan of
+    the far slacks, and the vertices and work counters must stay those of
+    the oracles."""
+    result = run_enumeration(p)
+    assert not all(v.simple for v in result.vertices)
+    for v in result.vertices:
+        assert v.tight == model.tight_set(p, scaled_point(p, v.num, v.den))
+    assert vertex_points(result) == enumerate_all_bases_oracle(p).vertex_points()
     assert_work_and_closure(p, result)
 
 

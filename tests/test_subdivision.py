@@ -190,6 +190,17 @@ def test_normalize_rays_examples():
     target = 1 / math.sqrt(2)
     for coord in out[0]:
         assert abs(float(coord) - target) <= 10**-6
+    # Exact at any width: each entry R / 10^30 is 10^30 / sqrt(2) rounded,
+    # (2R - 1)^2 <= 2 * 10^60 <= (2R + 1)^2, so the length misses 1 by at most
+    # sqrt(2) * 10^-30 (a float norm missed it by 7.6e-17).
+    out = normalize_rays([(Fraction(1), Fraction(1))], digits=30)
+    for coord in out[0]:
+        r = coord * 10**30
+        assert r.denominator == 1 and (2 * r - 1) ** 2 <= 2 * 10**60 <= (2 * r + 1) ** 2
+    assert abs(sum(c * c for c in out[0]) - 1) <= Fraction(3, 2 * 10**30)
+    assert normalize_rays([(Fraction(-1), Fraction(-1))], digits=30) == [
+        tuple(-c for c in out[0])
+    ]
     with pytest.raises(ValueError):
         normalize_rays([(Fraction(0), Fraction(0))], digits=3)
 
