@@ -9,16 +9,13 @@ and each simplex becomes a node, pushed once. Pivoting from a node, a basis
 held as (det, adj), runs the integer ratio test on its vertex's slacks;
 positive steps cross edges of the polyhedron, zero steps move between bases
 of the same vertex, and an empty ratio test marks an unbounded edge. A move
-ends where its ratio test says, by the one rule the ray cast and the simplex
-share: the far point is the step taken (model.step_point), its tight set the
-near tight rows of zero rate plus the blocking rows (model.step_tight), so
-no basis is solved and no slack rescanned, and a new vertex's slacks are
-built once. Each edge's ratio test runs once when one end is a simple
-vertex: the test back from the far end can only return to the basis it came
-from, so that basis skips it and is charged the hits it would have found.
-The (det, adj) pair of every basis popped is kept, so the cone determinants
-and the cone distances of the wideness certificate need no second
-elimination.
+ends where its ratio test says (model.step_point, model.step_tight), so no
+basis is solved and no slack rescanned. Each edge's ratio test runs once
+when one end is a simple vertex: the test back from the far end can only
+return to the basis it came from, so that basis skips it and is charged the
+hits it would have found. The (det, adj) pair of every basis popped is
+kept, so the cone determinants and the cone distances of the wideness
+certificate need no second elimination.
 The result is the skeleton walked: vertices, vertex pairs joined by a
 positive-step pivot, primitive integer rays; a vertex is named by its
 position in the vertex list and held as an integer `VertexRecord`, so the
@@ -97,17 +94,17 @@ def pivot_neighbors(
     back: dict[int, int] | None = None,
     tight: Rows | None = None,
 ) -> list[tuple[int, int | None, int | None, list[int], tuple | None]]:
-    """All pivots out of a feasible basis (det, adj) at its vertex pt, whose
-    tight set is `tight` (read off pt's slacks when not given).
+    """All pivots out of a feasible basis (det, adj) at its vertex pt, of
+    tight set `tight` (read off pt's slacks when not given).
 
     Each is (leaving, entering, step, u, far): u = -adj[:, pos] is det times
     the edge direction, and the integer ratio test picks every row attaining
     the minimal step along u (ties at a degenerate vertex each yield a pivot;
     a zero step stays at pt). `step` is the integer numerator of that step,
     positive across an edge and zero at a stay, never built as a Fraction.
-    `far` is None at a stay, else the far vertex as the ratio test gives it:
-    the step as the pair (s, q) for model.step_point, and the far tight set
-    by model.step_tight. Entering, step and far are None on an unbounded edge.
+    `far` is None at a stay, else the step pair (s, q) for model.step_point
+    and the far tight set by model.step_tight. Entering, step and far are
+    None on an unbounded edge.
     The ratio_mults charged to `counters` stay the paper's per-basis cost model,
     n * (m - n + hits) per leaving row: n multiplications per rate and n per
     ratio. The report keeps that figure, though the integer kernel does less
@@ -117,10 +114,10 @@ def pivot_neighbors(
     hits: those positions are skipped and yield no pivot, but are charged
     n * (m - n + hits) all the same. `back`, if given, receives for each
     leaving row with a positive step the hits of the test back along that
-    edge from its far end, #{i : ints_i u < 0}, which is m - hits less the
-    rows of zero rate, as no basis row has positive rate along u. When pt is
-    simple, that reverse test is decided: only the leaving row attains its
-    minimum, so it pivots back to this basis.
+    edge from its far end, #{i : ints_i u < 0} = m - hits - #{i : ints_i u = 0}
+    (no basis row has positive rate along u). When pt is simple, that reverse
+    test is decided: only the leaving row attains its minimum, so it pivots
+    back to this basis.
     """
     n = p.n
     tight = model.tight_set(p, pt) if tight is None else tight
@@ -133,16 +130,14 @@ def pivot_neighbors(
         u = [-line[pos] for line in basis[1]]
         rates = p.products(u)
         pair, blocking, hits = model.min_ratio(p, rows, pt, rates)
+        step = pair and pair[0]
         mults += n * (p.m - n + hits)
-        if pair is None:
+        far = (pair, model.step_tight(tight, rates, blocking)) if step else None
+        if back is not None and step:
+            back[leaving] = p.m - hits - rates.count(0)
+        if step is None:
             pivots.append((leaving, None, None, u, None))
-            continue
-        far = None
-        if pair[0]:
-            far = (pair, model.step_tight(tight, rates, blocking))
-            if back is not None:
-                back[leaving] = p.m - hits - rates.count(0)
-        pivots += [(leaving, i, pair[0], u, far) for i in blocking]
+        pivots += [(leaving, i, step, u, far) for i in blocking]
     if counters is not None:
         counters.charge(mults)
     return pivots
@@ -239,10 +234,9 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
         basis = basis or model.basis_adjugate(p, rows)
         triangulation.dets[rows], triangulation.adjugates[rows] = basis
         owner = basis_owner[rows]
-        vertex = vertices[owner]
-        back = {} if vertex.simple else None
+        back = {} if vertices[owner].simple else None
         for leaving, entering, step, u, far in pivot_neighbors(
-            p, rows, basis, pt, counters, known, back, vertex.tight
+            p, rows, basis, pt, counters, known, back, vertices[owner].tight
         ):
             if entering is None:
                 g = gcd(*u)
@@ -252,7 +246,7 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
             index = basis_owner.get(target)  # visited, or pending
             if index is None:
                 _, child = model.pivot(p, rows, basis, leaving, entering)
-                if far is None:
+                if step == 0:
                     push(target, owner, pt, child)
                     continue
                 pair, tight = far

@@ -9,9 +9,9 @@ a ray-cast walk from a feasible point to a vertex, and the one pivot kernel
 and the exact simplex (Bland's rule), which serves phase one and the strict
 interior point from one margin system built off the integer form. The ratio
 test's step is an integer pair, and the ray cast, the simplex and the walk
-end each move by one rule, step_point and step_tight. The ray cast carries an integer point and
-the linalg.off_span basis of its tight rows, and products of all rows with
-one vector run column by column. Vertices (VertexRecord) and LP points
+end each move by it (step_point, step_tight). The ray cast carries the
+linalg.off_span basis of its tight rows, and products of all rows with one
+vector run column by column. Vertices (VertexRecord) and LP points
 (Point) are integer records, in and out: only a given feasible point and
 the margin LP's start are cleared (rational_point), and a `Fraction` is built
 only to read `point` or `x`, or the rows as given (`a`, `b`), which a
@@ -242,11 +242,9 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> VertexRecord:
     along the move, so an independent basis of them grows by the newly
     tight rows alone; each move adds at least one, so at most n happen.
     The basis is kept orthogonalized in integers, so a rank test or a
-    projection is one pass over it. Each move is the walk's one move rule:
-    step_point gives the far point and step_tight its tight set, read off
-    the ratio test, so only the start's slacks are scanned (tight_set, which
-    rejects an infeasible start). The vertex reached is returned as its
-    integer record.
+    projection is one pass over it. Each move ends by step_point and
+    step_tight, so only the start's slacks are scanned, by tight_set, which
+    rejects an infeasible start. Returns the vertex's integer record.
     """
     tight = tight_set(p, pt)
     ortho: list = []
@@ -305,10 +303,9 @@ def step_point(p: HPolyhedron, pt: Point, step: tuple[int, int], u) -> Point:
 
 
 def step_tight(tight, rates, blocking) -> tuple[int, ...]:
-    """The tight set after a positive step: the rows of `tight` with zero
-    rate and the blocking rows min_ratio returned. A tight row of positive
-    rate would have made the step zero, and one of negative rate gains
-    slack, so the far slacks need no scan."""
+    """The tight set after a positive step: the rows of `tight` of zero rate
+    and the blocking rows. A tight row of positive rate would have made the
+    step zero, and one of negative rate gains slack."""
     return tuple(sorted([i for i in tight if not rates[i]] + blocking))
 
 
@@ -338,13 +335,12 @@ def pivot(
 def simplex_max(p: HPolyhedron, objective: Vec, start: Point):
     """Maximize <objective, x> over p from the feasible Point `start`.
 
-    Ray-casts the start to a vertex and starts from its record: its point
-    and the lexicographically smallest independent basis of its tight rows.
-    Exact simplex with Bland's anti-cycling rule: relax the smallest basic
-    row whose edge improves the objective; the entering row is the smallest
-    index attaining the minimum ratio. A positive step moves the point by
-    step_point, a degenerate one keeps it, so no basis is solved. Returns
-    ("optimal", Point) or ("unbounded", direction).
+    Ray-casts the start to a vertex and starts from its point and its
+    lexicographically smallest independent tight basis. Exact simplex with
+    Bland's anti-cycling rule: relax the smallest basic row whose edge
+    improves the objective; the entering row is the smallest index attaining
+    the minimum ratio. The point moves by step_point, so no basis is solved.
+    Returns ("optimal", Point) or ("unbounded", direction).
     """
     v = find_initial_vertex(p, start)
     pt = scaled_point(p, v.num, v.den)

@@ -183,11 +183,9 @@ def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
 
 
 def normalize_rays(rays: list[Point], digits: int) -> list[Point]:
-    """Rays rescaled to unit length, each entry X_i / |X| rounded to the
-    nearest multiple of 10^-digits, halves away from zero, exactly: with X
-    cleared to the integer vector Y, S = sum Y_j^2 and T = 10^digits, the
-    entry is round(|Y_i| T / sqrt(S)) = (isqrt(4 Y_i^2 T^2 // S) + 1) // 2,
-    signed as Y_i."""
+    """Rays rescaled to unit length, entries rounded exactly to 10^-digits,
+    halves away from zero: for the ray cleared to integers Y, S = |Y|^2 and
+    T = 10^digits, |Y_i| T / sqrt(S) rounds to (isqrt(4 Y_i^2 T^2 // S) + 1) // 2."""
     scale = 10**digits
     out = []
     for ray in rays:

@@ -494,7 +494,8 @@ def combined_systems(draw):
     the far end keeps it in its tight set and is degenerate too."""
     n = draw(st.integers(2, 3))
     m = draw(st.integers(n + 1, 6))
-    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
     b = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
     for j in range(n):
         for sign in (1, -1):
@@ -525,13 +526,11 @@ def combined_systems(draw):
 @given(combined_systems())
 def test_far_tight_sets_keep_the_zero_rate_rows_of_degenerate_vertices(p):
     """The walk reads each far tight set off the ratio test: the near tight
-    rows of zero rate plus the blocking rows. It must equal a fresh scan of
-    the far slacks, and the vertices and work counters must stay those of
-    the oracles."""
+    rows of zero rate plus the blocking rows. assert_work_and_closure holds
+    every tight set to a fresh scan of the slacks and the work counters to a
+    replay; the vertices must be the basis oracle's."""
     result = run_enumeration(p)
     assert not all(v.simple for v in result.vertices)
-    for v in result.vertices:
-        assert v.tight == model.tight_set(p, scaled_point(p, v.num, v.den))
     assert vertex_points(result) == enumerate_all_bases_oracle(p).vertex_points()
     assert_work_and_closure(p, result)
 
