@@ -10,7 +10,6 @@ the polyhedron, 5 bound violated, 6 unbounded, 7 budget exceeded.
 import argparse
 import sys
 import time
-from fractions import Fraction
 from functools import cache, cached_property
 
 from . import counting, graphs, hull, model, serialize, stats, subdivision
@@ -183,14 +182,8 @@ class Analysis:
 
     def instance_block(self) -> dict:
         p, _, redundant = self.loaded
-        return {
-            "name": p.name,
-            "m": p.m,
-            "n": p.n,
-            "A": [list(row) for row in p.a],
-            "b": list(p.b),
-            "redundant_rows": redundant,
-        }
+        a, b = serialize.rows_as_given(p)
+        return {"name": p.name, "m": p.m, "n": p.n, "A": a, "b": b, "redundant_rows": redundant}
 
     def work_block(self) -> dict:
         c = self.result.counters
@@ -219,12 +212,12 @@ class Analysis:
 
 
 def _points_block(result: hull.EnumerationResult) -> dict:
+    write = serialize.rational_str
     vertices = [
-        {"point": list(v.point), "tight": list(v.tight), "simple": v.simple}
+        {"point": [write(x, v.den) for x in v.num], "tight": list(v.tight), "simple": v.simple}
         for v in result.vertices
     ]
-    rays = [[Fraction(c) for c in d] for _, d in result.rays]
-    return {"vertices": vertices, "rays": rays}
+    return {"vertices": vertices, "rays": [[write(c) for c in d] for _, d in result.rays]}
 
 
 def _stats_block(fan_stats: stats.FanStats) -> dict:
@@ -333,8 +326,7 @@ def cmd_generate(args) -> int:
         fh.write(serialize.dump_fan(fan) + "\n")
     dual = lifted.dual_polyhedron()
     with open(instance_path, "w", encoding="utf-8") as fh:
-        origin = [Fraction(0)] * args.n
-        fh.write(serialize.dump_instance(dual, feasible_point=origin) + "\n")
+        fh.write(serialize.dump_instance(dual, feasible_point=[0] * args.n) + "\n")
     report = {
         "expected": subdivision.expected_counts(args.n, args.k),
         "rays": len(fan.rays),

@@ -36,7 +36,7 @@ from math import comb, gcd
 
 from . import linalg, model
 from .errors import BudgetExceeded, RankDeficient, SingularBasis
-from .linalg import Basis, Vec, dot
+from .linalg import Basis, dot
 from .model import HPolyhedron, Point, VertexRecord
 
 Rows = tuple[int, ...]
@@ -267,9 +267,9 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
     )
 
 
-def run_enumeration(p: HPolyhedron, feasible_point: Vec | None = None) -> EnumerationResult:
+def run_enumeration(p: HPolyhedron, feasible_point=None) -> EnumerationResult:
     """The full enumeration from phase one's Point, or from the Point at the
-    rational coordinates of a feasible point when one is given."""
+    coordinates of a feasible point, (num, den) pairs, when one is given."""
     given = feasible_point is not None
     start = model.rational_point(p, feasible_point) if given else model.phase_one(p)
     return enumerate_vertices(p, start)

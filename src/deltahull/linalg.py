@@ -1,6 +1,6 @@
 """Exact linear algebra over Python ints, plus Fraction vector helpers.
 
-A rational row becomes integers once, in `integer_row`: its primitive
+A row of Fractions becomes integers in `integer_row`: its primitive
 integer multiple and the positive scale between the two. Every
 independence test is the integral Gram-Schmidt step `off_span`, and the
 adjugate comes from one fraction-free (Bareiss) elimination, both over
@@ -20,7 +20,6 @@ from .errors import SingularMatrix, SingularUpdate
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
-IntRows = tuple[tuple[int, ...], ...]
 Basis = tuple[int, list[list[int]]]  # (det, adj) of a square integer matrix
 
 
@@ -33,10 +32,6 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def to_vector(entries) -> Vec:
-    return [frac(x) for x in entries]
-
-
 def identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -47,21 +42,15 @@ def dot(u, v):
 
 
 def integer_row(row) -> tuple[tuple[int, ...], Fraction]:
-    """The primitive integer multiple s * row of a rational row, and s > 0.
+    """The primitive integer multiple s * row of a row of Fractions, and s > 0.
 
-    The one place a rational row becomes integers. A zero row stays zero,
-    with s = 1.
+    A zero row stays zero, with s = 1. model._system clears a parsed row of
+    (num, den) pairs by the same rule.
     """
     clear = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (clear // x.denominator) for x in row]
     g = gcd(*ints) or 1
     return tuple(v // g for v in ints), Fraction(clear, g)
-
-
-def integer_rows(m) -> tuple[IntRows, tuple[Fraction, ...]]:
-    """integer_row of each row of m: the integer rows, then their scales."""
-    pairs = [integer_row(row) for row in m]
-    return tuple(ints for ints, _ in pairs), tuple(s for _, s in pairs)
 
 
 def off_span(v, ortho) -> list[int]:

@@ -1,7 +1,8 @@
 """H-polyhedron model: {x : A x <= b} with exact rational data.
 
 Holds the instance type, stored in integers only (each row and its
-right-hand side cleared once, on its own), plus the vertex-level
+right-hand side cleared once, on its own, from the (num, den) pairs the
+parser gives; make_polyhedron adapts rationals to them), plus the vertex-level
 primitives, all on Python ints no wider than the data: bases as (det, adj),
 points in lowest terms with their integer slacks, tight sets, basis solves,
 a ray-cast walk from a feasible point to a vertex, and the one pivot kernel
@@ -13,9 +14,9 @@ end each move by it (step_point, step_tight). The ray cast carries the
 linalg.off_span basis of its tight rows, and products of all rows with one
 vector run column by column. Vertices (VertexRecord) and LP points
 (Point) are integer records, in and out: only a given feasible point and
-the margin LP's start are cleared (rational_point), and a `Fraction` is built
-only to read `point` or `x`, or the rows as given (`a`, `b`), which a
-system rebuilds from its integer form when a report reads them. The LP
+the margin LP's start are cleared (rational_point, from pairs), and a
+`Fraction` is built only for a row's scale or to read `point` or `x`;
+serialize writes the rows as given straight from the integer form. The LP
 redundancy scan is the fallback hull.redundant_rows runs on a system with
 implicit equalities, whose redundant rows it cannot read off the walk.
 """
@@ -49,8 +50,8 @@ class HPolyhedron:
     scales[i] * a[i] is the primitive integer multiple of the row a[i] as
     given, and rhs_num[i] / rhs_den[i] is scales[i] * b[i] in lowest terms,
     rhs_den[i] > 0. The kernel, tight sets and ratio tests read this form,
-    which no positive scaling of (a_i, b_i) changes. The rows as given, `a`
-    and `b`, are rebuilt from it exactly when first read, and kept.
+    which no positive scaling of (a_i, b_i) changes, and the rows as given
+    are written from it (serialize.rows_as_given).
     """
 
     name: str
@@ -68,20 +69,6 @@ class HPolyhedron:
         return len(self.ints[0]) if self.ints else 0
 
     @cached_property
-    def a(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Row i as given, ints[i] / scales[i]: v q / p for scales[i] = p / q."""
-        pairs = ((row, *s.as_integer_ratio()) for row, s in zip(self.ints, self.scales))
-        return tuple(tuple(Fraction(v * q, p) for v in row) for row, p, q in pairs)
-
-    @cached_property
-    def b(self) -> tuple[Fraction, ...]:
-        """b_i as given, rhs_num[i] / (rhs_den[i] * scales[i])."""
-        return tuple(
-            Fraction(r * s.denominator, d * s.numerator)
-            for r, d, s in zip(self.rhs_num, self.rhs_den, self.scales)
-        )
-
-    @cached_property
     def cols(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.ints))
 
@@ -96,32 +83,38 @@ class HPolyhedron:
         return HPolyhedron(name, *(tuple(f[i] for i in keep) for f in fields))
 
 
-def _system(a, b, name: str) -> HPolyhedron:
-    """Clear rational rows to integers, each row and its scaled b_i once, alone."""
-    ints, scales = linalg.integer_rows(a)
-    rhs = ((s * beta).as_integer_ratio() for s, beta in zip(scales, b))  # (rhs_num, rhs_den)
-    return HPolyhedron(name, ints, scales, *map(tuple, zip(*rhs)))
+def _system(rows, rhs, name: str) -> HPolyhedron:
+    """Clear rows of (num, den) pairs in lowest terms, den > 0, to integers,
+    each row and its scaled b_i once, alone: one Fraction a row, its scale."""
+    fields = []
+    for row, (r, d) in zip(rows, rhs):
+        clear = lcm(*(q for _, q in row))
+        ints = [v * (clear // q) for v, q in row]
+        g = gcd(*ints) or 1
+        num, den = clear * r, g * d
+        h = gcd(num, den)
+        fields.append((tuple(v // g for v in ints), Fraction(clear, g), num // h, den // h))
+    return HPolyhedron(name, *map(tuple, zip(*fields)))
 
 
-def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
-    """Validate and freeze an inequality system.
+def make_system(rows, rhs, name: str = "") -> HPolyhedron:
+    """Validate and freeze an inequality system given as (num, den) pairs in
+    lowest terms, den > 0, the form serialize parses.
 
     Raises DimensionMismatch for ragged input, DuplicateRow when two rows
     coincide up to positive scaling (equal integer forms), and NotPointed
     when rank(A) < n.
     """
-    a = [linalg.to_vector(r) for r in rows]
-    b = linalg.to_vector(rhs)
-    if not a:
+    if not rows:
         raise DimensionMismatch("empty constraint matrix")
-    n = len(a[0])
+    n = len(rows[0])
     if n == 0:
         raise DimensionMismatch("zero-dimensional ambient space")
-    if any(len(r) != n for r in a):
+    if any(len(r) != n for r in rows):
         raise DimensionMismatch("ragged constraint matrix")
-    if len(b) != len(a):
-        raise DimensionMismatch(f"{len(a)} rows but {len(b)} right-hand sides")
-    p = _system(a, b, name)
+    if len(rhs) != len(rows):
+        raise DimensionMismatch(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+    p = _system(rows, rhs, name)
     seen = {}
     for i, key in enumerate(zip(p.ints, p.rhs_num, p.rhs_den)):
         if not any(key[0]):
@@ -133,6 +126,12 @@ def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
     if rank < n:
         raise NotPointed(f"rank(A) = {rank} < n = {n}")
     return p
+
+
+def make_polyhedron(rows, rhs, name: str = "") -> HPolyhedron:
+    """make_system on rationals: ints, Fractions or strings such as '7/3'."""
+    pairs = [[linalg.frac(x).as_integer_ratio() for x in r] for r in rows]
+    return make_system(pairs, [linalg.frac(x).as_integer_ratio() for x in rhs], name)
 
 
 @dataclass(frozen=True)
@@ -176,10 +175,9 @@ def scaled_point(p: HPolyhedron, num, den: int) -> Point:
 
 
 def rational_point(p: HPolyhedron, x) -> Point:
-    """The Point of p at rational coordinates x."""
-    x = linalg.to_vector(x)
-    den = lcm(*(v.denominator for v in x))
-    return scaled_point(p, [v.numerator * (den // v.denominator) for v in x], den)
+    """The Point of p at the rational coordinates x, as (num, den) pairs, den > 0."""
+    den = lcm(*(q for _, q in x))
+    return scaled_point(p, [v * (den // q) for v, q in x], den)
 
 
 def submatrix(p: HPolyhedron, rows) -> list[tuple[int, ...]]:
@@ -378,10 +376,14 @@ def _auxiliary_system(p: HPolyhedron, cap: int) -> HPolyhedron:
 
 def _max_margin(p: HPolyhedron, cap: int) -> Point:
     """The Point (x*, s*) maximizing s over the margin system from x = 0,
-    s = min(min b, cap). Raises Infeasible, naming t = -s*, if s* < 0: then
-    no x has A x <= b."""
+    s = min(min b, cap), the b_i compared as integer pairs. Raises Infeasible,
+    naming t = -s*, if s* < 0: then no x has A x <= b."""
     q = _auxiliary_system(p, cap)
-    start = rational_point(q, [0] * p.n + [min(min(p.b), cap)])
+    low = (cap, 1)
+    for r, d, s in zip(p.rhs_num, p.rhs_den, p.scales):
+        if r * s.denominator * low[1] < low[0] * d * s.numerator:
+            low = (r * s.denominator, d * s.numerator)
+    start = rational_point(q, [(0, 1)] * p.n + [low])
     status, opt = simplex_max(q, [0] * p.n + [1], start)
     assert status == "optimal"  # s <= cap bounds the objective
     if opt.num[-1] < 0:

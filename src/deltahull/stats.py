@@ -52,8 +52,8 @@ DEFAULT_BUDGET = 100_000
 
 def delta_max(ints, scales, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
     """Largest |det| over all n-row submatrices of the rows ints_i / s_i
-    (HPolyhedron.ints and .scales, or linalg.integer_rows), with its witness
-    rows.
+    (HPolyhedron.ints and .scales, or linalg.integer_row of each row), with
+    its witness rows.
 
     One exact branch and bound at every budget: rows in norm-descending
     order, and a subtree is dropped only when its Gram-determinant x
@@ -150,7 +150,8 @@ def triangulation_stats(
     ints, scales, cones: list[Rows], int_dets, budget: int = DEFAULT_BUDGET
 ) -> FanStats:
     """Delta plus per-triangulation average, minimum, and exact volume of the
-    rows ints_i / s_i (HPolyhedron.ints and .scales, or linalg.integer_rows).
+    rows ints_i / s_i (HPolyhedron.ints and .scales, or linalg.integer_row of
+    each row).
     A cone's |det| is int_dets[cone], the |det| of its integer rows as
     hull.Triangulation.dets holds it, over the product of their scales, kept
     as (int_det * prod den s_i, prod num s_i); the minimum cross-multiplies,

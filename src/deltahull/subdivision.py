@@ -36,7 +36,7 @@ class SubdivisionFan:
     parent: list[int]  # cone position at depth-1 that spawned each cone; -1 at depth 0
 
     def generators(self) -> Mat:
-        """Rays as matrix rows, the layout linalg.integer_rows and cone tests expect."""
+        """Rays as matrix rows, the layout linalg.integer_row and cone tests expect."""
         return [list(r) for r in self.rays]
 
 

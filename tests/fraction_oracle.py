@@ -7,8 +7,8 @@ the kernel did before it ran on Python ints. A basis vertex is solved as
 Fractions (basis_vertex) and a basis is feasible iff that point satisfies
 every row (is_feasible_basis), the oracle of `hull.enumerate_all_bases_oracle`.
 The LP layer's oracle moves Fraction coordinates through the ray cast,
-solves each simplex basis afresh, and builds its one margin system from
-Fraction rows through `model._system`.
+solves each simplex basis afresh, and builds its one margin system from the
+(num, den) pairs of Fraction rows through `model._system`.
 """
 
 from fractions import Fraction
@@ -21,19 +21,19 @@ from deltahull.errors import (
     SingularUpdate,
     UnboundedLine,
 )
-from deltahull.linalg import dot, to_vector
+from deltahull.linalg import dot, frac
 
-from helpers import contains, rank_exact, rows_of
+from helpers import a_of, b_of, contains, pairs, rank_exact, rows_of
 
 
 def rational_rhs(p):
     """scales[i] * b[i]: row i's right-hand side in its integer form."""
-    return [s * beta for s, beta in zip(p.scales, p.b)]
+    return [s * beta for s, beta in zip(p.scales, b_of(p))]
 
 
 def slacks(p, x):
     """b_i - a_i x for every row, in the rows as given."""
-    return [beta - dot(row, x) for row, beta in zip(p.a, p.b)]
+    return [beta - dot(row, x) for row, beta in zip(a_of(p), b_of(p))]
 
 
 def tight_set(p, x):
@@ -133,7 +133,7 @@ def find_initial_vertex(p, x0):
     """model.find_initial_vertex on Fraction coordinates: the same rule, a
     rank test per candidate row, each direction from its Gram adjugate, each
     move x + step * d with the Fraction step of ratio_test."""
-    x = to_vector(x0)
+    x = [frac(v) for v in x0]
     tight = tight_set(p, x)
     basis = extend_independent(p, [], tight)
     while len(basis) < p.n:
@@ -148,7 +148,7 @@ def find_initial_vertex(p, x0):
         fresh = tight_set(p, x)
         basis = extend_independent(p, basis, sorted(set(fresh) - set(tight)))
         tight = fresh
-    pt = model.rational_point(p, x)
+    pt = model.rational_point(p, pairs(x))
     return model.VertexRecord(pt.num, pt.den, tight)
 
 
@@ -176,12 +176,13 @@ def margin_system(p, cap):
     """A x + s <= b and s <= cap over (x, s), cleared row by row."""
     rows = [r + [Fraction(1)] for r in rows_of(p)]
     rows.append([Fraction(0)] * p.n + [Fraction(1)])
-    return model._system(rows, list(p.b) + [Fraction(cap)], "margin")
+    rhs = [*b_of(p), Fraction(cap)]
+    return model._system([pairs(r) for r in rows], pairs(rhs), "margin")
 
 
 def max_margin(p, cap):
     """model._max_margin over margin_system with the Fraction simplex."""
-    start = [Fraction(0)] * p.n + [min(min(p.b), cap)]
+    start = [Fraction(0)] * p.n + [min(min(b_of(p)), cap)]
     objective = [Fraction(0)] * p.n + [Fraction(1)]
     status, opt = simplex_max(margin_system(p, cap), objective, start)
     assert status == "optimal"
@@ -192,7 +193,7 @@ def max_margin(p, cap):
 
 def phase_one(p):
     """model.phase_one: the origin when b >= 0, else the margin optimum at cap 0."""
-    if min(p.b) >= 0:
+    if min(b_of(p)) >= 0:
         return [Fraction(0)] * p.n
     return max_margin(p, 0)[: p.n]
 

@@ -1,5 +1,9 @@
-"""Test-only helpers with no caller in the package: a system's rational rows,
-a rational matrix builder and product, the forward Bareiss elimination
+"""Test-only helpers with no caller in the package: a system's rows and
+right-hand sides as given (rebuilt from its integer form as Fractions), the
+integer rows of a Fraction matrix, rational points as the (num, den) pairs
+the package takes, a counter of the Fractions a block builds, the Fraction
+token parser (the oracle of serialize.parse_rational's pair parser), a
+rational matrix builder and product, the forward Bareiss elimination
 behind the exact rank and determinant (the oracle of the package's
 Gram-Schmidt rank and adjugate), the exact solve and inverse, the Fraction
 lift of the subdivision fans (the oracle of subdivision.lift_polytope's
@@ -20,10 +24,12 @@ tightness experiments on the subdivision fans. Graphs are adjacency dicts
 
 import sys
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
 from math import comb, factorial, floor, prod, sqrt
+from unittest import mock
 
 from deltahull import linalg, model, stats
 from deltahull.errors import (
@@ -36,7 +42,7 @@ from deltahull.errors import (
     SingularMatrix,
 )
 from deltahull.linalg import Mat, dot, frac
-from deltahull.serialize import parse_json, parse_rational, rational_str
+from deltahull.serialize import EXPONENT, parse_json, parse_rational, rational_str
 from deltahull.subdivision import SubdivisionFan, build_subdivision_fans, normalize_rays
 
 Rows = tuple[int, ...]
@@ -50,9 +56,69 @@ def to_matrix(rows) -> Mat:
     return [[frac(x) for x in row] for row in rows]
 
 
+def integer_rows(m) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
+    """linalg.integer_row of each row of m: the integer rows, then their scales."""
+    pairs = [linalg.integer_row(row) for row in m]
+    return tuple(ints for ints, _ in pairs), tuple(s for _, s in pairs)
+
+
+def a_of(p) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of p as given, ints[i] / scales[i], rebuilt from its integer
+    form: v q / s for scales[i] = s / q."""
+    pairs = ((row, *s.as_integer_ratio()) for row, s in zip(p.ints, p.scales))
+    return tuple(tuple(Fraction(v * q, s) for v in row) for row, s, q in pairs)
+
+
+def b_of(p) -> tuple[Fraction, ...]:
+    """The right-hand sides b_i of p as given, rhs_num[i] / (rhs_den[i] * scales[i])."""
+    return tuple(
+        Fraction(r * s.denominator, d * s.numerator)
+        for r, d, s in zip(p.rhs_num, p.rhs_den, p.scales)
+    )
+
+
 def rows_of(p) -> Mat:
     """The rows of p as given, as lists: the rational matrix A."""
-    return [list(r) for r in p.a]
+    return [list(r) for r in a_of(p)]
+
+
+def pairs(x) -> list[tuple[int, int]]:
+    """Rational coordinates (ints, Fractions or strings like '7/3') as the
+    (num, den) pairs model.rational_point takes."""
+    return [frac(v).as_integer_ratio() for v in x]
+
+
+@contextmanager
+def fractions_built():
+    """A list of the arguments of every Fraction constructed inside the block."""
+    built = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", staticmethod(counted)):
+        yield built
+
+
+def fraction_parse_rational(token) -> Fraction:
+    """The Fraction parser serialize.parse_rational replaced, kept as its
+    oracle: the same accepted tokens, and the same ParseError texts."""
+    if isinstance(token, bool):
+        raise ParseError(f"not a rational: {token!r}")
+    if isinstance(token, int):
+        return Fraction(token)
+    if isinstance(token, float):
+        raise ParseError(f"binary float {token!r} not accepted; use 'p/q'")
+    if isinstance(token, str):
+        if EXPONENT.search(token):
+            raise ParseError(f"bad rational {token!r}: exponent notation not accepted")
+        try:
+            return Fraction(token.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational {token!r}: {exc}") from None
+    raise ParseError(f"not a rational: {token!r}")
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -185,7 +251,7 @@ def totally_unimodular_transform(a: Mat, witness: Rows) -> Mat:
 
     With S_B A_B the integer witness rows, (A_B)^-1 = (S_B A_B)^-1 S_B.
     """
-    ints, scales = linalg.integer_rows([a[i] for i in witness])
+    ints, scales = integer_rows([a[i] for i in witness])
     try:
         inv = invert(ints)
     except SingularMatrix:
@@ -204,7 +270,7 @@ def verify_total_unimodularity(a: Mat, budget: int = stats.DEFAULT_BUDGET) -> bo
     total = count_minors(m, n)
     if total > budget:
         raise BudgetExceeded(f"{total} minors exceed budget {budget}")
-    ints, scales = linalg.integer_rows(a)
+    ints, scales = integer_rows(a)
     for k in range(1, min(m, n) + 1):
         for rows in combinations(range(m), k):
             limit = prod(scales[i] for i in rows)
@@ -224,7 +290,7 @@ def local_delta_distance(a: Mat, bases: list[Rows]) -> stats.DistanceCertificate
     same value from one adjugate per basis. The certificate keeps the
     minimizing square.
     """
-    ints, _ = linalg.integer_rows(a)
+    ints, _ = integer_rows(a)
     best: stats.DistanceCertificate | None = None
     for rows in bases:
         sub = [ints[i] for i in rows]
@@ -302,7 +368,7 @@ def abs_det(ints, scales, rows: Rows) -> Fraction:
 def cone_dets(a, cones) -> dict[Rows, int]:
     """The integer |det| of each cone's primitive integer rows, evaluated
     afresh: triangulation_stats's input for cones no enumeration visited."""
-    ints, _ = linalg.integer_rows(a)
+    ints, _ = integer_rows(a)
     return {c: abs(det_exact([ints[i] for i in c])) for c in cones}
 
 
@@ -440,7 +506,7 @@ def rationalize(obj):
 def load_fan_json(text: str) -> SubdivisionFan:
     doc = parse_json(text)
     try:
-        rays = [tuple(parse_rational(x) for x in ray) for ray in doc["rays"]]
+        rays = [tuple(Fraction(*parse_rational(x)) for x in ray) for ray in doc["rays"]]
         cones = [tuple(int(i) for i in c) for c in doc["cones"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed fan document: {exc}") from None
@@ -482,7 +548,7 @@ def build_fan_graph(cones: list[Rows], generators: Mat) -> dict[int, list[int]]:
     sides of the shared hyperplane (adjugate sign test on the integer rays,
     one adjugate per cone; positive ray scales keep every sign).
     """
-    ints, _ = linalg.integer_rows(generators)
+    ints, _ = integer_rows(generators)
     adjugates = [linalg.adjugate([ints[r] for r in cone])[1] for cone in cones]
     g = {i: [] for i in range(len(cones))}
     by_facet: dict[Rows, list[int]] = {}
@@ -561,7 +627,7 @@ def tightness_experiment(
     for fan in fans:
         gens = [list(r) for r in normalize_rays(fan.rays, digits)]
         fan_stats = stats.triangulation_stats(
-            *linalg.integer_rows(gens), fan.cones, cone_dets(gens, fan.cones), budget
+            *integer_rows(gens), fan.cones, cone_dets(gens, fan.cones), budget
         )
         delta, avg = fan_stats.delta, fan_stats.delta_avg
         bound = factorial(n) * float(delta / avg) * stats.unit_ball_volume(n)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltahull import counting, graphs, hull, linalg, stats, subdivision
+from deltahull import counting, graphs, hull, stats, subdivision
 from deltahull.errors import BoundViolated
 
 from conftest import DEGENERATE_FAMILY, record_criterion, standard_simplex
@@ -22,6 +22,7 @@ from helpers import (
     build_fan_graph,
     count_minors,
     floor_holds,
+    integer_rows,
     knapsack_bound_check,
     rows_of,
     tightness_experiment,
@@ -62,8 +63,8 @@ def test_criterion_01_subdivision_family_exactness():
             cone_count = len(fan.cones)
             g = build_fan_graph(fan.cones, fan.generators())
             diameter = graphs.graph_diameter(g)
-            delta, _ = stats.delta_max(*linalg.integer_rows(fan.generators()))
-            ints, scales = linalg.integer_rows(fan.rays)
+            delta, _ = stats.delta_max(*integer_rows(fan.generators()))
+            ints, scales = integer_rows(fan.rays)
             ratio = delta / min(abs_det(ints, scales, c) for c in fan.cones)
             if (
                 cone_count != expected["cones"]

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from deltahull import cli
 from deltahull.cli import main
-from deltahull.serialize import canonical_dumps, dump_instance
+from deltahull.serialize import canonical_dumps, dump_instance, rational_str
 
-from conftest import cube, square, square_pyramid
-from helpers import long_rational_text
+from conftest import BENCH_DATA, cube, square, square_pyramid
+from helpers import a_of, b_of, fractions_built, long_rational_text
 
 
 @pytest.fixture
@@ -448,7 +449,7 @@ def test_generate_rejects_bad_parameters(capsys, tmp_path):
     assert code == 4
     code, _, err = run_cli(capsys, ["generate", str(tmp_path / "x"), "--n", "3", "--k", "-1"])
     assert code == 4
-    for digits in ("-1", "309"):  # 10^309 has no float
+    for digits in ("-1", "309"):  # 308 digits is the documented CLI cap
         code, _, err = run_cli(
             capsys, ["generate", str(tmp_path / "x"), "--n", "2", "--k", "1", "--normalize", digits]
         )
@@ -677,3 +678,19 @@ def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, ["vertices", "--help"])
     assert code == 0
     assert out.startswith("usage: deltahull vertices")
+
+
+def test_report_rationals_build_no_fraction():
+    """The instance and points blocks of a dual-n2k5 verify report are
+    written from the integer form and the vertex records, with no Fraction,
+    and say what the rows and points as Fractions say."""
+    args = cli.build_parser().parse_args(["verify", str(BENCH_DATA / "dual-n2k5.instance.json")])
+    analysis = cli.Analysis(args)
+    p, result, _ = analysis.loaded
+    with fractions_built() as built:
+        instance, points = analysis.instance_block(), cli._points_block(result)
+    assert built == []
+    assert instance["A"] == [[rational_str(x) for x in row] for row in a_of(p)]
+    assert instance["b"] == [rational_str(x) for x in b_of(p)]
+    want = [[rational_str(x) for x in v.point] for v in result.vertices]
+    assert [v["point"] for v in points["vertices"]] == want and want

@@ -18,12 +18,19 @@ from deltahull.counting import (
 )
 from deltahull.errors import BudgetExceeded, DeltahullError, Unbounded
 from deltahull.hull import run_enumeration
-from deltahull.linalg import integer_rows
 from deltahull.model import make_polyhedron
 from deltahull.stats import triangulation_stats
 
 from conftest import DEGENERATE_FAMILY, cube, square, standard_simplex
-from helpers import PreconditionViolated, box_scan_count, knapsack_bound_check, rows_of
+from helpers import (
+    PreconditionViolated,
+    a_of,
+    b_of,
+    box_scan_count,
+    integer_rows,
+    knapsack_bound_check,
+    rows_of,
+)
 
 
 def frac_of(t):
@@ -38,7 +45,7 @@ def oracle_count(p, box):
         x = [Fraction(c) for c in reversed(cand)]
         ok = all(
             sum(a * v for a, v in zip(row, x)) <= rhs
-            for row, rhs in zip(p.a, p.b)
+            for row, rhs in zip(a_of(p), b_of(p))
         )
         if ok:
             count += 1

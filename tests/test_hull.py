@@ -51,9 +51,12 @@ from conftest import (
 )
 from fraction_oracle import basis_vertex
 from helpers import (
+    a_of,
     abs_det,
+    b_of,
     cone_det_fractions,
     det_exact,
+    pairs,
     rank_redundant_rows,
     rank_test_edges,
     ratio_work,
@@ -165,7 +168,7 @@ def test_pivot_neighbors_square_fixed_pivot():
     p = square()
     rows = (0, 1)  # vertex (1,1)
     basis = basis_adjugate(p, rows)
-    x = rational_point(p, [Fraction(1), Fraction(1)])
+    x = rational_point(p, [(1, 1), (1, 1)])
     pivots = pivot_neighbors(p, rows, basis, x)
     assert len(pivots) == 2
     by_leaving = {leaving: (entering, step, u) for leaving, entering, step, u, _ in pivots}
@@ -183,7 +186,7 @@ def test_pivot_neighbors_reports_rays_on_unbounded_cone():
     p = make_polyhedron([[-1, 0], [0, -1]], [0, 0], name="quadrant")
     rows = (0, 1)
     basis = basis_adjugate(p, rows)
-    pivots = pivot_neighbors(p, rows, basis, rational_point(p, [Fraction(0), Fraction(0)]))
+    pivots = pivot_neighbors(p, rows, basis, rational_point(p, [(0, 1), (0, 1)]))
     assert all(entering is None and step is None for _, entering, step, _, _ in pivots)
     assert {tuple(u) for _, _, _, u, _ in pivots} == {(1, 0), (0, 1)}
 
@@ -195,7 +198,7 @@ def test_pivot_neighbors_charges_ratio_test_work():
     rows = (0, 1, 2)
     basis = basis_adjugate(p, rows)
     counters = WorkCounters()
-    pivot_neighbors(p, rows, basis, rational_point(p, [Fraction(1)] * 3), counters)
+    pivot_neighbors(p, rows, basis, rational_point(p, [(1, 1)] * 3), counters)
     assert counters.ratio_mults > 0
     assert counters.max_basis_mults <= 2 * p.n * p.n * p.m
 
@@ -261,7 +264,7 @@ def test_triangulate_normal_cone_rejects_rank_deficient_sets():
 def test_enumerate_vertices_walks_from_an_interior_start():
     """The centre of the square is no vertex: the walk ray-casts it to one."""
     p = square()
-    result = enumerate_vertices(p, rational_point(p, [Fraction(1, 2), Fraction(1, 2)]))
+    result = enumerate_vertices(p, rational_point(p, [(1, 2), (1, 2)]))
     assert vertex_points(result) == vertex_points(run_enumeration(p))
     assert len(result.vertices) == 4
 
@@ -281,7 +284,7 @@ def test_pivot_edges_separate_moves_from_degenerate_stays():
     apex = (Fraction(0), Fraction(0), Fraction(1))
     stays_at_apex = 0
     for v, cones in zip(result.vertices, result.triangulation.cones_by_vertex):
-        x = rational_point(p, list(v.point))
+        x = rational_point(p, pairs(v.point))
         for rows in cones:
             basis = basis_adjugate(p, rows)
             for leaving, entering, step, _, _ in pivot_neighbors(p, rows, basis, x):
@@ -402,7 +405,7 @@ def test_the_walk_neither_solves_nor_rescans_a_vertex(bench_duals, monkeypatch):
     for name in ("basis_solution", "tight_set", "scaled_point"):
         monkeypatch.setattr(model, name, counting(name))
     for p, reference in bench_duals.values():
-        start = rational_point(p, [Fraction(0)] * p.n)
+        start = rational_point(p, [(0, 1)] * p.n)
         calls.clear()
         model.find_initial_vertex(p, start)
         moves = calls["scaled_point"]
@@ -474,7 +477,7 @@ def small_systems(draw):
 def test_enumeration_matches_its_oracles_on_small_systems(system):
     try:
         p = make_polyhedron(*system)
-        x0 = phase_one(p).x
+        x0 = pairs(phase_one(p).x)
     except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
         assume(False)
     result = run_enumeration(p, x0)
@@ -543,12 +546,12 @@ def lp_redundant(p, x0=None):
 
 
 def padded(p, row, rhs):
-    return make_polyhedron([*p.a, row], [*p.b, rhs], name=p.name)
+    return make_polyhedron([*a_of(p), row], [*b_of(p), rhs], name=p.name)
 
 
 def loosened_copy(p):
     """p plus twice its row 0 with a larger right-hand side: never tight."""
-    return padded(p, [2 * x for x in p.a[0]], 2 * p.b[0] + 1)
+    return padded(p, [2 * x for x in a_of(p)[0]], 2 * b_of(p)[0] + 1)
 
 
 def tangent_row(p, result):
@@ -690,7 +693,7 @@ def test_redundant_rows_follow_a_row_permutation(system):
     rows, b, order = system
     try:
         p = make_polyhedron(rows, b)
-        x0 = phase_one(p).x
+        x0 = pairs(phase_one(p).x)
     except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
         assume(False)
     q = make_polyhedron([rows[i] for i in order], [b[i] for i in order])
@@ -720,7 +723,7 @@ def test_skeleton_follows_a_row_permutation(system):
     rows, b, order = system
     try:
         p = make_polyhedron(rows, b)
-        x0 = phase_one(p).x
+        x0 = pairs(phase_one(p).x)
     except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
         assume(False)
     q = make_polyhedron([rows[i] for i in order], [b[i] for i in order])
@@ -771,8 +774,8 @@ def test_unimodular_change_of_coordinates(fuzz_corpus, data):
         )
     )
     u, inv = shears(p.n, moves)
-    rows = [[dot(row, column) for column in zip(*u)] for row in p.a]
-    q = make_polyhedron(rows, p.b, name=f"{p.name}-sheared")
+    rows = [[dot(row, column) for column in zip(*u)] for row in a_of(p)]
+    q = make_polyhedron(rows, b_of(p), name=f"{p.name}-sheared")
     (points, directions, edges), *rest = invariants(p)
     moved = (
         {mapped(inv, x) for x in points},
@@ -793,7 +796,8 @@ def test_row_permutation_invariants(fuzz_corpus, data):
     cases = fuzz_corpus + [build() for build in DEGENERATE_FAMILY] + [cube(), cross_polytope(4)]
     p = data.draw(st.sampled_from(cases))
     order = data.draw(st.permutations(range(p.m)))
-    q = make_polyhedron([p.a[i] for i in order], [p.b[i] for i in order], name=f"{p.name}-permuted")
+    a, b = a_of(p), b_of(p)
+    q = make_polyhedron([a[i] for i in order], [b[i] for i in order], name=f"{p.name}-permuted")
     shape, rays, redundant, (delta, *figures) = invariants(p)
     q_shape, q_rays, q_redundant, (q_delta, *q_figures) = invariants(q)
     assert (q_shape, q_rays, q_delta) == (shape, rays, delta), p.name

@@ -42,7 +42,7 @@ from deltahull.model import (
 
 import fraction_oracle as oracle
 from conftest import square
-from helpers import det_exact, ratio_test
+from helpers import b_of, det_exact, pairs, ratio_test
 
 # Mostly integers, so that ties between ratios and degenerate vertices occur.
 rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3]))
@@ -71,10 +71,10 @@ def same_tight_set(p, x):
         want = oracle.tight_set(p, x)
     except InfeasiblePoint as exc:
         with pytest.raises(InfeasiblePoint) as got:
-            tight_set(p, rational_point(p, x))
+            tight_set(p, rational_point(p, pairs(x)))
         assert str(got.value) == str(exc)
         return None
-    assert tight_set(p, rational_point(p, x)) == want
+    assert tight_set(p, rational_point(p, pairs(x))) == want
     return want
 
 
@@ -87,7 +87,7 @@ def test_integer_kernel_matches_fraction_oracle(system, data):
     u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     rows = tuple(data.draw(st.sets(st.integers(0, p.m - 1), max_size=n)))
     # The ratio test reads slacks only, so infeasible points count too.
-    assert ratio_test(p, rows, rational_point(p, x), u) == oracle.ratio_test(p, rows, x, u)
+    assert ratio_test(p, rows, rational_point(p, pairs(x)), u) == oracle.ratio_test(p, rows, x, u)
     same_tight_set(p, x)
     try:
         start = phase_one(p)
@@ -182,10 +182,10 @@ def assert_lowest_terms_point(p, pt, x):
 @given(per_row_systems(), st.data())
 def test_points_are_in_lowest_terms_with_per_row_slacks(system, data):
     p = build(*system)
-    for r, q, c, beta in zip(p.rhs_num, p.rhs_den, p.scales, p.b):
+    for r, q, c, beta in zip(p.rhs_num, p.rhs_den, p.scales, b_of(p)):
         assert q > 0 and gcd(r, q) == 1 and Fraction(r, q) == c * beta
     x = data.draw(st.lists(rationals, min_size=p.n, max_size=p.n))
-    assert_lowest_terms_point(p, rational_point(p, x), x)
+    assert_lowest_terms_point(p, rational_point(p, pairs(x)), x)
     # An unreduced num / den gives the same lowest-terms point.
     den = 6 * data.draw(st.integers(1, 12))  # 6 clears every `rationals` denominator
     scaled = scaled_point(p, [v.numerator * den // v.denominator for v in x], den)
@@ -218,7 +218,7 @@ def test_subdivision_dual_enumeration_stays_near_the_data_width(monkeypatch):
         return pt
 
     monkeypatch.setattr(model, "scaled_point", recording)
-    result = hull.run_enumeration(p, [Fraction(0)] * 2)
+    result = hull.run_enumeration(p, [(0, 1)] * 2)
     assert len(result.vertices) == 96
     assert len(widest) > 2 * 96
     assert max(widest) <= 600

@@ -22,13 +22,12 @@ from deltahull.linalg import (
     frac,
     identity,
     integer_row,
-    integer_rows,
     isqrt_exact,
     rank_of,
 )
 
 from fraction_oracle import as_inverse, sherman_morrison
-from helpers import det_exact, invert, mat_mul, rank_exact, solve
+from helpers import det_exact, integer_rows, invert, mat_mul, rank_exact, solve
 
 
 def mat_vec(m, v):

@@ -2,13 +2,13 @@
 
 The margin system that phase one and the strict interior point share, built
 from a system's integer form at either cap, must equal the one
-`model._system` clears from Fraction rows, field for field. Phase one, the
-ray cast, the strict interior point and the simplex must return the
-oracle's point (as an integer Point: its coordinates and its integer
-slacks), tight set, status and Infeasible message, the strict interior point
-also on infeasible systems: on small rational systems, feasible or not,
-where the row scales are not integers, and on the fuzz generator's
-candidates, which are integer. The strict interior point is one LP.
+`model._system` clears from the Fraction rows' (num, den) pairs, field for
+field. Phase one, the ray cast, the strict interior point and the simplex
+must return the oracle's point (as an integer Point: its coordinates and its
+integer slacks), tight set, status and Infeasible message, the strict
+interior point also on infeasible systems: on small rational systems,
+feasible or not, where the row scales are not integers, and on the fuzz
+generator's candidates, which are integer. The strict interior point is one LP.
 """
 
 import random
@@ -23,6 +23,7 @@ from deltahull.errors import DimensionMismatch, DuplicateRow, Infeasible, NotPoi
 
 import fraction_oracle as oracle
 from conftest import FUZZ_SEED_BASE, _random_instance
+from helpers import a_of, b_of
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
 
@@ -120,7 +121,7 @@ def test_auxiliary_rows_are_primitive_with_integer_scales(cap):
     assert q.ints[0] == (6, 4, 9) and q.scales[0] == 9
     assert (q.rhs_num[0], q.rhs_den[0]) == (21, 2)  # 9 * 7/6
     assert q.ints[-1] == (0, 0, 1) and (q.rhs_num[-1], q.rhs_den[-1]) == (cap, 1)
-    assert q.a[-1] == (0, 0, 1) and q.b == p.b + (cap,)
+    assert a_of(q)[-1] == (0, 0, 1) and b_of(q) == b_of(p) + (cap,)
 
 
 def count_simplex_calls(monkeypatch):

@@ -32,7 +32,7 @@ from deltahull.model import (
 
 from conftest import cube, square, square_pyramid
 from fraction_oracle import basis_vertex, is_feasible_basis, slacks
-from helpers import contains, rank_exact, ratio_test
+from helpers import a_of, b_of, contains, pairs, rank_exact, ratio_test
 
 
 def test_make_polyhedron_accepts_unit_square():
@@ -45,8 +45,8 @@ def test_make_polyhedron_accepts_unit_square():
 
 def test_make_polyhedron_preserves_rational_entries_exactly():
     p = make_polyhedron([["3/7", 1], [-1, 0], [0, -1]], [1, 0, 0])
-    assert p.a[0][0] == Fraction(3, 7)
-    assert p.a[0][0] * 7 == 3
+    assert a_of(p)[0][0] == Fraction(3, 7)
+    assert a_of(p)[0][0] * 7 == 3
 
 
 def test_make_polyhedron_rejects_bad_shapes():
@@ -122,22 +122,22 @@ def test_is_feasible_basis_matches_direct_definition():
 
 def test_tight_set_examples():
     p = square()
-    assert tight_set(p, rational_point(p, [Fraction(1), Fraction(1)])) == (0, 1)
-    assert tight_set(p, rational_point(p, [Fraction(1, 2), Fraction(1, 2)])) == ()
-    assert tight_set(p, rational_point(p, [Fraction(0), Fraction(1)])) == (1, 2)
+    assert tight_set(p, rational_point(p, [(1, 1), (1, 1)])) == (0, 1)
+    assert tight_set(p, rational_point(p, [(1, 2), (1, 2)])) == ()
+    assert tight_set(p, rational_point(p, [(0, 1), (1, 1)])) == (1, 2)
     with pytest.raises(InfeasiblePoint):
-        tight_set(p, rational_point(p, [Fraction(2), Fraction(0)]))
+        tight_set(p, rational_point(p, [(2, 1), (0, 1)]))
 
 
 def test_tight_set_at_degenerate_apex():
     p = square_pyramid()
     apex = [Fraction(0), Fraction(0), Fraction(1)]
-    assert len(tight_set(p, rational_point(p, apex))) == 4
+    assert len(tight_set(p, rational_point(p, pairs(apex)))) == 4
 
 
 def test_find_initial_vertex_walks_square_interior_to_corner():
     p = square()
-    v = find_initial_vertex(p, rational_point(p, [Fraction(1, 2), Fraction(1, 2)]))
+    v = find_initial_vertex(p, rational_point(p, [(1, 2), (1, 2)]))
     # Deterministic: first move follows +e1 to x=1, second +e2 to y=1.
     assert v.point == (Fraction(1), Fraction(1))
     assert v.tight == (0, 1)
@@ -146,13 +146,13 @@ def test_find_initial_vertex_walks_square_interior_to_corner():
 
 def test_find_initial_vertex_keeps_existing_vertex():
     p = cube()
-    v = find_initial_vertex(p, rational_point(p, [Fraction(0)] * 3))
+    v = find_initial_vertex(p, rational_point(p, [(0, 1)] * 3))
     assert v.point == (Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_find_initial_vertex_on_unbounded_cone():
     p = make_polyhedron([[-1, 0], [0, -1]], [0, 0], name="quadrant")
-    v = find_initial_vertex(p, rational_point(p, [Fraction(3), Fraction(5)]))
+    v = find_initial_vertex(p, rational_point(p, [(3, 1), (5, 1)]))
     assert v.point == (Fraction(0), Fraction(0))
     assert v.tight == (0, 1)
 
@@ -173,7 +173,7 @@ def test_find_initial_vertex_lands_on_vertex_for_random_instances():
         v = find_initial_vertex(p, x0)
         assert contains(p, list(v.point))
         assert rank_exact(submatrix(p, v.tight)) == n
-        assert tight_set(p, rational_point(p, v.point)) == v.tight
+        assert tight_set(p, rational_point(p, pairs(v.point))) == v.tight
 
 
 def test_pivot_kernel_walks_edges_with_exact_inverses():
@@ -195,8 +195,8 @@ def test_pivot_kernel_walks_edges_with_exact_inverses():
         x = list(v.point)
         for pos, leaving in enumerate(basis):
             d = [-line[pos] for line in pair[1]]
-            step, blocking, hits = ratio_test(p, basis, rational_point(p, x), d)
-            rising = [i for i in range(p.m) if i not in basis and dot(p.a[i], d) > 0]
+            step, blocking, hits = ratio_test(p, basis, rational_point(p, pairs(x)), d)
+            rising = [i for i, row in enumerate(a_of(p)) if i not in basis and dot(row, d) > 0]
             assert hits == len(rising)
             if step is None:
                 assert not rising
@@ -215,11 +215,11 @@ def test_phase_one_square_and_shifted_box():
     p = square()
     x = phase_one(p)
     assert contains(p, x.x)
-    assert x == rational_point(p, [Fraction(0)] * 2)
+    assert x == rational_point(p, [(0, 1)] * 2)
     shifted = make_polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [5, 6, -4, -5])
     x = phase_one(shifted)
     assert contains(shifted, x.x)
-    assert x == rational_point(shifted, x.x)
+    assert x == rational_point(shifted, pairs(x.x))
 
 
 def test_phase_one_detects_empty_system():
@@ -251,7 +251,7 @@ def test_phase_one_feasible_on_random_instances():
             infeasible += 1
             continue
         assert contains(p, x.x)
-        assert x == rational_point(p, x.x)
+        assert x == rational_point(p, pairs(x.x))
         feasible += 1
 
 
@@ -260,7 +260,7 @@ def test_strict_interior_point_square_and_flat_slab():
     x = strict_interior_point(p)
     assert x is not None
     assert all(s > 0 for s in slacks(p, x.x))
-    assert x == rational_point(p, x.x)
+    assert x == rational_point(p, pairs(x.x))
     flat = make_polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 1, 0])
     assert strict_interior_point(flat) is None
 
@@ -276,7 +276,7 @@ def test_redundancy_scan_flags_dominated_rows_only():
     assert trimmed.m == 4
     assert redundancy_scan(trimmed, phase_one(trimmed)) == []
     with pytest.raises(InfeasiblePoint):
-        redundancy_scan(padded, rational_point(padded, [Fraction(2), Fraction(0)]))
+        redundancy_scan(padded, rational_point(padded, [(2, 1), (0, 1)]))
 
 
 def test_redundancy_scan_flags_tangent_rows():
@@ -300,7 +300,7 @@ def test_redundancy_scan_agrees_with_vertex_description():
         done += 1
         redundant = redundancy_scan(p, x0)
         # The verdict depends only on each LP's optimum, not on the start.
-        starts = [rational_point(p, find_initial_vertex(p, x0).point)]
+        starts = [rational_point(p, pairs(find_initial_vertex(p, x0).point))]
         interior = strict_interior_point(p)
         if interior is not None:
             starts.append(interior)
@@ -309,7 +309,8 @@ def test_redundancy_scan_agrees_with_vertex_description():
         slim = drop_rows(p, redundant) if redundant else p
         keep = [i for i in range(p.m) if i not in redundant]
         # The kept rows need no revalidation: the same system, built afresh.
-        assert slim == make_polyhedron([p.a[i] for i in keep], [p.b[i] for i in keep])
+        a, b = a_of(p), b_of(p)
+        assert slim == make_polyhedron([a[i] for i in keep], [b[i] for i in keep])
         # Dropping redundant rows must not admit new points: probe along a
         # random grid and compare membership verdicts.
         for _ in range(200):

@@ -1,13 +1,16 @@
 """Exact-rational JSON/CSV document handling and canonical output."""
 
+import csv
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from deltahull.errors import DimensionMismatch, DuplicateRow, NotPointed, ParseError
+from deltahull import serialize
+from deltahull.errors import DeltahullError, DimensionMismatch, DuplicateRow, NotPointed, ParseError
 from deltahull.serialize import (
     canonical_dumps,
     dump_fan,
@@ -21,15 +24,26 @@ from deltahull.serialize import (
 from deltahull.model import make_polyhedron
 from deltahull.subdivision import SubdivisionFan, build_subdivision_fans
 
-from conftest import square
-from helpers import load_fan_json, long_rational_text, rationalize
+from conftest import BENCH_DATA, square
+from helpers import (
+    a_of,
+    b_of,
+    fraction_parse_rational,
+    fractions_built,
+    load_fan_json,
+    long_rational_text,
+    pairs,
+    rationalize,
+)
 
 
 def test_parse_rational_accepted_forms():
-    assert parse_rational(3) == Fraction(3)
-    assert parse_rational("-2") == Fraction(-2)
-    assert parse_rational("7/3") == Fraction(7, 3)
-    assert parse_rational(" 5/10 ") == Fraction(1, 2)
+    assert parse_rational(3) == (3, 1)
+    assert parse_rational("-2") == (-2, 1)
+    assert parse_rational("7/3") == (7, 3)
+    assert parse_rational(" 5/10 ") == (1, 2)
+    assert parse_rational("-.25") == (-1, 4)
+    assert parse_rational("+1_0.") == (10, 1)
 
 
 def test_parse_rational_rejections():
@@ -49,7 +63,85 @@ def test_parse_rational_rejects_exponent_notation():
     # Fraction would expand the exponent into its digits, with no bound.
     with pytest.raises(ParseError, match="exponent"):
         parse_rational("1e400")
-    assert parse_rational("0.5") == Fraction(1, 2)
+    assert parse_rational("0.5") == (1, 2)
+
+
+# Tokens from the grammar Fraction parses, and from around it: signs,
+# whitespace (Unicode too), digits with underscores, non-ASCII digits
+# (Arabic-Indic three, fullwidth five), decimals such as ".5" and "5.",
+# denominators (zero among them), exponents, and tokens past int()'s
+# 4,300-digit limit in each part.
+spaces = st.text(alphabet=" \t\n\u3000\x1c", max_size=2)
+digit_runs = st.text(alphabet="0123456789__\u0663\uff15", max_size=5)
+tails = st.one_of(
+    st.just(""),
+    digit_runs.map("/".__add__),
+    digit_runs.map(".".__add__),
+    st.sampled_from(["e5", "E-3", "e+2", ".5e1", "/ 3", "/-3", "/2/3", ".d", "x"]),
+)
+string_tokens = st.builds(
+    lambda *parts: "".join(parts),
+    spaces, st.sampled_from(["", "+", "-", "--"]), digit_runs, tails, spaces,
+)
+long_tokens = st.sampled_from(
+    ["1" * 4301, "-1/" + "7" * 4301, "0." + "3" * 4301, "8" * 4300 + "/6", "9" * 3000 + "." + "9" * 3000]
+)
+text_tokens = st.one_of(string_tokens, long_tokens, st.text(max_size=4))
+tokens = st.one_of(
+    text_tokens, st.integers(-(10**30), 10**30), st.booleans(), st.floats(), st.none()
+)
+
+
+def parsed(parse, token):
+    """A parser's (num, den) for the token, or its ParseError text."""
+    try:
+        got = parse(token)
+    except ParseError as exc:
+        return str(exc)
+    return got.as_integer_ratio() if isinstance(got, Fraction) else got
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tokens)
+def test_pair_parser_matches_the_fraction_parser(token):
+    want = parsed(fraction_parse_rational, token)
+    got = parsed(parse_rational, token)
+    assert got == want
+    if isinstance(got, tuple):
+        assert all(type(v) is int for v in got)
+
+
+def loaded_csv(text):
+    """The system load_instance_csv builds from text, or its error's text
+    (csv.Error too: a stray carriage return escapes the loader)."""
+    try:
+        return load_instance_csv(text).polyhedron
+    except (DeltahullError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text_tokens, text_tokens)
+def test_csv_loader_matches_the_fraction_parser(entry, rhs):
+    """The same system or the same error from either parser, with two drawn
+    cells in a unit-square CSV."""
+    text = f"{entry},0,1\n0,1,{rhs}\n-1,0,0\n0,-1,0\n"
+
+    def oracle(token):
+        return fraction_parse_rational(token).as_integer_ratio()
+
+    with mock.patch.object(serialize, "parse_rational", oracle):
+        want = loaded_csv(text)
+    assert loaded_csv(text) == want
+
+
+def test_loading_a_dual_builds_one_fraction_per_row():
+    """The tokens of dual-n2k5 become integer pairs with no Fraction; the
+    one Fraction a row builds is its scale."""
+    with fractions_built() as built:
+        doc = load_instance_path(str(BENCH_DATA / "dual-n2k5.instance.json"))
+    assert doc.polyhedron.m == 96 and doc.feasible_point == [(0, 1), (0, 1)]
+    assert len(built) == doc.polyhedron.m
 
 
 def test_rational_str_lowest_terms():
@@ -57,6 +149,8 @@ def test_rational_str_lowest_terms():
     assert rational_str(Fraction(-4, 2)) == "-2"
     assert rational_str(Fraction(0)) == "0"
     assert rational_str(7) == "7"
+    assert rational_str(-14, 6) == "-7/3"
+    assert rational_str(Fraction(2, 3), 4) == "1/6"
 
 
 @pytest.mark.parametrize(
@@ -77,10 +171,10 @@ def test_instance_round_trip_is_byte_identical():
     p = square()
     text = dump_instance(p, feasible_point=[Fraction(1, 2), Fraction(1, 2)])
     doc = load_instance_json(text)
-    assert doc.polyhedron.a == p.a
-    assert doc.polyhedron.b == p.b
-    assert doc.feasible_point == [Fraction(1, 2), Fraction(1, 2)]
-    again = dump_instance(doc.polyhedron, feasible_point=doc.feasible_point)
+    assert a_of(doc.polyhedron) == a_of(p)
+    assert b_of(doc.polyhedron) == b_of(p)
+    assert doc.feasible_point == [(1, 2), (1, 2)]
+    again = dump_instance(doc.polyhedron, feasible_point=[Fraction(*x) for x in doc.feasible_point])
     assert again == text
     # Re-serializing the parsed JSON object canonically is also identical.
     assert canonical_dumps(json.loads(text)) == text
@@ -103,11 +197,11 @@ def test_instance_csv_round_trip(tmp_path):
     text = "# unit box\n1,0,1\n0,1,1\n-1,0,0\n0,-1,0\n"
     doc = load_instance_csv(text)
     assert doc.polyhedron.m == 4
-    assert doc.polyhedron.a == square().a
+    assert a_of(doc.polyhedron) == a_of(square())
     path = tmp_path / "box.csv"
     path.write_text(text, encoding="utf-8")
     from_path = load_instance_path(str(path))
-    assert from_path.polyhedron.a == doc.polyhedron.a
+    assert a_of(from_path.polyhedron) == a_of(doc.polyhedron)
 
 
 def test_instance_csv_rejects_ragged_and_empty_input():
@@ -124,7 +218,7 @@ def test_instance_path_json(tmp_path):
     path = tmp_path / "box.json"
     path.write_text(dump_instance(p), encoding="utf-8")
     doc = load_instance_path(str(path))
-    assert doc.polyhedron.b == p.b
+    assert b_of(doc.polyhedron) == b_of(p)
 
 
 def test_fan_round_trip():
@@ -171,14 +265,14 @@ def test_instance_documents_round_trip(system, name):
     text = dump_instance(p, feasible_point=point)
     doc = load_instance_json(text)
     assert doc.polyhedron == p
-    assert doc.feasible_point == point
-    assert dump_instance(doc.polyhedron, feasible_point=doc.feasible_point) == text
+    assert doc.feasible_point == (None if point is None else pairs(point))
+    assert dump_instance(doc.polyhedron, feasible_point=point) == text
     # the rows rebuilt from the integer form are the given Fractions
-    assert len(p.a) == len(rows) and len(p.b) == len(b)
-    for got, want in zip(p.a, rows):
+    assert len(a_of(p)) == len(rows) and len(b_of(p)) == len(b)
+    for got, want in zip(a_of(p), rows):
         assert len(got) == len(want)
         assert all(type(x) is Fraction and x == y for x, y in zip(got, want))
-    assert all(type(x) is Fraction and x == y for x, y in zip(p.b, b))
+    assert all(type(x) is Fraction and x == y for x, y in zip(b_of(p), b))
 
 
 @st.composite

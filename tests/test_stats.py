@@ -22,7 +22,7 @@ from deltahull.errors import (
     SingularBasis,
 )
 from deltahull.hull import run_enumeration
-from deltahull.linalg import integer_rows, rank_of
+from deltahull.linalg import rank_of
 from deltahull.model import make_polyhedron, submatrix
 from deltahull.stats import (
     DEFAULT_BUDGET,
@@ -37,6 +37,7 @@ from deltahull.subdivision import base_simplex
 
 from conftest import DEGENERATE_FAMILY, cube, square, square_pyramid
 from helpers import (
+    a_of,
     abs_det,
     cone_det_fractions,
     cone_dets,
@@ -44,6 +45,7 @@ from helpers import (
     det_exact,
     floor_holds,
     gram_delta_search,
+    integer_rows,
     local_delta_distance,
     rows_of,
     to_matrix,
@@ -307,7 +309,8 @@ def test_triangulation_stats_volume_identity():
             continue
         cones = result.triangulation.cones
         stats = triangulation_stats(p.ints, p.scales, cones, result.triangulation.dets)
-        total = sum(abs(det_exact([p.a[i] for i in c])) for c in cones)
+        a = a_of(p)
+        total = sum(abs(det_exact([a[i] for i in c])) for c in cones)
         assert stats.fan_volume * math.factorial(p.n) == total
         assert stats.delta_min <= stats.delta_avg <= stats.delta
         done += 1

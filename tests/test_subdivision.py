@@ -7,7 +7,7 @@ import pytest
 
 from deltahull.errors import EmptyAlphaInterval
 from deltahull.hull import run_enumeration
-from deltahull.linalg import dot, integer_rows
+from deltahull.linalg import dot
 from deltahull.stats import delta_max
 from deltahull.subdivision import (
     SubdivisionFan,
@@ -25,6 +25,7 @@ from helpers import (
     abs_det,
     density_profile,
     fraction_lift,
+    integer_rows,
     tightness_experiment,
     vertex_columns,
 )
