@@ -5,12 +5,13 @@ from there; `run_enumeration` gives it phase one's Point unless a point is
 given. The nodes are simplicial cones of the normal fan, one basis per cone.
 Simple vertices contribute their unique basis, the one they were reached
 from; a degenerate vertex gets its normal cone triangulated on first visit
-and each simplex becomes a node, pushed once. Pivoting from a node, a basis
-held as (det, adj), runs the integer ratio test on its vertex's slacks;
-positive steps cross edges of the polyhedron, zero steps move between bases
-of the same vertex, and an empty ratio test marks an unbounded edge. A move
-ends where its ratio test says (model.step_point, model.step_tight), so no
-basis is solved and no slack rescanned. Each edge's ratio test runs once
+and each simplex becomes a node, pushed once. One loop walks the nodes:
+it pops a basis, held as (det, adj), and runs the integer ratio test at
+each of its positions on its vertex's slacks; positive steps cross edges of
+the polyhedron, zero steps move between bases of the same vertex, and an
+empty ratio test marks an unbounded edge. A move ends where its ratio test
+says (model.step_point, and model.step_tight for a vertex not seen before),
+so no basis is solved and no slack rescanned. Each edge's ratio test runs once
 when one end is a simple vertex: the test back from the far end can only
 return to the basis it came from, so that basis skips it and is charged the
 hits it would have found. The (det, adj) pair of every basis popped is
@@ -84,65 +85,6 @@ class EnumerationResult:
         return not self.rays
 
 
-def pivot_neighbors(
-    p: HPolyhedron,
-    rows: Rows,
-    basis: Basis,
-    pt: Point,
-    counters: WorkCounters | None = None,
-    known: dict[int, int] | None = None,
-    back: dict[int, int] | None = None,
-    tight: Rows | None = None,
-) -> list[tuple[int, int | None, int | None, list[int], tuple | None]]:
-    """All pivots out of a feasible basis (det, adj) at its vertex pt, of
-    tight set `tight` (read off pt's slacks when not given).
-
-    Each is (leaving, entering, step, u, far): u = -adj[:, pos] is det times
-    the edge direction, and the integer ratio test picks every row attaining
-    the minimal step along u (ties at a degenerate vertex each yield a pivot;
-    a zero step stays at pt). `step` is the integer numerator of that step,
-    positive across an edge and zero at a stay, never built as a Fraction.
-    `far` is None at a stay, else the step pair (s, q) for model.step_point
-    and the far tight set by model.step_tight. Entering, step and far are
-    None on an unbounded edge.
-    The ratio_mults charged to `counters` stay the paper's per-basis cost model,
-    n * (m - n + hits) per leaving row: n multiplications per rate and n per
-    ratio. The report keeps that figure, though the integer kernel does less
-    work, reading the slacks stored with the vertex.
-
-    `known` maps the leaving rows whose ratio test is already decided to its
-    hits: those positions are skipped and yield no pivot, but are charged
-    n * (m - n + hits) all the same. `back`, if given, receives for each
-    leaving row with a positive step the hits of the test back along that
-    edge from its far end, #{i : ints_i u < 0} = m - hits - #{i : ints_i u = 0}
-    (no basis row has positive rate along u). When pt is simple, that reverse
-    test is decided: only the leaving row attains its minimum, so it pivots
-    back to this basis.
-    """
-    n = p.n
-    tight = model.tight_set(p, pt) if tight is None else tight
-    pivots = []
-    mults = 0
-    for pos, leaving in enumerate(rows):
-        if known and leaving in known:
-            mults += n * (p.m - n + known[leaving])
-            continue
-        u = [-line[pos] for line in basis[1]]
-        rates = p.products(u)
-        pair, blocking, hits = model.min_ratio(p, rows, pt, rates)
-        step = pair and pair[0]
-        mults += n * (p.m - n + hits)
-        far = (pair, model.step_tight(tight, rates, blocking)) if step else None
-        if back is not None and step:
-            back[leaving] = p.m - hits - rates.count(0)
-        if step is None:
-            pivots.append((leaving, None, None, u, None))
-        pivots += [(leaving, i, step, u, far) for i in blocking]
-    if counters is not None:
-        counters.charge(mults)
-    return pivots
-
-
 def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
     """Placing triangulation of the cone spanned by the tight-row normals.
 
@@ -190,8 +132,17 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
     cone triangulated once per vertex, rays recorded per (vertex, primitive
     direction), an edge per vertex pair that a positive-step pivot joins.
     A vertex's slacks are held only while a basis of it waits on the heap.
+    A popped basis (det, adj) runs model.min_ratio at each position pos,
+    along u = -adj[:, pos], det times the edge direction: each row attaining
+    the least step is a pivot, none an unbounded edge. ratio_mults is the
+    paper's per-basis cost model, n * (m - n + hits) per position (n
+    multiplications per rate and n per ratio), kept though the integer
+    kernel does less, reading the stored slacks. From a simple vertex the
+    test back along a positive-step edge is decided, as only the leaving row
+    attains it: the far basis, if still waiting, skips that position and is
+    charged its hits, #{i : ints_i u < 0} = m - hits - #{i : ints_i u = 0}.
     """
-    v0 = model.find_initial_vertex(p, start)
+    pt, tight = model.find_initial_vertex(p, start)
     vertices: list[VertexRecord] = []
     triangulation = Triangulation()
     by_point: dict[tuple[tuple[int, ...], int], int] = {}  # (num, den) -> index
@@ -211,11 +162,8 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
             heapq.heappush(heap, rows)
 
     def register(pt: Point, tight: Rows, rows: Rows = (), basis: Basis | None = None) -> int:
-        """Index of the vertex pt with tight set `tight`; a new one pushes its
-        cones, with `basis` for the one that is `rows`, the basis that reached it."""
-        index = by_point.get((pt.num, pt.den))
-        if index is not None:
-            return index
+        """Index of the new vertex pt with tight set `tight`, its cones pushed,
+        with `basis` for the one that is `rows`, the basis that reached it."""
         index = len(vertices)
         by_point[pt.num, pt.den] = index
         # n tight rows hold the nonsingular basis the vertex was reached from.
@@ -226,7 +174,7 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
             push(c, index, pt, basis if c == rows else None)
         return index
 
-    register(model.scaled_point(p, v0.num, v0.den), v0.tight)
+    register(pt, tight)
     while heap:
         rows = heapq.heappop(heap)
         pt, basis, known = pending.pop(rows)
@@ -234,29 +182,38 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
         basis = basis or model.basis_adjugate(p, rows)
         triangulation.dets[rows], triangulation.adjugates[rows] = basis
         owner = basis_owner[rows]
-        back = {} if vertices[owner].simple else None
-        for leaving, entering, step, u, far in pivot_neighbors(
-            p, rows, basis, pt, counters, known, back, vertices[owner].tight
-        ):
-            if entering is None:
+        vertex = vertices[owner]
+        mults = 0
+        for pos, leaving in enumerate(rows):
+            if leaving in known:
+                mults += p.n * (p.m - p.n + known[leaving])
+                continue
+            u = [-line[pos] for line in basis[1]]
+            rates = p.products(u)
+            step, blocking, hits = model.min_ratio(p, pt, rates)
+            mults += p.n * (p.m - p.n + hits)
+            if step is None:
                 g = gcd(*u)
                 ray_set.add((owner, tuple(c // g for c in u)))
                 continue
-            target = tuple(sorted([r for r in rows if r != leaving] + [entering]))
-            index = basis_owner.get(target)  # visited, or pending
-            if index is None:
-                _, child = model.pivot(p, rows, basis, leaving, entering)
-                if step == 0:
-                    push(target, owner, pt, child)
-                    continue
-                pair, tight = far
-                far_pt = model.step_point(p, pt, pair, u)
-                index = register(far_pt, tight, target, child)
-                push(target, index, far_pt, child)
-            if step:
-                edges.add((min(owner, index), max(owner, index)))
-                if back is not None and target in pending:
-                    pending[target][2][entering] = back[leaving]
+            for entering in blocking:
+                target = tuple(sorted([r for r in rows if r != leaving] + [entering]))
+                index = basis_owner.get(target)  # visited, or pending
+                if index is None:
+                    _, child = model.pivot(p, rows, basis, leaving, entering)
+                    index, at = owner, pt  # a zero step stays at the vertex
+                    if step[0]:
+                        at = model.step_point(p, pt, step, u)
+                        index = by_point.get((at.num, at.den))
+                        if index is None:
+                            far = model.step_tight(vertex.tight, rates, blocking)
+                            index = register(at, far, target, child)
+                    push(target, index, at, child)
+                if step[0]:
+                    edges.add((min(owner, index), max(owner, index)))
+                    if vertex.simple and target in pending:
+                        pending[target][2][entering] = p.m - hits - rates.count(0)
+        counters.charge(mults)
 
     return EnumerationResult(
         vertices=vertices,

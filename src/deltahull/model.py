@@ -230,7 +230,7 @@ def _extend_independent(p: HPolyhedron, basis: list[int], ortho: list, rows) -> 
     return basis
 
 
-def find_initial_vertex(p: HPolyhedron, pt: Point) -> VertexRecord:
+def find_initial_vertex(p: HPolyhedron, pt: Point) -> tuple[Point, tuple[int, ...]]:
     """Ray-cast from a feasible point to a vertex of p.
 
     Deterministic rule: pick the lowest-index standard basis vector outside
@@ -242,7 +242,7 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> VertexRecord:
     The basis is kept orthogonalized in integers, so a rank test or a
     projection is one pass over it. Each move ends by step_point and
     step_tight, so only the start's slacks are scanned, by tight_set, which
-    rejects an infeasible start. Returns the vertex's integer record.
+    rejects an infeasible start. Returns the vertex's Point and tight set.
     """
     tight = tight_set(p, pt)
     ortho: list = []
@@ -250,21 +250,21 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> VertexRecord:
     while len(basis) < p.n:
         d = next(d for d in (linalg.off_span(e, ortho) for e in linalg.identity(p.n)) if any(d))
         rates = p.products(d)
-        step, blocking, _ = min_ratio(p, (), pt, rates)
+        step, blocking, _ = min_ratio(p, pt, rates)
         if step is None:
             d, rates = [-t for t in d], [-w for w in rates]
-            step, blocking, _ = min_ratio(p, (), pt, rates)
+            step, blocking, _ = min_ratio(p, pt, rates)
             if step is None:
                 raise UnboundedLine("polyhedron contains a line despite rank n")
         pt = step_point(p, pt, step, d)
         basis = _extend_independent(p, basis, ortho, blocking)
         tight = step_tight(tight, rates, blocking)
-    return VertexRecord(pt.num, pt.den, tight)
+    return pt, tight
 
 
-def min_ratio(p: HPolyhedron, rows, pt: Point, rates):
-    """Longest feasible step from pt along an integer direction u over the
-    rows outside `rows`, given the rates w_i = ints_i u of every row.
+def min_ratio(p: HPolyhedron, pt: Point, rates):
+    """Longest feasible step from pt along an integer direction u, given the
+    rates w_i = ints_i u of every row.
 
     Returns (step, blocking, hits): the least slack over rate as the integer
     pair (s, q), step = s / q with q = pt.den * rhs_den[i] * w_i > 0 for a
@@ -272,11 +272,14 @@ def min_ratio(p: HPolyhedron, rows, pt: Point, rates):
     positive rate (an unbounded ray); the rows attaining it, ascending; and
     the number of rows with positive rate.
 
+    Along an edge u = -adj[:, pos] of a basis (det, adj), det > 0, no basis
+    row needs leaving out: ints_B u = -det e_pos, so each basis row has rate
+    0 or -det, and only rows off the basis can be live.
     The ratios are pt.slack[i] / (rhs_den[i] w_i). Only rows of least floor
     quotient can attain the minimum, as floor(a/b) < floor(c/d) implies
     a/b < c/d; they are compared by cross-multiplying.
     """
-    live = [i for i, w in enumerate(rates) if w > 0 and i not in rows]
+    live = [i for i, w in enumerate(rates) if w > 0]
     if not live:
         return None, [], 0
     slacks = [pt.slack[i] for i in live]
@@ -333,16 +336,15 @@ def pivot(
 def simplex_max(p: HPolyhedron, objective: Vec, start: Point):
     """Maximize <objective, x> over p from the feasible Point `start`.
 
-    Ray-casts the start to a vertex and starts from its point and its
-    lexicographically smallest independent tight basis. Exact simplex with
-    Bland's anti-cycling rule: relax the smallest basic row whose edge
-    improves the objective; the entering row is the smallest index attaining
-    the minimum ratio. The point moves by step_point, so no basis is solved.
-    Returns ("optimal", Point) or ("unbounded", direction).
+    Starts from the vertex Point and tight set the ray cast from `start`
+    returns, with its lexicographically smallest independent tight basis.
+    Exact simplex with Bland's anti-cycling rule: relax the smallest basic
+    row whose edge improves the objective; the entering row is the smallest
+    index attaining the minimum ratio. The point moves by step_point, so no
+    basis is solved. Returns ("optimal", Point) or ("unbounded", direction).
     """
-    v = find_initial_vertex(p, start)
-    pt = scaled_point(p, v.num, v.den)
-    rows = tuple(_extend_independent(p, [], [], v.tight))
+    pt, tight = find_initial_vertex(p, start)
+    rows = tuple(_extend_independent(p, [], [], tight))
     basis = basis_adjugate(p, rows)
     while True:
         for pos, leaving in enumerate(rows):
@@ -351,7 +353,7 @@ def simplex_max(p: HPolyhedron, objective: Vec, start: Point):
                 break
         else:
             return "optimal", pt
-        step, blocking, _ = min_ratio(p, rows, pt, p.products(u))
+        step, blocking, _ = min_ratio(p, pt, p.products(u))
         if step is None:
             return "unbounded", u
         rows, basis = pivot(p, rows, basis, leaving, blocking[0])

@@ -113,11 +113,11 @@ class InstanceDocument:
 
 
 def parse_json(text: str):
-    """Decoded JSON; malformed text, or an integer literal past Python's
-    digit limit for int conversion, is a ParseError."""
+    """Decoded JSON; malformed text, an integer literal past Python's digit
+    limit for int conversion, or nesting past the recursion limit is a ParseError."""
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError is one
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
@@ -153,8 +153,12 @@ def load_instance_json(text: str) -> InstanceDocument:
 
 
 def load_instance_csv(text: str) -> InstanceDocument:
+    try:
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # a bare carriage return, a field past csv.field_size_limit()
+        raise ParseError(f"invalid CSV: {exc}") from None
     rows = []
-    for record in csv.reader(io.StringIO(text)):
+    for record in records:
         cells = [c.strip() for c in record if c.strip()]
         if not cells or cells[0].startswith("#"):
             continue

@@ -423,10 +423,10 @@ def rank_redundant_rows(p, result) -> list[int] | None:
     return redundant
 
 
-def ratio_test(p, rows, pt: model.Point, u):
+def ratio_test(p, pt: model.Point, u):
     """model.min_ratio along the integer direction u, with the step as a
     Fraction, or None when no row has positive rate."""
-    step, blocking, hits = model.min_ratio(p, rows, pt, p.products(u))
+    step, blocking, hits = model.min_ratio(p, pt, p.products(u))
     return step and Fraction(*step), blocking, hits
 
 
@@ -443,7 +443,7 @@ def ratio_work(p, result) -> tuple[int, int]:
         mults = 0
         for pos in range(n):
             u = [-line[pos] for line in basis[1]]
-            mults += n * (p.m - n + ratio_test(p, rows, pt, u)[2])
+            mults += n * (p.m - n + ratio_test(p, pt, u)[2])
         total += mults
         peak = max(peak, mults)
     return total, peak

@@ -1,6 +1,7 @@
 """Command line driver: subcommands, exit codes, canonical reports."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -652,6 +653,29 @@ def test_non_utf8_file_is_a_parse_error(capsys, square_file, tmp_path, target):
     assert err.startswith("deltahull: parse error: ")
     assert err.count("\n") == 1
     assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("target", ["instance", "feasible-point"])
+def test_deeply_nested_json_is_a_parse_error(capsys, square_file, tmp_path, target):
+    # json.loads raises RecursionError, not a ValueError, past the recursion limit.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    argv = ["vertices", str(deep)]
+    if target == "feasible-point":
+        argv = ["vertices", square_file, "--feasible-point", str(deep)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("deltahull: parse error: invalid JSON: ")
+    assert err.count("\n") == 1
+
+
+def test_csv_field_past_the_size_limit_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("1," + "1" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vertices", str(path)])
+    assert (code, out) == (4, "")
+    assert err.startswith("deltahull: parse error: invalid CSV: field larger than field limit")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

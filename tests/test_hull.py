@@ -21,7 +21,6 @@ from deltahull.errors import (
 from deltahull.hull import (
     enumerate_all_bases_oracle,
     enumerate_vertices,
-    pivot_neighbors,
     redundant_rows,
     run_enumeration,
     triangulate_normal_cone,
@@ -59,6 +58,7 @@ from helpers import (
     pairs,
     rank_redundant_rows,
     rank_test_edges,
+    ratio_test,
     ratio_work,
     vertex_points,
 )
@@ -66,6 +66,24 @@ from helpers import (
 
 def target_basis(rows, leaving, entering):
     return tuple(sorted(set(rows) - {leaving} | {entering}))
+
+
+def edge(basis, pos):
+    """det times the direction of the edge that relaxes position pos of the
+    basis (det, adj): -adj[:, pos]."""
+    return [-line[pos] for line in basis[1]]
+
+
+def pivots(p, rows, basis, pt):
+    """(leaving, entering, step, u) of every pivot out of a feasible basis at
+    its vertex pt, read off the ratio test at each position: one per row
+    attaining the least step, or (leaving, None, None, u) on an unbounded edge."""
+    out = []
+    for pos, leaving in enumerate(rows):
+        u = edge(basis, pos)
+        step, blocking, _ = ratio_test(p, pt, u)
+        out += [(leaving, i, step, u) for i in blocking] or [(leaving, None, None, u)]
+    return out
 
 
 def test_square_enumeration_counts():
@@ -164,14 +182,14 @@ def test_recorded_cone_dets_match_fresh_ones_on_fuzz_corpus(corpus_analysis):
         assert_recorded_dets_match_fresh_ones(p, result)
 
 
-def test_pivot_neighbors_square_fixed_pivot():
+def test_ratio_tests_pick_the_square_pivots():
     p = square()
     rows = (0, 1)  # vertex (1,1)
     basis = basis_adjugate(p, rows)
     x = rational_point(p, [(1, 1), (1, 1)])
-    pivots = pivot_neighbors(p, rows, basis, x)
-    assert len(pivots) == 2
-    by_leaving = {leaving: (entering, step, u) for leaving, entering, step, u, _ in pivots}
+    found = pivots(p, rows, basis, x)
+    assert len(found) == 2
+    by_leaving = {leaving: (entering, step, u) for leaving, entering, step, u in found}
     entering, step, u = by_leaving[0]
     assert entering == 2
     assert step == 1
@@ -182,25 +200,25 @@ def test_pivot_neighbors_square_fixed_pivot():
     assert target_basis(rows, 1, entering) == (0, 3)
 
 
-def test_pivot_neighbors_reports_rays_on_unbounded_cone():
+def test_ratio_tests_report_rays_on_unbounded_cone():
     p = make_polyhedron([[-1, 0], [0, -1]], [0, 0], name="quadrant")
     rows = (0, 1)
     basis = basis_adjugate(p, rows)
-    pivots = pivot_neighbors(p, rows, basis, rational_point(p, [(0, 1), (0, 1)]))
-    assert all(entering is None and step is None for _, entering, step, _, _ in pivots)
-    assert {tuple(u) for _, _, _, u, _ in pivots} == {(1, 0), (0, 1)}
+    found = pivots(p, rows, basis, rational_point(p, [(0, 1), (0, 1)]))
+    assert all(entering is None and step is None for _, entering, step, _ in found)
+    assert {tuple(u) for _, _, _, u in found} == {(1, 0), (0, 1)}
 
 
-def test_pivot_neighbors_charges_ratio_test_work():
-    from deltahull.hull import WorkCounters
-
+def test_ratio_work_charge_per_basis_is_bounded():
     p = cube()
-    rows = (0, 1, 2)
-    basis = basis_adjugate(p, rows)
-    counters = WorkCounters()
-    pivot_neighbors(p, rows, basis, rational_point(p, [(1, 1)] * 3), counters)
+    n, m = p.n, p.m
+    basis = basis_adjugate(p, (0, 1, 2))
+    pt = rational_point(p, [(1, 1)] * 3)
+    mults = sum(n * (m - n + ratio_test(p, pt, edge(basis, pos))[2]) for pos in range(n))
+    assert 0 < mults <= 2 * n * n * m
+    counters = run_enumeration(p).counters
     assert counters.ratio_mults > 0
-    assert counters.max_basis_mults <= 2 * p.n * p.n * p.m
+    assert counters.max_basis_mults <= 2 * n * n * m
 
 
 def test_enumeration_collects_rays_of_unbounded_polyhedra():
@@ -287,7 +305,7 @@ def test_pivot_edges_separate_moves_from_degenerate_stays():
         x = rational_point(p, pairs(v.point))
         for rows in cones:
             basis = basis_adjugate(p, rows)
-            for leaving, entering, step, _, _ in pivot_neighbors(p, rows, basis, x):
+            for leaving, entering, step, _ in pivots(p, rows, basis, x):
                 reached = tuple(basis_vertex(p, target_basis(rows, leaving, entering)))
                 if step > 0:
                     assert reached != v.point
@@ -373,7 +391,7 @@ def assert_work_and_closure(p, result):
     for rows in visited:
         basis = basis_adjugate(p, rows)
         pt = scaled_point(p, *basis_solution(p, rows, basis))
-        for leaving, entering, _, _, _ in pivot_neighbors(p, rows, basis, pt):
+        for leaving, entering, _, _ in pivots(p, rows, basis, pt):
             if entering is not None:
                 assert target_basis(rows, leaving, entering) in visited, p.name
 
@@ -388,9 +406,12 @@ def test_ratio_work_matches_fresh_ratio_tests_on_corpora(corpus_analysis, bench_
 
 def test_the_walk_neither_solves_nor_rescans_a_vertex(bench_duals, monkeypatch):
     """Kernel calls per enumeration of the simple benchmark duals: no basis
-    solve, one tight-set scan (the ray cast's start), and one slack vector
-    per ray-cast move and per vertex. Every move ends where its ratio test
-    says, so a walk that re-solved or rescanned each vertex would fail."""
+    solve, one tight-set scan (the ray cast's start), and one step, slack
+    vector and far tight set per ray-cast move and per vertex past the
+    start. Every move ends where its ratio test says, and the walk starts
+    from the Point the ray cast returns, so a walk that re-solved or
+    rescanned a vertex, rebuilt the start or built the tight set of a vertex
+    it had already seen would fail."""
     calls = Counter()
 
     def counting(name):
@@ -402,19 +423,22 @@ def test_the_walk_neither_solves_nor_rescans_a_vertex(bench_duals, monkeypatch):
 
         return counted
 
-    for name in ("basis_solution", "tight_set", "scaled_point"):
+    kernels = ("scaled_point", "step_point", "step_tight")
+    for name in ("basis_solution", "tight_set") + kernels:
         monkeypatch.setattr(model, name, counting(name))
     for p, reference in bench_duals.values():
         start = rational_point(p, [(0, 1)] * p.n)
         calls.clear()
         model.find_initial_vertex(p, start)
         moves = calls["scaled_point"]
-        assert 0 < moves <= p.n and calls["tight_set"] == 1, p.name
+        assert 0 < moves <= p.n, p.name
+        assert calls == {"tight_set": 1, **dict.fromkeys(kernels, moves)}, p.name
         calls.clear()
         result = enumerate_vertices(p, start)
         assert all(v.simple for v in result.vertices), p.name
         assert result.vertices == reference.vertices, p.name
-        assert calls == {"tight_set": 1, "scaled_point": moves + len(result.vertices)}, p.name
+        each = moves + len(result.vertices) - 1
+        assert calls == {"tight_set": 1, **dict.fromkeys(kernels, each)}, p.name
 
 
 def ratio_tests_run(p, v0):

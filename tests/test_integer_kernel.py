@@ -85,28 +85,29 @@ def test_integer_kernel_matches_fraction_oracle(system, data):
     n = p.n
     x = data.draw(st.lists(rationals, min_size=n, max_size=n))
     u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    rows = tuple(data.draw(st.sets(st.integers(0, p.m - 1), max_size=n)))
     # The ratio test reads slacks only, so infeasible points count too.
-    assert ratio_test(p, rows, rational_point(p, pairs(x)), u) == oracle.ratio_test(p, rows, x, u)
+    assert ratio_test(p, rational_point(p, pairs(x)), u) == oracle.ratio_test(p, (), x, u)
     same_tight_set(p, x)
     try:
         start = phase_one(p)
     except Infeasible:
         return
-    v = find_initial_vertex(p, start)
-    assert same_tight_set(p, v.point) == v.tight
-    basis = next(b for b in combinations(v.tight, n) if rank_of(submatrix(p, b)) == n)
+    pt, tight = find_initial_vertex(p, start)
+    assert same_tight_set(p, pt.x) == tight
+    basis = next(b for b in combinations(tight, n) if rank_of(submatrix(p, b)) == n)
     pair = basis_adjugate(p, basis)
     det, adj = pair
     # The basis solution, with its unreduced denominator, is the same point.
     at_basis = scaled_point(p, *basis_solution(p, basis, pair))
-    assert at_basis.x == v.point
-    assert tight_set(p, at_basis) == v.tight
+    assert at_basis == pt
+    assert tight_set(p, at_basis) == tight
     for pos in range(n):
         edge = [-line[pos] for line in adj]
-        step, blocking, hits = ratio_test(p, basis, at_basis, edge)
+        # The oracle leaves the basis rows out; the kernel needs not, as
+        # none has positive rate along an edge of the basis.
+        step, blocking, hits = ratio_test(p, at_basis, edge)
         d = [Fraction(c, det) for c in edge]
-        want_step, want_blocking, want_hits = oracle.ratio_test(p, basis, v.point, d)
+        want_step, want_blocking, want_hits = oracle.ratio_test(p, basis, pt.x, d)
         assert (blocking, hits) == (want_blocking, want_hits)
         assert (step is None and want_step is None) or step * det == want_step
 
@@ -127,18 +128,18 @@ def test_pivot_chain_matches_fresh_adjugates():
         b = [rng.randint(0, 9) for _ in range(n + 5)]
         try:
             p = make_polyhedron(rows, b)
-            v = find_initial_vertex(p, phase_one(p))
+            _, tight = find_initial_vertex(p, phase_one(p))
         except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
             continue
         basis = next(
-            c for c in combinations(v.tight, n) if rank_of(submatrix(p, c)) == n
+            c for c in combinations(tight, n) if rank_of(submatrix(p, c)) == n
         )
         pair = basis_adjugate(p, basis)
         for _ in range(12):
             pt = scaled_point(p, *basis_solution(p, basis, pair))
             pos = rng.randrange(n)
             edge = [-line[pos] for line in pair[1]]
-            step, blocking, _ = ratio_test(p, basis, pt, edge)
+            step, blocking, _ = ratio_test(p, pt, edge)
             if step is None:
                 continue
             basis, pair = pivot(p, basis, pair, basis[pos], rng.choice(blocking))
@@ -191,12 +192,13 @@ def test_points_are_in_lowest_terms_with_per_row_slacks(system, data):
     scaled = scaled_point(p, [v.numerator * den // v.denominator for v in x], den)
     assert_lowest_terms_point(p, scaled, x)
     try:
-        v = find_initial_vertex(p, phase_one(p))
+        pt, tight = find_initial_vertex(p, phase_one(p))
     except Infeasible:
         return
-    basis = next(b for b in combinations(v.tight, p.n) if rank_of(submatrix(p, b)) == p.n)
+    assert_lowest_terms_point(p, pt, pt.x)  # the ray cast's own Point
+    basis = next(b for b in combinations(tight, p.n) if rank_of(submatrix(p, b)) == p.n)
     at_basis = scaled_point(p, *basis_solution(p, basis, basis_adjugate(p, basis)))
-    assert_lowest_terms_point(p, at_basis, v.point)
+    assert_lowest_terms_point(p, at_basis, pt.x)
 
 
 def test_subdivision_dual_enumeration_stays_near_the_data_width(monkeypatch):

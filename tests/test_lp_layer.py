@@ -69,10 +69,10 @@ def assert_lp_layer_matches_oracle(p, objective):
     assert (interior is None) == (want_interior is None)
     if want_interior is not None:
         assert_point_is(p, interior, want_interior)
-    v = model.find_initial_vertex(p, x0)
+    pt, tight = model.find_initial_vertex(p, x0)
     want = oracle.find_initial_vertex(p, x0.x)
-    assert (v.point, v.tight) == (want.point, want.tight)
-    assert all(type(c) is Fraction for c in v.point)
+    assert (pt.x, tight) == (want.point, want.tight)
+    assert all(type(c) is Fraction for c in pt.x)
     status, opt = model.simplex_max(p, objective, x0)
     want_status, want = oracle.simplex_max(p, objective, x0.x)
     assert status == want_status

@@ -137,24 +137,23 @@ def test_tight_set_at_degenerate_apex():
 
 def test_find_initial_vertex_walks_square_interior_to_corner():
     p = square()
-    v = find_initial_vertex(p, rational_point(p, [(1, 2), (1, 2)]))
+    pt, tight = find_initial_vertex(p, rational_point(p, [(1, 2), (1, 2)]))
     # Deterministic: first move follows +e1 to x=1, second +e2 to y=1.
-    assert v.point == (Fraction(1), Fraction(1))
-    assert v.tight == (0, 1)
-    assert v.simple
+    assert pt.x == (Fraction(1), Fraction(1))
+    assert tight == (0, 1)
 
 
 def test_find_initial_vertex_keeps_existing_vertex():
     p = cube()
-    v = find_initial_vertex(p, rational_point(p, [(0, 1)] * 3))
-    assert v.point == (Fraction(0), Fraction(0), Fraction(0))
+    pt, _ = find_initial_vertex(p, rational_point(p, [(0, 1)] * 3))
+    assert pt.x == (Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_find_initial_vertex_on_unbounded_cone():
     p = make_polyhedron([[-1, 0], [0, -1]], [0, 0], name="quadrant")
-    v = find_initial_vertex(p, rational_point(p, [(3, 1), (5, 1)]))
-    assert v.point == (Fraction(0), Fraction(0))
-    assert v.tight == (0, 1)
+    pt, tight = find_initial_vertex(p, rational_point(p, [(3, 1), (5, 1)]))
+    assert pt.x == (Fraction(0), Fraction(0))
+    assert tight == (0, 1)
 
 
 def test_find_initial_vertex_lands_on_vertex_for_random_instances():
@@ -170,10 +169,12 @@ def test_find_initial_vertex_lands_on_vertex_for_random_instances():
         except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
             continue
         built += 1
-        v = find_initial_vertex(p, x0)
-        assert contains(p, list(v.point))
-        assert rank_exact(submatrix(p, v.tight)) == n
-        assert tight_set(p, rational_point(p, pairs(v.point))) == v.tight
+        pt, tight = find_initial_vertex(p, x0)
+        assert contains(p, list(pt.x))
+        assert rank_exact(submatrix(p, tight)) == n
+        # The returned Point carries the slacks of a fresh one.
+        assert pt == rational_point(p, pairs(pt.x))
+        assert tight_set(p, pt) == tight
 
 
 def test_pivot_kernel_walks_edges_with_exact_inverses():
@@ -185,17 +186,17 @@ def test_pivot_kernel_walks_edges_with_exact_inverses():
         rhs = [rng.randint(-4, 4) for _ in range(n + 3)]
         try:
             p = make_polyhedron(rows, rhs)
-            v = find_initial_vertex(p, phase_one(p))
+            pt, tight = find_initial_vertex(p, phase_one(p))
         except (DimensionMismatch, DuplicateRow, NotPointed, Infeasible):
             continue
         basis = next(
-            b for b in combinations(v.tight, n) if rank_of(submatrix(p, b)) == n
+            b for b in combinations(tight, n) if rank_of(submatrix(p, b)) == n
         )
         pair = basis_adjugate(p, basis)
-        x = list(v.point)
+        x = list(pt.x)
         for pos, leaving in enumerate(basis):
             d = [-line[pos] for line in pair[1]]
-            step, blocking, hits = ratio_test(p, basis, rational_point(p, pairs(x)), d)
+            step, blocking, hits = ratio_test(p, rational_point(p, pairs(x)), d)
             rising = [i for i, row in enumerate(a_of(p)) if i not in basis and dot(row, d) > 0]
             assert hits == len(rising)
             if step is None:
@@ -300,7 +301,7 @@ def test_redundancy_scan_agrees_with_vertex_description():
         done += 1
         redundant = redundancy_scan(p, x0)
         # The verdict depends only on each LP's optimum, not on the start.
-        starts = [rational_point(p, pairs(find_initial_vertex(p, x0).point))]
+        starts = [find_initial_vertex(p, x0)[0]]
         interior = strict_interior_point(p)
         if interior is not None:
             starts.append(interior)

@@ -112,11 +112,10 @@ def test_pair_parser_matches_the_fraction_parser(token):
 
 
 def loaded_csv(text):
-    """The system load_instance_csv builds from text, or its error's text
-    (csv.Error too: a stray carriage return escapes the loader)."""
+    """The system load_instance_csv builds from text, or its error's text."""
     try:
         return load_instance_csv(text).polyhedron
-    except (DeltahullError, csv.Error) as exc:
+    except DeltahullError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -211,6 +210,19 @@ def test_instance_csv_rejects_ragged_and_empty_input():
         load_instance_csv("# only a comment\n")
     with pytest.raises(ParseError):
         load_instance_csv("5\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("\r,0,1\n0,1,1\n", "new-line character seen in unquoted field"),
+        ("1," + "1" * (csv.field_size_limit() + 1) + "\n", "field larger than field limit"),
+    ],
+    ids=["bare-carriage-return", "field-past-size-limit"],
+)
+def test_instance_csv_reader_errors_are_parse_errors(text, message):
+    with pytest.raises(ParseError, match=f"^invalid CSV: {message}"):
+        load_instance_csv(text)
 
 
 def test_instance_path_json(tmp_path):
