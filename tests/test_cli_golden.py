@@ -2,10 +2,11 @@
 
 Each case runs one subcommand on one instance through `deltahull.cli.main`
 and compares three things with `tests/data/cli_golden.json`: the exit code,
-the sha256 of the canonical report with `timings` removed, and stderr.
-Before hashing, it checks that the bytes the CLI wrote are already that
-canonical form, so a report written in another key order fails too.
-Record the file again with
+the report with `timings` removed, and stderr. The file stores each report
+itself, so a re-record shows which keys moved, and a mismatch names the
+first key path that differs. Before comparing, the case checks that the
+bytes the CLI wrote are already the canonical form, so a report written in
+another key order fails too. Record the file again with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
@@ -14,7 +15,6 @@ driver's reports are held to.
 """
 
 import contextlib
-import hashlib
 import io
 import json
 import tempfile
@@ -88,14 +88,36 @@ def run_case(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    digest = None
+    report = None
     if out.getvalue():
         report = json.loads(out.getvalue())
         # The CLI's own bytes are the canonical form, not only its parse.
         assert out.getvalue() == canonical_dumps(report) + "\n"
         report.pop("timings", None)
-        digest = hashlib.sha256(canonical_dumps(report).encode()).hexdigest()
-    return {"exit": code, "report_sha256": digest, "stderr": err.getvalue()}
+    return {"exit": code, "report": report, "stderr": err.getvalue()}
+
+
+def first_difference(got, want, path: str = "") -> str | None:
+    """The first key path, in sorted key order, at which two JSON values
+    differ, such as `report.work.bases_visited` or `report.vertices[3]`;
+    None when they are equal."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(got.keys() | want.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in got or key not in want:
+                return where
+            found = first_difference(got[key], want[key], where)
+            if found is not None:
+                return found
+        return None
+    if isinstance(got, list) and isinstance(want, list):
+        for k, (a, b) in enumerate(zip(got, want)):
+            found = first_difference(a, b, f"{path}[{k}]")
+            if found is not None:
+                return found
+        return None if len(got) == len(want) else f"{path}[{min(len(got), len(want))}]"
+    same = got == want and type(got) is type(want)
+    return None if same else path or "(top)"
 
 
 def case_id(label: str, sub: str) -> str:
@@ -119,7 +141,20 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("label,sub", CASES, ids=[case_id(*c) for c in CASES])
 def test_cli_matches_golden(inputs, golden, label, sub):
     got = run_case(SUBCOMMANDS[sub] + inputs[label])
-    assert got == golden[case_id(label, sub)]
+    where = first_difference(got, golden[case_id(label, sub)])
+    assert where is None, f"first difference at {where}"
+
+
+def test_first_difference_names_the_key_path():
+    want = {"exit": 0, "report": {"work": {"a": 1, "b": [1, [2, 3]]}}, "stderr": ""}
+    assert first_difference(want, want) is None
+    got = {"exit": 0, "report": {"work": {"a": 1, "b": [1, [2, 4]]}}, "stderr": ""}
+    assert first_difference(got, want) == "report.work.b[1][1]"
+    assert first_difference({**want, "exit": 7}, want) == "exit"
+    assert first_difference({**want, "report": None}, want) == "report"
+    assert first_difference({"report": {"work": {"a": 1}}}, want) == "exit"
+    assert first_difference([1], [1, 2]) == "[1]"
+    assert first_difference(1, 1.0) == "(top)"  # an int written as a float is a change
 
 
 def test_canonical_dumps_matches_the_rationalize_oracle(
@@ -142,7 +177,7 @@ def test_canonical_dumps_matches_the_rationalize_oracle(
         run_case(SUBCOMMANDS[sub] + inputs[label])
     for path in paths:
         run_case(["verify", str(path)])
-    with_report = sum(1 for case in golden.values() if case["report_sha256"])
+    with_report = sum(1 for case in golden.values() if case["report"] is not None)
     assert len(reports) == with_report + len(fuzz_corpus)
     for report in reports:
         want = json.dumps(rationalize(report), sort_keys=True, separators=(",", ":"))
