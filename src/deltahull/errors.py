@@ -38,19 +38,13 @@ class BudgetExceeded(DeltahullError):
 
 
 class BoundViolated(DeltahullError):
-    """A certified inequality check failed; carries the offending report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A certified inequality check failed; the message names it."""
 
 
 class SingularMatrix(DeltahullError):
-    """A square system that was expected to be invertible is singular."""
-
-
-class SingularBasis(SingularMatrix):
-    """A basis row set is linearly dependent."""
+    """A square system that was expected to be invertible is singular:
+    linalg.adjugate's error, so also a dependent basis row set
+    (model.basis_adjugate) or a singular cone (stats.triangulation_stats)."""
 
 
 class RankDeficient(DeltahullError):

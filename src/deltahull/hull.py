@@ -36,7 +36,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from . import linalg, model
-from .errors import BudgetExceeded, RankDeficient, SingularBasis
+from .errors import BudgetExceeded, RankDeficient, SingularMatrix
 from .linalg import Basis, dot
 from .model import HPolyhedron, Point, VertexRecord
 
@@ -56,9 +56,6 @@ class Triangulation:
     @property
     def cones(self) -> list[Rows]:
         return [c for group in self.cones_by_vertex for c in group]
-
-    def __len__(self) -> int:
-        return sum(len(g) for g in self.cones_by_vertex)
 
 
 @dataclass
@@ -110,7 +107,7 @@ def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
         for c in cones:
             # v's coordinates in the cone's generators times det(Gram) > 0,
             # by an adjugate Gram solve: only their signs are read.
-            gens = model.submatrix(p, c)
+            gens = [p.ints[i] for i in c]
             _, adj = linalg.adjugate([[dot(g, h) for h in gens] for g in gens])
             lam = [dot(line, [dot(g, v) for g in gens]) for line in adj]
             for k in range(len(c)):
@@ -302,7 +299,7 @@ def enumerate_all_bases_oracle(
     for rows in combinations(range(p.m), p.n):
         try:
             basis = model.basis_adjugate(p, rows)
-        except SingularBasis:
+        except SingularMatrix:
             continue
         pt = model.scaled_point(p, *model.basis_solution(p, rows, basis))
         if min(pt.slack) < 0:

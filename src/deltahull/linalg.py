@@ -1,11 +1,12 @@
-"""Exact linear algebra over Python ints, plus Fraction vector helpers.
+"""Exact linear algebra over Python ints.
 
-A row of Fractions becomes integers in `integer_row`: its primitive
-integer multiple and the positive scale between the two. Every
-independence test is the integral Gram-Schmidt step `off_span`, and the
-adjugate comes from one fraction-free (Bareiss) elimination, both over
-Python ints with exact divisions, so `rank_of` and `adjugate` take integer
-matrices and never see a denominator.
+A rational row, given as (num, den) pairs, becomes integers in
+`integer_row`: its primitive integer multiple and the positive scale
+between the two, the one clearing rule of the package. Every independence
+test is the integral Gram-Schmidt step `off_span`, run by the one loop
+`independent`, and the adjugate comes from one fraction-free (Bareiss)
+elimination, both over Python ints with exact divisions, so `rank_of` and
+`adjugate` take integer matrices and never see a denominator.
 A basis is carried as the pair (det, adj) and a row swap updates that pair
 in integers (`basis_inverse_update`); the pivot kernel in `model` builds a
 `Fraction` only where a result leaves it. No floating point is used
@@ -18,8 +19,6 @@ from operator import mul
 
 from .errors import SingularMatrix, SingularUpdate
 
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
 Basis = tuple[int, list[list[int]]]  # (det, adj) of a square integer matrix
 
 
@@ -42,13 +41,10 @@ def dot(u, v):
 
 
 def integer_row(row) -> tuple[tuple[int, ...], Fraction]:
-    """The primitive integer multiple s * row of a row of Fractions, and s > 0.
-
-    A zero row stays zero, with s = 1. model._system clears a parsed row of
-    (num, den) pairs by the same rule.
-    """
-    clear = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (clear // x.denominator) for x in row]
+    """The primitive integer multiple s * row of a row of (num, den) pairs,
+    den > 0, and s > 0. A zero row stays zero, with s = 1."""
+    clear = lcm(*(q for _, q in row))
+    ints = [v * (clear // q) for v, q in row]
     g = gcd(*ints) or 1
     return tuple(v // g for v in ints), Fraction(clear, g)
 
@@ -65,17 +61,25 @@ def off_span(v, ortho) -> list[int]:
     return [x // g for x in v] if g > 1 else list(v)
 
 
-def rank_of(m) -> int:
-    """Rank of an integer matrix: the number of rows with a nonzero part off
-    the span of the rows kept before them, up to the row width."""
-    ortho: list = []
-    for row in m:
+def independent(rows, ortho: list) -> list[int]:
+    """The positions of the integer `rows` with a nonzero part off the span
+    of `ortho` (as off_span takes it) and of the rows kept before them, each
+    kept row's part joining `ortho`; it stops once `ortho` holds as many
+    vectors as a row has entries, a basis of the whole space."""
+    kept = []
+    for k, row in enumerate(rows):
         if len(ortho) == len(row):
             break
         o = off_span(row, ortho)
         if any(o):
+            kept.append(k)
             ortho.append((o, dot(o, o)))
-    return len(ortho)
+    return kept
+
+
+def rank_of(m) -> int:
+    """Rank of an integer matrix: the number of rows `independent` keeps."""
+    return len(independent(m, []))
 
 
 def adjugate(m) -> tuple[int, list[list[int]]]:

@@ -35,11 +35,9 @@ from .errors import (
     Infeasible,
     InfeasiblePoint,
     NotPointed,
-    SingularBasis,
-    SingularMatrix,
     UnboundedLine,
 )
-from .linalg import Basis, Vec, dot
+from .linalg import Basis, dot
 
 
 @dataclass(frozen=True)
@@ -84,16 +82,15 @@ class HPolyhedron:
 
 
 def _system(rows, rhs, name: str) -> HPolyhedron:
-    """Clear rows of (num, den) pairs in lowest terms, den > 0, to integers,
-    each row and its scaled b_i once, alone: one Fraction a row, its scale."""
+    """Clear rows of (num, den) pairs in lowest terms, den > 0, to integers
+    by linalg.integer_row, each row and its scaled b_i once, alone: one
+    Fraction a row, its scale."""
     fields = []
     for row, (r, d) in zip(rows, rhs):
-        clear = lcm(*(q for _, q in row))
-        ints = [v * (clear // q) for v, q in row]
-        g = gcd(*ints) or 1
-        num, den = clear * r, g * d
+        ints, scale = linalg.integer_row(row)
+        num, den = scale.numerator * r, scale.denominator * d
         h = gcd(num, den)
-        fields.append((tuple(v // g for v in ints), Fraction(clear, g), num // h, den // h))
+        fields.append((ints, scale, num // h, den // h))
     return HPolyhedron(name, *map(tuple, zip(*fields)))
 
 
@@ -180,18 +177,11 @@ def rational_point(p: HPolyhedron, x) -> Point:
     return scaled_point(p, [v * (den // q) for v, q in x], den)
 
 
-def submatrix(p: HPolyhedron, rows) -> list[tuple[int, ...]]:
-    """The integer forms of the given rows, the kernel's input."""
-    return [p.ints[i] for i in rows]
-
-
 def basis_adjugate(p: HPolyhedron, rows) -> Basis:
-    """(det, adj) of the basis rows, negated if need be so that det > 0;
-    adj / det is still the inverse. SingularBasis if the rows are dependent."""
-    try:
-        det, adj = linalg.adjugate(submatrix(p, rows))
-    except SingularMatrix as exc:
-        raise SingularBasis(str(exc)) from None
+    """(det, adj) of the integer forms of the basis rows, negated if need be
+    so that det > 0; adj / det is still the inverse. linalg.adjugate's
+    SingularMatrix passes through if the rows are dependent."""
+    det, adj = linalg.adjugate([p.ints[i] for i in rows])
     return (det, adj) if det > 0 else (-det, [[-v for v in line] for line in adj])
 
 
@@ -217,19 +207,6 @@ def tight_set(p: HPolyhedron, pt: Point) -> tuple[int, ...]:
     return tuple(compress(range(len(pt.slack)), map((0).__eq__, pt.slack)))
 
 
-def _extend_independent(p: HPolyhedron, basis: list[int], ortho: list, rows) -> list[int]:
-    """Append to `basis` each of `rows` independent of the rows before it,
-    and its part orthogonal to them to `ortho`, until the basis has n rows."""
-    for i in rows:
-        if len(basis) == p.n:
-            break
-        o = linalg.off_span(p.ints[i], ortho)
-        if any(o):
-            basis.append(i)
-            ortho.append((o, dot(o, o)))
-    return basis
-
-
 def find_initial_vertex(p: HPolyhedron, pt: Point) -> tuple[Point, tuple[int, ...]]:
     """Ray-cast from a feasible point to a vertex of p.
 
@@ -239,15 +216,16 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> tuple[Point, tuple[int, ..
     negation if the forward ray is unbounded). The tight rows stay tight
     along the move, so an independent basis of them grows by the newly
     tight rows alone; each move adds at least one, so at most n happen.
-    The basis is kept orthogonalized in integers, so a rank test or a
-    projection is one pass over it. Each move ends by step_point and
-    step_tight, so only the start's slacks are scanned, by tight_set, which
-    rejects an infeasible start. Returns the vertex's Point and tight set.
+    Only the basis's integral Gram-Schmidt vectors are kept (`ortho`, grown
+    by linalg.independent), so a rank test or a projection is one pass over
+    them. Each move ends by step_point and step_tight, so only the start's
+    slacks are scanned, by tight_set, which rejects an infeasible start.
+    Returns the vertex's Point and tight set.
     """
     tight = tight_set(p, pt)
     ortho: list = []
-    basis = _extend_independent(p, [], ortho, tight)
-    while len(basis) < p.n:
+    linalg.independent((p.ints[i] for i in tight), ortho)
+    while len(ortho) < p.n:
         d = next(d for d in (linalg.off_span(e, ortho) for e in linalg.identity(p.n)) if any(d))
         rates = p.products(d)
         step, blocking, _ = min_ratio(p, pt, rates)
@@ -257,7 +235,7 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> tuple[Point, tuple[int, ..
             if step is None:
                 raise UnboundedLine("polyhedron contains a line despite rank n")
         pt = step_point(p, pt, step, d)
-        basis = _extend_independent(p, basis, ortho, blocking)
+        linalg.independent((p.ints[i] for i in blocking), ortho)
         tight = step_tight(tight, rates, blocking)
     return pt, tight
 
@@ -333,18 +311,20 @@ def pivot(
     )
 
 
-def simplex_max(p: HPolyhedron, objective: Vec, start: Point):
-    """Maximize <objective, x> over p from the feasible Point `start`.
+def simplex_max(p: HPolyhedron, objective, start: Point):
+    """Maximize <objective, x>, objective an integer vector, over p from the
+    feasible Point `start`.
 
     Starts from the vertex Point and tight set the ray cast from `start`
-    returns, with its lexicographically smallest independent tight basis.
+    returns, with its lexicographically smallest independent tight basis,
+    the rows linalg.independent keeps.
     Exact simplex with Bland's anti-cycling rule: relax the smallest basic
     row whose edge improves the objective; the entering row is the smallest
     index attaining the minimum ratio. The point moves by step_point, so no
     basis is solved. Returns ("optimal", Point) or ("unbounded", direction).
     """
     pt, tight = find_initial_vertex(p, start)
-    rows = tuple(_extend_independent(p, [], [], tight))
+    rows = tuple(tight[k] for k in linalg.independent((p.ints[i] for i in tight), []))
     basis = basis_adjugate(p, rows)
     while True:
         for pos, leaving in enumerate(rows):
@@ -431,7 +411,7 @@ def redundancy_scan(p: HPolyhedron, start: Point) -> list[int]:
     redundant = []
     for i in range(p.m):
         keep = [j for j in range(p.m) if j != i and j not in redundant]
-        if linalg.rank_of(submatrix(p, keep)) < p.n:
+        if linalg.rank_of([p.ints[j] for j in keep]) < p.n:
             continue
         # A subsystem of a validated system has no zero or duplicate row.
         sub = p.restrict(keep, f"{p.name}/-{i}")

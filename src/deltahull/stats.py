@@ -42,7 +42,7 @@ from functools import cmp_to_key
 from math import factorial, gamma, lcm, log, pi, prod
 
 from . import hull, linalg, model, serialize
-from .errors import BoundViolated, BudgetExceeded, SingularBasis
+from .errors import BoundViolated, BudgetExceeded, SingularMatrix
 from .linalg import dot
 
 Rows = tuple[int, ...]
@@ -52,8 +52,8 @@ DEFAULT_BUDGET = 100_000
 
 def delta_max(ints, scales, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Rows]:
     """Largest |det| over all n-row submatrices of the rows ints_i / s_i
-    (HPolyhedron.ints and .scales, or linalg.integer_row of each row), with
-    its witness rows.
+    (HPolyhedron.ints and .scales, or linalg.integer_row of each row's
+    (num, den) pairs), with its witness rows.
 
     One exact branch and bound at every budget: rows in norm-descending
     order, and a subtree is dropped only when its Gram-determinant x
@@ -151,7 +151,7 @@ def triangulation_stats(
 ) -> FanStats:
     """Delta plus per-triangulation average, minimum, and exact volume of the
     rows ints_i / s_i (HPolyhedron.ints and .scales, or linalg.integer_row of
-    each row).
+    each row's (num, den) pairs). SingularMatrix if a cone's |det| is 0.
     A cone's |det| is int_dets[cone], the |det| of its integer rows as
     hull.Triangulation.dets holds it, over the product of their scales, kept
     as (int_det * prod den s_i, prod num s_i); the minimum cross-multiplies,
@@ -165,7 +165,7 @@ def triangulation_stats(
     )
     low = min(pairs, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
     if low[0] == 0:
-        raise SingularBasis("triangulation contains a singular cone")
+        raise SingularMatrix("triangulation contains a singular cone")
     delta, witness = delta_max(ints, scales, budget)
     den = lcm(*(b for _, b in pairs))
     total = sum(a * (den // b) for a, b in pairs)
@@ -201,7 +201,7 @@ def _check(name: str, lhs_exact, factor, ball: float, rhs_desc: str) -> dict:
         "passed": passed,
     }
     if not passed:
-        raise BoundViolated(f"{name}: {lhs} > {rhs}", report)
+        raise BoundViolated(f"{name}: {lhs} > {rhs}")
     return report
 
 
@@ -298,7 +298,7 @@ def verify_bounds(
     n = p.n
     floor = fan_stats.delta_min / (n * fan_stats.delta)
     if cert.sin_sq_min < floor * floor:
-        raise BoundViolated(f"distance {float(cert.sin_sq_min)}^(1/2) below floor {floor}", cert)
+        raise BoundViolated(f"distance {float(cert.sin_sq_min)}^(1/2) below floor {floor}")
     bounds["delta-distance-floor"] = {
         "passed": True,
         "sin_sq_min": cert.sin_sq_min,

@@ -19,7 +19,7 @@ from math import gcd, isqrt, lcm
 
 from . import linalg, model
 from .errors import EmptyAlphaInterval
-from .linalg import Mat, dot
+from .linalg import dot
 
 Rows = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -35,8 +35,9 @@ class SubdivisionFan:
     cones: list[Rows]
     parent: list[int]  # cone position at depth-1 that spawned each cone; -1 at depth 0
 
-    def generators(self) -> Mat:
-        """Rays as matrix rows, the layout linalg.integer_row and cone tests expect."""
+    def generators(self) -> list[list[Fraction]]:
+        """Rays as matrix rows of Fractions, the layout make_polyhedron and the
+        cone tests expect."""
         return [list(r) for r in self.rays]
 
 
@@ -147,13 +148,14 @@ def lift_polytope(fans: list[SubdivisionFan]) -> LiftedPolytope:
     """
     base = fans[0]
     scaling: list[Fraction] = [Fraction(1)] * len(base.rays)
-    points = [linalg.integer_row(ray) for ray in base.rays]  # lifted vertices
+    # lifted vertices
+    points = [linalg.integer_row([x.as_integer_ratio() for x in ray]) for ray in base.rays]
     facets = {cone: _facet_normal([points[r] for r in cone]) for cone in base.cones}
     for depth in range(1, len(fans)):
         prev, fan = fans[depth - 1], fans[depth]
         for ci, parent_cone in enumerate(prev.cones):
             b = len(prev.rays) + ci  # subdivide_fan appends one barycenter per cone
-            ints, s = linalg.integer_row(fan.rays[b])
+            ints, s = linalg.integer_row([x.as_integer_ratio() for x in fan.rays[b]])
             u_t, d_t = facets.pop(parent_cone)
             denom = dot(u_t, ints)
             if denom <= 0:
@@ -189,7 +191,7 @@ def normalize_rays(rays: list[Point], digits: int) -> list[Point]:
     scale = 10**digits
     out = []
     for ray in rays:
-        ints, _ = linalg.integer_row(ray)
+        ints, _ = linalg.integer_row([x.as_integer_ratio() for x in ray])
         norm2 = dot(ints, ints)
         if norm2 == 0:
             raise ValueError("zero ray cannot be normalized")

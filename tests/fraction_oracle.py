@@ -17,13 +17,13 @@ from deltahull import linalg, model
 from deltahull.errors import (
     Infeasible,
     InfeasiblePoint,
-    SingularBasis,
+    SingularMatrix,
     SingularUpdate,
     UnboundedLine,
 )
 from deltahull.linalg import dot, frac
 
-from helpers import a_of, b_of, contains, pairs, rank_exact, rows_of
+from helpers import a_of, b_of, contains, pairs, rank_exact, rows_of, submatrix
 
 
 def rational_rhs(p):
@@ -49,7 +49,7 @@ def tight_set(p, x):
 
 
 def basis_vertex(p, rows):
-    """Solve A_B x = b_B for a candidate vertex; SingularBasis if dependent."""
+    """Solve A_B x = b_B for a candidate vertex; SingularMatrix if dependent."""
     num, den = model.basis_solution(p, rows, model.basis_adjugate(p, rows))
     return [Fraction(v, den) for v in num]
 
@@ -57,7 +57,7 @@ def basis_vertex(p, rows):
 def is_feasible_basis(p, rows):
     try:
         x = basis_vertex(p, rows)
-    except SingularBasis:
+    except SingularMatrix:
         return False
     return contains(p, x)
 
@@ -109,7 +109,7 @@ def extend_independent(p, basis, rows):
     for i in rows:
         if len(basis) == p.n:
             break
-        trial = model.submatrix(p, basis + [i])
+        trial = submatrix(p, basis + [i])
         if rank_exact(trial) == len(trial):
             basis.append(i)
     return basis
@@ -119,7 +119,7 @@ def direction_off(p, basis):
     """det(G) > 0 times e_j - R^T G^-1 R e_j, the projection of e_j off the
     span of the basis rows R (Gram matrix G), for the lowest j where it is
     nonzero."""
-    rows = model.submatrix(p, basis)
+    rows = submatrix(p, basis)
     det, adj = linalg.adjugate([[dot(r, s) for s in rows] for r in rows])
     for j in range(p.n):
         coeffs = [dot(line, [r[j] for r in rows]) for line in adj]

@@ -9,9 +9,9 @@ Gram-Schmidt rank and adjugate), the exact solve and inverse, the Fraction
 lift of the subdivision fans (the oracle of subdivision.lift_polytope's
 integer facet scan), the Delta search that evaluates one Gram determinant
 per node (the oracle of stats.delta_max), the cone-determinant oracle, the
-readers that only tests need (point membership on a system's integer form,
-an enumeration's vertex points, a FanStats's cone determinants as
-Fractions), the skeleton-edge and redundant-row rank oracles, the
+readers that only tests need (the integer forms of a row set, point
+membership on a system's integer form, an enumeration's vertex points, a
+FanStats's cone determinants as Fractions), the skeleton-edge and redundant-row rank oracles, the
 Fraction-step ratio test and its work oracle, the unimodularizing transform
 with the minor count, the full minor scan and the per-cone distance
 certificate (the oracles of the CLI's total-unimodularity verdict and of
@@ -38,14 +38,14 @@ from deltahull.errors import (
     DisconnectedGraph,
     EmptyAlphaInterval,
     ParseError,
-    SingularBasis,
     SingularMatrix,
 )
-from deltahull.linalg import Mat, dot, frac
+from deltahull.linalg import dot, frac
 from deltahull.serialize import EXPONENT, parse_json, parse_rational, rational_str
 from deltahull.subdivision import SubdivisionFan, build_subdivision_fans, normalize_rays
 
 Rows = tuple[int, ...]
+Mat = list[list[Fraction]]
 
 
 class PreconditionViolated(DeltahullError):
@@ -57,9 +57,15 @@ def to_matrix(rows) -> Mat:
 
 
 def integer_rows(m) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
-    """linalg.integer_row of each row of m: the integer rows, then their scales."""
-    pairs = [linalg.integer_row(row) for row in m]
+    """linalg.integer_row of each row of m, a matrix of ints and Fractions,
+    as (num, den) pairs: the integer rows, then their scales."""
+    pairs = [linalg.integer_row([x.as_integer_ratio() for x in row]) for row in m]
     return tuple(ints for ints, _ in pairs), tuple(s for _, s in pairs)
+
+
+def submatrix(p, rows) -> list[tuple[int, ...]]:
+    """The integer forms of the given rows of p."""
+    return [p.ints[i] for i in rows]
 
 
 def a_of(p) -> tuple[tuple[Fraction, ...], ...]:
@@ -255,7 +261,7 @@ def totally_unimodular_transform(a: Mat, witness: Rows) -> Mat:
     try:
         inv = invert(ints)
     except SingularMatrix:
-        raise SingularBasis("witness rows are singular") from None
+        raise SingularMatrix("witness rows are singular") from None
     return mat_mul(a, [[x * s for x, s in zip(row, scales)] for row in inv])
 
 
@@ -330,7 +336,7 @@ def fraction_lift(fans: list[SubdivisionFan]) -> list[Fraction]:
         return solve([points[r][0] for r in cone], [points[r][1] for r in cone])
 
     scaling = [Fraction(1)] * len(fans[0].rays)
-    points = [linalg.integer_row(ray) for ray in fans[0].rays]
+    points = [linalg.integer_row([x.as_integer_ratio() for x in ray]) for ray in fans[0].rays]
     facets = {cone: normal(cone) for cone in fans[0].cones}
     for depth in range(1, len(fans)):
         prev, fan = fans[depth - 1], fans[depth]
@@ -351,7 +357,7 @@ def fraction_lift(fans: list[SubdivisionFan]) -> list[Fraction]:
                 )
             alpha = (lo + hi) / 2 if hi is not None else 2 * lo
             scaling.append(alpha)
-            points.append(linalg.integer_row([alpha * x for x in v]))
+            points.append(linalg.integer_row([(alpha * x).as_integer_ratio() for x in v]))
             for r in parent_cone:
                 child = tuple(sorted(set(parent_cone) - {r} | {b}))
                 facets[child] = normal(child)
@@ -394,7 +400,7 @@ def rank_test_edges(p, result) -> set[tuple[int, int]]:
     edges = set()
     for (i, a), (j, b) in combinations(enumerate(result.vertices), 2):
         common = sorted(set(a.tight) & set(b.tight))
-        if common and rank_exact(model.submatrix(p, common)) == p.n - 1:
+        if common and rank_exact(submatrix(p, common)) == p.n - 1:
             edges.add((i, j))
     return edges
 

@@ -325,9 +325,9 @@ def test_criterion_11_work_linearity(corpus_analysis):
             continue
         simple_count += 1
         c = result.counters
-        if c.bases_visited != len(result.triangulation):
+        if c.bases_visited != len(result.triangulation.cones):
             violations.append(
-                f"{p.name}: visited {c.bases_visited} != cones {len(result.triangulation)}"
+                f"{p.name}: visited {c.bases_visited} != cones {len(result.triangulation.cones)}"
             )
         if c.max_basis_mults > 8 * p.n * p.m:
             violations.append(

@@ -239,6 +239,22 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"A": [[]], "b": ["1"]}, "zero-dimensional ambient space"),
+        ({"A": [["1"]], "b": 5}, "b must be an array"),
+    ],
+    ids=["empty-row", "scalar-b"],
+)
+def test_malformed_instance_shape_is_a_parse_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vertices", str(path)])
+    assert (code, out) == (4, "")
+    assert err == f"deltahull: parse error: {message}\n"
+
+
 def test_overlong_json_integer_is_a_parse_error(capsys, tmp_path):
     # Past Python's 4,300-digit limit json.loads raises a plain ValueError.
     path = tmp_path / "long.json"
@@ -502,6 +518,25 @@ def test_verify_tu_block_follows_budget(capsys, tmp_path, budget):
         "certificate": "delta-witness",
         "passed": True,
     }
+
+
+def test_count_reports_a_null_cost_when_the_delta_search_exceeds_budget(capsys, tmp_path):
+    # A 20-gon of inradius 1/2 about (1/2, 1/2), its normals of length 25:
+    # the box scan fits in 4 cells, the Delta search not in 50 * 4 nodes.
+    normals = [[sx * x, sy * y] for x, y in [(7, 24), (24, 7), (15, 20), (20, 15)]
+               for sx in (1, -1) for sy in (1, -1)]
+    normals += [[25, 0], [-25, 0], [0, 25], [0, -25]]
+    doc = {"A": normals, "b": [str(Fraction(a + b + 25, 2)) for a, b in normals]}
+    path = tmp_path / "gon20.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["count", str(path), "--budget", "4"])
+    assert code == 0
+    counts = json.loads(out)["counts"]
+    assert (counts["cells_scanned"], counts["cost"]) == (4, None)
+    for command in ["verify", "stats"]:
+        code, out, err = run_cli(capsys, [command, str(path), "--budget", "4"])
+        assert (code, out) == (7, "")
+        assert err == "deltahull: budget exceeded: subdeterminant search exceeded 200 nodes\n"
 
 
 def test_verify_exits_7_when_the_delta_search_exceeds_budget(capsys, tmp_path):

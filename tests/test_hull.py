@@ -34,7 +34,6 @@ from deltahull.model import (
     rational_point,
     redundancy_scan,
     scaled_point,
-    submatrix,
 )
 from deltahull.serialize import load_instance_path
 from deltahull.stats import triangulation_stats
@@ -60,6 +59,7 @@ from helpers import (
     rank_test_edges,
     ratio_test,
     ratio_work,
+    submatrix,
     vertex_points,
 )
 
@@ -89,7 +89,7 @@ def pivots(p, rows, basis, pt):
 def test_square_enumeration_counts():
     result = run_enumeration(square())
     assert len(result.vertices) == 4
-    assert len(result.triangulation) == 4
+    assert len(result.triangulation.cones) == 4
     assert result.bounded
     assert vertex_points(result) == {
         (Fraction(1), Fraction(1)),
@@ -103,7 +103,7 @@ def test_square_enumeration_counts():
 def test_cube_enumeration_counts_and_regularity():
     result = run_enumeration(cube())
     assert len(result.vertices) == 8
-    assert len(result.triangulation) == 8
+    assert len(result.triangulation.cones) == 8
     degree = Counter(v for edge in result.edges for v in edge)
     assert len(degree) == 8
     assert set(degree.values()) == {3}
@@ -360,7 +360,7 @@ def test_visited_bases_equals_cone_count_on_simple_polytopes():
     for build in (square, cube, lambda: standard_simplex(3)):
         result = run_enumeration(build())
         assert all(v.simple for v in result.vertices)
-        assert result.counters.bases_visited == len(result.triangulation)
+        assert result.counters.bases_visited == len(result.triangulation.cones)
 
 
 def test_degenerate_polytopes_may_visit_extra_bases():
@@ -368,7 +368,7 @@ def test_degenerate_polytopes_may_visit_extra_bases():
     # vertex get visited while the triangulation keeps only two cones each.
     result = run_enumeration(octahedron())
     assert result.counters.bases_visited == 24
-    assert len(result.triangulation) == 12
+    assert len(result.triangulation.cones) == 12
 
 
 # Each edge's ratio test runs once from a simple end; the work counters still

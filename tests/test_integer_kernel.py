@@ -36,13 +36,12 @@ from deltahull.model import (
     pivot,
     rational_point,
     scaled_point,
-    submatrix,
     tight_set,
 )
 
 import fraction_oracle as oracle
 from conftest import square
-from helpers import b_of, det_exact, pairs, ratio_test
+from helpers import b_of, det_exact, pairs, ratio_test, submatrix
 
 # Mostly integers, so that ties between ratios and degenerate vertices occur.
 rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3]))

@@ -21,6 +21,7 @@ from deltahull.linalg import (
     dot,
     frac,
     identity,
+    independent,
     integer_row,
     isqrt_exact,
     rank_of,
@@ -89,15 +90,15 @@ def test_integer_row_is_the_primitive_positive_multiple():
     rng = random.Random(4109)
     for _ in range(200):
         row = random_matrix(rng, 1, rng.randint(1, 5), rational=True)[0]
-        ints, scale = integer_row(row)
+        ints, scale = integer_row([x.as_integer_ratio() for x in row])
         assert scale > 0
         assert list(ints) == [scale * x for x in row]
         assert all(type(v) is int for v in ints)
         if any(ints):
             assert gcd(*ints) == 1
         factor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert integer_row([factor * x for x in row])[0] == ints
-    assert integer_row([Fraction(0), Fraction(0)]) == ((0, 0), 1)
+        assert integer_row([(factor * x).as_integer_ratio() for x in row])[0] == ints
+    assert integer_row([(0, 1), (0, 1)]) == ((0, 0), 1)
 
 
 def test_det_multiplicative_and_transpose_invariant():
@@ -142,6 +143,14 @@ def test_rank_of_examples():
     assert rank_of(identity(3)) == 3
     dup = [[1, 2], [2, 4], [0, 1]]
     assert rank_of(dup) == 2
+
+
+def test_independent_keeps_the_positions_of_rows_off_the_span():
+    ortho = []
+    assert independent(iter([[0, 0], [1, 1], [2, 2], [0, 1], [1, 0]]), ortho) == [1, 3]
+    assert ortho == [([1, 1], 2), ([-1, 1], 2)]
+    # A row in the span of the `ortho` it is given is skipped too.
+    assert independent([[3, 3], [0, 1]], [([1, 1], 2)]) == [1]
 
 
 def test_rank_of_matches_independent_minor_scan():

@@ -12,7 +12,7 @@ from deltahull.errors import (
     Infeasible,
     InfeasiblePoint,
     NotPointed,
-    SingularBasis,
+    SingularMatrix,
 )
 from deltahull.hull import enumerate_all_bases_oracle
 from deltahull.linalg import dot, rank_of
@@ -26,13 +26,12 @@ from deltahull.model import (
     rational_point,
     redundancy_scan,
     strict_interior_point,
-    submatrix,
     tight_set,
 )
 
 from conftest import cube, square, square_pyramid
 from fraction_oracle import basis_vertex, is_feasible_basis, slacks
-from helpers import a_of, b_of, contains, pairs, rank_exact, ratio_test
+from helpers import a_of, b_of, contains, pairs, rank_exact, ratio_test, submatrix
 
 
 def test_make_polyhedron_accepts_unit_square():
@@ -85,7 +84,7 @@ def test_basis_vertex_unit_square_examples():
 
 def test_basis_vertex_rejects_dependent_rows():
     p = square()
-    with pytest.raises(SingularBasis):
+    with pytest.raises(SingularMatrix):
         basis_vertex(p, (0, 2))  # x<=1 and -x<=0 are parallel
 
 

@@ -11,9 +11,10 @@ name with a leading underscore) must be read somewhere in the package,
 outside its own definition, by name or as a module attribute. Every public
 top-level function and class of the package, and every public method and
 property of those classes, must be read somewhere in the package or in
-`bench/`: a reader that only the tests call belongs in the tests. A method
-or property counts as read only by an attribute load (`p.a`), a function or
-class also by its bare name.
+`bench/`: a reader that only the tests call belongs in the tests. So must
+every attribute that the `__init__` of a package class sets on `self`. A
+method, property or attribute counts as read only by an attribute load
+(`p.a`), a function or class also by its bare name.
 
 The checks match names, not types: a load of `x.cones` counts as reading
 every member named `cones`, whichever class `x` is. So every public member
@@ -129,6 +130,26 @@ def unread_public_names(sources: dict[str, str], readers: list[str]) -> list[str
     )
 
 
+def unread_init_attributes(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The attributes that the `__init__` of a class of `sources`, module
+    name -> text, sets on `self` and that no attribute load in them or in
+    the `readers` texts reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    attrs, _ = loads([*trees.values(), *map(ast.parse, readers)])
+    return sorted(
+        f"{module}.{node.name}.{target.attr}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for init in node.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for target in ast.walk(init)
+        if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+        and isinstance(target.value, ast.Name) and target.value.id == "self"
+        and target.attr not in attrs
+    )
+
+
 def shared_member_names(sources: dict[str, str]) -> dict[str, list[str]]:
     """Each public method or property name of a public class of `sources`
     that another definition uses too, a class's method, property or field
@@ -184,6 +205,24 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     readers = [p.read_text(encoding="utf-8") for p in BENCH.glob("*.py")]
     assert unread_public_names(sources, readers) == []
+
+
+def test_the_check_finds_an_unread_init_attribute():
+    sources = {
+        "a": (
+            "class Box:\n    def __init__(self, size):\n        self.size = size\n"
+            "        self.kept = [size]\n        other.loose = 1\n\n"
+            "    def fill(self):\n        self.kept.append(1)\n"
+        ),
+    }
+    assert unread_init_attributes(sources, []) == ["a.Box.size"]
+    assert unread_init_attributes(sources, ["print(box.size)\n"]) == []
+
+
+def test_every_init_attribute_has_a_reader_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text(encoding="utf-8") for p in BENCH.glob("*.py")]
+    assert unread_init_attributes(sources, readers) == []
 
 
 def test_the_check_finds_a_shared_member_name():
