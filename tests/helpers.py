@@ -11,9 +11,10 @@ integer facet scan), the Delta search that evaluates one Gram determinant
 per node (the oracle of stats.delta_max), the cone-determinant oracle, the
 readers that only tests need (the integer forms of a row set, point
 membership on a system's integer form, an enumeration's vertex points, a
-FanStats's cone determinants as Fractions), the skeleton-edge and redundant-row rank oracles, the
-Fraction-step ratio test and its work oracle, the unimodularizing transform
-with the minor count, the full minor scan and the per-cone distance
+FanStats's cone determinants as Fractions), the skeleton-edge and
+redundant-row rank oracles, the Fraction-step ratio test and its work
+oracle, the unimodularizing transform with the minor count, the full minor
+scan and the per-cone distance
 certificate (the oracles of the CLI's total-unimodularity verdict and of
 stats.cone_distance_certificate), the per-cell box-scan counting oracle,
 the per-node BFS diameter oracle, the fan document loader, the report text
