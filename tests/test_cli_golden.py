@@ -27,7 +27,15 @@ from deltahull.cli import main
 from deltahull.model import make_polyhedron
 from deltahull.serialize import canonical_dumps, dump_instance
 
-from conftest import build_fuzz_corpus, cube, octahedron, square, square_pyramid
+from conftest import (
+    build_fuzz_corpus,
+    cross_polytope,
+    cube,
+    octahedron,
+    square,
+    square_pyramid,
+    tall_pyramid,
+)
 from helpers import rationalize
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -47,6 +55,8 @@ LABELS = [
     "cube3",
     "square-pyramid",
     "octahedron",
+    "cross4",
+    "tall-pyramid",
     *[f"fuzz{i}" for i in range(FUZZ)],
     "quadrant",
     "padded",
@@ -67,6 +77,8 @@ def write_instances(directory: Path) -> dict[str, list[str]]:
         "cube3": cube(3),
         "square-pyramid": square_pyramid(),
         "octahedron": octahedron(),
+        "cross4": cross_polytope(4),
+        "tall-pyramid": tall_pyramid(),
         **{f"fuzz{i}": p for i, p in enumerate(build_fuzz_corpus(FUZZ))},
         "quadrant": make_polyhedron([[-1, 0], [0, -1]], [0, 0]),
         "padded": padded,
