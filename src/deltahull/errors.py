@@ -47,10 +47,6 @@ class SingularMatrix(DeltahullError):
     (model.basis_adjugate) or a singular cone (stats.triangulation_stats)."""
 
 
-class RankDeficient(DeltahullError):
-    """A generator set expected to span the space does not."""
-
-
 class SingularUpdate(DeltahullError):
     """A basis row-swap update hit a zero pivot: the new row is dependent."""
 

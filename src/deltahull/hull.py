@@ -3,9 +3,10 @@
 `enumerate_vertices` ray-casts a feasible Point to a vertex and searches
 from there; `run_enumeration` gives it phase one's Point unless a point is
 given. The nodes are simplicial cones of the normal fan, one basis per cone.
-Simple vertices contribute their unique basis, the one they were reached
-from; a degenerate vertex gets its normal cone triangulated on first visit
-and each simplex becomes a node, pushed once. One loop walks the nodes:
+Simple vertices contribute their unique basis, with the (det, adj) of the
+pivot that reached them; a degenerate vertex, or the start, gets its cones
+with their pairs from vertex_cones, by the same integer pivots, each
+becoming a node pushed once. One loop walks the nodes:
 it pops a basis, held as (det, adj), and runs the integer ratio test at
 each of its positions on its vertex's slacks; positive steps cross edges of
 the polyhedron, zero steps move between bases of the same vertex, and an
@@ -29,14 +30,13 @@ each. Only a system with implicit equalities falls back to the LP scan.
 """
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from . import linalg, model
-from .errors import BudgetExceeded, RankDeficient, SingularMatrix
+from .errors import BudgetExceeded, SingularMatrix
 from .linalg import Basis, dot
 from .model import HPolyhedron, Point, VertexRecord
 
@@ -82,42 +82,39 @@ class EnumerationResult:
         return not self.rays
 
 
-def triangulate_normal_cone(p: HPolyhedron, tight: Rows) -> list[Rows]:
-    """Placing triangulation of the cone spanned by the tight-row normals.
+def vertex_cones(p: HPolyhedron, tight: Rows) -> dict[Rows, Basis]:
+    """The cones, sorted, with their (det, adj), of the placing triangulation
+    (rows in index order) of the normal cone at a vertex with tight rows `tight`.
 
-    Rows are inserted in ascending index order. A row with a part off the
-    span (linalg.off_span, the integral Gram-Schmidt step) cones the
-    whole current complex; a row inside the span is joined to every boundary
-    facet it sees strictly from outside. Rows that land inside the cone are
-    absorbed without creating simplices. Returns index tuples whose union
-    covers the cone with pairwise disjoint interiors; RankDeficient if the
-    rows do not span the space.
+    They are its lexicographically feasible bases with each b_i perturbed by
+    eps^(m - i), reached by model.pivot from the first n independent tight
+    rows, a cone as placing never removes a simplex. det times the perturbed
+    slack of a tight row i off a cone is det at i and -(ints_i adj)_k at
+    rows[k], i's rate along the edge out of rows[k]. Unless no row has a
+    positive rate (the edge bounds the normal cone), the least ratio enters,
+    compared from the highest row down in integers scaled by the rates' product.
     """
-    cones: list[Rows] = [()]
-    ortho: list = []
-    for idx in sorted(tight):
-        v = p.ints[idx]
-        o = linalg.off_span(v, ortho)
-        if any(o):
-            cones = [c + (idx,) for c in cones]
-            ortho.append((o, dot(o, o)))
-            continue
-        facet_count = Counter(c[:k] + c[k + 1 :] for c in cones for k in range(len(c)))
-        added: list[Rows] = []
-        for c in cones:
-            # v's coordinates in the cone's generators times det(Gram) > 0,
-            # by an adjugate Gram solve: only their signs are read.
-            gens = [p.ints[i] for i in c]
-            _, adj = linalg.adjugate([[dot(g, h) for h in gens] for g in gens])
-            lam = [dot(line, [dot(g, v) for g in gens]) for line in adj]
-            for k in range(len(c)):
-                f = c[:k] + c[k + 1 :]
-                if facet_count[f] == 1 and lam[k] < 0:
-                    added.append(tuple(sorted(f + (idx,))))
-        cones.extend(added)
-    if len(ortho) < p.n:
-        raise RankDeficient("tight rows do not span the space")
-    return sorted(tuple(sorted(c)) for c in cones)
+    start = tuple(tight[k] for k in linalg.independent((p.ints[i] for i in tight), []))
+    cones = {start: model.basis_adjugate(p, start)}
+    order = sorted(tight, reverse=True)
+    todo = [start]
+    for rows in todo:  # grows as new cones turn up
+        det, adj = basis = cones[rows]
+        cols = list(zip(*adj))
+        rest = [i for i in tight if i not in rows]
+        slack = {i: {i: det} | {r: -dot(p.ints[i], c) for r, c in zip(rows, cols)} for i in rest}
+        for leaving in rows:
+            rates = {i: s[leaving] for i, s in slack.items() if s[leaving] > 0}
+            scale = prod(rates.values())
+            ratios = {
+                i: [slack[i].get(j, 0) * (scale // r) for j in order] for i, r in rates.items()
+            }
+            if ratios:
+                target, pair = model.pivot(p, rows, basis, leaving, min(ratios, key=ratios.get))
+                if target not in cones:
+                    cones[target] = pair
+                    todo.append(target)
+    return dict(sorted(cones.items()))
 
 
 def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
@@ -125,8 +122,8 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
     from the feasible Point `start`.
 
     Best-first search over bases in lexicographic order: deterministic
-    traversal, duplicate-free vertex list keyed on each (num, den), normal
-    cone triangulated once per vertex, rays recorded per (vertex, primitive
+    traversal, duplicate-free vertex list keyed on each (num, den), each
+    vertex's cones pushed once as it is found, rays recorded per (vertex, primitive
     direction), an edge per vertex pair that a positive-step pivot joins.
     A vertex's slacks are held only while a basis of it waits on the heap.
     A popped basis (det, adj) runs model.min_ratio at each position pos,
@@ -148,27 +145,26 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
     ray_set: set[tuple[int, tuple[int, ...]]] = set()
     counters = WorkCounters()
     heap: list[Rows] = []
-    # waiting basis -> its vertex, its (det, adj) if a pivot built it, and
-    # {leaving row: hits} of the ratio tests already decided at the far end
-    pending: dict[Rows, tuple[Point, Basis | None, dict[int, int]]] = {}
+    # waiting basis -> its vertex, its (det, adj), and {leaving row: hits}
+    # of the ratio tests already decided at the far end
+    pending: dict[Rows, tuple[Point, Basis, dict[int, int]]] = {}
 
-    def push(rows: Rows, owner: int, pt: Point, basis: Basis | None = None) -> None:
+    def push(rows: Rows, owner: int, pt: Point, basis: Basis) -> None:
         if rows not in basis_owner:
             basis_owner[rows] = owner
             pending[rows] = (pt, basis, {})
             heapq.heappush(heap, rows)
 
-    def register(pt: Point, tight: Rows, rows: Rows = (), basis: Basis | None = None) -> int:
-        """Index of the new vertex pt with tight set `tight`, its cones pushed,
-        with `basis` for the one that is `rows`, the basis that reached it."""
+    def register(pt: Point, tight: Rows, basis: Basis | None = None) -> int:
+        """Index of the new vertex pt with tight set `tight`, its cones pushed
+        with their pairs; a simple one keeps `basis`, the pair of its pivot."""
         index = len(vertices)
         by_point[pt.num, pt.den] = index
-        # n tight rows hold the nonsingular basis the vertex was reached from.
-        cones = [tight] if len(tight) == p.n else triangulate_normal_cone(p, tight)
+        cones = {tight: basis} if basis and len(tight) == p.n else vertex_cones(p, tight)
         vertices.append(VertexRecord(pt.num, pt.den, tight))
-        triangulation.cones_by_vertex.append(cones)
-        for c in cones:
-            push(c, index, pt, basis if c == rows else None)
+        triangulation.cones_by_vertex.append(list(cones))
+        for c, pair in cones.items():
+            push(c, index, pt, pair)
         return index
 
     register(pt, tight)
@@ -176,7 +172,6 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
         rows = heapq.heappop(heap)
         pt, basis, known = pending.pop(rows)
         counters.bases_visited += 1
-        basis = basis or model.basis_adjugate(p, rows)
         triangulation.dets[rows], triangulation.adjugates[rows] = basis
         owner = basis_owner[rows]
         vertex = vertices[owner]
@@ -204,7 +199,7 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
                         index = by_point.get((at.num, at.den))
                         if index is None:
                             far = model.step_tight(vertex.tight, rates, blocking)
-                            index = register(at, far, target, child)
+                            index = register(at, far, child)
                     push(target, index, at, child)
                 if step[0]:
                     edges.add((min(owner, index), max(owner, index)))

@@ -158,11 +158,14 @@ def load_instance_csv(text: str) -> InstanceDocument:
     except csv.Error as exc:  # a bare carriage return, a field past csv.field_size_limit()
         raise ParseError(f"invalid CSV: {exc}") from None
     rows = []
-    for record in records:
-        cells = [c.strip() for c in record if c.strip()]
-        if not cells or cells[0].startswith("#"):
-            continue
-        rows.append([parse_rational(c) for c in cells])
+    for number, record in enumerate(records, 1):
+        cells = [c.strip() for c in record]
+        while cells and not cells[-1]:  # trailing commas
+            cells.pop()
+        if cells and not cells[0].startswith("#"):
+            if not all(cells):
+                raise ParseError(f"CSV record {number} has an empty field")
+            rows.append([parse_rational(c) for c in cells])
     if not rows:
         raise ParseError("empty CSV instance")
     width = len(rows[0])

@@ -12,7 +12,8 @@ per node (the oracle of stats.delta_max), the cone-determinant oracle, the
 readers that only tests need (the integer forms of a row set, point
 membership on a system's integer form, an enumeration's vertex points, a
 FanStats's cone determinants as Fractions), the skeleton-edge and
-redundant-row rank oracles, the Fraction-step ratio test and its work
+redundant-row rank oracles, the placing triangulation of a normal cone
+(the oracle of hull.vertex_cones), the Fraction-step ratio test and its work
 oracle, the unimodularizing transform with the minor count, the full minor
 scan and the per-cone distance
 certificate (the oracles of the CLI's total-unimodularity verdict and of
@@ -24,7 +25,7 @@ tightness experiments on the subdivision fans. Graphs are adjacency dicts
 {node: ascending neighbours}, as graphs.build_polytope_graph returns them."""
 
 import sys
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cmp_to_key
@@ -428,6 +429,45 @@ def rank_redundant_rows(p, result) -> list[int] | None:
         if not face or span_rank(face, along) < p.n - 1:
             redundant.append(i)
     return redundant
+
+
+def triangulate_normal_cone(p, tight: Rows) -> list[Rows]:
+    """Oracle of hull.vertex_cones: the placing triangulation of the cone
+    spanned by the tight-row normals, by Gram adjugates and facet counts.
+
+    Rows are inserted in ascending index order. A row with a part off the
+    span (linalg.off_span, the integral Gram-Schmidt step) cones the
+    whole current complex; a row inside the span is joined to every boundary
+    facet it sees strictly from outside. Rows that land inside the cone are
+    absorbed without creating simplices. Returns index tuples whose union
+    covers the cone with pairwise disjoint interiors; ValueError if the
+    rows do not span the space.
+    """
+    cones: list[Rows] = [()]
+    ortho: list = []
+    for idx in sorted(tight):
+        v = p.ints[idx]
+        o = linalg.off_span(v, ortho)
+        if any(o):
+            cones = [c + (idx,) for c in cones]
+            ortho.append((o, dot(o, o)))
+            continue
+        facet_count = Counter(c[:k] + c[k + 1 :] for c in cones for k in range(len(c)))
+        added: list[Rows] = []
+        for c in cones:
+            # v's coordinates in the cone's generators times det(Gram) > 0,
+            # by an adjugate Gram solve: only their signs are read.
+            gens = [p.ints[i] for i in c]
+            _, adj = linalg.adjugate([[dot(g, h) for h in gens] for g in gens])
+            lam = [dot(line, [dot(g, v) for g in gens]) for line in adj]
+            for k in range(len(c)):
+                f = c[:k] + c[k + 1 :]
+                if facet_count[f] == 1 and lam[k] < 0:
+                    added.append(tuple(sorted(f + (idx,))))
+        cones.extend(added)
+    if len(ortho) < p.n:
+        raise ValueError("tight rows do not span the space")
+    return sorted(tuple(sorted(c)) for c in cones)
 
 
 def ratio_test(p, pt: model.Point, u):

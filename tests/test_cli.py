@@ -704,6 +704,13 @@ def test_deeply_nested_json_is_a_parse_error(capsys, square_file, tmp_path, targ
     assert err.count("\n") == 1
 
 
+def test_csv_empty_field_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("1,0,1\n0,1,1\n-1,0,0\n0,-1,,0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vertices", str(path)])
+    assert (code, out, err) == (4, "", "deltahull: parse error: CSV record 4 has an empty field\n")
+
+
 def test_csv_field_past_the_size_limit_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("1," + "1" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")

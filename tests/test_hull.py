@@ -16,14 +16,13 @@ from deltahull.errors import (
     DuplicateRow,
     Infeasible,
     NotPointed,
-    RankDeficient,
 )
 from deltahull.hull import (
     enumerate_all_bases_oracle,
     enumerate_vertices,
     redundant_rows,
     run_enumeration,
-    triangulate_normal_cone,
+    vertex_cones,
 )
 from deltahull.linalg import dot
 from deltahull.model import (
@@ -54,12 +53,14 @@ from helpers import (
     b_of,
     cone_det_fractions,
     det_exact,
+    fractions_built,
     pairs,
     rank_redundant_rows,
     rank_test_edges,
     ratio_test,
     ratio_work,
     submatrix,
+    triangulate_normal_cone,
     vertex_points,
 )
 
@@ -275,8 +276,58 @@ def test_triangulate_normal_cone_collinear_middle_generator():
 
 def test_triangulate_normal_cone_rejects_rank_deficient_sets():
     p = square()
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError):
         triangulate_normal_cone(p, (0,))
+
+
+def assert_vertex_cones_match_the_oracle(p, result) -> int:
+    """At every degenerate vertex, vertex_cones gives the placing oracle's
+    cones in its order, each with a fresh (det, adj); returns how many
+    vertices were checked."""
+    degenerate = [v for v in result.vertices if not v.simple]
+    for v in degenerate:
+        cones = vertex_cones(p, v.tight)
+        assert list(cones) == triangulate_normal_cone(p, v.tight), (p.name, v.tight)
+        assert all(pair == basis_adjugate(p, c) for c, pair in cones.items()), p.name
+    return len(degenerate)
+
+
+def test_vertex_cones_match_the_placing_oracle_on_corpora(corpus_analysis):
+    cases = [(p, result) for p, result, _ in corpus_analysis]
+    builds = [*DEGENERATE_FAMILY, lambda: cross_polytope(3), lambda: cross_polytope(4)]
+    cases += [(p, run_enumeration(p)) for p in (build() for build in builds)]
+    checked = sum(assert_vertex_cones_match_the_oracle(p, result) for p, result in cases)
+    assert checked == 29  # 7 in the fuzz corpus, 8, 6 and 8 in the polytopes
+
+
+@st.composite
+def degenerate_systems(draw):
+    """n <= 4 and up to 8 rows with entries in {-1, 0, 1}, b in {0, 1, 2}:
+    many rows pass through each vertex."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, 8))
+    unit = st.integers(-1, 1)
+    rows = draw(st.lists(st.lists(unit, min_size=n, max_size=n), min_size=m, max_size=m))
+    return rows, draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(degenerate_systems())
+def test_vertex_cones_match_the_placing_oracle_on_small_systems(system):
+    try:
+        p = make_polyhedron(*system)
+    except (DimensionMismatch, DuplicateRow, NotPointed):
+        assume(False)
+    assert_vertex_cones_match_the_oracle(p, run_enumeration(p))
+
+
+def test_the_walk_builds_no_fraction_at_degenerate_vertices():
+    for p in [build() for build in DEGENERATE_FAMILY] + [cross_polytope(4)]:
+        start = phase_one(p)
+        with fractions_built() as built:
+            result = enumerate_vertices(p, start)
+        assert not all(v.simple for v in result.vertices), p.name
+        assert built == [], p.name
 
 
 def test_enumerate_vertices_walks_from_an_interior_start():

@@ -213,6 +213,25 @@ def test_instance_csv_rejects_ragged_and_empty_input():
 
 
 @pytest.mark.parametrize(
+    "text,record",
+    [
+        ("1,0,,1\n0,1,1\n-1,0,0\n0,-1,0\n", 1),
+        ("# box\n1,0,1\n0,1,1\n-1,0,0\n,0,-1,0\n", 5),
+    ],
+    ids=["inner-empty-field", "leading-empty-field"],
+)
+def test_instance_csv_empty_field_before_the_last_is_a_parse_error(text, record):
+    """An empty field is not dropped: each text would read as the unit square."""
+    with pytest.raises(ParseError, match=f"^CSV record {record} has an empty field$"):
+        load_instance_csv(text)
+
+
+def test_instance_csv_accepts_trailing_commas():
+    text = "1,0,1,\n0,1,1, ,\n-1,0,0\n0,-1,0,,\n"
+    assert a_of(load_instance_csv(text).polyhedron) == a_of(square())
+
+
+@pytest.mark.parametrize(
     "text,message",
     [
         ("\r,0,1\n0,1,1\n", "new-line character seen in unquoted field"),
