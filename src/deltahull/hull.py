@@ -8,11 +8,11 @@ pivot that reached them; a degenerate vertex, or the start, gets its cones
 with their pairs from vertex_cones, by the same integer pivots, each
 becoming a node pushed once. One loop walks the nodes:
 it pops a basis, held as (det, adj), and runs the integer ratio test at
-each of its positions on its vertex's slacks; positive steps cross edges of
+each of its positions from its vertex's point; positive steps cross edges of
 the polyhedron, zero steps move between bases of the same vertex, and an
 empty ratio test marks an unbounded edge. A move ends where its ratio test
 says (model.step_point, and model.step_tight for a vertex not seen before),
-so no basis is solved and no slack rescanned. Each edge's ratio test runs once
+so no basis is solved and no slack stored. Each edge's ratio test runs once
 when one end is a simple vertex: the test back from the far end can only
 return to the basis it came from, so that basis skips it and is charged the
 hits it would have found. The (det, adj) pair of every basis popped is
@@ -87,14 +87,14 @@ def vertex_cones(p: HPolyhedron, tight: Rows) -> dict[Rows, Basis]:
     (rows in index order) of the normal cone at a vertex with tight rows `tight`.
 
     They are its lexicographically feasible bases with each b_i perturbed by
-    eps^(m - i), reached by model.pivot from the first n independent tight
+    eps^(m - i), reached by model.pivot from model.start_basis of the tight
     rows, a cone as placing never removes a simplex. det times the perturbed
     slack of a tight row i off a cone is det at i and -(ints_i adj)_k at
     rows[k], i's rate along the edge out of rows[k]. Unless no row has a
     positive rate (the edge bounds the normal cone), the least ratio enters,
     compared from the highest row down in integers scaled by the rates' product.
     """
-    start = tuple(tight[k] for k in linalg.independent((p.ints[i] for i in tight), []))
+    start = model.start_basis(p, tight)
     cones = {start: model.basis_adjugate(p, start)}
     order = sorted(tight, reverse=True)
     todo = [start]
@@ -125,13 +125,13 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
     traversal, duplicate-free vertex list keyed on each (num, den), each
     vertex's cones pushed once as it is found, rays recorded per (vertex, primitive
     direction), an edge per vertex pair that a positive-step pivot joins.
-    A vertex's slacks are held only while a basis of it waits on the heap.
+    A vertex's Point is held only while a basis of it waits on the heap.
     A popped basis (det, adj) runs model.min_ratio at each position pos,
     along u = -adj[:, pos], det times the edge direction: each row attaining
     the least step is a pivot, none an unbounded edge. ratio_mults is the
     paper's per-basis cost model, n * (m - n + hits) per position (n
     multiplications per rate and n per ratio), kept though the integer
-    kernel does less, reading the stored slacks. From a simple vertex the
+    kernel does less, reading live slacks only. From a simple vertex the
     test back along a positive-step edge is decided, as only the leaving row
     attains it: the far basis, if still waiting, skips that position and is
     charged its hits, #{i : ints_i u < 0} = m - hits - #{i : ints_i u = 0}.
@@ -195,7 +195,7 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
                     _, child = model.pivot(p, rows, basis, leaving, entering)
                     index, at = owner, pt  # a zero step stays at the vertex
                     if step[0]:
-                        at = model.step_point(p, pt, step, u)
+                        at = model.step_point(pt, step, u)
                         index = by_point.get((at.num, at.den))
                         if index is None:
                             far = model.step_tight(vertex.tight, rates, blocking)
@@ -220,7 +220,7 @@ def run_enumeration(p: HPolyhedron, feasible_point=None) -> EnumerationResult:
     """The full enumeration from phase one's Point, or from the Point at the
     coordinates of a feasible point, (num, den) pairs, when one is given."""
     given = feasible_point is not None
-    start = model.rational_point(p, feasible_point) if given else model.phase_one(p)
+    start = model.rational_point(feasible_point) if given else model.phase_one(p)
     return enumerate_vertices(p, start)
 
 
@@ -256,7 +256,7 @@ def redundant_rows(p: HPolyhedron, result: EnumerationResult) -> list[int]:
     facets = {i for v in result.vertices if v.simple for i in v.tight}
     if not facets and _span_rank(result.vertices, rays) < p.n:
         first = result.vertices[0]
-        return model.redundancy_scan(p, model.scaled_point(p, first.num, first.den))
+        return model.redundancy_scan(p, model.Point(first.num, first.den))
     faces: list[list[VertexRecord]] = [[] for _ in range(p.m)]
     for v in result.vertices:
         for i in v.tight:
@@ -296,8 +296,8 @@ def enumerate_all_bases_oracle(
             basis = model.basis_adjugate(p, rows)
         except SingularMatrix:
             continue
-        pt = model.scaled_point(p, *model.basis_solution(p, rows, basis))
-        if min(pt.slack) < 0:
+        pt = model.scaled_point(*model.basis_solution(p, rows, basis))
+        if min(model.slacks(p, pt, range(p.m))) < 0:
             continue
         feasible.append(rows)
         if (pt.num, pt.den) not in by_point:

@@ -4,8 +4,8 @@ Holds the instance type, stored in integers only (each row and its
 right-hand side cleared once, on its own, from the (num, den) pairs the
 parser gives; make_polyhedron adapts rationals to them), plus the vertex-level
 primitives, all on Python ints no wider than the data: bases as (det, adj),
-points in lowest terms with their integer slacks, tight sets, basis solves,
-a ray-cast walk from a feasible point to a vertex, and the one pivot kernel
+points in lowest terms, slacks of the rows a reader needs, tight sets, basis
+solves, a ray cast from a feasible point to a vertex, and the one pivot kernel
 (ratio test plus fraction-free basis swap) shared by the vertex enumeration
 and the exact simplex (Bland's rule), which serves phase one and the strict
 interior point from one margin system built off the integer form. The ratio
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, floordiv, mul, sub
+from operator import add, mul
 
 from . import linalg
 from .errors import (
@@ -150,31 +150,43 @@ class VertexRecord:
 
 @dataclass(frozen=True)
 class Point:
-    """x = num / den in lowest terms, den > 0; slack[i] = den * rhs_num[i] -
-    rhs_den[i] * (ints[i] num) = den * rhs_den[i] * scales[i] * (b_i - a_i x)."""
+    """x = num / den in lowest terms, den > 0; `slacks` reads its slacks."""
 
     num: tuple[int, ...]
     den: int
-    slack: tuple[int, ...]
 
     @property
     def x(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.den) for v in self.num)
 
 
-def scaled_point(p: HPolyhedron, num, den: int) -> Point:
-    """The Point num / den of p, den > 0, in lowest terms, slacks computed once."""
+def scaled_point(num, den: int) -> Point:
+    """The Point num / den, den > 0, in lowest terms."""
     g = gcd(den, *num)
     if g > 1:
         num, den = [v // g for v in num], den // g
-    lhs = map(mul, p.rhs_den, p.products(num))
-    return Point(tuple(num), den, tuple(map(sub, map(mul, p.rhs_num, repeat(den)), lhs)))
+    return Point(tuple(num), den)
 
 
-def rational_point(p: HPolyhedron, x) -> Point:
-    """The Point of p at the rational coordinates x, as (num, den) pairs, den > 0."""
+def rational_point(x) -> Point:
+    """The Point at the rational coordinates x, as (num, den) pairs, den > 0."""
     den = lcm(*(q for _, q in x))
-    return scaled_point(p, [v * (den // q) for v, q in x], den)
+    return scaled_point([v * (den // q) for v, q in x], den)
+
+
+def slacks(p: HPolyhedron, pt: Point, rows) -> list[int]:
+    """The integer slack of each row i in `rows` at pt, den * rhs_num[i] -
+    rhs_den[i] * (ints[i] num) = den * rhs_den[i] * scales[i] * (b_i - a_i x)."""
+    num, den, ints, rhs_num, rhs_den = pt.num, pt.den, p.ints, p.rhs_num, p.rhs_den
+    return [den * rhs_num[i] - rhs_den[i] * sum(map(mul, ints[i], num)) for i in rows]
+
+
+def start_basis(p: HPolyhedron, tight) -> tuple[int, ...]:
+    """The n rows linalg.independent keeps of a vertex's tight set, or the
+    set itself when it has n rows, as a vertex's tight rows have rank n."""
+    if len(tight) == p.n:
+        return tight
+    return tuple(tight[k] for k in linalg.independent((p.ints[i] for i in tight), []))
 
 
 def basis_adjugate(p: HPolyhedron, rows) -> Basis:
@@ -199,12 +211,13 @@ def tight_set(p: HPolyhedron, pt: Point) -> tuple[int, ...]:
 
     InfeasiblePoint names the first violated row and its slack b_i - a_i x.
     """
-    if min(pt.slack) < 0:
+    slack = slacks(p, pt, range(p.m))
+    if min(slack) < 0:
         from .serialize import rational_str  # writes past the str(int) limit; imports model
-        i, s = next((i, s) for i, s in enumerate(pt.slack) if s < 0)
+        i, s = next((i, s) for i, s in enumerate(slack) if s < 0)
         value = rational_str(Fraction(s, pt.den * p.rhs_den[i]) / p.scales[i])
         raise InfeasiblePoint(f"row {i} violated by {value}")
-    return tuple(compress(range(len(pt.slack)), map((0).__eq__, pt.slack)))
+    return tuple(compress(range(p.m), map((0).__eq__, slack)))
 
 
 def find_initial_vertex(p: HPolyhedron, pt: Point) -> tuple[Point, tuple[int, ...]]:
@@ -219,7 +232,7 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> tuple[Point, tuple[int, ..
     Only the basis's integral Gram-Schmidt vectors are kept (`ortho`, grown
     by linalg.independent), so a rank test or a projection is one pass over
     them. Each move ends by step_point and step_tight, so only the start's
-    slacks are scanned, by tight_set, which rejects an infeasible start.
+    slacks are all read, by tight_set, which rejects an infeasible start.
     Returns the vertex's Point and tight set.
     """
     tight = tight_set(p, pt)
@@ -234,7 +247,7 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> tuple[Point, tuple[int, ..
             step, blocking, _ = min_ratio(p, pt, rates)
             if step is None:
                 raise UnboundedLine("polyhedron contains a line despite rank n")
-        pt = step_point(p, pt, step, d)
+        pt = step_point(pt, step, d)
         linalg.independent((p.ints[i] for i in blocking), ortho)
         tight = step_tight(tight, rates, blocking)
     return pt, tight
@@ -253,18 +266,20 @@ def min_ratio(p: HPolyhedron, pt: Point, rates):
     Along an edge u = -adj[:, pos] of a basis (det, adj), det > 0, no basis
     row needs leaving out: ints_B u = -det e_pos, so each basis row has rate
     0 or -det, and only rows off the basis can be live.
-    The ratios are pt.slack[i] / (rhs_den[i] w_i). Only rows of least floor
-    quotient can attain the minimum, as floor(a/b) < floor(c/d) implies
-    a/b < c/d; they are compared by cross-multiplying.
+    The ratios are s_i / d_i, s_i = slacks(p, pt, live), d_i = rhs_den[i] w_i.
+    If some s_i <= 0, only those rows can be least; else s_i / d_i lies in
+    (2^(e_i - 1), 2^(e_i + 1)), e_i = bl(s_i) - bl(d_i) in bit lengths, so no
+    row with e_i >= min e + 2 is. The rest are compared by cross-multiplying.
     """
     live = [i for i, w in enumerate(rates) if w > 0]
     if not live:
         return None, [], 0
-    slacks = [pt.slack[i] for i in live]
+    slack = slacks(p, pt, live)
     dens = [p.rhs_den[i] * rates[i] for i in live]
-    floors = list(map(floordiv, slacks, dens))
+    gaps = [s.bit_length() - w.bit_length() for s, w in zip(slack, dens)]
+    keep = [s <= 0 for s in slack] if min(slack) <= 0 else map((min(gaps) + 2).__gt__, gaps)
     best_s, best_w, blocking = 1, 0, []  # 1/0 stands for +infinity
-    for i, s, w in compress(zip(live, slacks, dens), map(min(floors).__eq__, floors)):
+    for i, s, w in compress(zip(live, slack, dens), keep):
         order = s * best_w - best_s * w
         if order < 0:
             best_s, best_w, blocking = s, w, [i]
@@ -273,12 +288,12 @@ def min_ratio(p: HPolyhedron, pt: Point, rates):
     return (best_s, pt.den * best_w), blocking, len(live)
 
 
-def step_point(p: HPolyhedron, pt: Point, step: tuple[int, int], u) -> Point:
+def step_point(pt: Point, step: tuple[int, int], u) -> Point:
     """The Point a step (s, q) along the integer direction u from pt lands on,
     (num (q / den) + s u) / q; min_ratio makes q a multiple of pt.den."""
     s, q = step
     k = q // pt.den
-    return scaled_point(p, [v * k + s * t for v, t in zip(pt.num, u)], q)
+    return scaled_point([v * k + s * t for v, t in zip(pt.num, u)], q)
 
 
 def step_tight(tight, rates, blocking) -> tuple[int, ...]:
@@ -316,15 +331,14 @@ def simplex_max(p: HPolyhedron, objective, start: Point):
     feasible Point `start`.
 
     Starts from the vertex Point and tight set the ray cast from `start`
-    returns, with its lexicographically smallest independent tight basis,
-    the rows linalg.independent keeps.
+    returns, with its start_basis.
     Exact simplex with Bland's anti-cycling rule: relax the smallest basic
     row whose edge improves the objective; the entering row is the smallest
     index attaining the minimum ratio. The point moves by step_point, so no
     basis is solved. Returns ("optimal", Point) or ("unbounded", direction).
     """
     pt, tight = find_initial_vertex(p, start)
-    rows = tuple(tight[k] for k in linalg.independent((p.ints[i] for i in tight), []))
+    rows = start_basis(p, tight)
     basis = basis_adjugate(p, rows)
     while True:
         for pos, leaving in enumerate(rows):
@@ -338,7 +352,7 @@ def simplex_max(p: HPolyhedron, objective, start: Point):
             return "unbounded", u
         rows, basis = pivot(p, rows, basis, leaving, blocking[0])
         if step[0]:
-            pt = step_point(p, pt, step, u)
+            pt = step_point(pt, step, u)
 
 
 def _auxiliary_system(p: HPolyhedron, cap: int) -> HPolyhedron:
@@ -365,7 +379,7 @@ def _max_margin(p: HPolyhedron, cap: int) -> Point:
     for r, d, s in zip(p.rhs_num, p.rhs_den, p.scales):
         if r * s.denominator * low[1] < low[0] * d * s.numerator:
             low = (r * s.denominator, d * s.numerator)
-    start = rational_point(q, [(0, 1)] * p.n + [low])
+    start = rational_point([(0, 1)] * p.n + [low])
     status, opt = simplex_max(q, [0] * p.n + [1], start)
     assert status == "optimal"  # s <= cap bounds the objective
     if opt.num[-1] < 0:
@@ -378,9 +392,9 @@ def phase_one(p: HPolyhedron) -> Point:
     """Exact feasible Point of A x <= b, or raise Infeasible: the origin
     when b >= 0, else the x of the margin optimum at cap 0, where s* = 0."""
     if min(p.rhs_num) >= 0:  # rhs_num[i] has the sign of b_i
-        return scaled_point(p, [0] * p.n, 1)
+        return Point((0,) * p.n, 1)
     opt = _max_margin(p, 0)
-    return scaled_point(p, opt.num[:-1], opt.den)
+    return scaled_point(opt.num[:-1], opt.den)
 
 
 def strict_interior_point(p: HPolyhedron) -> Point | None:
@@ -388,7 +402,7 @@ def strict_interior_point(p: HPolyhedron) -> Point | None:
     LP, the margin optimum at cap 1, which raises phase one's Infeasible
     when s* < 0 (the cap then is slack) and is flat when s* = 0."""
     opt = _max_margin(p, 1)
-    return scaled_point(p, opt.num[:-1], opt.den) if opt.num[-1] > 0 else None
+    return scaled_point(opt.num[:-1], opt.den) if opt.num[-1] > 0 else None
 
 
 def redundancy_scan(p: HPolyhedron, start: Point) -> list[int]:
@@ -415,7 +429,7 @@ def redundancy_scan(p: HPolyhedron, start: Point) -> list[int]:
             continue
         # A subsystem of a validated system has no zero or duplicate row.
         sub = p.restrict(keep, f"{p.name}/-{i}")
-        status, opt = simplex_max(sub, p.ints[i], scaled_point(sub, start.num, start.den))
+        status, opt = simplex_max(sub, p.ints[i], start)
         if status == "optimal" and p.rhs_den[i] * dot(p.ints[i], opt.num) <= p.rhs_num[i] * opt.den:
             redundant.append(i)
     return redundant

@@ -148,7 +148,7 @@ def find_initial_vertex(p, x0):
         fresh = tight_set(p, x)
         basis = extend_independent(p, basis, sorted(set(fresh) - set(tight)))
         tight = fresh
-    pt = model.rational_point(p, pairs(x))
+    pt = model.rational_point(pairs(x))
     return model.VertexRecord(pt.num, pt.den, tight)
 
 

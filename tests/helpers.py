@@ -486,7 +486,7 @@ def ratio_work(p, result) -> tuple[int, int]:
     total = peak = 0
     for rows in result.triangulation.dets:
         basis = model.basis_adjugate(p, rows)
-        pt = model.scaled_point(p, *model.basis_solution(p, rows, basis))
+        pt = model.scaled_point(*model.basis_solution(p, rows, basis))
         mults = 0
         for pos in range(n):
             u = [-line[pos] for line in basis[1]]

@@ -187,7 +187,7 @@ def test_ratio_tests_pick_the_square_pivots():
     p = square()
     rows = (0, 1)  # vertex (1,1)
     basis = basis_adjugate(p, rows)
-    x = rational_point(p, [(1, 1), (1, 1)])
+    x = rational_point([(1, 1), (1, 1)])
     found = pivots(p, rows, basis, x)
     assert len(found) == 2
     by_leaving = {leaving: (entering, step, u) for leaving, entering, step, u in found}
@@ -205,7 +205,7 @@ def test_ratio_tests_report_rays_on_unbounded_cone():
     p = make_polyhedron([[-1, 0], [0, -1]], [0, 0], name="quadrant")
     rows = (0, 1)
     basis = basis_adjugate(p, rows)
-    found = pivots(p, rows, basis, rational_point(p, [(0, 1), (0, 1)]))
+    found = pivots(p, rows, basis, rational_point([(0, 1), (0, 1)]))
     assert all(entering is None and step is None for _, entering, step, _ in found)
     assert {tuple(u) for _, _, _, u in found} == {(1, 0), (0, 1)}
 
@@ -214,7 +214,7 @@ def test_ratio_work_charge_per_basis_is_bounded():
     p = cube()
     n, m = p.n, p.m
     basis = basis_adjugate(p, (0, 1, 2))
-    pt = rational_point(p, [(1, 1)] * 3)
+    pt = rational_point([(1, 1)] * 3)
     mults = sum(n * (m - n + ratio_test(p, pt, edge(basis, pos))[2]) for pos in range(n))
     assert 0 < mults <= 2 * n * n * m
     counters = run_enumeration(p).counters
@@ -333,7 +333,7 @@ def test_the_walk_builds_no_fraction_at_degenerate_vertices():
 def test_enumerate_vertices_walks_from_an_interior_start():
     """The centre of the square is no vertex: the walk ray-casts it to one."""
     p = square()
-    result = enumerate_vertices(p, rational_point(p, [(1, 2), (1, 2)]))
+    result = enumerate_vertices(p, rational_point([(1, 2), (1, 2)]))
     assert vertex_points(result) == vertex_points(run_enumeration(p))
     assert len(result.vertices) == 4
 
@@ -353,7 +353,7 @@ def test_pivot_edges_separate_moves_from_degenerate_stays():
     apex = (Fraction(0), Fraction(0), Fraction(1))
     stays_at_apex = 0
     for v, cones in zip(result.vertices, result.triangulation.cones_by_vertex):
-        x = rational_point(p, pairs(v.point))
+        x = rational_point(pairs(v.point))
         for rows in cones:
             basis = basis_adjugate(p, rows)
             for leaving, entering, step, _ in pivots(p, rows, basis, x):
@@ -432,7 +432,7 @@ def assert_work_and_closure(p, result):
     and every pivot out of a visited basis, skipped or not, lands on a
     visited basis."""
     for v in result.vertices:
-        pt = scaled_point(p, v.num, v.den)
+        pt = scaled_point(v.num, v.den)
         assert v.den > 0 and (pt.num, pt.den) == (v.num, v.den), p.name
         assert model.tight_set(p, pt) == v.tight, p.name
     c = result.counters
@@ -441,7 +441,7 @@ def assert_work_and_closure(p, result):
     assert ratio_work(p, result) == (c.ratio_mults, c.max_basis_mults), p.name
     for rows in visited:
         basis = basis_adjugate(p, rows)
-        pt = scaled_point(p, *basis_solution(p, rows, basis))
+        pt = scaled_point(*basis_solution(p, rows, basis))
         for leaving, entering, _, _ in pivots(p, rows, basis, pt):
             if entering is not None:
                 assert target_basis(rows, leaving, entering) in visited, p.name
@@ -478,7 +478,7 @@ def test_the_walk_neither_solves_nor_rescans_a_vertex(bench_duals, monkeypatch):
     for name in ("basis_solution", "tight_set") + kernels:
         monkeypatch.setattr(model, name, counting(name))
     for p, reference in bench_duals.values():
-        start = rational_point(p, [(0, 1)] * p.n)
+        start = rational_point([(0, 1)] * p.n)
         calls.clear()
         model.find_initial_vertex(p, start)
         moves = calls["scaled_point"]
@@ -492,6 +492,36 @@ def test_the_walk_neither_solves_nor_rescans_a_vertex(bench_duals, monkeypatch):
         assert calls == {"tight_set": 1, **dict.fromkeys(kernels, each)}, p.name
 
 
+def test_only_the_start_reads_every_slack(bench_duals, monkeypatch):
+    """An enumeration of a simple polytope calls model.slacks with all m
+    rows once, in the tight set of the ray cast's start; every ratio test
+    reads the slacks of its rows of positive rate alone."""
+    core_slacks, core_tight_set = model.slacks, model.tight_set
+    calls, scanning = [], []
+
+    def slacks(p, pt, rows):
+        calls.append((len(rows), bool(scanning)))
+        return core_slacks(p, pt, rows)
+
+    def tight_set(p, pt):
+        scanning.append(pt)
+        try:
+            return core_tight_set(p, pt)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(model, "slacks", slacks)
+    monkeypatch.setattr(model, "tight_set", tight_set)
+    dual = bench_duals["dual-n2k5"][0]
+    for p, x in ((dual, [(0, 1)] * 2), (cube(), [(1, 2)] * 3)):
+        calls.clear()
+        result = enumerate_vertices(p, rational_point(x))
+        assert all(v.simple for v in result.vertices), p.name
+        assert calls[0] == (p.m, True), p.name
+        assert all(rows < p.m and not scan for rows, scan in calls[1:]), p.name
+        assert len(calls) > len(result.vertices), p.name
+
+
 def ratio_tests_run(p, v0):
     """The enumeration from the vertex v0 and the number of ratio tests it
     ran; the ray cast from a vertex runs none."""
@@ -503,7 +533,7 @@ def ratio_tests_run(p, v0):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "min_ratio", counted)
-        result = enumerate_vertices(p, scaled_point(p, v0.num, v0.den))
+        result = enumerate_vertices(p, scaled_point(v0.num, v0.den))
     return result, len(calls)
 
 
@@ -617,7 +647,7 @@ def test_far_tight_sets_keep_the_zero_rate_rows_of_degenerate_vertices(p):
 # the LP scan.
 
 def lp_redundant(p, x0=None):
-    return redundancy_scan(p, phase_one(p) if x0 is None else rational_point(p, x0))
+    return redundancy_scan(p, phase_one(p) if x0 is None else rational_point(x0))
 
 
 def padded(p, row, rhs):
@@ -775,11 +805,11 @@ def test_redundant_rows_follow_a_row_permutation(system):
     result = run_enumeration(p, x0)
     got = redundant_rows(p, result)
     permuted = redundant_rows(q, run_enumeration(q, x0))
-    assert got == redundancy_scan(p, rational_point(p, x0))
+    assert got == redundancy_scan(p, rational_point(x0))
     if rank_redundant_rows(p, result) is None:
         # Implicit equalities: which rows of an equal pair go depends on the
         # row order, so each order has its own LP scan.
-        assert permuted == redundancy_scan(q, rational_point(q, x0))
+        assert permuted == redundancy_scan(q, rational_point(x0))
         return
     assert got == rank_redundant_rows(p, result)
     assert permuted == sorted(k for k, i in enumerate(order) if i in got)

@@ -47,14 +47,28 @@ from helpers import b_of, det_exact, pairs, ratio_test, submatrix
 rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3]))
 
 
+def far(n):
+    """(2^202, 2^404, ...): a small system moved there has right-hand sides
+    above 2^200, as a row's product with it is at least 2^202 / 3."""
+    return [2 ** (202 * (j + 1)) for j in range(n)]
+
+
+# c 2^202 + r for small c and r, c = 0 for about half: where the c parts
+# cancel, a slack is short, so the ratio test's bit-length screen meets gaps
+# 0, 1, 2 and wider; where c = 0, x may lie on a row's hyperplane.
+wide = st.builds(lambda c, r: c * 2**202 + r, st.one_of(st.just(0), rationals), rationals)
+
+
 @st.composite
 def systems(draw):
-    """A small system with rational rows and right-hand sides."""
+    """A small system A x <= beta with rational entries, moved to far(n):
+    b = A far(n) + beta, so its degenerate vertices, and zero steps at
+    feasible points, occur as in the small one."""
     n = draw(st.integers(2, 3))
     m = draw(st.integers(n + 1, n + 4))
     rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m))
-    b = draw(st.lists(rationals, min_size=m, max_size=m))
-    return rows, b
+    beta = draw(st.lists(rationals, min_size=m, max_size=m))
+    return rows, [dot(a, far(n)) + v for a, v in zip(rows, beta)]
 
 
 def build(rows, b):
@@ -70,10 +84,10 @@ def same_tight_set(p, x):
         want = oracle.tight_set(p, x)
     except InfeasiblePoint as exc:
         with pytest.raises(InfeasiblePoint) as got:
-            tight_set(p, rational_point(p, pairs(x)))
+            tight_set(p, rational_point(pairs(x)))
         assert str(got.value) == str(exc)
         return None
-    assert tight_set(p, rational_point(p, pairs(x))) == want
+    assert tight_set(p, rational_point(pairs(x))) == want
     return want
 
 
@@ -82,10 +96,11 @@ def same_tight_set(p, x):
 def test_integer_kernel_matches_fraction_oracle(system, data):
     p = build(*system)
     n = p.n
-    x = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    shift = data.draw(st.lists(wide, min_size=n, max_size=n))
+    x = [c + v for c, v in zip(far(n), shift)]
     u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     # The ratio test reads slacks only, so infeasible points count too.
-    assert ratio_test(p, rational_point(p, pairs(x)), u) == oracle.ratio_test(p, (), x, u)
+    assert ratio_test(p, rational_point(pairs(x)), u) == oracle.ratio_test(p, (), x, u)
     same_tight_set(p, x)
     try:
         start = phase_one(p)
@@ -97,7 +112,7 @@ def test_integer_kernel_matches_fraction_oracle(system, data):
     pair = basis_adjugate(p, basis)
     det, adj = pair
     # The basis solution, with its unreduced denominator, is the same point.
-    at_basis = scaled_point(p, *basis_solution(p, basis, pair))
+    at_basis = scaled_point(*basis_solution(p, basis, pair))
     assert at_basis == pt
     assert tight_set(p, at_basis) == tight
     for pos in range(n):
@@ -135,7 +150,7 @@ def test_pivot_chain_matches_fresh_adjugates():
         )
         pair = basis_adjugate(p, basis)
         for _ in range(12):
-            pt = scaled_point(p, *basis_solution(p, basis, pair))
+            pt = scaled_point(*basis_solution(p, basis, pair))
             pos = rng.randrange(n)
             edge = [-line[pos] for line in pair[1]]
             step, blocking, _ = ratio_test(p, pt, edge)
@@ -169,13 +184,15 @@ def per_row_systems(draw):
 
 
 def assert_lowest_terms_point(p, pt, x):
-    """pt is x over its lowest-terms denominator, with the per-row slacks."""
+    """pt is x over its lowest-terms denominator, and model.slacks gives the
+    per-row slacks there."""
     assert pt.den > 0 and gcd(pt.den, *pt.num) == 1
     assert pt.x == tuple(x)
-    for i, s in enumerate(pt.slack):
+    slack = model.slacks(p, pt, range(p.m))
+    for i, s in enumerate(slack):
         assert s == pt.den * p.rhs_num[i] - p.rhs_den[i] * dot(p.ints[i], pt.num)
     want = oracle.slacks(p, x)
-    assert [Fraction(s, pt.den * q) / c for s, q, c in zip(pt.slack, p.rhs_den, p.scales)] == want
+    assert [Fraction(s, pt.den * q) / c for s, q, c in zip(slack, p.rhs_den, p.scales)] == want
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -185,10 +202,10 @@ def test_points_are_in_lowest_terms_with_per_row_slacks(system, data):
     for r, q, c, beta in zip(p.rhs_num, p.rhs_den, p.scales, b_of(p)):
         assert q > 0 and gcd(r, q) == 1 and Fraction(r, q) == c * beta
     x = data.draw(st.lists(rationals, min_size=p.n, max_size=p.n))
-    assert_lowest_terms_point(p, rational_point(p, pairs(x)), x)
+    assert_lowest_terms_point(p, rational_point(pairs(x)), x)
     # An unreduced num / den gives the same lowest-terms point.
     den = 6 * data.draw(st.integers(1, 12))  # 6 clears every `rationals` denominator
-    scaled = scaled_point(p, [v.numerator * den // v.denominator for v in x], den)
+    scaled = scaled_point([v.numerator * den // v.denominator for v in x], den)
     assert_lowest_terms_point(p, scaled, x)
     try:
         pt, tight = find_initial_vertex(p, phase_one(p))
@@ -196,7 +213,7 @@ def test_points_are_in_lowest_terms_with_per_row_slacks(system, data):
         return
     assert_lowest_terms_point(p, pt, pt.x)  # the ray cast's own Point
     basis = next(b for b in combinations(tight, p.n) if rank_of(submatrix(p, b)) == p.n)
-    at_basis = scaled_point(p, *basis_solution(p, basis, basis_adjugate(p, basis)))
+    at_basis = scaled_point(*basis_solution(p, basis, basis_adjugate(p, basis)))
     assert_lowest_terms_point(p, at_basis, pt.x)
 
 
@@ -204,22 +221,30 @@ def test_subdivision_dual_enumeration_stays_near_the_data_width(monkeypatch):
     """The n=2, k=5 dual: right-hand sides of at most 236 bits; no slack,
     vertex numerator or denominator of its enumeration above 600 bits (one
     denominator over all rows made them 2,604 bits wide). Each point is
-    recorded twice: as model.step_point builds it, (num (q / den) + s u) / q
-    before its gcd is divided out, and in lowest terms with its slacks."""
+    recorded as model.step_point builds it, (num (q / den) + s u) / q
+    before its gcd is divided out, and in lowest terms; every slack is
+    recorded as model.slacks computes it."""
     fans = subdivision.build_subdivision_fans(2, 5)
     p = subdivision.lift_polytope(fans).dual_polyhedron()
     assert (p.m, p.n) == (96, 2)
     assert max(abs(v).bit_length() for v in (*p.rhs_num, *p.rhs_den)) <= 236
     widest = []
+    core_slacks = model.slacks
 
-    def recording(p, num, den):
+    def recording(num, den):
         widest.append(max(abs(v).bit_length() for v in (*num, den)))
-        pt = scaled_point(p, num, den)
-        widest.append(max(abs(v).bit_length() for v in (*pt.slack, *pt.num, pt.den)))
+        pt = scaled_point(num, den)
+        widest.append(max(abs(v).bit_length() for v in (*pt.num, pt.den)))
         return pt
 
+    def recording_slacks(p, pt, rows):
+        slack = core_slacks(p, pt, rows)
+        widest.append(max(abs(s).bit_length() for s in slack))
+        return slack
+
     monkeypatch.setattr(model, "scaled_point", recording)
+    monkeypatch.setattr(model, "slacks", recording_slacks)
     result = hull.run_enumeration(p, [(0, 1)] * 2)
     assert len(result.vertices) == 96
-    assert len(widest) > 2 * 96
+    assert len(widest) > 3 * 96
     assert max(widest) <= 600

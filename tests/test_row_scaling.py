@@ -70,7 +70,7 @@ def test_positive_row_scaling_changes_nothing(system, data):
     # Phase one's slack t is not scale-free, so each system finds its own
     # point; from one common point everything else must coincide.
     assert contains(q, phase_one(q).x)
-    assert redundancy_scan(q, rational_point(q, x0)) == redundancy_scan(p, rational_point(p, x0))
+    assert redundancy_scan(q, rational_point(x0)) == redundancy_scan(p, rational_point(x0))
     got, want = run_enumeration(q, x0), run_enumeration(p, x0)
     assert [(v.point, v.tight) for v in got.vertices] == [
         (v.point, v.tight) for v in want.vertices
