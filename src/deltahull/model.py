@@ -430,7 +430,7 @@ def redundancy_scan(p: HPolyhedron, start: Point) -> list[int]:
         # A subsystem of a validated system has no zero or duplicate row.
         sub = p.restrict(keep, f"{p.name}/-{i}")
         status, opt = simplex_max(sub, p.ints[i], start)
-        if status == "optimal" and p.rhs_den[i] * dot(p.ints[i], opt.num) <= p.rhs_num[i] * opt.den:
+        if status == "optimal" and slacks(p, opt, [i])[0] >= 0:
             redundant.append(i)
     return redundant
 
