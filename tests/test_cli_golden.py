@@ -57,6 +57,7 @@ LABELS = [
     "octahedron",
     "cross4",
     "tall-pyramid",
+    "degenerate8x3",
     *[f"fuzz{i}" for i in range(FUZZ)],
     "quadrant",
     "padded",
@@ -72,6 +73,13 @@ def write_instances(directory: Path) -> dict[str, list[str]]:
     padded = make_polyhedron(
         [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 0, 0, 9]
     )
+    # A degenerate vertex (0, 0, -1) whose number depends on the order in
+    # which the walk reaches its cones.
+    degenerate = make_polyhedron(
+        [[-1, 0, -1], [1, 0, 1], [-1, 0, 0], [1, -1, -1],
+         [1, 1, 0], [1, 0, 1], [1, -1, 1], [1, -1, 0]],
+        [1, 1, 1, 1, 1, 2, 0, 0],
+    )
     systems = {
         "square": square(),
         "cube3": cube(3),
@@ -79,6 +87,7 @@ def write_instances(directory: Path) -> dict[str, list[str]]:
         "octahedron": octahedron(),
         "cross4": cross_polytope(4),
         "tall-pyramid": tall_pyramid(),
+        "degenerate8x3": degenerate,
         **{f"fuzz{i}": p for i, p in enumerate(build_fuzz_corpus(FUZZ))},
         "quadrant": make_polyhedron([[-1, 0], [0, -1]], [0, 0]),
         "padded": padded,
