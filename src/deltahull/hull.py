@@ -2,11 +2,13 @@
 
 `enumerate_vertices` ray-casts a feasible Point to a vertex and searches
 from there; `run_enumeration` gives it phase one's Point unless a point is
-given. The nodes are simplicial cones of the normal fan, one basis per cone.
-Simple vertices contribute their unique basis, with the (det, adj) of the
-pivot that reached them; a degenerate vertex, or the start, gets its cones
-with their pairs from vertex_cones, by the same integer pivots, each
-becoming a node pushed once. One loop walks the nodes:
+given. The nodes are feasible bases, each pushed once with the (det, adj)
+of the pivot that reached it, the first being model.start_basis of the
+start. A popped basis is a cone of its vertex's normal cone when the vertex
+is simple or the basis is lexicographically feasible (_lex_feasible): the
+cones form the placing triangulation in row index order, and the walk
+reaches every one, as each lexicographic pivot is one of its pivots.
+One loop walks the nodes:
 it pops a basis, held as (det, adj), and runs the integer ratio test at
 each of its positions from its vertex's point; positive steps cross edges of
 the polyhedron, zero steps move between bases of the same vertex, and an
@@ -33,7 +35,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, prod
+from math import comb, gcd
 
 from . import linalg, model
 from .errors import BudgetExceeded, SingularMatrix
@@ -82,39 +84,21 @@ class EnumerationResult:
         return not self.rays
 
 
-def vertex_cones(p: HPolyhedron, tight: Rows) -> dict[Rows, Basis]:
-    """The cones, sorted, with their (det, adj), of the placing triangulation
-    (rows in index order) of the normal cone at a vertex with tight rows `tight`.
-
-    They are its lexicographically feasible bases with each b_i perturbed by
-    eps^(m - i), reached by model.pivot from model.start_basis of the tight
-    rows, a cone as placing never removes a simplex. det times the perturbed
-    slack of a tight row i off a cone is det at i and -(ints_i adj)_k at
-    rows[k], i's rate along the edge out of rows[k]. Unless no row has a
-    positive rate (the edge bounds the normal cone), the least ratio enters,
-    compared from the highest row down in integers scaled by the rates' product.
+def _lex_feasible(p: HPolyhedron, rows: Rows, basis: Basis, tight: Rows) -> bool:
+    """Whether the basis `rows`, held as (det, adj), of a vertex with tight rows
+    `tight` is one of its cones: with each b_i perturbed by eps^(m - i), every
+    tight row i off the basis keeps a lexicographically positive slack. det
+    times that slack is det at i and -(ints_i adj)_k at rows[k], i's rate
+    along the edge out of rows[k]; its nonzero term of highest row index
+    decides, being of the lowest degree in eps.
     """
-    start = model.start_basis(p, tight)
-    cones = {start: model.basis_adjugate(p, start)}
-    order = sorted(tight, reverse=True)
-    todo = [start]
-    for rows in todo:  # grows as new cones turn up
-        det, adj = basis = cones[rows]
-        cols = list(zip(*adj))
-        rest = [i for i in tight if i not in rows]
-        slack = {i: {i: det} | {r: -dot(p.ints[i], c) for r, c in zip(rows, cols)} for i in rest}
-        for leaving in rows:
-            rates = {i: s[leaving] for i, s in slack.items() if s[leaving] > 0}
-            scale = prod(rates.values())
-            ratios = {
-                i: [slack[i].get(j, 0) * (scale // r) for j in order] for i, r in rates.items()
-            }
-            if ratios:
-                target, pair = model.pivot(p, rows, basis, leaving, min(ratios, key=ratios.get))
-                if target not in cones:
-                    cones[target] = pair
-                    todo.append(target)
-    return dict(sorted(cones.items()))
+    det, adj = basis
+    cols = list(zip(*adj))
+    for i in set(tight).difference(rows):
+        terms = {r: -dot(p.ints[i], c) for r, c in zip(rows, cols)} | {i: det}
+        if terms[max(j for j, t in terms.items() if t)] < 0:
+            return False
+    return True
 
 
 def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
@@ -123,8 +107,9 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
 
     Best-first search over bases in lexicographic order: deterministic
     traversal, duplicate-free vertex list keyed on each (num, den), each
-    vertex's cones pushed once as it is found, rays recorded per (vertex, primitive
-    direction), an edge per vertex pair that a positive-step pivot joins.
+    basis pushed once, a vertex's cones read off the bases it owns and sorted
+    at the end, rays recorded per (vertex, primitive direction), an edge per
+    vertex pair that a positive-step pivot joins.
     A vertex's Point is held only while a basis of it waits on the heap.
     A popped basis (det, adj) runs model.min_ratio at each position pos,
     along u = -adj[:, pos], det times the edge direction: each row attaining
@@ -155,19 +140,16 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
             pending[rows] = (pt, basis, {})
             heapq.heappush(heap, rows)
 
-    def register(pt: Point, tight: Rows, basis: Basis | None = None) -> int:
-        """Index of the new vertex pt with tight set `tight`, its cones pushed
-        with their pairs; a simple one keeps `basis`, the pair of its pivot."""
+    def register(pt: Point, tight: Rows) -> int:
+        """Index of the new vertex pt with tight set `tight`."""
         index = len(vertices)
         by_point[pt.num, pt.den] = index
-        cones = {tight: basis} if basis and len(tight) == p.n else vertex_cones(p, tight)
         vertices.append(VertexRecord(pt.num, pt.den, tight))
-        triangulation.cones_by_vertex.append(list(cones))
-        for c, pair in cones.items():
-            push(c, index, pt, pair)
+        triangulation.cones_by_vertex.append([])
         return index
 
-    register(pt, tight)
+    rows = model.start_basis(p, tight)
+    push(rows, register(pt, tight), pt, model.basis_adjugate(p, rows))
     while heap:
         rows = heapq.heappop(heap)
         pt, basis, known = pending.pop(rows)
@@ -175,6 +157,8 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
         triangulation.dets[rows], triangulation.adjugates[rows] = basis
         owner = basis_owner[rows]
         vertex = vertices[owner]
+        if vertex.simple or _lex_feasible(p, rows, basis, vertex.tight):
+            triangulation.cones_by_vertex[owner].append(rows)
         mults = 0
         for pos, leaving in enumerate(rows):
             if leaving in known:
@@ -198,14 +182,15 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
                         at = model.step_point(pt, step, u)
                         index = by_point.get((at.num, at.den))
                         if index is None:
-                            far = model.step_tight(vertex.tight, rates, blocking)
-                            index = register(at, far, child)
+                            index = register(at, model.step_tight(vertex.tight, rates, blocking))
                     push(target, index, at, child)
                 if step[0]:
                     edges.add((min(owner, index), max(owner, index)))
                     if vertex.simple and target in pending:
                         pending[target][2][entering] = p.m - hits - rates.count(0)
         counters.charge(mults)
+    for group in triangulation.cones_by_vertex:
+        group.sort()
 
     return EnumerationResult(
         vertices=vertices,

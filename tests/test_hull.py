@@ -22,7 +22,6 @@ from deltahull.hull import (
     enumerate_vertices,
     redundant_rows,
     run_enumeration,
-    vertex_cones,
 )
 from deltahull.linalg import dot
 from deltahull.model import (
@@ -280,23 +279,27 @@ def test_triangulate_normal_cone_rejects_rank_deficient_sets():
         triangulate_normal_cone(p, (0,))
 
 
-def assert_vertex_cones_match_the_oracle(p, result) -> int:
-    """At every degenerate vertex, vertex_cones gives the placing oracle's
-    cones in its order, each with a fresh (det, adj); returns how many
+def assert_walk_cones_match_the_oracle(p, result) -> int:
+    """At every degenerate vertex, the walk's cones are the placing oracle's
+    in its order, each visited with a fresh (det, adj); returns how many
     vertices were checked."""
-    degenerate = [v for v in result.vertices if not v.simple]
-    for v in degenerate:
-        cones = vertex_cones(p, v.tight)
-        assert list(cones) == triangulate_normal_cone(p, v.tight), (p.name, v.tight)
-        assert all(pair == basis_adjugate(p, c) for c, pair in cones.items()), p.name
+    tri = result.triangulation
+    degenerate = [k for k, v in enumerate(result.vertices) if not v.simple]
+    for k in degenerate:
+        tight = result.vertices[k].tight
+        cones = triangulate_normal_cone(p, tight)
+        assert tri.cones_by_vertex[k] == cones, (p.name, tight)
+        assert set(cones) <= tri.dets.keys(), p.name
+        pairs = [(tri.dets[c], tri.adjugates[c]) for c in cones]
+        assert pairs == [basis_adjugate(p, c) for c in cones], p.name
     return len(degenerate)
 
 
-def test_vertex_cones_match_the_placing_oracle_on_corpora(corpus_analysis):
+def test_walk_cones_match_the_placing_oracle_on_corpora(corpus_analysis):
     cases = [(p, result) for p, result, _ in corpus_analysis]
     builds = [*DEGENERATE_FAMILY, lambda: cross_polytope(3), lambda: cross_polytope(4)]
     cases += [(p, run_enumeration(p)) for p in (build() for build in builds)]
-    checked = sum(assert_vertex_cones_match_the_oracle(p, result) for p, result in cases)
+    checked = sum(assert_walk_cones_match_the_oracle(p, result) for p, result in cases)
     assert checked == 29  # 7 in the fuzz corpus, 8, 6 and 8 in the polytopes
 
 
@@ -313,12 +316,12 @@ def degenerate_systems(draw):
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(degenerate_systems())
-def test_vertex_cones_match_the_placing_oracle_on_small_systems(system):
+def test_walk_cones_match_the_placing_oracle_on_small_systems(system):
     try:
         p = make_polyhedron(*system)
     except (DimensionMismatch, DuplicateRow, NotPointed):
         assume(False)
-    assert_vertex_cones_match_the_oracle(p, run_enumeration(p))
+    assert_walk_cones_match_the_oracle(p, run_enumeration(p))
 
 
 def test_the_walk_builds_no_fraction_at_degenerate_vertices():
