@@ -44,11 +44,8 @@ class BoundViolated(DeltahullError):
 class SingularMatrix(DeltahullError):
     """A square system that was expected to be invertible is singular:
     linalg.adjugate's error, so also a dependent basis row set
-    (model.basis_adjugate) or a singular cone (stats.triangulation_stats)."""
-
-
-class SingularUpdate(DeltahullError):
-    """A basis row-swap update hit a zero pivot: the new row is dependent."""
+    (model.basis_adjugate) or a singular cone (stats.triangulation_stats),
+    and linalg.basis_inverse_update's when the new row is dependent."""
 
 
 class InfeasiblePoint(DeltahullError):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import SingularMatrix, SingularUpdate
+from .errors import SingularMatrix
 
 Basis = tuple[int, list[list[int]]]  # (det, adj) of a square integer matrix
 
@@ -126,13 +126,13 @@ def basis_inverse_update(basis: Basis, position: int, new_row) -> Basis:
     same way. The fraction-free row swap: with W = new_row @ adj, det B' is
     W[position], column `position` of the adjugate stays, and every other
     column j becomes (W[position] adj_j - W[j] adj_position) / det B, an
-    exact division. A zero W[position] means B' is singular (SingularUpdate).
+    exact division. A zero W[position] means B' is singular (SingularMatrix).
     """
     det, adj = basis
     w = [dot(new_row, col) for col in zip(*adj)]
     pivot = w[position]
     if pivot == 0:
-        raise SingularUpdate("basis_inverse_update: replacement row is dependent")
+        raise SingularMatrix("basis_inverse_update: replacement row is dependent")
     out = []
     for row in adj:
         u = row[position]

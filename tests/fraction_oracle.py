@@ -18,7 +18,6 @@ from deltahull.errors import (
     Infeasible,
     InfeasiblePoint,
     SingularMatrix,
-    SingularUpdate,
     UnboundedLine,
 )
 from deltahull.linalg import dot, frac
@@ -88,7 +87,7 @@ def sherman_morrison(inv, position, new_row):
     w = [dot(new_row, col) for col in zip(*inv)]
     pivot = w[position]
     if pivot == 0:
-        raise SingularUpdate("replacement row is dependent")
+        raise SingularMatrix("replacement row is dependent")
     out = []
     for row in inv:
         u = Fraction(row[position]) / pivot

@@ -23,7 +23,7 @@ from deltahull.errors import (
     Infeasible,
     InfeasiblePoint,
     NotPointed,
-    SingularUpdate,
+    SingularMatrix,
 )
 from deltahull import hull, model, subdivision
 from deltahull.linalg import adjugate, dot, rank_of
@@ -164,11 +164,11 @@ def test_pivot_chain_matches_fresh_adjugates():
     assert pivots >= 200
 
 
-def test_pivot_on_a_dependent_row_raises_singular_update():
+def test_pivot_on_a_dependent_row_raises_singular_matrix():
     p = square()
     pair = basis_adjugate(p, (0, 1))
     # -y <= 0 in place of x <= 1 leaves two rows along y.
-    with pytest.raises(SingularUpdate):
+    with pytest.raises(SingularMatrix):
         pivot(p, (0, 1), pair, 0, 3)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltahull.errors import SingularMatrix, SingularUpdate
+from deltahull.errors import SingularMatrix
 from deltahull.linalg import (
     adjugate,
     basis_inverse_update,
@@ -287,9 +287,9 @@ def test_basis_inverse_update_chain_matches_fresh_inversion():
         candidate[position] = row
         try:
             out = basis_inverse_update(basis, position, row)
-        except SingularUpdate:
+        except SingularMatrix:
             assert det_by_cofactors(candidate) == 0
-            with pytest.raises(SingularUpdate):
+            with pytest.raises(SingularMatrix):
                 sherman_morrison(inv, position, row)
             continue
         m = candidate
@@ -313,9 +313,9 @@ def test_basis_inverse_update_keeps_a_negated_pair_negated():
 
 def test_basis_inverse_update_rejects_singular_replacement():
     basis = adjugate([[1, 0], [0, 1]])
-    with pytest.raises(SingularUpdate):
+    with pytest.raises(SingularMatrix):
         basis_inverse_update(basis, 0, [0, 0])
-    with pytest.raises(SingularUpdate):
+    with pytest.raises(SingularMatrix):
         # New row lies in the span of the untouched one.
         basis_inverse_update(basis, 0, [0, 3])
 
