@@ -35,11 +35,6 @@ class SubdivisionFan:
     cones: list[Rows]
     parent: list[int]  # cone position at depth-1 that spawned each cone; -1 at depth 0
 
-    def generators(self) -> list[list[Fraction]]:
-        """Rays as matrix rows of Fractions, the layout make_polyhedron and the
-        cone tests expect."""
-        return [list(r) for r in self.rays]
-
 
 def base_simplex(n: int) -> list[Point]:
     """Vertex columns of the sum-zero integer simplex in dimension n."""
@@ -115,7 +110,7 @@ class LiftedPolytope:
     def dual_polyhedron(self) -> model.HPolyhedron:
         """Polar polytope {x : <ray_i, x> <= 1/scale_i} as an instance."""
         return model.make_polyhedron(
-            self.fan.generators(),
+            self.fan.rays,
             [1 / s for s in self.scaling],
             name=f"subdivision-dual-n{self.fan.n}-k{self.fan.depth}",
         )

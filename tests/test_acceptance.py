@@ -61,9 +61,9 @@ def test_criterion_01_subdivision_family_exactness():
         for k, fan in enumerate(fans):
             expected = subdivision.expected_counts(n, k)
             cone_count = len(fan.cones)
-            g = build_fan_graph(fan.cones, fan.generators())
+            g = build_fan_graph(fan.cones, fan.rays)
             diameter = graphs.graph_diameter(g)
-            delta, _ = stats.delta_max(*integer_rows(fan.generators()))
+            delta, _ = stats.delta_max(*integer_rows(fan.rays))
             ints, scales = integer_rows(fan.rays)
             ratio = delta / min(abs_det(ints, scales, c) for c in fan.cones)
             if (

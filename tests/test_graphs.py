@@ -90,7 +90,7 @@ def test_polytope_graph_agrees_with_rank_characterization(corpus_analysis, bench
 def test_base_fan_graph_is_complete():
     for n in (2, 3, 4):
         fan = build_subdivision_fans(n, 0)[0]
-        g = build_fan_graph(fan.cones, fan.generators())
+        g = build_fan_graph(fan.cones, fan.rays)
         k = len(fan.cones)
         assert k == n + 1
         assert len(graph_edges(g)) == k * (k - 1) // 2
@@ -99,7 +99,7 @@ def test_base_fan_graph_is_complete():
 
 def test_depth_one_fan_graph_n2_is_a_hexagon_cycle():
     fan = build_subdivision_fans(2, 1)[1]
-    g = build_fan_graph(fan.cones, fan.generators())
+    g = build_fan_graph(fan.cones, fan.rays)
     assert len(g) == 6
     assert all(len(g[v]) == 2 for v in g)
     assert graph_diameter(g) == 3
@@ -109,7 +109,7 @@ def test_planar_fan_graphs_are_cycles():
     # The n=2 closed form in expected_counts rests on every planar fan graph
     # being one cycle through all 3*2^k sectors.
     for k, fan in enumerate(build_subdivision_fans(2, 4)):
-        g = build_fan_graph(fan.cones, fan.generators())
+        g = build_fan_graph(fan.cones, fan.rays)
         assert len(g) == 3 * 2**k
         assert all(len(g[v]) == 2 for v in g)
         # graph_diameter raises DisconnectedGraph unless the graph is connected.
@@ -127,7 +127,7 @@ def test_fan_graph_requires_opposite_sides():
 def test_fan_graph_counts_on_deeper_subdivisions():
     fans = build_subdivision_fans(3, 2)
     fan = fans[2]
-    g = build_fan_graph(fan.cones, fan.generators())
+    g = build_fan_graph(fan.cones, fan.rays)
     assert len(g) == 36
     assert graph_diameter(g) == 7
 
