@@ -13,17 +13,20 @@ readers that only tests need (the integer forms of a row set, point
 membership on a system's integer form, an enumeration's vertex points, a
 FanStats's cone determinants as Fractions), the skeleton-edge and
 redundant-row rank oracles, the placing triangulation of a normal cone
-(the oracle of hull.vertex_cones), the Fraction-step ratio test and its work
-oracle, the unimodularizing transform with the minor count, the full minor
-scan and the per-cone distance
-certificate (the oracles of the CLI's total-unimodularity verdict and of
-stats.cone_distance_certificate), the per-cell box-scan counting oracle,
-the per-node BFS diameter oracle, the fan document loader, the report text
-of rationals past the str() digit limit, the capped-sum bucket bound behind
-acceptance criterion 10, the cone-fan adjacency graph, and the density and
-tightness experiments on the subdivision fans. Graphs are adjacency dicts
-{node: ascending neighbours}, as graphs.build_polytope_graph returns them."""
+(the oracle of the cones hull.enumerate_vertices reads off its walk), the
+certificate that a bounded enumeration's cones cover R^n once, which also
+gives its edges, the Fraction-step ratio test and its work oracle, the
+unimodularizing transform with the minor count, the full minor scan and
+the per-cone distance certificate (the oracles of the CLI's
+total-unimodularity verdict and of stats.cone_distance_certificate), the
+per-cell box-scan counting oracle, the per-node BFS diameter oracle, the
+fan document loader, the report text of rationals past the str() digit
+limit, the capped-sum bucket bound behind acceptance criterion 10, the
+cone-fan adjacency graph, and the density and tightness experiments on the
+subdivision fans. Graphs are adjacency dicts {node: ascending neighbours},
+as graphs.build_polytope_graph returns them."""
 
+import random
 import sys
 from collections import Counter, deque
 from contextlib import contextmanager
@@ -432,8 +435,9 @@ def rank_redundant_rows(p, result) -> list[int] | None:
 
 
 def triangulate_normal_cone(p, tight: Rows) -> list[Rows]:
-    """Oracle of hull.vertex_cones: the placing triangulation of the cone
-    spanned by the tight-row normals, by Gram adjugates and facet counts.
+    """Oracle of the cones the walk reads off a vertex's bases: the placing
+    triangulation of the cone spanned by the tight-row normals, by Gram
+    adjugates and facet counts.
 
     Rows are inserted in ascending index order. A row with a part off the
     span (linalg.off_span, the integral Gram-Schmidt step) cones the
@@ -468,6 +472,55 @@ def triangulate_normal_cone(p, tight: Rows) -> list[Rows]:
     if len(ortho) < p.n:
         raise ValueError("tight rows do not span the space")
     return sorted(tuple(sorted(c)) for c in cones)
+
+
+def fan_certificate(p, result, seed: int = 0) -> set[tuple[int, int]]:
+    """The edge set of a bounded enumeration, read off its triangulated
+    normal fan once the fan is checked to cover R^n exactly once; an
+    AssertionError names the first check that fails.
+
+    Each vertex lies in p. Each cone has rows tight at its vertex, so it
+    lies in that vertex's normal cone, and is nonsingular. Each ridge, a
+    cone less one row, lies in exactly two cones, and their omitted rows are
+    on opposite sides: with row i at position k of cone C omitted, the other
+    cone's omitted row j has ints_j adj_C[:, k] < 0, adj_C taken with
+    det > 0. Exactly one cone holds a generic integer direction c, one with
+    every coefficient adj_C[:, k] c nonzero in every cone. By the degree
+    argument the cones then cover R^n once, so the normal cone of a missing
+    vertex would overlap a found one; the edges are the vertex pairs whose
+    cones share a ridge.
+    """
+    cones = []  # (vertex, rows, adjugate columns with det > 0)
+    for k, group in enumerate(result.triangulation.cones_by_vertex):
+        v = result.vertices[k]
+        assert contains(p, v.point), f"vertex {k} lies outside p"
+        for rows in group:
+            slack = [v.den * p.rhs_num[i] - p.rhs_den[i] * dot(p.ints[i], v.num) for i in rows]
+            assert not any(slack), f"cone {rows} is not tight at vertex {k}"
+            det, adj = linalg.adjugate([p.ints[i] for i in rows])
+            assert det, f"cone {rows} is singular"
+            cones.append((k, rows, [[x if det > 0 else -x for x in c] for c in zip(*adj)]))
+    ridges: dict[Rows, list[tuple[int, int]]] = {}
+    for c, (_, rows, _) in enumerate(cones):
+        for pos in range(len(rows)):
+            ridges.setdefault(rows[:pos] + rows[pos + 1 :], []).append((c, pos))
+    edges = set()
+    for ridge, sides in ridges.items():
+        assert len(sides) == 2, f"ridge {ridge} lies in {len(sides)} cones"
+        (a, pos), (b, other) = sides
+        j = cones[b][1][other]
+        assert dot(p.ints[j], cones[a][2][pos]) < 0, f"ridge {ridge} has one side"
+        if cones[a][0] != cones[b][0]:
+            edges.add((min(cones[a][0], cones[b][0]), max(cones[a][0], cones[b][0])))
+    rng = random.Random(seed)
+    while True:
+        c = [rng.randint(-(10**6), 10**6) for _ in range(p.n)]
+        coefficients = [[dot(col, c) for col in cols] for _, _, cols in cones]
+        if all(all(row) for row in coefficients):
+            break
+    holding = sum(min(row) > 0 for row in coefficients)
+    assert holding == 1, f"{holding} cones hold the direction {c}"
+    return edges
 
 
 def ratio_test(p, pt: model.Point, u):

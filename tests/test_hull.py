@@ -52,6 +52,7 @@ from helpers import (
     b_of,
     cone_det_fractions,
     det_exact,
+    fan_certificate,
     fractions_built,
     pairs,
     rank_redundant_rows,
@@ -321,7 +322,58 @@ def test_walk_cones_match_the_placing_oracle_on_small_systems(system):
         p = make_polyhedron(*system)
     except (DimensionMismatch, DuplicateRow, NotPointed):
         assume(False)
-    assert_walk_cones_match_the_oracle(p, run_enumeration(p))
+    result = run_enumeration(p)
+    assert_walk_cones_match_the_oracle(p, result)
+    if result.bounded:
+        assert fan_certificate(p, result) == result.edges
+
+
+def certified_cases(corpus_analysis, bench_duals):
+    """The bounded fuzz instances, DEGENERATE_FAMILY, cross3/4, cube3/4 and
+    both bench duals, each with its enumeration."""
+    cases = [(p, result) for p, result, _ in corpus_analysis if result.bounded]
+    builds = [*DEGENERATE_FAMILY, *(lambda n=n: cross_polytope(n) for n in (3, 4))]
+    builds += [lambda n=n: cube(n) for n in (3, 4)]
+    cases += [(p, run_enumeration(p)) for p in (build() for build in builds)]
+    return cases + list(bench_duals.values())
+
+
+def test_fan_certificate_gives_the_walk_edges(corpus_analysis, bench_duals):
+    cases = certified_cases(corpus_analysis, bench_duals)
+    for p, result in cases:
+        assert fan_certificate(p, result) == result.edges, p.name
+    assert len(cases) == 63  # 54 fuzz instances, 3 + 2 + 2 polytopes, 2 duals
+
+
+def mutated(result, cones_by_vertex):
+    return SimpleNamespace(
+        vertices=result.vertices,
+        triangulation=SimpleNamespace(cones_by_vertex=cones_by_vertex),
+    )
+
+
+def test_fan_certificate_fails_on_each_mutation(corpus_analysis, bench_duals):
+    failed = 0
+    for p, result in certified_cases(corpus_analysis, bench_duals):
+        groups = result.triangulation.cones_by_vertex
+        # The last vertex's cones dropped leave their ridges in one cone.
+        with pytest.raises(AssertionError, match="lies in 1 cones"):
+            fan_certificate(p, mutated(result, groups[:-1] + [[]]))
+        # A cone row swapped for the first row not tight at its vertex.
+        v = result.vertices[0]
+        loose = next(i for i in range(p.m) if i not in v.tight)
+        first = tuple(sorted(groups[0][0][1:] + (loose,)))
+        with pytest.raises(AssertionError, match="is not tight"):
+            fan_certificate(p, mutated(result, [[first, *groups[0][1:]], *groups[1:]]))
+        failed += 2
+        # One cone dropped at each degenerate vertex.
+        for k, v in enumerate(result.vertices):
+            if not v.simple:
+                fewer = [g[1:] if j == k else g for j, g in enumerate(groups)]
+                with pytest.raises(AssertionError):
+                    fan_certificate(p, mutated(result, fewer))
+                failed += 1
+    assert failed == 63 * 2 + 25  # 25 degenerate vertices
 
 
 def test_the_walk_builds_no_fraction_at_degenerate_vertices():
