@@ -501,17 +501,18 @@ def fan_certificate(p, result, seed: int = 0) -> set[tuple[int, int]]:
             assert det, f"cone {rows} is singular"
             cones.append((k, rows, [[x if det > 0 else -x for x in c] for c in zip(*adj)]))
     ridges: dict[Rows, list[tuple[int, int]]] = {}
-    for c, (_, rows, _) in enumerate(cones):
+    for index, (_, rows, _) in enumerate(cones):
         for pos in range(len(rows)):
-            ridges.setdefault(rows[:pos] + rows[pos + 1 :], []).append((c, pos))
+            ridges.setdefault(rows[:pos] + rows[pos + 1 :], []).append((index, pos))
     edges = set()
     for ridge, sides in ridges.items():
         assert len(sides) == 2, f"ridge {ridge} lies in {len(sides)} cones"
         (a, pos), (b, other) = sides
         j = cones[b][1][other]
         assert dot(p.ints[j], cones[a][2][pos]) < 0, f"ridge {ridge} has one side"
-        if cones[a][0] != cones[b][0]:
-            edges.add((min(cones[a][0], cones[b][0]), max(cones[a][0], cones[b][0])))
+        u, v = cones[a][0], cones[b][0]
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
     rng = random.Random(seed)
     while True:
         c = [rng.randint(-(10**6), 10**6) for _ in range(p.n)]

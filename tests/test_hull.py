@@ -332,9 +332,9 @@ def certified_cases(corpus_analysis, bench_duals):
     """The bounded fuzz instances, DEGENERATE_FAMILY, cross3/4, cube3/4 and
     both bench duals, each with its enumeration."""
     cases = [(p, result) for p, result, _ in corpus_analysis if result.bounded]
-    builds = [*DEGENERATE_FAMILY, *(lambda n=n: cross_polytope(n) for n in (3, 4))]
-    builds += [lambda n=n: cube(n) for n in (3, 4)]
-    cases += [(p, run_enumeration(p)) for p in (build() for build in builds)]
+    polytopes = [build() for build in DEGENERATE_FAMILY]
+    polytopes += [cross_polytope(3), cross_polytope(4), cube(3), cube(4)]
+    cases += [(p, run_enumeration(p)) for p in polytopes]
     return cases + list(bench_duals.values())
 
 
