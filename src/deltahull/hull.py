@@ -7,14 +7,14 @@ of the pivot that reached it, the first being model.start_basis of the
 start. A popped basis is a cone of its vertex's normal cone when the vertex
 is simple or the basis is lexicographically feasible (_lex_feasible): the
 cones form the placing triangulation in row index order, and the walk
-reaches every one, as each lexicographic pivot is one of its pivots.
-One loop walks the nodes:
-it pops a basis, held as (det, adj), and runs the integer ratio test at
-each of its positions from its vertex's point; positive steps cross edges of
-the polyhedron, zero steps move between bases of the same vertex, and an
-empty ratio test marks an unbounded edge. A move ends where its ratio test
-says (model.step_point, and model.step_tight for a vertex not seen before),
-so no basis is solved and no slack stored. Each edge's ratio test runs once
+reaches every one, as each lexicographic pivot is one of its pivots. One
+loop walks the nodes: it pops a basis, held as (det, adj), and runs the
+integer ratio test at each of its positions from its vertex's point;
+positive steps cross edges of the polyhedron, zero steps move between
+bases of the same vertex, and an empty ratio test marks an unbounded edge.
+A move ends where its ratio test says (model.step_point, and
+model.step_tight for a vertex not seen before), so no basis is solved and
+no slack stored. Each edge's ratio test runs once
 when one end is a simple vertex: the test back from the far end can only
 return to the basis it came from, so that basis skips it and is charged the
 hits it would have found. The (det, adj) pair of every basis popped is
