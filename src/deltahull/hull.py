@@ -165,7 +165,7 @@ def enumerate_vertices(p: HPolyhedron, start: Point) -> EnumerationResult:
                 mults += p.n * (p.m - p.n + known[leaving])
                 continue
             u = [-line[pos] for line in basis[1]]
-            rates = p.products(u)
+            rates = linalg.combine(p.cols, u)
             step, blocking, hits = model.min_ratio(p, pt, rates)
             mults += p.n * (p.m - p.n + hits)
             if step is None:

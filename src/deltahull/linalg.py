@@ -14,8 +14,10 @@ anywhere.
 """
 
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import SingularMatrix
 
@@ -38,6 +40,12 @@ def identity(n: int) -> list[list[int]]:
 def dot(u, v):
     """Inner product; an int when both vectors are integer."""
     return sum(map(mul, u, v))
+
+
+def combine(cols, u) -> list[int]:
+    """sum_j u_j cols[j] over equal-length integer columns, in C-level maps."""
+    terms = [map(mul, col, repeat(c)) for col, c in zip(cols, u) if c]
+    return list(reduce(partial(map, add), terms)) if terms else [0] * len(cols[0])
 
 
 def integer_row(row) -> tuple[tuple[int, ...], Fraction]:

@@ -23,10 +23,10 @@ implicit equalities, whose redundant rows it cannot read off the walk.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
-from itertools import compress, repeat
+from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -69,11 +69,6 @@ class HPolyhedron:
     @cached_property
     def cols(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.ints))
-
-    def products(self, u) -> list[int]:
-        """ints[i] u for every row i, summed column by column in C-level maps."""
-        terms = [map(mul, col, repeat(c)) for col, c in zip(self.cols, u) if c]
-        return list(reduce(partial(map, add), terms)) if terms else [0] * self.m
 
     def restrict(self, keep, name: str) -> "HPolyhedron":
         """The subsystem of the rows in `keep`, in their integer form as is."""
@@ -224,7 +219,8 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> tuple[Point, tuple[int, ..
     """Ray-cast from a feasible point to a vertex of p.
 
     Deterministic rule: pick the lowest-index standard basis vector outside
-    the span of the current tight rows, project it against them, and move to
+    the span of the current tight rows (the scan resumes at the last pick, as
+    a vector in the span stays there), project it against them, and move to
     the farthest feasible point along the projected direction (or its
     negation if the forward ray is unbounded). The tight rows stay tight
     along the move, so an independent basis of them grows by the newly
@@ -238,9 +234,11 @@ def find_initial_vertex(p: HPolyhedron, pt: Point) -> tuple[Point, tuple[int, ..
     tight = tight_set(p, pt)
     ortho: list = []
     linalg.independent((p.ints[i] for i in tight), ortho)
+    axes, j = linalg.identity(p.n), 0
     while len(ortho) < p.n:
-        d = next(d for d in (linalg.off_span(e, ortho) for e in linalg.identity(p.n)) if any(d))
-        rates = p.products(d)
+        while not any(d := linalg.off_span(axes[j], ortho)):
+            j += 1  # e_j stays in the span as ortho grows
+        rates = linalg.combine(p.cols, d)
         step, blocking, _ = min_ratio(p, pt, rates)
         if step is None:
             d, rates = [-t for t in d], [-w for w in rates]
@@ -347,7 +345,7 @@ def simplex_max(p: HPolyhedron, objective, start: Point):
                 break
         else:
             return "optimal", pt
-        step, blocking, _ = min_ratio(p, pt, p.products(u))
+        step, blocking, _ = min_ratio(p, pt, linalg.combine(p.cols, u))
         if step is None:
             return "unbounded", u
         rows, basis = pivot(p, rows, basis, leaving, blocking[0])

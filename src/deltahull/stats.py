@@ -17,7 +17,9 @@ d_0 = 1, and lambda_{t,s} = d_s mu_{t,s} for s < t (integral Gram-Schmidt,
 Cohen 1993, 2.6). Its child adding b_{k+1} runs, for s = 1..k+1 from
 u = b_{k+1}.b_s, u <- (d_r u - lambda_{k+1,r} lambda_{s,r}) / d_{r-1} over
 r < s, each division exact (Bareiss 1968): u ends as lambda_{k+1,s}, and as
-d_{k+1} at s = k+1. Once a d_t is 0, so is every descendant's.
+d_{k+1} at s = k+1. Once a d_t is 0, so is every descendant's. A child is
+pushed with the bound g * top it passed, and counted but not built if the
+best has passed that bound by its pop (det G_{S+j} <= det G_S |b_j|^2).
 
 The distance certificate measures, for each cone C of the triangulation and
 each position pos in it, sin^2 of the angle between row i = C[pos] of
@@ -39,7 +41,9 @@ A (A_W)^-1, then one adjugate per cone) and the full minor scan as oracles.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain, repeat
 from math import factorial, gamma, lcm, log, pi, prod
+from operator import mul
 
 from . import hull, linalg, model, serialize
 from .errors import BoundViolated, BudgetExceeded, SingularMatrix
@@ -100,13 +104,15 @@ def delta_max(ints, scales, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Row
 
     best_num, best_den, witness = 0, 1, tuple(range(n))
     node_cap, nodes = 50 * budget, 0
-    # (parent, row it adds, next position); the root adds no row
-    stack = [(((), (1,), (), 1, 1), None, 0)]
+    # (parent, row it adds, next position, bound it passed); the root adds no row
+    stack = [(((), (1,), (), 1, 1), None, 0, ())]
     while stack:
-        parent, j, start = stack.pop()
+        parent, j, start, bound = stack.pop()
         nodes += 1
         if nodes > node_cap:
             raise BudgetExceeded(f"subdeterminant search exceeded {node_cap} nodes")
+        if bound and best_num * bound[1] > bound[0] * best_den:
+            continue  # the best passed the bound since the push: nothing here can win
         node = parent if j is None else child(parent, j)
         chosen, d, _, wn, g_den = node
         k, g_num = len(chosen), d[-1] * wn
@@ -122,7 +128,7 @@ def delta_max(ints, scales, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Row
             top_num, top_den = suffix_top[pos][n - k]
             if lhs * top_num < rhs * top_den:
                 break
-            children.append((node, order[pos], pos + 1))
+            children.append((node, order[pos], pos + 1, (g_num * top_num, g_den * top_den)))
         stack.extend(reversed(children))
     best_sq = Fraction(best_num, best_den).as_integer_ratio()
     return Fraction(*map(linalg.isqrt_exact, best_sq)), witness
@@ -245,32 +251,35 @@ def cone_distance_certificate(
 ) -> DistanceCertificate:
     """The least sin^2 between a row of A (A_W)^-1 and the span of the other
     rows of its cone, over the triangulation's cones, by the module
-    docstring's identity on p's integer rows: one row norm per
-    row, one n x n by n product per cone on the adjugate it kept, candidates
-    compared as (num, den) pairs with the first minimum in (cone, position)
-    order winning, and one Fraction, for the minimum."""
+    docstring's identity on p's integer rows: one row norm per row, the
+    kept adjugate columns of all cones in n^2 column maps, candidates compared
+    as (num, den) pairs in one scan, the first minimum in (cone, position)
+    order winning, and one Fraction, for the minimum; ValueError if no cone."""
     ws = [p.scales[i] for i in witness]
     clear, clear_num = lcm(*(s.denominator for s in ws)), lcm(*(s.numerator for s in ws))
     det_w, adj_w = model.basis_adjugate(p, witness)
     d = [clear // s.denominator * s.numerator for s in ws]  # L s_W
     d_prime = [clear_num // s.numerator * s.denominator for s in ws]  # L' / s_W
     # ints_i adj_W D is a positive multiple of row i of A (A_W)^-1
-    t_cols = [p.products([line[j] * d[j] for line in adj_w]) for j in range(p.n)]
+    t_cols = [linalg.combine(p.cols, [line[j] * d[j] for line in adj_w]) for j in range(p.n)]
     row_sq = [dot(t, t) for t in zip(*t_cols)]
     scaled_w = [[c * x for x in p.ints[i]] for c, i in zip(d_prime, witness)]  # D' M_W
-    best = None  # (det_C^2, |ints_i adj_W D|^2 |D' M_W adj_C[:, pos]|^2, C, i)
-    for rows in triangulation.cones:
-        det_sq = triangulation.dets[rows] ** 2
-        for i, col in zip(rows, zip(*triangulation.adjugates[rows])):
-            v = [dot(line, col) for line in scaled_w]
-            den = row_sq[i] * dot(v, v)
-            if best is None or det_sq * best[1] < best[0] * den:
-                best = (det_sq, den, rows, i)
-    if best is None:
+    cones, n = triangulation.cones, p.n
+    if not cones:
         raise ValueError("no bases given")
-    num, den, basis, row = best
-    scale = det_w * clear * clear_num
-    return DistanceCertificate(Fraction(num * scale * scale, den), basis, row)
+    # slot (C, pos) in (cone, position) order; lines[r] holds entry r of each adj_C[:, pos]
+    lines = [list(chain(*r)) for r in zip(*map(triangulation.adjugates.__getitem__, cones))]
+    vs = [linalg.combine(lines, w) for w in scaled_w]  # D' M_W adj_C[:, pos], by entry
+    v_sq = map(sum, zip(*(map(mul, v, v) for v in vs)))
+    dens = map(mul, map(row_sq.__getitem__, chain(*cones)), v_sq)
+    # (det_C^2, |ints_i adj_W D|^2 |D' M_W adj_C[:, pos]|^2) in slot order
+    slots = zip(chain.from_iterable(repeat(triangulation.dets[c] ** 2, n) for c in cones), dens)
+    (num, den), at = next(slots), 0
+    for k, (a, b) in enumerate(slots, 1):
+        if a * den < num * b:
+            num, den, at = a, b, k
+    basis, scale = cones[at // n], det_w * clear * clear_num
+    return DistanceCertificate(Fraction(num * scale * scale, den), basis, basis[at % n])
 
 
 def verify_bounds(

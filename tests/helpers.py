@@ -527,7 +527,7 @@ def fan_certificate(p, result, seed: int = 0) -> set[tuple[int, int]]:
 def ratio_test(p, pt: model.Point, u):
     """model.min_ratio along the integer direction u, with the step as a
     Fraction, or None when no row has positive rate."""
-    step, blocking, hits = model.min_ratio(p, pt, p.products(u))
+    step, blocking, hits = model.min_ratio(p, pt, linalg.combine(p.cols, u))
     return step and Fraction(*step), blocking, hits
 
 

@@ -21,7 +21,7 @@ from deltahull.errors import (
     NotPointed,
     SingularMatrix,
 )
-from deltahull.hull import run_enumeration
+from deltahull.hull import Triangulation, run_enumeration
 from deltahull.linalg import rank_of
 from deltahull.model import make_polyhedron
 from deltahull.stats import (
@@ -278,6 +278,23 @@ def test_delta_search_matches_the_gram_oracle_on_corpora(bench_duals, fuzz_corpu
             budget += 1
             want = search_outcome(gram_delta_search, p.ints, p.scales, budget)
             assert search_outcome(delta_max, p.ints, p.scales, budget) == want, p.name
+
+
+@pytest.mark.parametrize(
+    "name, want",
+    [
+        ("dual-n2k5", ["raised"] * 4 + [(Fraction(3), (0, 1))]),
+        ("dual-n4k2", ["raised"] * 2 + [(Fraction(125), (0, 1, 2, 3))] * 3),
+    ],
+)
+def test_delta_search_matches_the_gram_oracle_on_the_bench_duals(bench_duals, name, want):
+    """Budgets 1-4 and the default on the real workloads: dual-n4k2's search
+    visits 115 nodes, so it raises past 100 and returns under 150, and the
+    oracle, which builds every node it pops, agrees at each budget."""
+    p, _ = bench_duals[name]
+    for budget, expected in zip((1, 2, 3, 4, DEFAULT_BUDGET), want):
+        got = search_outcome(delta_max, p.ints, p.scales, budget)
+        assert got == search_outcome(gram_delta_search, p.ints, p.scales, budget) == expected
 
 
 def test_triangulation_stats_square():
@@ -549,6 +566,11 @@ def test_wideness_floor_raises_when_certificate_dips():
     doctored = replace(stats, delta_min=Fraction(1000), delta=Fraction(1))
     with pytest.raises(BoundViolated, match="below floor"):
         verify_bounds(p, doctored, result.triangulation, len(result.vertices), None)
+
+
+def test_cone_distance_certificate_needs_a_cone():
+    with pytest.raises(ValueError, match="no bases given"):
+        cone_distance_certificate(square(), (0, 1), Triangulation())
 
 
 def assert_cone_distances_match_oracle(p, result, witness):
